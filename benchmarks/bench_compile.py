@@ -1,18 +1,15 @@
-"""Benchmarks for dataflow program compilation (lowering strategies).
+"""Benchmarks for dataflow program compilation (lowering).
 
-The ``compile_program``-marked benchmarks track the array-backed
-``VectorizedLowering`` against the retained per-element
-``ReferenceLowering`` in ``BENCH_compile.json`` (see
-``benchmarks/emit_bench.py --suite compile``): the full PCG program
-triple — SpMV plus both SpTRSV kernels, multicast/reduction forests
-included — on the largest solver-suite matrix (BenElechi1 at suite
-scale 4) mapped onto the paper's 64-tile torus.
+The ``compile_program``-marked benchmark tracks the lowering in
+``BENCH_compile.json`` (see ``benchmarks/emit_bench.py --suite
+compile``): the full PCG program triple — SpMV plus both SpTRSV
+kernels, multicast/reduction forests included — on the largest
+solver-suite matrix (BenElechi1 at suite scale 4) mapped onto the
+paper's 64-tile torus.
 
-Both strategies produce bit-identical ``CompiledKernel`` programs
-(``tests/test_dataflow_equivalence.py``), so the pair ratio is pure
-lowering speed.  Sweep-scale runs compile each (matrix, placement)
-point once and fan out over simulator knobs via the program cache, but
-cold compiles still bound how fast a new sweep starts.
+Sweep-scale runs compile each (matrix, placement) point once and fan
+out over simulator knobs via the program cache, but cold compiles
+still bound how fast a new sweep starts.
 """
 
 import pytest
@@ -51,20 +48,9 @@ def _compile(inputs):
 
 
 @pytest.mark.compile_program
-def test_compile_vectorized(benchmark, compile_inputs, monkeypatch):
-    monkeypatch.delenv("AZUL_DATAFLOW_REFERENCE", raising=False)
+def test_compile_vectorized(benchmark, compile_inputs):
     program = benchmark.pedantic(
         lambda: _compile(compile_inputs),
         rounds=10, iterations=1, warmup_rounds=1,
-    )
-    assert program.spmv.total_fmacs > 0
-
-
-@pytest.mark.compile_program
-def test_compile_reference(benchmark, compile_inputs, monkeypatch):
-    monkeypatch.setenv("AZUL_DATAFLOW_REFERENCE", "1")
-    program = benchmark.pedantic(
-        lambda: _compile(compile_inputs),
-        rounds=3, iterations=1,
     )
     assert program.spmv.total_fmacs > 0

@@ -95,13 +95,10 @@ def test_kernel_simulation(benchmark, matrix, lower):
 
 
 # ----------------------------------------------------------------------
-# Simulator-engine benchmarks (tracked in BENCH_sim.json)
+# Simulator benchmarks (tracked in BENCH_sim.json)
 # ----------------------------------------------------------------------
-# The pair of ``test_spmv_sim`` / ``test_spmv_sim_reference`` entries is
-# the headline perf artifact: the batched engine must stay bit-identical
-# to the reference path (asserted here on cycles and output) while being
-# substantially faster.  ``benchmarks/emit_bench_sim.py`` runs the
-# ``sim_engine`` marker set with ``--benchmark-json`` and
+# ``benchmarks/emit_bench.py --suite sim`` runs the ``sim_engine``
+# marker set with ``--benchmark-json`` and
 # ``benchmarks/check_regression.py`` gates the recorded timings.
 
 
@@ -133,62 +130,24 @@ def sptrsv_sim_setup(matrix, lower):
 
 @pytest.mark.sim_engine
 def test_spmv_sim(benchmark, matrix, spmv_sim_setup):
-    """Batched engine on the 300-node FEM SpMV (the hot path)."""
+    """Simulation of the 300-node FEM SpMV (the hot path)."""
     program, torus, config, x = spmv_sim_setup
     result = benchmark.pedantic(
-        lambda: KernelSimulator(
-            program, torus, config, AZUL_PE, engine="batched"
-        ).run(x=x),
+        lambda: KernelSimulator(program, torus, config, AZUL_PE).run(x=x),
         rounds=5, iterations=1,
     )
     assert np.allclose(result.output, matrix.spmv(x))
 
 
 @pytest.mark.sim_engine
-def test_spmv_sim_reference(benchmark, matrix, spmv_sim_setup):
-    """Per-op reference engine on the same program (speedup baseline)."""
-    program, torus, config, x = spmv_sim_setup
-    reference = benchmark.pedantic(
-        lambda: KernelSimulator(
-            program, torus, config, AZUL_PE, engine="reference"
-        ).run(x=x),
-        rounds=5, iterations=1,
-    )
-    batched = KernelSimulator(
-        program, torus, config, AZUL_PE, engine="batched"
-    ).run(x=x)
-    assert batched.cycles == reference.cycles
-    assert np.array_equal(batched.output, reference.output)
-
-
-@pytest.mark.sim_engine
 def test_sptrsv_sim(benchmark, sptrsv_sim_setup):
-    """Batched engine on the dependence-limited forward SpTRSV."""
+    """Simulation of the dependence-limited forward SpTRSV."""
     program, torus, config, b = sptrsv_sim_setup
     result = benchmark.pedantic(
-        lambda: KernelSimulator(
-            program, torus, config, AZUL_PE, engine="batched"
-        ).run(b=b),
+        lambda: KernelSimulator(program, torus, config, AZUL_PE).run(b=b),
         rounds=5, iterations=1,
     )
     assert np.all(np.isfinite(result.output))
-
-
-@pytest.mark.sim_engine
-def test_sptrsv_sim_reference(benchmark, sptrsv_sim_setup):
-    """Per-op reference engine on the same SpTRSV program."""
-    program, torus, config, b = sptrsv_sim_setup
-    reference = benchmark.pedantic(
-        lambda: KernelSimulator(
-            program, torus, config, AZUL_PE, engine="reference"
-        ).run(b=b),
-        rounds=5, iterations=1,
-    )
-    batched = KernelSimulator(
-        program, torus, config, AZUL_PE, engine="batched"
-    ).run(b=b)
-    assert batched.cycles == reference.cycles
-    assert np.array_equal(batched.output, reference.output)
 
 
 @pytest.mark.sim_engine
@@ -223,9 +182,7 @@ def test_obs_disabled_overhead(benchmark, spmv_sim_setup):
     disabled_calls()
     obs_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    KernelSimulator(
-        program, torus, config, AZUL_PE, engine="batched"
-    ).run(x=x)
+    KernelSimulator(program, torus, config, AZUL_PE).run(x=x)
     sim_seconds = time.perf_counter() - start
     assert obs_seconds < 0.05 * sim_seconds, (
         f"1k disabled obs calls took {obs_seconds * 1e3:.2f} ms vs "

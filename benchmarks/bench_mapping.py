@@ -3,59 +3,43 @@
 The ``mapping_engine``-marked benchmarks additionally track the
 partitioner hot path itself in ``BENCH_mapping.json`` (see
 ``benchmarks/emit_bench.py --suite mapping``): quality-preset Azul
-partitions with the vectorized vs reference FM refinement strategies,
-plus the largest small-section suite matrix (BenElechi1) whose mapping
-cost dominates the Sec. VI-D table.
+partitions of a medium matrix and of the largest small-section suite
+matrix (BenElechi1), whose mapping cost dominates the Sec. VI-D table.
 """
-
-from dataclasses import replace
 
 import pytest
 
 from benchmarks.conftest import run_once
 from repro.experiments import fig10, fig11, fig17, fig23, tabD
 
-#: Matrix used for the vectorized-vs-reference strategy pair (medium
-#: size keeps the reference round CI-affordable).
+#: Medium-size matrix for the quality-preset partition.
 QUALITY_MATRIX = "consph"
 #: Largest small-section suite matrix: the Sec. VI-D cost ceiling.
 LARGEST_MATRIX = "BenElechi1"
 
 
-def _quality_map(name: str, refine: str):
+def _quality_map(name: str):
     from repro.core.azul_mapping import map_azul
     from repro.experiments.common import ExperimentSession
     from repro.hypergraph import PartitionerOptions
 
     session = ExperimentSession()
     prepared = session.prepare(name)
-    options = replace(PartitionerOptions.quality(seed=0), refine=refine)
     return map_azul(
-        prepared.matrix, prepared.lower, 64, options=options
+        prepared.matrix, prepared.lower, 64,
+        options=PartitionerOptions.quality(seed=0),
     )
 
 
 @pytest.mark.mapping_engine
 def test_mapping_quality(benchmark):
-    placement = run_once(
-        benchmark, lambda: _quality_map(QUALITY_MATRIX, "vectorized")
-    )
-    assert placement.mapper == "azul"
-
-
-@pytest.mark.mapping_engine
-def test_mapping_quality_reference(benchmark):
-    placement = run_once(
-        benchmark, lambda: _quality_map(QUALITY_MATRIX, "reference")
-    )
+    placement = run_once(benchmark, lambda: _quality_map(QUALITY_MATRIX))
     assert placement.mapper == "azul"
 
 
 @pytest.mark.mapping_engine
 def test_mapping_quality_largest(benchmark):
-    placement = run_once(
-        benchmark, lambda: _quality_map(LARGEST_MATRIX, "vectorized")
-    )
+    placement = run_once(benchmark, lambda: _quality_map(LARGEST_MATRIX))
     assert placement.mapper == "azul"
 
 

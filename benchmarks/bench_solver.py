@@ -1,31 +1,30 @@
 """Benchmarks for the solver numeric kernels (Sec. II-A hot path).
 
 The ``solver_kernels``-marked benchmarks track the level-scheduled
-kernel engine against the retained per-row reference loops in
-``BENCH_solver.json`` (see ``benchmarks/emit_bench.py --suite
-solver``): SpTRSV and IC(0) on the largest solver-suite matrix
+kernels in ``BENCH_solver.json`` (see ``benchmarks/emit_bench.py
+--suite solver``): SpTRSV and IC(0) on the largest solver-suite matrix
 (BenElechi1 at suite scale 4), plus the end-to-end PCG solve — IC(0)
 setup included — that every accuracy experiment repeats per matrix.
 
-The level engine's triangular/IC(0) schedules are memoized on the
-factor, so a solve's schedule cost is paid once per factor; the SpTRSV
-and IC(0) benchmarks measure the warm steady state (the per-iteration
-cost inside PCG), while the PCG pair includes the one-time schedule
+The triangular/IC(0) schedules are memoized on the factor, so a
+solve's schedule cost is paid once per factor; the SpTRSV and IC(0)
+benchmarks measure the warm steady state (the per-iteration cost
+inside PCG), while the PCG benchmark includes the one-time schedule
 builds.
 """
 
 import pytest
 
 from repro.solvers.base import SolveOptions
-from repro.sparse.ops import KERNELS
+from repro.sparse.ops import ic0_attempt, level_sptrsv_lower, level_sptrsv_upper
 from repro.sparse.suite import get_suite_matrix
 
 #: Largest solver-suite benchmark matrix: the 2D-mesh analog scaled 4x
 #: (n=4480, ~56k nonzeros in the lower triangle, ~22 dependence levels).
 SOLVER_MATRIX = "BenElechi1"
 SOLVER_SCALE = 4
-#: Fixed PCG budget (``tol=0`` never converges) so both engines do
-#: identical numeric work and the pair ratio is pure kernel speed.
+#: Fixed PCG budget (``tol=0`` never converges) so every run does
+#: identical numeric work.
 PCG_ITERATIONS = 30
 
 
@@ -40,7 +39,7 @@ def factors(system):
     from repro.precond.ic0 import ic0
 
     matrix, b = system
-    lower = ic0(matrix, kernels="level")
+    lower = ic0(matrix)
     return lower, lower.transpose(), b
 
 
@@ -51,78 +50,44 @@ def raw_lower(system):
     return matrix.lower_triangle()
 
 
-def _sptrsv_roundtrip(engine_name, lower, upper, b):
-    engine = KERNELS[engine_name]
-    y = engine.sptrsv_lower(lower, b)
-    return engine.sptrsv_upper(upper, y)
+def _sptrsv_roundtrip(lower, upper, b):
+    return level_sptrsv_upper(upper, level_sptrsv_lower(lower, b))
 
 
 @pytest.mark.solver_kernels
 def test_sptrsv_level(benchmark, factors):
     lower, upper, b = factors
     x = benchmark.pedantic(
-        lambda: _sptrsv_roundtrip("level", lower, upper, b),
+        lambda: _sptrsv_roundtrip(lower, upper, b),
         rounds=10, iterations=1, warmup_rounds=1,
     )
     assert len(x) == lower.n_rows
 
 
 @pytest.mark.solver_kernels
-def test_sptrsv_reference(benchmark, factors):
-    lower, upper, b = factors
-    x = benchmark.pedantic(
-        lambda: _sptrsv_roundtrip("reference", lower, upper, b),
-        rounds=3, iterations=1,
-    )
-    assert len(x) == lower.n_rows
-
-
-@pytest.mark.solver_kernels
 def test_ic0_level(benchmark, raw_lower):
-    engine = KERNELS["level"]
-    engine.ic0_attempt(raw_lower, 0.0)  # warm the cached schedule
+    ic0_attempt(raw_lower, 0.0)  # warm the cached schedule
     data = benchmark.pedantic(
-        lambda: engine.ic0_attempt(raw_lower, 0.0),
+        lambda: ic0_attempt(raw_lower, 0.0),
         rounds=5, iterations=1,
     )
     assert data is not None
 
 
-@pytest.mark.solver_kernels
-def test_ic0_reference(benchmark, raw_lower):
-    engine = KERNELS["reference"]
-    data = benchmark.pedantic(
-        lambda: engine.ic0_attempt(raw_lower, 0.0),
-        rounds=2, iterations=1,
-    )
-    assert data is not None
-
-
-def _pcg_end_to_end(system, kernels):
+def _pcg_end_to_end(system):
     from repro.precond.ic0 import IncompleteCholesky
     from repro.solvers.pcg import pcg
 
     matrix, b = system
-    preconditioner = IncompleteCholesky(matrix, kernels=kernels)
+    preconditioner = IncompleteCholesky(matrix)
     options = SolveOptions(max_iterations=PCG_ITERATIONS, tol=0.0)
     return pcg(matrix, b, preconditioner, options)
 
 
 @pytest.mark.solver_kernels
-def test_pcg_level(benchmark, system, monkeypatch):
-    monkeypatch.delenv("AZUL_SOLVER_REFERENCE", raising=False)
+def test_pcg_level(benchmark, system):
     result = benchmark.pedantic(
-        lambda: _pcg_end_to_end(system, "level"),
+        lambda: _pcg_end_to_end(system),
         rounds=3, iterations=1,
-    )
-    assert result.iterations == PCG_ITERATIONS
-
-
-@pytest.mark.solver_kernels
-def test_pcg_reference(benchmark, system, monkeypatch):
-    monkeypatch.setenv("AZUL_SOLVER_REFERENCE", "1")
-    result = benchmark.pedantic(
-        lambda: _pcg_end_to_end(system, "reference"),
-        rounds=2, iterations=1,
     )
     assert result.iterations == PCG_ITERATIONS

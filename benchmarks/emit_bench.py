@@ -1,28 +1,26 @@
 #!/usr/bin/env python
-"""Emit a tracked benchmark run (``BENCH_sim.json`` / ``BENCH_mapping.json``).
+"""Emit a tracked benchmark run (``BENCH_<suite>.json``).
 
 Drives pytest-benchmark over one marked benchmark suite and writes the
-standard pytest-benchmark JSON.  A summary — including the
-fast-over-reference speedup each suite tracks — is printed at the end.
+standard pytest-benchmark JSON, then prints each benchmark's best-round
+time.
 
 Suites:
 
 * ``sim`` — the ``sim_engine`` marker set in
-  ``benchmarks/bench_kernels.py``: batched vs per-op reference engine
-  on the 300-node FEM SpMV/SpTRSV programs.
+  ``benchmarks/bench_kernels.py``: simulation of the 300-node FEM
+  SpMV/SpTRSV programs.
 * ``mapping`` — the ``mapping_engine`` marker set in
-  ``benchmarks/bench_mapping.py``: quality-preset Azul partitions with
-  the vectorized vs reference FM refinement strategies, plus the
-  largest-suite-matrix (BenElechi1) partition the Sec. VI-D cost study
-  tracks.
+  ``benchmarks/bench_mapping.py``: quality-preset Azul partitions of
+  consph and of the largest suite matrix (BenElechi1) the Sec. VI-D
+  cost study tracks.
 * ``solver`` — the ``solver_kernels`` marker set in
-  ``benchmarks/bench_solver.py``: level-scheduled vs reference SpTRSV,
-  IC(0), and end-to-end PCG on the largest solver-suite matrix
-  (BenElechi1 scaled 4x).
+  ``benchmarks/bench_solver.py``: level-scheduled SpTRSV, IC(0), and
+  end-to-end PCG on the largest solver-suite matrix (BenElechi1 scaled
+  4x).
 * ``compile`` — the ``compile_program`` marker set in
-  ``benchmarks/bench_compile.py``: vectorized vs reference dataflow
-  lowering of the full PCG program triple on BenElechi1 scaled 4x
-  mapped onto the 64-tile torus.
+  ``benchmarks/bench_compile.py``: dataflow lowering of the full PCG
+  program triple on BenElechi1 scaled 4x mapped onto the 64-tile torus.
 
 Usage::
 
@@ -43,60 +41,30 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Per-suite harness description: which benchmark file / marker to run,
-#: where the JSON lands by default, and which (fast, reference)
-#: benchmark pairs define the suite's headline speedup ratio.
+#: Per-suite harness description: which benchmark file / marker to run
+#: and where the JSON lands by default.
 SUITES = {
     "sim": {
         "bench_file": "bench_kernels.py",
         "marker": "sim_engine",
         "default_output": "BENCH_sim.json",
-        "speedup_pairs": (
-            ("test_spmv_sim", "test_spmv_sim_reference"),
-            ("test_sptrsv_sim", "test_sptrsv_sim_reference"),
-        ),
-        "pair_label": "batched-engine",
     },
     "mapping": {
         "bench_file": "bench_mapping.py",
         "marker": "mapping_engine",
         "default_output": "BENCH_mapping.json",
-        "speedup_pairs": (
-            ("test_mapping_quality", "test_mapping_quality_reference"),
-        ),
-        "pair_label": "vectorized-FM",
     },
     "solver": {
         "bench_file": "bench_solver.py",
         "marker": "solver_kernels",
         "default_output": "BENCH_solver.json",
-        "speedup_pairs": (
-            ("test_sptrsv_level", "test_sptrsv_reference"),
-            ("test_ic0_level", "test_ic0_reference"),
-            ("test_pcg_level", "test_pcg_reference"),
-        ),
-        # The warm SpTRSV pair carries the suite's 5x floor; the IC(0)
-        # and end-to-end PCG pairs keep their own conservative floors
-        # (schedule builds amortize per factor, not per call).
-        "pair_floors": {
-            "test_ic0_level": 3.0,
-            "test_pcg_level": 1.5,
-        },
-        "pair_label": "level-scheduled",
     },
     "compile": {
         "bench_file": "bench_compile.py",
         "marker": "compile_program",
         "default_output": "BENCH_compile.json",
-        "speedup_pairs": (
-            ("test_compile_vectorized", "test_compile_reference"),
-        ),
-        "pair_label": "vectorized-lowering",
     },
 }
-
-#: Back-compat alias (the historical ``emit_bench_sim`` public name).
-SPEEDUP_PAIRS = SUITES["sim"]["speedup_pairs"]
 
 
 def load_times(path: Path) -> dict:
@@ -115,8 +83,7 @@ def load_times(path: Path) -> dict:
     return times
 
 
-def summarize(path: Path, suite: str) -> int:
-    spec = SUITES[suite]
+def summarize(path: Path) -> int:
     times = load_times(path)
     if not times:
         print(f"{path}: no benchmarks recorded", file=sys.stderr)
@@ -125,11 +92,6 @@ def summarize(path: Path, suite: str) -> int:
     print(f"\n{path} (best of rounds):")
     for name, best in sorted(times.items()):
         print(f"  {name:<{width}}  {best * 1e3:9.2f} ms")
-    for fast, slow in spec["speedup_pairs"]:
-        if fast in times and slow in times and times[fast] > 0:
-            kernel = fast.replace("test_", "").replace("_sim", "")
-            print(f"  {kernel} {spec['pair_label']} speedup: "
-                  f"{times[slow] / times[fast]:.2f}x")
     return 0
 
 
@@ -174,7 +136,7 @@ def main(argv=None) -> int:
     if not output.exists():
         print(f"{output}: not found", file=sys.stderr)
         return 1
-    return summarize(output, args.suite)
+    return summarize(output)
 
 
 if __name__ == "__main__":

@@ -50,6 +50,7 @@ import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Optional
 
 import repro.obs as obs
 from repro.cache.keys import content_checksum, stable_digest
@@ -88,8 +89,31 @@ def default_cache_root() -> Path:
     return Path(__file__).resolve().parents[3] / ".cache"
 
 
-def _env_truthy(value) -> bool:
-    return bool(value) and str(value).strip().lower() not in ("0", "false", "")
+def env_truthy(value: Optional[str]) -> bool:
+    """Truthiness of a boolean environment setting.
+
+    Unset, empty, ``0``, ``false``, ``no`` and ``off`` (any case) are
+    false; every other value is true.
+    """
+    if value is None:
+        return False
+    return str(value).strip().lower() not in ("", "0", "false", "no", "off")
+
+
+def parse_max_bytes(raw: Optional[str]) -> int:
+    """Disk budget from a ``REPRO_CACHE_MAX_BYTES`` value.
+
+    Unset or empty means :data:`DEFAULT_MAX_BYTES`; anything else must
+    be an integer byte count.
+    """
+    if not raw:
+        return DEFAULT_MAX_BYTES
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"{ENV_MAX_BYTES} must be an integer byte count, got {raw!r}"
+        ) from None
 
 
 @dataclass
@@ -194,12 +218,11 @@ class ArtifactCache:
             override = os.environ.get(ENV_CACHE_DIR)
             root = Path(override) if override else default_cache_root()
         if "max_bytes" not in kwargs:
-            raw = os.environ.get(ENV_MAX_BYTES)
-            kwargs["max_bytes"] = (
-                int(raw) if raw else DEFAULT_MAX_BYTES
+            kwargs["max_bytes"] = parse_max_bytes(
+                os.environ.get(ENV_MAX_BYTES)
             )
         if "enabled" not in kwargs:
-            kwargs["enabled"] = not _env_truthy(os.environ.get(ENV_DISABLE))
+            kwargs["enabled"] = not env_truthy(os.environ.get(ENV_DISABLE))
         return cls(root, **kwargs)
 
     @classmethod

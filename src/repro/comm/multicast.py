@@ -114,7 +114,7 @@ def build_multicast_forest(geometry: TorusGeometry, roots,
 
     ``roots[t]`` and ``destinations[dst_ptr[t]:dst_ptr[t+1]]`` define
     tree ``t`` (destinations sorted, deduplicated, root excluded —
-    the canonical form the lowering strategies supply).  Two levels of
+    the canonical form the lowering supplies).  Two levels of
     memoization exploit the heavy structural sharing across a kernel's
     columns/rows: whole trees are cached on ``(root, destinations)``
     (many columns share one home/tile-set pattern) and dimension-order

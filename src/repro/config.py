@@ -13,87 +13,45 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-#: Environment escape hatches, consolidated (see :func:`overrides`).
-#: These names are the single documented surface; the owning modules
-#: (``repro.sim.engine``, ``repro.hypergraph.refine``,
-#: ``repro.cache.store``, ``repro.parallel``) alias them.
-ENV_SIM_REFERENCE = "AZUL_SIM_REFERENCE"
-ENV_PART_REFERENCE = "AZUL_PART_REFERENCE"
-ENV_SOLVER_REFERENCE = "AZUL_SOLVER_REFERENCE"
-ENV_DATAFLOW_REFERENCE = "AZUL_DATAFLOW_REFERENCE"
-ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-ENV_CACHE_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
-ENV_CACHE_DISABLE = "REPRO_CACHE_DISABLE"
+#: Worker-count environment setting (read by :mod:`repro.parallel`).
 ENV_JOBS = "REPRO_JOBS"
 
 
-def env_truthy(value: Optional[str]) -> bool:
-    """Shared truthiness rule for boolean environment escape hatches."""
-    if value is None:
-        return False
-    return str(value).strip().lower() not in ("", "0", "false", "no", "off")
-
-
 def overrides() -> Dict[str, Dict[str, Any]]:
-    """Effective values of every environment escape hatch.
+    """Effective values of every ``REPRO_*`` environment setting.
 
-    One documented surface over the engine/refine/cache/jobs knobs:
-    each entry reports the raw environment value (``None`` when unset)
-    and the *effective* setting the pipeline resolves it to.  Emitted
+    Each entry reports the raw environment value (``None`` when unset)
+    and the *effective* setting the pipeline resolves it to, parsed by
+    the same functions the cache and the sweep executor use.  Emitted
     into every metrics artifact so runs are self-describing.
     """
-    from repro.cache.store import DEFAULT_MAX_BYTES, default_cache_root
+    from repro.cache.store import (
+        ENV_CACHE_DIR,
+        ENV_DISABLE,
+        ENV_MAX_BYTES,
+        default_cache_root,
+        env_truthy,
+        parse_max_bytes,
+    )
     from repro.parallel import default_jobs
 
-    sim_raw = os.environ.get(ENV_SIM_REFERENCE)
-    part_raw = os.environ.get(ENV_PART_REFERENCE)
-    solver_raw = os.environ.get(ENV_SOLVER_REFERENCE)
-    dataflow_raw = os.environ.get(ENV_DATAFLOW_REFERENCE)
     dir_raw = os.environ.get(ENV_CACHE_DIR)
-    max_raw = os.environ.get(ENV_CACHE_MAX_BYTES)
-    disable_raw = os.environ.get(ENV_CACHE_DISABLE)
-    jobs_raw = os.environ.get(ENV_JOBS)
-    try:
-        max_bytes = int(max_raw) if max_raw else DEFAULT_MAX_BYTES
-    except ValueError:
-        max_bytes = DEFAULT_MAX_BYTES
+    max_raw = os.environ.get(ENV_MAX_BYTES)
+    disable_raw = os.environ.get(ENV_DISABLE)
     return {
-        ENV_SIM_REFERENCE: {
-            "raw": sim_raw,
-            "effective": (
-                "reference" if env_truthy(sim_raw) else "batched"
-            ),
-        },
-        ENV_PART_REFERENCE: {
-            "raw": part_raw,
-            "effective": (
-                "reference" if env_truthy(part_raw) else "vectorized"
-            ),
-        },
-        ENV_SOLVER_REFERENCE: {
-            "raw": solver_raw,
-            "effective": (
-                "reference" if env_truthy(solver_raw) else "level"
-            ),
-        },
-        ENV_DATAFLOW_REFERENCE: {
-            "raw": dataflow_raw,
-            "effective": (
-                "reference" if env_truthy(dataflow_raw) else "vectorized"
-            ),
-        },
         ENV_CACHE_DIR: {
             "raw": dir_raw,
             "effective": dir_raw or str(default_cache_root()),
         },
-        ENV_CACHE_MAX_BYTES: {"raw": max_raw, "effective": max_bytes},
-        ENV_CACHE_DISABLE: {
+        ENV_MAX_BYTES: {"raw": max_raw, "effective": parse_max_bytes(max_raw)},
+        ENV_DISABLE: {
             "raw": disable_raw,
             "effective": env_truthy(disable_raw),
         },
-        ENV_JOBS: {"raw": jobs_raw, "effective": default_jobs()},
+        ENV_JOBS: {"raw": os.environ.get(ENV_JOBS),
+                   "effective": default_jobs()},
     }
 
 

@@ -10,19 +10,13 @@ trees, and reduction trees the simulator executes.
 from repro.dataflow.messages import Message, MessageKind
 from repro.dataflow.tasks import OpKind, TaskKind
 from repro.dataflow.ir import CompiledKernel
-from repro.dataflow.lower import (
-    LOWERINGS,
-    LoweringStrategy,
-    ReferenceLowering,
-    VectorizedLowering,
-    resolve_lowering,
-)
+from repro.dataflow.lower import lower_kernel
 from repro.dataflow.spmv_graph import build_spmv_program
 from repro.dataflow.sptrsv_graph import (
     build_sptrsv_program,
     transpose_with_mapping,
 )
-from repro.dataflow.kernel_program import KernelProgram, build_kernel_program
+from repro.dataflow.kernel_program import build_kernel_program
 from repro.dataflow.vector_ops import (
     VectorPhaseModel,
     dot_allreduce_cycles,
@@ -36,12 +30,7 @@ __all__ = [
     "OpKind",
     "TaskKind",
     "CompiledKernel",
-    "KernelProgram",
-    "LOWERINGS",
-    "LoweringStrategy",
-    "ReferenceLowering",
-    "VectorizedLowering",
-    "resolve_lowering",
+    "lower_kernel",
     "build_kernel_program",
     "build_spmv_program",
     "build_sptrsv_program",

@@ -8,8 +8,8 @@ arrays instead of an object graph:
   ``rows[seg_ptr[s]:seg_ptr[s+1]]`` / ``values[...]``, the local
   nonzeros of column ``seg_col[s]`` on tile ``seg_tile[s]``.  Segments
   are sorted by ``(tile, col)``; within a segment the original
-  nonzero order is preserved, so the FMAC stream is bit-identical to
-  the historical dict-of-dicts program.
+  nonzero order is preserved, so each FMAC stream follows the input
+  triplet order.
 * **Multicast forest** — all of the kernel's multicast trees
   concatenated, ordered by ``(col, per-col tree index)``: tree ``t``
   distributes column ``mcast_col[t]`` from root ``mcast_root[t]``
@@ -27,26 +27,16 @@ arrays instead of an object graph:
   no nonzeros are not materialized); ``row_remote_inputs[i]`` the
   number of tree children delivering partials into row ``i``'s home.
 
-The historical :class:`KernelProgram` dict fields remain available as
-lazily-materialized *views* (:attr:`col_segments`,
-:attr:`mcast_trees`, :attr:`red_trees`) for tests and exploratory
-code; the simulator and functional executors read the flat arrays
-only.
-
-Layer contract: ``ir`` sits above ``messages``/``tasks`` and may
-import :mod:`repro.comm` tree types for the compat views, but nothing
-from :mod:`repro.sim`.
+Layer contract: ``ir`` sits above ``messages``/``tasks`` and imports
+nothing from :mod:`repro.sim`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-
-from repro.comm.multicast import MulticastTree
-from repro.comm.reduction import ReductionTree
 
 
 def _empty_int() -> np.ndarray:
@@ -141,13 +131,6 @@ class CompiledKernel:
     dependent: bool = False
     initial_rows: np.ndarray = field(default_factory=_empty_int)
 
-    def __getstate__(self):
-        """Pickle the flat arrays only, never the lazy dict views."""
-        return {
-            key: value for key, value in self.__dict__.items()
-            if not key.endswith("_view")
-        }
-
     # ------------------------------------------------------------------
     # Derived sizes
     # ------------------------------------------------------------------
@@ -190,8 +173,8 @@ class CompiledKernel:
 
         Every flat array (including ``values``, compared bit-for-bit)
         plus the scalar fields must match.  This is the property the
-        lowering-equivalence suite asserts between the reference and
-        vectorized strategies.
+        lowering-equivalence suite asserts against the per-element
+        oracle.
         """
         if (self.name != other.name or self.n != other.n
                 or self.dependent != other.dependent
@@ -206,91 +189,3 @@ class CompiledKernel:
                 self.inv_diag, other.inv_diag):
             return False
         return True
-
-    # ------------------------------------------------------------------
-    # Historical dict views (tests / exploratory code only — the hot
-    # paths read the flat arrays directly)
-    # ------------------------------------------------------------------
-    @property
-    def col_segments(self) -> Dict[int, Dict[int, Tuple[np.ndarray,
-                                                        np.ndarray]]]:
-        """``{tile: {col: (rows, values)}}`` view of the segments."""
-        cached = self.__dict__.get("_col_segments_view")
-        if cached is not None:
-            return cached
-        view: Dict[int, Dict[int, Tuple[np.ndarray, np.ndarray]]] = {}
-        seg_ptr = self.seg_ptr
-        for s in range(self.n_segments):
-            lo, hi = int(seg_ptr[s]), int(seg_ptr[s + 1])
-            view.setdefault(int(self.seg_tile[s]), {})[
-                int(self.seg_col[s])
-            ] = (self.rows[lo:hi], self.values[lo:hi])
-        self.__dict__["_col_segments_view"] = view
-        return view
-
-    @property
-    def mcast_trees(self) -> Dict[int, List[MulticastTree]]:
-        """``{col: [MulticastTree, ...]}`` view of the multicast forest."""
-        cached = self.__dict__.get("_mcast_trees_view")
-        if cached is not None:
-            return cached
-        view: Dict[int, List[MulticastTree]] = {}
-        edge_ptr, dst_ptr = self.mcast_edge_ptr, self.mcast_dst_ptr
-        for t in range(self.n_mcast_trees):
-            lo, hi = int(edge_ptr[t]), int(edge_ptr[t + 1])
-            children: Dict[int, List[int]] = {}
-            edges = []
-            for e in range(lo, hi):
-                parent = int(self.mcast_parent[e])
-                child = int(self.mcast_child[e])
-                children.setdefault(parent, []).append(child)
-                edges.append((parent, child))
-            tree = MulticastTree(
-                root=int(self.mcast_root[t]),
-                destinations=tuple(
-                    int(d) for d in
-                    self.mcast_dst[int(dst_ptr[t]):int(dst_ptr[t + 1])]
-                ),
-                children=children,
-                edges=edges,
-            )
-            view.setdefault(int(self.mcast_col[t]), []).append(tree)
-        self.__dict__["_mcast_trees_view"] = view
-        return view
-
-    @property
-    def red_trees(self) -> Dict[int, ReductionTree]:
-        """``{row: ReductionTree}`` view of the reduction forest."""
-        cached = self.__dict__.get("_red_trees_view")
-        if cached is not None:
-            return cached
-        view: Dict[int, ReductionTree] = {}
-        edge_ptr = self.red_edge_ptr
-        for t in range(self.n_red_trees):
-            row = int(self.red_row[t])
-            root = int(self.vec_tile[row])
-            lo, hi = int(edge_ptr[t]), int(edge_ptr[t + 1])
-            parent: Dict[int, int] = {}
-            incoming: Dict[int, int] = {}
-            edges = []
-            for e in range(lo, hi):
-                child = int(self.red_child[e])
-                par = int(self.red_parent[e])
-                parent[child] = par
-                incoming[par] = incoming.get(par, 0) + 1
-                edges.append((child, par))
-            sources = tuple(
-                int(tile) for tile in
-                self.local_tiles[self.local_counts[:, row] > 0]
-                if int(tile) != root
-            )
-            combine = tuple(sorted(
-                tile for tile, count in incoming.items()
-                if count >= 2 or tile in sources or tile == root
-            ))
-            view[row] = ReductionTree(
-                root=root, sources=sources, parent=parent,
-                edges=edges, combine_tiles=combine,
-            )
-        self.__dict__["_red_trees_view"] = view
-        return view

@@ -6,26 +6,19 @@ FMAC work each arriving value triggers), multicast trees for value
 distribution, reduction trees for partial sums, and the counters that
 detect partial-sum completion.
 
-Since the array-backed IR refactor the program *representation* lives
-in :mod:`repro.dataflow.ir` (:class:`~repro.dataflow.ir.CompiledKernel`,
-structure-of-arrays) and the *construction* in
-:mod:`repro.dataflow.lower` (the strategy registry).  This module is
-the stable entry point: :func:`build_kernel_program` validates
-arguments and dispatches to the configured lowering;
-``KernelProgram`` is the historical public name for the program type.
+The program *representation* lives in :mod:`repro.dataflow.ir`
+(:class:`~repro.dataflow.ir.CompiledKernel`, structure-of-arrays) and
+the *construction* in :mod:`repro.dataflow.lower`.  This module is the
+stable entry point: :func:`build_kernel_program` validates arguments
+and lowers.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.dataflow.ir import CompiledKernel
-from repro.dataflow.lower import resolve_lowering
-
-#: Historical public name: a kernel program *is* a compiled kernel.
-KernelProgram = CompiledKernel
+from repro.dataflow.lower import lower_kernel
 
 
 def build_kernel_program(name: str, n: int, rows: np.ndarray,
@@ -33,8 +26,7 @@ def build_kernel_program(name: str, n: int, rows: np.ndarray,
                          nnz_tile: np.ndarray, vec_tile: np.ndarray,
                          torus, inv_diag=None,
                          dependent: bool = False,
-                         multicast: str = "tree",
-                         lowering: Optional[str] = None) -> CompiledKernel:
+                         multicast: str = "tree") -> CompiledKernel:
     """Compile nonzero triplets + placement into a kernel program.
 
     ``rows``/``cols``/``values``/``nnz_tile`` must exclude diagonal
@@ -42,15 +34,10 @@ def build_kernel_program(name: str, n: int, rows: np.ndarray,
     ``inv_diag`` at each row's home tile.  ``multicast`` selects value
     distribution: ``"tree"`` (merged multicast trees, Fig. 18 right) or
     ``"unicast"`` (separate point-to-point sends, Fig. 18 left).
-    ``lowering`` names a :data:`~repro.dataflow.lower.LOWERINGS`
-    strategy; ``None`` resolves the environment default (vectorized
-    unless ``AZUL_DATAFLOW_REFERENCE`` is set).  All strategies
-    produce bit-identical programs.
     """
     if multicast not in ("tree", "unicast"):
         raise ValueError(f"unknown multicast mode {multicast!r}")
-    strategy = resolve_lowering(lowering)()
-    return strategy.lower(
+    return lower_kernel(
         name, n, rows, cols, values, nnz_tile, vec_tile, torus,
         inv_diag=inv_diag, dependent=dependent, multicast=multicast,
     )

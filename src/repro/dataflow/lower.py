@@ -1,42 +1,28 @@
-"""Lowering strategies: triplets + placement -> :class:`CompiledKernel`.
+"""Lowering: triplets + placement -> :class:`CompiledKernel`.
 
 Compiling a kernel means grouping nonzeros into per-(tile, column)
 segments, counting local FMACs per (tile, row), and building the
 multicast/reduction forests — the map -> **compile** -> simulate
-middle stage of the pipeline.  Two interchangeable strategies produce
-bit-identical :class:`~repro.dataflow.ir.CompiledKernel` programs:
-
-* :class:`ReferenceLowering` — the historical O(nnz) Python loop of
-  dict/set mutations plus one tree build per column and per row.  The
-  golden model; every array it packs defines the canonical form.
-* :class:`VectorizedLowering` (default) — ``lexsort``/``np.unique``
-  segment grouping, ``bincount`` local counters, and one batched
-  forest build per kernel through
-  :func:`repro.comm.multicast.build_multicast_forest` /
-  :func:`repro.comm.reduction.build_reduction_forest` (which memoize
-  shared trees and route paths across columns/rows).
-
-The registry mirrors ``sim.issue.STRATEGIES`` /
-``hypergraph``'s refine registry / ``solvers.KERNELS``: look
-strategies up with :func:`resolve_lowering`, and set
-``AZUL_DATAFLOW_REFERENCE=1`` to fall back to the reference loop
-everywhere (the effective value is reported by
-:func:`repro.config.overrides`).
+middle stage of the pipeline.  :func:`lower_kernel` does it in batched
+numpy: ``lexsort`` segment grouping, ``bincount`` local counters, and
+one forest build per kernel through
+:func:`repro.comm.multicast.build_multicast_forest` /
+:func:`repro.comm.reduction.build_reduction_forest` (which memoize
+shared trees and route paths across columns/rows).  Its programs are
+bit-identical to a per-element loop that builds one tree per column
+and per row; that loop defines the canonical form and is kept as a
+test oracle (``tests/test_dataflow_equivalence.py``).
 
 Layer contract: ``lower`` sits directly above ``ir`` and may import
-:mod:`repro.comm` and :mod:`repro.config`, never :mod:`repro.sim`.
+:mod:`repro.comm`, never :mod:`repro.sim`.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Set, Tuple
-
 import numpy as np
 
-from repro.comm.multicast import build_multicast_forest, build_multicast_tree
-from repro.comm.reduction import build_reduction_forest, build_reduction_tree
-from repro.config import ENV_DATAFLOW_REFERENCE, env_truthy
+from repro.comm.multicast import build_multicast_forest
+from repro.comm.reduction import build_reduction_forest
 from repro.dataflow.ir import CompiledKernel
 
 
@@ -54,337 +40,147 @@ def _initial_rows(n: int, rows: np.ndarray,
     return np.nonzero(~has_offdiag)[0]
 
 
-class LoweringStrategy:
-    """One way of compiling triplets + placement into a program.
+def lower_kernel(name: str, n: int, rows: np.ndarray, cols: np.ndarray,
+                 values: np.ndarray, nnz_tile: np.ndarray,
+                 vec_tile: np.ndarray, geometry, inv_diag=None,
+                 dependent: bool = False,
+                 multicast: str = "tree") -> CompiledKernel:
+    """Compile nonzero triplets + placement into a :class:`CompiledKernel`.
 
-    Subclasses implement :meth:`lower`; all strategies must produce
-    bit-identical :class:`CompiledKernel` arrays (enforced by
-    ``tests/test_dataflow_equivalence.py``).
+    Arguments are those of
+    :func:`repro.dataflow.kernel_program.build_kernel_program`, which
+    validates them before calling here.
     """
+    rows = _as_int64(rows)
+    cols = _as_int64(cols)
+    values = np.asarray(values, dtype=np.float64)
+    nnz_tile = _as_int64(nnz_tile)
+    vec_tile = _as_int64(vec_tile)
+    nnz = len(rows)
 
-    #: Registry key (mirrors ``sim.issue.IssueStrategy.name``).
-    name: str = ""
-
-    def lower(self, name: str, n: int, rows: np.ndarray,
-              cols: np.ndarray, values: np.ndarray,
-              nnz_tile: np.ndarray, vec_tile: np.ndarray,
-              geometry, inv_diag=None, dependent: bool = False,
-              multicast: str = "tree") -> CompiledKernel:
-        raise NotImplementedError
-
-
-class ReferenceLowering(LoweringStrategy):
-    """The historical per-element loop (golden model, retained)."""
-
-    name = "reference"
-
-    def lower(self, name: str, n: int, rows: np.ndarray,
-              cols: np.ndarray, values: np.ndarray,
-              nnz_tile: np.ndarray, vec_tile: np.ndarray,
-              geometry, inv_diag=None, dependent: bool = False,
-              multicast: str = "tree") -> CompiledKernel:
-        rows = _as_int64(rows)
-        vec_tile = _as_int64(vec_tile)
-        col_segments: Dict[int, Dict[int, Tuple[List[int],
-                                                List[float]]]] = {}
-        local: Dict[Tuple[int, int], int] = {}
-        tiles_per_col: Dict[int, Set[int]] = {}
-        tiles_per_row: Dict[int, Set[int]] = {}
-        for k in range(len(rows)):
-            tile = int(nnz_tile[k])
-            i, j, v = int(rows[k]), int(cols[k]), float(values[k])
-            segments = col_segments.setdefault(tile, {})
-            entry = segments.setdefault(j, ([], []))
-            entry[0].append(i)
-            entry[1].append(v)
-            local[(tile, i)] = local.get((tile, i), 0) + 1
-            tiles_per_col.setdefault(j, set()).add(tile)
-            tiles_per_row.setdefault(i, set()).add(tile)
-
-        # -- pack segments in canonical (tile, col) order -------------
-        seg_tile: List[int] = []
-        seg_col: List[int] = []
-        seg_ptr: List[int] = [0]
-        flat_rows: List[int] = []
-        flat_vals: List[float] = []
-        for tile in sorted(col_segments):
-            segments = col_segments[tile]
-            for j in sorted(segments):
-                row_list, val_list = segments[j]
-                seg_tile.append(tile)
-                seg_col.append(j)
-                flat_rows.extend(row_list)
-                flat_vals.extend(val_list)
-                seg_ptr.append(len(flat_rows))
-
-        # -- dense local counters -------------------------------------
-        local_tiles = sorted(col_segments)
-        tile_pos = {tile: p for p, tile in enumerate(local_tiles)}
-        local_counts = np.zeros((len(local_tiles), n), dtype=np.int64)
-        for (tile, i), count in local.items():
-            local_counts[tile_pos[tile], i] = count
-
-        # -- multicast trees, per column, via the single-tree builder -
-        mcast_col: List[int] = []
-        mcast_root: List[int] = []
-        mcast_edge_ptr: List[int] = [0]
-        mcast_parent: List[int] = []
-        mcast_child: List[int] = []
-        mcast_dst_ptr: List[int] = [0]
-        mcast_dst: List[int] = []
-        mcast_first = np.full(n, -1, dtype=np.int64)
-        mcast_count = np.zeros(n, dtype=np.int64)
-        for j in sorted(tiles_per_col):
-            home = int(vec_tile[j])
-            destinations = sorted(tiles_per_col[j] - {home})
-            if not destinations:
-                continue
-            if multicast == "tree":
-                trees = [build_multicast_tree(geometry, home, destinations)]
-            else:
-                trees = [
-                    build_multicast_tree(geometry, home, [dst])
-                    for dst in destinations
-                ]
-            mcast_first[j] = len(mcast_col)
-            mcast_count[j] = len(trees)
-            for tree in trees:
-                mcast_col.append(j)
-                mcast_root.append(tree.root)
-                for parent, child in tree.edges:
-                    mcast_parent.append(parent)
-                    mcast_child.append(child)
-                mcast_edge_ptr.append(len(mcast_parent))
-                mcast_dst.extend(tree.destinations)
-                mcast_dst_ptr.append(len(mcast_dst))
-
-        # -- reduction trees, per row ---------------------------------
-        red_row: List[int] = []
-        red_edge_ptr: List[int] = [0]
-        red_child: List[int] = []
-        red_parent: List[int] = []
-        red_index = np.full(n, -1, dtype=np.int64)
-        row_remote_inputs = np.zeros(n, dtype=np.int64)
-        for i in sorted(tiles_per_row):
-            home = int(vec_tile[i])
-            sources = sorted(tiles_per_row[i] - {home})
-            if not sources:
-                continue
-            tree = build_reduction_tree(geometry, home, sources)
-            red_index[i] = len(red_row)
-            red_row.append(i)
-            for child, parent in tree.edges:
-                red_child.append(child)
-                red_parent.append(parent)
-            red_edge_ptr.append(len(red_child))
-            # Children of the root deliver the merged partial streams.
-            row_remote_inputs[i] = sum(
-                1 for child, parent in tree.edges if parent == home
-            )
-
-        return CompiledKernel(
-            name=name,
-            n=n,
-            vec_tile=vec_tile,
-            seg_tile=_as_int64(seg_tile),
-            seg_col=_as_int64(seg_col),
-            seg_ptr=_as_int64(seg_ptr),
-            rows=_as_int64(flat_rows),
-            values=np.asarray(flat_vals, dtype=np.float64),
-            mcast_col=_as_int64(mcast_col),
-            mcast_root=_as_int64(mcast_root),
-            mcast_edge_ptr=_as_int64(mcast_edge_ptr),
-            mcast_parent=_as_int64(mcast_parent),
-            mcast_child=_as_int64(mcast_child),
-            mcast_dst_ptr=_as_int64(mcast_dst_ptr),
-            mcast_dst=_as_int64(mcast_dst),
-            mcast_first=mcast_first,
-            mcast_count=mcast_count,
-            red_row=_as_int64(red_row),
-            red_edge_ptr=_as_int64(red_edge_ptr),
-            red_child=_as_int64(red_child),
-            red_parent=_as_int64(red_parent),
-            red_index=red_index,
-            row_remote_inputs=row_remote_inputs,
-            local_tiles=_as_int64(local_tiles),
-            local_counts=local_counts,
-            total_fmacs=len(rows),
-            inv_diag=(None if inv_diag is None
-                      else np.asarray(inv_diag, dtype=np.float64)),
-            dependent=dependent,
-            initial_rows=_initial_rows(n, rows, dependent),
+    # -- segments: stable sort by (tile, col), group boundaries ---
+    order = np.lexsort((cols, nnz_tile))
+    sorted_tile = nnz_tile[order]
+    sorted_col = cols[order]
+    flat_rows = rows[order]
+    flat_vals = values[order]
+    if nnz:
+        new_group = np.empty(nnz, dtype=bool)
+        new_group[0] = True
+        new_group[1:] = (
+            (sorted_tile[1:] != sorted_tile[:-1])
+            | (sorted_col[1:] != sorted_col[:-1])
         )
+        starts = np.nonzero(new_group)[0]
+        seg_tile = sorted_tile[starts]
+        seg_col = sorted_col[starts]
+        seg_ptr = np.concatenate(
+            (starts, np.array([nnz], dtype=np.int64))
+        ).astype(np.int64)
+    else:
+        seg_tile = np.empty(0, dtype=np.int64)
+        seg_col = np.empty(0, dtype=np.int64)
+        seg_ptr = np.zeros(1, dtype=np.int64)
 
+    # -- dense local counters via one bincount --------------------
+    local_tiles = np.unique(nnz_tile)
+    if nnz:
+        tile_pos = np.searchsorted(local_tiles, nnz_tile)
+        local_counts = np.bincount(
+            tile_pos * n + rows, minlength=len(local_tiles) * n
+        ).astype(np.int64).reshape(len(local_tiles), n)
+    else:
+        local_counts = np.zeros((0, n), dtype=np.int64)
 
-class VectorizedLowering(LoweringStrategy):
-    """Batched numpy lowering (default; bit-identical to reference)."""
-
-    name = "vectorized"
-
-    def lower(self, name: str, n: int, rows: np.ndarray,
-              cols: np.ndarray, values: np.ndarray,
-              nnz_tile: np.ndarray, vec_tile: np.ndarray,
-              geometry, inv_diag=None, dependent: bool = False,
-              multicast: str = "tree") -> CompiledKernel:
-        rows = _as_int64(rows)
-        cols = _as_int64(cols)
-        values = np.asarray(values, dtype=np.float64)
-        nnz_tile = _as_int64(nnz_tile)
-        vec_tile = _as_int64(vec_tile)
-        nnz = len(rows)
-
-        # -- segments: stable sort by (tile, col), group boundaries ---
-        order = np.lexsort((cols, nnz_tile))
-        sorted_tile = nnz_tile[order]
-        sorted_col = cols[order]
-        flat_rows = rows[order]
-        flat_vals = values[order]
-        if nnz:
-            new_group = np.empty(nnz, dtype=bool)
-            new_group[0] = True
-            new_group[1:] = (
-                (sorted_tile[1:] != sorted_tile[:-1])
-                | (sorted_col[1:] != sorted_col[:-1])
-            )
-            starts = np.nonzero(new_group)[0]
-            seg_tile = sorted_tile[starts]
-            seg_col = sorted_col[starts]
-            seg_ptr = np.concatenate(
-                (starts, np.array([nnz], dtype=np.int64))
-            ).astype(np.int64)
-        else:
-            seg_tile = np.empty(0, dtype=np.int64)
-            seg_col = np.empty(0, dtype=np.int64)
-            seg_ptr = np.zeros(1, dtype=np.int64)
-
-        # -- dense local counters via one bincount --------------------
-        local_tiles = np.unique(nnz_tile)
-        if nnz:
-            tile_pos = np.searchsorted(local_tiles, nnz_tile)
-            local_counts = np.bincount(
-                tile_pos * n + rows, minlength=len(local_tiles) * n
-            ).astype(np.int64).reshape(len(local_tiles), n)
-        else:
-            local_counts = np.zeros((0, n), dtype=np.int64)
-
-        # -- remote destinations per column (from the unique segment
-        #    pairs, re-grouped by column) -----------------------------
-        col_order = np.lexsort((seg_tile, seg_col))
-        group_col = seg_col[col_order]
-        group_tile = seg_tile[col_order]
-        remote = group_tile != vec_tile[group_col]
-        dst_col = group_col[remote]
-        dst_tile = group_tile[remote]
-        unique_cols, col_counts = np.unique(dst_col, return_counts=True)
-        col_starts = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(col_counts))
+    # -- remote destinations per column (from the unique segment
+    #    pairs, re-grouped by column) -----------------------------
+    col_order = np.lexsort((seg_tile, seg_col))
+    group_col = seg_col[col_order]
+    group_tile = seg_tile[col_order]
+    remote = group_tile != vec_tile[group_col]
+    dst_col = group_col[remote]
+    dst_tile = group_tile[remote]
+    unique_cols, col_counts = np.unique(dst_col, return_counts=True)
+    col_starts = np.concatenate(
+        (np.zeros(1, dtype=np.int64), np.cumsum(col_counts))
+    )
+    mcast_first = np.full(n, -1, dtype=np.int64)
+    mcast_count = np.zeros(n, dtype=np.int64)
+    if multicast == "tree":
+        mcast_col = unique_cols
+        roots = vec_tile[unique_cols]
+        dst_ptr = col_starts
+        mcast_first[unique_cols] = np.arange(
+            len(unique_cols), dtype=np.int64
         )
-        mcast_first = np.full(n, -1, dtype=np.int64)
-        mcast_count = np.zeros(n, dtype=np.int64)
-        if multicast == "tree":
-            mcast_col = unique_cols
-            roots = vec_tile[unique_cols]
-            dst_ptr = col_starts
-            mcast_first[unique_cols] = np.arange(
-                len(unique_cols), dtype=np.int64
-            )
-            mcast_count[unique_cols] = 1
-        else:
-            # One single-destination tree per receiver, in (col, dst)
-            # order — matching the reference's per-destination lists.
-            mcast_col = dst_col
-            roots = vec_tile[dst_col]
-            dst_ptr = np.arange(len(dst_col) + 1, dtype=np.int64)
-            mcast_first[unique_cols] = col_starts[:-1]
-            mcast_count[unique_cols] = col_counts
-        forest = build_multicast_forest(geometry, roots, dst_ptr, dst_tile)
+        mcast_count[unique_cols] = 1
+    else:
+        # One single-destination tree per receiver, in (col, dst)
+        # order — one tree per (column, destination) pair.
+        mcast_col = dst_col
+        roots = vec_tile[dst_col]
+        dst_ptr = np.arange(len(dst_col) + 1, dtype=np.int64)
+        mcast_first[unique_cols] = col_starts[:-1]
+        mcast_count[unique_cols] = col_counts
+    forest = build_multicast_forest(geometry, roots, dst_ptr, dst_tile)
 
-        # -- remote sources per row (unique (row, tile) pairs) --------
-        pair_order = np.lexsort((nnz_tile, rows))
-        pair_row = rows[pair_order]
-        pair_tile = nnz_tile[pair_order]
-        if nnz:
-            keep = np.empty(nnz, dtype=bool)
-            keep[0] = True
-            keep[1:] = (
-                (pair_row[1:] != pair_row[:-1])
-                | (pair_tile[1:] != pair_tile[:-1])
-            )
-            pair_row = pair_row[keep]
-            pair_tile = pair_tile[keep]
-        src_remote = pair_tile != vec_tile[pair_row]
-        src_row = pair_row[src_remote]
-        src_tile = pair_tile[src_remote]
-        red_row, row_counts = np.unique(src_row, return_counts=True)
-        src_ptr = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(row_counts))
+    # -- remote sources per row (unique (row, tile) pairs) --------
+    pair_order = np.lexsort((nnz_tile, rows))
+    pair_row = rows[pair_order]
+    pair_tile = nnz_tile[pair_order]
+    if nnz:
+        keep = np.empty(nnz, dtype=bool)
+        keep[0] = True
+        keep[1:] = (
+            (pair_row[1:] != pair_row[:-1])
+            | (pair_tile[1:] != pair_tile[:-1])
         )
-        red_forest = build_reduction_forest(
-            geometry, vec_tile[red_row], src_ptr, src_tile
-        )
-        red_index = np.full(n, -1, dtype=np.int64)
-        red_index[red_row] = np.arange(len(red_row), dtype=np.int64)
-        row_remote_inputs = np.zeros(n, dtype=np.int64)
-        row_remote_inputs[red_row] = red_forest.remote_inputs
+        pair_row = pair_row[keep]
+        pair_tile = pair_tile[keep]
+    src_remote = pair_tile != vec_tile[pair_row]
+    src_row = pair_row[src_remote]
+    src_tile = pair_tile[src_remote]
+    red_row, row_counts = np.unique(src_row, return_counts=True)
+    src_ptr = np.concatenate(
+        (np.zeros(1, dtype=np.int64), np.cumsum(row_counts))
+    )
+    red_forest = build_reduction_forest(
+        geometry, vec_tile[red_row], src_ptr, src_tile
+    )
+    red_index = np.full(n, -1, dtype=np.int64)
+    red_index[red_row] = np.arange(len(red_row), dtype=np.int64)
+    row_remote_inputs = np.zeros(n, dtype=np.int64)
+    row_remote_inputs[red_row] = red_forest.remote_inputs
 
-        return CompiledKernel(
-            name=name,
-            n=n,
-            vec_tile=vec_tile,
-            seg_tile=seg_tile,
-            seg_col=seg_col,
-            seg_ptr=seg_ptr,
-            rows=flat_rows,
-            values=flat_vals,
-            mcast_col=_as_int64(mcast_col),
-            mcast_root=_as_int64(roots),
-            mcast_edge_ptr=forest.edge_ptr,
-            mcast_parent=forest.parents,
-            mcast_child=forest.children,
-            mcast_dst_ptr=_as_int64(dst_ptr),
-            mcast_dst=_as_int64(dst_tile),
-            mcast_first=mcast_first,
-            mcast_count=mcast_count,
-            red_row=red_row,
-            red_edge_ptr=red_forest.edge_ptr,
-            red_child=red_forest.children,
-            red_parent=red_forest.parents,
-            red_index=red_index,
-            row_remote_inputs=row_remote_inputs,
-            local_tiles=local_tiles,
-            local_counts=local_counts,
-            total_fmacs=nnz,
-            inv_diag=(None if inv_diag is None
-                      else np.asarray(inv_diag, dtype=np.float64)),
-            dependent=dependent,
-            initial_rows=_initial_rows(n, rows, dependent),
-        )
-
-
-#: Lowering-strategy registry (mirrors ``sim.issue.STRATEGIES``).
-LOWERINGS: Dict[str, type] = {
-    ReferenceLowering.name: ReferenceLowering,
-    VectorizedLowering.name: VectorizedLowering,
-}
-
-
-def _env_wants_reference() -> bool:
-    return env_truthy(os.environ.get(ENV_DATAFLOW_REFERENCE))
-
-
-def default_lowering_name() -> str:
-    """The lowering the environment resolves to when none is named."""
-    return "reference" if _env_wants_reference() else "vectorized"
-
-
-def resolve_lowering(name: Optional[str] = None) -> type:
-    """Map a lowering name (or the environment default) to its class."""
-    if name is None:
-        name = default_lowering_name()
-    cls = LOWERINGS.get(name)
-    if cls is None:
-        known = ", ".join(sorted(LOWERINGS))
-        raise ValueError(
-            f"unknown lowering strategy {name!r}: expected one of {known}"
-        )
-    return cls
+    return CompiledKernel(
+        name=name,
+        n=n,
+        vec_tile=vec_tile,
+        seg_tile=seg_tile,
+        seg_col=seg_col,
+        seg_ptr=seg_ptr,
+        rows=flat_rows,
+        values=flat_vals,
+        mcast_col=_as_int64(mcast_col),
+        mcast_root=_as_int64(roots),
+        mcast_edge_ptr=forest.edge_ptr,
+        mcast_parent=forest.parents,
+        mcast_child=forest.children,
+        mcast_dst_ptr=_as_int64(dst_ptr),
+        mcast_dst=_as_int64(dst_tile),
+        mcast_first=mcast_first,
+        mcast_count=mcast_count,
+        red_row=red_row,
+        red_edge_ptr=red_forest.edge_ptr,
+        red_child=red_forest.children,
+        red_parent=red_forest.parents,
+        red_index=red_index,
+        row_remote_inputs=row_remote_inputs,
+        local_tiles=local_tiles,
+        local_counts=local_counts,
+        total_fmacs=nnz,
+        inv_diag=(None if inv_diag is None
+                  else np.asarray(inv_diag, dtype=np.float64)),
+        dependent=dependent,
+        initial_rows=_initial_rows(n, rows, dependent),
+    )

@@ -21,7 +21,7 @@ import numpy as np
 from repro.comm.torus import TorusGeometry
 from repro.config import AzulConfig
 from repro.core.placement import Placement
-from repro.dataflow.kernel_program import KernelProgram
+from repro.dataflow.ir import CompiledKernel
 from repro.dataflow.spmv_graph import build_spmv_program
 from repro.dataflow.sptrsv_graph import build_sptrsv_program
 from repro.dataflow.vector_ops import VectorPhaseModel
@@ -32,9 +32,9 @@ from repro.sparse.csr import CSRMatrix
 class PCGIterationProgram:
     """All compiled kernels of one PCG iteration under one placement."""
 
-    spmv: KernelProgram
-    sptrsv_lower: KernelProgram
-    sptrsv_upper: KernelProgram
+    spmv: CompiledKernel
+    sptrsv_lower: CompiledKernel
+    sptrsv_upper: CompiledKernel
     vector_phase: VectorPhaseModel
     n: int
 

@@ -10,14 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.torus import TorusGeometry
-from repro.dataflow.kernel_program import KernelProgram, build_kernel_program
+from repro.dataflow.ir import CompiledKernel
+from repro.dataflow.kernel_program import build_kernel_program
 from repro.sparse.csr import CSRMatrix
 
 
 def build_spmv_program(matrix: CSRMatrix, a_tile: np.ndarray,
                        vec_tile: np.ndarray,
                        torus: TorusGeometry,
-                       multicast: str = "tree") -> KernelProgram:
+                       multicast: str = "tree") -> CompiledKernel:
     """Compile ``y = A x`` under a placement into a kernel program.
 
     ``a_tile`` assigns each CSR-ordered nonzero of ``matrix`` to a tile;

@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.torus import TorusGeometry
-from repro.dataflow.kernel_program import KernelProgram, build_kernel_program
+from repro.dataflow.ir import CompiledKernel
+from repro.dataflow.kernel_program import build_kernel_program
 from repro.errors import MatrixFormatError, SingularMatrixError
 from repro.sparse.csr import CSRMatrix
 
@@ -60,7 +61,7 @@ def _split_diagonal(tri: CSRMatrix, nnz_tile: np.ndarray, lower: bool):
 def build_sptrsv_program(lower: CSRMatrix, l_tile: np.ndarray,
                          vec_tile: np.ndarray, torus: TorusGeometry,
                          transpose: bool = False,
-                         multicast: str = "tree") -> KernelProgram:
+                         multicast: str = "tree") -> CompiledKernel:
     """Compile a triangular solve under a placement.
 
     Parameters

@@ -90,10 +90,10 @@ SIMULATION_SCHEMA = "v4"
 #: Compiled-program cache entries hold the three
 #: :class:`~repro.dataflow.ir.CompiledKernel` objects of one PCG
 #: iteration, content-addressed on the matrix/factor arrays, the
-#: placement arrays, the NoC geometry, the multicast mode, and the
-#: effective lowering strategy — *not* on timing knobs (PE model,
-#: SRAM latencies, frequency), so sweep points that differ only in
-#: sim/engine configuration compile once and share the entry.
+#: placement arrays, the NoC geometry, and the multicast mode — *not*
+#: on timing knobs (PE model, SRAM latencies, frequency), so sweep
+#: points that differ only in simulator configuration compile once and
+#: share the entry.
 PROGRAM_SCHEMA = "v1"
 
 #: Partitioner presets accepted by :func:`mapper_options`.
@@ -173,19 +173,17 @@ def program_cache_key(cache: ArtifactCache, config: AzulConfig,
 
     The key covers everything program *construction* reads — the CSR
     arrays of A and L, the three placement arrays, the NoC geometry
-    (topology + mesh dimensions), the multicast mode, and the effective
-    lowering strategy — and nothing the timing layers read, so PE/SRAM
-    /frequency sweeps alias to the same compiled kernels.
+    (topology + mesh dimensions), and the multicast mode — and nothing
+    the timing layers read, so PE/SRAM/frequency sweeps alias to the
+    same compiled kernels.
     """
-    from repro.dataflow.lower import default_lowering_name
-
     return cache.key(
         "program",
         matrix.indptr, matrix.indices, matrix.data,
         lower.indptr, lower.indices, lower.data,
         placement.a_tile, placement.l_tile, placement.vec_tile,
         config.topology, config.mesh_rows, config.mesh_cols,
-        multicast, default_lowering_name(), PROGRAM_SCHEMA,
+        multicast, PROGRAM_SCHEMA,
     )
 
 

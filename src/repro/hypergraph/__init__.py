@@ -17,12 +17,6 @@ from repro.hypergraph.metrics import (
 from repro.hypergraph.partitioner import partition, PartitionerOptions
 from repro.hypergraph.rebalance import rebalance
 
-# Strategy modules self-register in refine.STRATEGIES at import time;
-# importing them here guarantees the registry is complete before any
-# user code resolves a strategy (the package __init__ always runs
-# first, even for direct submodule imports).
-from repro.hypergraph import refine_vec as _refine_vec  # noqa: F401,E402
-
 __all__ = [
     "Hypergraph",
     "cut_weight",

@@ -24,7 +24,7 @@ Both halves of the phase run on the flat CSR arrays:
   the per-edge normalization of ``Hypergraph.__init__`` entirely).
 
 Layer contract: ``coarsen`` sits above ``hgraph``/``metrics`` and below
-``partitioner`` (see ``.importlinter`` and ``tools/check_layers.py``).
+``partitioner`` (see ``tools/check_layers.py``).
 """
 
 from __future__ import annotations

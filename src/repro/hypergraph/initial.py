@@ -14,7 +14,7 @@ Python loop.  Edges larger than the growth limit are skipped when
 scoring (``PartitionerOptions.growth_edge_size_limit``).
 
 Layer contract: ``initial`` sits above ``hgraph``/``metrics`` and below
-``partitioner`` (see ``.importlinter`` and ``tools/check_layers.py``).
+``partitioner`` (see ``tools/check_layers.py``).
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ for ``jobs=1`` and any ``jobs=N`` (enforced by
 degrade gracefully to the serial path (mirroring ``repro.parallel``).
 
 Layer contract: ``partitioner`` is the top of the hypergraph stack
-(above ``coarsen``/``initial``/``refine``/``refine_vec``) and never
+(above ``coarsen``/``initial``/``refine``) and never
 imports ``repro.sim``/``repro.core``/``repro.experiments`` — callers
 resolve job counts and pass plain integers down.
 """
@@ -48,12 +48,6 @@ from repro.hypergraph.initial import (
 )
 from repro.hypergraph.refine import fm_refine
 
-# Strategy modules self-register in refine.STRATEGIES at import time;
-# importing the vectorized module here keeps the registry complete for
-# direct ``partitioner`` imports too (refine itself must not import it:
-# layer contract).
-from repro.hypergraph import refine_vec as _refine_vec  # noqa: F401
-
 
 @dataclass(frozen=True)
 class PartitionerOptions:
@@ -63,12 +57,10 @@ class PartitionerOptions:
     a common PaToH setting).  The quality presets trade cut quality for
     mapping time, mirroring the PaToH presets discussed in Sec. VI-D.
 
-    ``refine`` selects the FM bookkeeping strategy by name (``None`` =
-    the registry default: ``vectorized``, or ``reference`` when
-    ``AZUL_PART_REFERENCE=1``).  ``matching_edge_size_limit`` and
-    ``growth_edge_size_limit`` cap the hyperedge sizes scanned during
-    coarsening / region growing; larger edges carry negligible per-pin
-    connectivity and scanning them dominates runtime.
+    ``matching_edge_size_limit`` and ``growth_edge_size_limit`` cap
+    the hyperedge sizes scanned during coarsening / region growing;
+    larger edges carry negligible per-pin connectivity and scanning
+    them dominates runtime.
     """
 
     epsilon: float = 0.10
@@ -78,7 +70,6 @@ class PartitionerOptions:
     fm_passes: int = 2
     initial_tries: int = 4
     stall_limit: int = 64
-    refine: Optional[str] = None
     matching_edge_size_limit: int = DEFAULT_MATCHING_EDGE_SIZE_LIMIT
     growth_edge_size_limit: int = DEFAULT_GROWTH_EDGE_SIZE_LIMIT
 
@@ -315,7 +306,6 @@ def multilevel_bisect(hgraph: Hypergraph, fraction: float,
             side = fm_refine(
                 coarsest, side, caps,
                 passes=options.fm_passes, stall_limit=options.stall_limit,
-                refine=options.refine,
             )
         # Project back through the levels, refining at each.
         for level_index in range(len(mappings) - 1, -1, -1):
@@ -328,6 +318,5 @@ def multilevel_bisect(hgraph: Hypergraph, fraction: float,
                     fine, side, caps,
                     passes=options.fm_passes,
                     stall_limit=options.stall_limit,
-                    refine=options.refine,
                 )
     return side

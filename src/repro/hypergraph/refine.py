@@ -6,164 +6,130 @@ is kept, and the rest rolled back.  Moves must respect per-constraint
 weight caps on the receiving side, which is how the multi-constraint
 balance of Sec. IV-C is enforced during refinement.
 
-Mirroring the simulator's issue layer (:mod:`repro.sim.issue`), the
-*bookkeeping* — how gains, cut counts, and boundaries are maintained —
-lives behind the :class:`RefineStrategy` interface while the selection
-loop (:func:`_fm_pass`) is shared, so every strategy makes identical
-move decisions:
+The selection loop (:func:`_fm_pass`) is separate from the bookkeeping
+(:class:`_BisectionState`), which keeps gains, cut counts, and
+boundaries in flat numpy arrays:
 
-* :class:`ReferenceRefine` — the golden per-vertex Python model: gains
-  are recomputed from incident edges on demand.  Selected by
-  ``refine="reference"`` or ``AZUL_PART_REFERENCE=1``.
-* ``VectorizedRefine`` (:mod:`repro.hypergraph.refine_vec`, the
-  default) — CSR-array bookkeeping: vectorized cut-count/gain init,
-  O(degree) numpy delta-gain updates per move, vectorized boundary
-  extraction.
+* **init** — cut counts via one ``bincount`` over the flat pin array; a
+  maintained per-vertex ``gains`` array built by a single vectorized
+  pass over all (edge, pin) incidences.
+* **move** — O(degree) delta-gain updates: one :func:`ragged_take`
+  gather of the moved vertex's incident edges' pins, closed-form gain
+  deltas per pin, one ``np.add.at`` scatter.
+* **boundary / affected** — vectorized cut-edge masks over
+  ``pin_edge_ids`` instead of per-edge Python loops.
 
-Both strategies produce bit-identical assignments whenever hyperedge
-weights are dyadic rationals (every hypergraph the Azul mapping builds:
-integer-valued row/column weights and their coarsened sums), because
-then gain arithmetic is exact in either formulation; the deterministic
-``(-gain, vertex)`` tie-break does the rest.  This parity is enforced
-by ``tests/test_partitioner_equivalence.py``.
-
-New refinement schemes register themselves in :data:`STRATEGIES` (see
-``refine_vec`` for the idiom) and become selectable through
-``PartitionerOptions(refine=...)`` without touching the other layers.
+Because Azul's hypergraphs carry dyadic edge weights (integers and
+their coarsened sums), the incremental delta-gain arithmetic is
+bit-exact against recomputing each gain from its incident edges; the
+deterministic ``(-gain, vertex)`` tie-break does the rest.
+``tests/test_partitioner_equivalence.py`` drives :func:`_fm_pass` with
+such a per-vertex recomputing state as an oracle and asserts identical
+assignments.
 
 Layer contract: ``refine`` sits above ``hgraph`` and below
-``refine_vec``/``partitioner`` (see ``.importlinter`` and
-``tools/check_layers.py``).
+``partitioner`` (see ``tools/check_layers.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from typing import Dict, List, Optional, Type
+from typing import List, Optional
 
 import numpy as np
 
-from repro.config import ENV_PART_REFERENCE, env_truthy
-from repro.hypergraph.hgraph import Hypergraph
-
-#: Environment variable selecting the golden reference refinement
-#: (canonical name lives in :mod:`repro.config`; see
-#: :func:`repro.config.overrides`).
-REFERENCE_ENV = ENV_PART_REFERENCE
-
-#: Registered refinement strategies by name.  ``refine.py`` never
-#: imports the modules that populate it (they import *us*): strategies
-#: self-register at import time, and the package ``__init__`` imports
-#: every strategy module, so the registry is always complete by the
-#: time user code runs.
-STRATEGIES: Dict[str, Type["RefineStrategy"]] = {}
-
-
-def register_strategy(cls: Type["RefineStrategy"]) -> Type["RefineStrategy"]:
-    """Class decorator: add a strategy to :data:`STRATEGIES`."""
-    STRATEGIES[cls.name] = cls
-    return cls
-
-
-def _env_wants_reference() -> bool:
-    return env_truthy(os.environ.get(REFERENCE_ENV))
-
-
-def default_refine_name() -> str:
-    """Strategy used when ``refine`` is unset: env override or fast."""
-    return "reference" if _env_wants_reference() else "vectorized"
-
-
-def resolve_refine(name: Optional[str] = None) -> Type["RefineStrategy"]:
-    """Map a ``refine`` name (or ``None`` = default) to its strategy."""
-    if name is None:
-        name = default_refine_name()
-    try:
-        return STRATEGIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown refine strategy {name!r}; "
-            f"choices: {', '.join(sorted(STRATEGIES))}"
-        ) from None
-
-
-class RefineStrategy:
-    """Interface: FM bookkeeping for one bisection refinement.
-
-    Subclasses provide :meth:`make_state`; the selection loop is shared
-    so strategies differ only in how they maintain gains and counts.
-    Strategies keep no cross-call state.
-    """
-
-    #: Strategy name this class implements (``refine=`` argument).
-    name: str = ""
-
-    def make_state(self, hgraph: Hypergraph,
-                   side: np.ndarray) -> "_BisectionState":
-        """Build the incremental cut/gain bookkeeping for a bisection."""
-        raise NotImplementedError
-
-    def refine(self, hgraph: Hypergraph, side: np.ndarray,
-               caps: np.ndarray, passes: int = 2,
-               stall_limit: int = 64) -> np.ndarray:
-        """Refine a bisection in place; returns the refined side array."""
-        state = self.make_state(hgraph, side)
-        for _ in range(passes):
-            if not _fm_pass(hgraph, state, caps, stall_limit):
-                break
-        return side
+from repro.hypergraph.hgraph import Hypergraph, ragged_take
 
 
 class _BisectionState:
-    """Incremental cut/gain bookkeeping for one bisection (reference).
+    """Incremental cut/gain bookkeeping for one bisection.
 
-    The per-vertex Python implementation: ``gain`` recomputes from the
-    incident edges on demand.  Subclasses (the vectorized strategy)
-    override the bookkeeping but must preserve the exact semantics of
-    every method — the shared :func:`_fm_pass` depends on it.
+    CSR-array bookkeeping with a maintained per-vertex gain array.
+    :func:`_fm_pass` relies on the exact semantics of every method, so
+    any other bookkeeping that drives it must preserve them.
     """
 
     def __init__(self, hgraph: Hypergraph, side: np.ndarray):
         self.hgraph = hgraph
         self.side = side
         self.edge_sizes = hgraph.edge_sizes()
-        # Pins of each edge currently on side 0.
-        self.count0 = np.zeros(hgraph.n_edges, dtype=np.int64)
-        pin_sides = side[hgraph.pins]
-        for e in range(hgraph.n_edges):
-            start, end = hgraph.edge_ptr[e], hgraph.edge_ptr[e + 1]
-            self.count0[e] = int((pin_sides[start:end] == 0).sum())
+        pin_edge = hgraph.pin_edge_ids()
+        # Pins of each edge currently on side 0 (one bincount pass).
+        self.count0 = np.bincount(
+            pin_edge,
+            weights=(side[hgraph.pins] == 0).astype(np.float64),
+            minlength=hgraph.n_edges,
+        ).astype(np.int64)
         self.part_weights = np.zeros((2, hgraph.n_constraints))
         for s in (0, 1):
             members = side == s
             self.part_weights[s] = hgraph.vertex_weights[members].sum(axis=0)
+        # Per-vertex gains from one pass over all (edge, pin) slots:
+        # the moved-edge contribution of pin u is +w when u is the lone
+        # pin on its side (the move uncuts e) and -w when every pin of
+        # e sits on u's side (the move cuts e).
+        sz = self.edge_sizes[pin_edge]
+        c0 = self.count0[pin_edge]
+        on_my = np.where(side[hgraph.pins] == 0, c0, sz - c0)
+        contrib = hgraph.edge_weights[pin_edge] * (
+            (on_my == 1).astype(np.float64) - (on_my == sz)
+        )
+        self.gains = np.bincount(
+            hgraph.pins, weights=contrib, minlength=hgraph.n_vertices
+        )
+        # Incidence CSR, built once.
+        self._ve_ptr, self._ve_ids = hgraph.incidence_arrays()
+        # Dirty-neighbor cache from the last move (reused by affected()).
+        self._last_move: int = -1
+        self._last_neighbors: Optional[np.ndarray] = None
 
     def gain(self, v: int) -> float:
-        """Cut reduction if ``v`` switches sides."""
-        s = self.side[v]
-        total = 0.0
-        for e in self.hgraph.vertex_edges(v):
-            e = int(e)
-            size = self.edge_sizes[e]
-            if size < 2:
-                continue  # single-pin edges can never be cut
-            on_my_side = self.count0[e] if s == 0 else size - self.count0[e]
-            if on_my_side == 1:
-                total += self.hgraph.edge_weights[e]  # move uncuts the edge
-            elif on_my_side == size:
-                total -= self.hgraph.edge_weights[e]  # move cuts the edge
-        return total
+        """Cut reduction if ``v`` switches sides (O(1) lookup)."""
+        return float(self.gains[v])
+
+    def _incident(self, v: int) -> np.ndarray:
+        return self._ve_ids[self._ve_ptr[v]:self._ve_ptr[v + 1]]
 
     def move(self, v: int) -> None:
-        """Switch ``v``'s side, updating edge counts and part weights."""
+        """Switch ``v``'s side with O(degree) numpy delta-gain updates."""
+        hgraph = self.hgraph
         s = int(self.side[v])
-        delta = -1 if s == 0 else 1
-        for e in self.hgraph.vertex_edges(v):
-            self.count0[int(e)] += delta
-        self.part_weights[s] -= self.hgraph.vertex_weights[v]
-        self.part_weights[1 - s] += self.hgraph.vertex_weights[v]
+        edges = self._incident(v)
+        lengths = self.edge_sizes[edges]
+        pv = ragged_take(hgraph.pins, hgraph.edge_ptr[edges], lengths)
+        pe = np.repeat(edges, lengths)
+
+        w = hgraph.edge_weights[pe]
+        sz = self.edge_sizes[pe]
+        c0 = self.count0[pe]
+        # Pre-move pin counts on v's side (cs) and the far side (ct).
+        cs = np.where(s == 0, c0, sz - c0)
+        ct = sz - cs
+        same = self.side[pv] == s
+        # Same-side pins: moving v away adds +w when v and u were the
+        # only same-side pins (u becomes lone: cs == 2) and +w when the
+        # edge was uncut on this side (u can no longer uncut for free:
+        # cs == sz, reclaiming the -w it carried).  Far-side pins lose
+        # -w when v joins a lone pin (ct == 1) or fills the edge
+        # (ct == sz - 1).
+        delta = np.where(
+            same,
+            w * ((cs == 2).astype(np.float64) + (cs == sz)),
+            -w * ((ct == 1).astype(np.float64) + (ct == sz - 1)),
+        )
+        not_v = pv != v
+        neighbors = pv[not_v]
+        np.add.at(self.gains, neighbors, delta[not_v])
+        # Every per-edge contribution of v itself flips sign exactly.
+        self.gains[v] = -self.gains[v]
+
+        self.count0[edges] += -1 if s == 0 else 1
+        self.part_weights[s] -= hgraph.vertex_weights[v]
+        self.part_weights[1 - s] += hgraph.vertex_weights[v]
         self.side[v] = 1 - s
+
+        self._last_move = v
+        self._last_neighbors = neighbors
 
     def fits_after_move(self, v: int, caps: np.ndarray) -> bool:
         """Whether moving ``v`` keeps the receiving side under its caps."""
@@ -180,42 +146,26 @@ class _BisectionState:
         unique and ascending — the dirty set re-pushed once per move
         wave by :func:`_fm_pass`.
         """
-        seen = set()
-        for e in self.hgraph.vertex_edges(v):
-            for u in self.hgraph.edge_pins(int(e)):
-                u = int(u)
-                if u != v:
-                    seen.add(u)
-        return sorted(seen)
+        if v == self._last_move and self._last_neighbors is not None:
+            neighbors = self._last_neighbors
+        else:
+            hgraph = self.hgraph
+            edges = self._incident(v)
+            lengths = self.edge_sizes[edges]
+            pv = ragged_take(hgraph.pins, hgraph.edge_ptr[edges], lengths)
+            neighbors = pv[pv != v]
+        return np.unique(neighbors).tolist()
 
     def boundary_vertices(self) -> np.ndarray:
-        """Vertices incident to at least one cut edge (ascending)."""
+        """Vertices incident to at least one cut edge (vectorized)."""
         hgraph = self.hgraph
-        sizes = self.edge_sizes
-        cut_edges = (self.count0 > 0) & (self.count0 < sizes)
-        boundary = np.zeros(hgraph.n_vertices, dtype=bool)
-        for e in np.nonzero(cut_edges)[0]:
-            boundary[hgraph.edge_pins(int(e))] = True
-        return np.nonzero(boundary)[0]
-
-
-@register_strategy
-class ReferenceRefine(RefineStrategy):
-    """The golden per-vertex Python FM model.
-
-    Selected by ``refine="reference"`` or ``AZUL_PART_REFERENCE=1``.
-    """
-
-    name = "reference"
-
-    def make_state(self, hgraph: Hypergraph,
-                   side: np.ndarray) -> _BisectionState:
-        return _BisectionState(hgraph, side)
+        cut_edges = (self.count0 > 0) & (self.count0 < self.edge_sizes)
+        mask = cut_edges[hgraph.pin_edge_ids()]
+        return np.unique(hgraph.pins[mask])
 
 
 def fm_refine(hgraph: Hypergraph, side: np.ndarray, caps: np.ndarray,
-              passes: int = 2, stall_limit: int = 64,
-              refine: Optional[str] = None) -> np.ndarray:
+              passes: int = 2, stall_limit: int = 64) -> np.ndarray:
     """Refine a bisection in place; returns the refined side array.
 
     Parameters
@@ -228,21 +178,19 @@ def fm_refine(hgraph: Hypergraph, side: np.ndarray, caps: np.ndarray,
         Maximum number of full FM passes.
     stall_limit:
         A pass aborts after this many consecutive non-improving moves.
-    refine:
-        Strategy name; ``None`` resolves the default (``vectorized``
-        unless ``AZUL_PART_REFERENCE=1``).
     """
-    strategy = resolve_refine(refine)()
-    return strategy.refine(
-        hgraph, side, caps, passes=passes, stall_limit=stall_limit
-    )
+    state = _BisectionState(hgraph, side)
+    for _ in range(passes):
+        if not _fm_pass(hgraph, state, caps, stall_limit):
+            break
+    return side
 
 
 def _fm_pass(hgraph: Hypergraph, state: _BisectionState, caps: np.ndarray,
              stall_limit: int) -> bool:
     """One FM pass; returns True if the cut improved.
 
-    Shared by every strategy: the lazy-deletion heap pops the highest
+    The lazy-deletion heap pops the highest
     current gain (ties to the lowest vertex id), stale entries are
     re-pushed with their current gain, and each move re-pushes its
     dirty neighborhood *once* (``state.affected``) instead of flooding

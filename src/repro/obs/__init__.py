@@ -21,11 +21,11 @@ Design constraints (see ``docs/observability.md``):
   outside itself (standard library only), so every layer — simulator,
   partitioner, cache, sweep executor, experiments — may instrument
   itself without creating cycles.  Enforced by
-  ``tools/check_layers.py`` and ``.importlinter``.
+  ``tools/check_layers.py``.
 * **Near-zero cost when disabled.**  Observability is *off* by
   default; every facade call short-circuits on one module-global flag
-  and ``span``/``timer`` return a shared no-op handle.  The simulator
-  engines' hot loops carry **no** instrumentation at all — their issue
+  and ``span``/``timer`` return a shared no-op handle.  The
+  simulator's hot loops carry **no** instrumentation at all — their issue
   traces are bridged post-hoc from ``KernelResult.issue_trace`` — so
   the disabled-path overhead is bounded by a handful of flag checks
   per pipeline stage (guarded by the ``sim_engine`` benchmark suite).

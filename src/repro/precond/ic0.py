@@ -10,17 +10,12 @@ IC(0) can break down (non-positive pivot) on matrices that are SPD but
 not H-matrices; the standard remedy, used here, is to retry with an
 increasing diagonal shift ``A + alpha * diag(A)``.
 
-The numeric factorization is delegated to a kernel engine from the
-registry in :mod:`repro.sparse.ops`: the default level-scheduled engine
-batches the updates by dependence level (sharing the cached
-:class:`~repro.sparse.schedule.IC0Schedule` across shift retries),
-while ``kernels="reference"`` / ``AZUL_SOLVER_REFERENCE=1`` selects the
-original up-looking row-by-row loop.
+The numeric factorization (:func:`repro.sparse.ops.ic0_attempt`)
+batches the updates by dependence level, sharing the cached
+:class:`~repro.sparse.schedule.IC0Schedule` across shift retries.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -28,39 +23,25 @@ import repro.obs as obs
 from repro.errors import PreconditionerError
 from repro.precond.base import Preconditioner
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import _ic0_attempt_reference, resolve_kernels
+from repro.sparse.ops import ic0_attempt, level_sptrsv_lower, level_sptrsv_upper
 
 
-def _ic0_attempt(lower: CSRMatrix, diag_shift: float):
-    """One reference IC(0) attempt (back-compat alias).
-
-    The implementation lives in :mod:`repro.sparse.ops` next to the
-    other reference kernels; this name is kept for callers that probed
-    breakdown behavior directly.
-    """
-    return _ic0_attempt_reference(lower, diag_shift)
-
-
-def ic0(matrix: CSRMatrix, max_shift_attempts: int = 8,
-        kernels: Optional[str] = None) -> CSRMatrix:
+def ic0(matrix: CSRMatrix, max_shift_attempts: int = 8) -> CSRMatrix:
     """Compute the IC(0) factor ``L`` of an SPD matrix.
 
     Returns a lower-triangular CSR matrix with the pattern of
     ``tril(A)``.  On breakdown, retries with diagonal shifts
     ``alpha = 1e-3 * 2^k`` and raises :class:`PreconditionerError` after
-    ``max_shift_attempts`` failures.  ``kernels`` selects the engine
-    (``None`` = registry default).
+    ``max_shift_attempts`` failures.
     """
-    engine = resolve_kernels(kernels)
     lower = matrix.lower_triangle()
     obs.counter("solve.kernel.ic0.calls")
-    with obs.timer("solve.kernel.ic0", n=matrix.n_rows,
-                   engine=engine.name) as ph:
-        data = engine.ic0_attempt(lower, diag_shift=0.0)
+    with obs.timer("solve.kernel.ic0", n=matrix.n_rows) as ph:
+        data = ic0_attempt(lower, diag_shift=0.0)
         shift = 1e-3
         attempts = 0
         while data is None and attempts < max_shift_attempts:
-            data = engine.ic0_attempt(lower, diag_shift=shift)
+            data = ic0_attempt(lower, diag_shift=shift)
             shift *= 2.0
             attempts += 1
         ph.set(shift_attempts=attempts)
@@ -78,14 +59,13 @@ class IncompleteCholesky(Preconditioner):
 
     kernels = ("sptrsv", "sptrsv")
 
-    def __init__(self, matrix: CSRMatrix, kernels: Optional[str] = None):
-        self._engine = resolve_kernels(kernels)
-        self._lower = ic0(matrix, kernels=kernels)
+    def __init__(self, matrix: CSRMatrix):
+        self._lower = ic0(matrix)
         self._upper = self._lower.transpose()
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        y = self._engine.sptrsv_lower(self._lower, r)
-        return self._engine.sptrsv_upper(self._upper, y)
+        y = level_sptrsv_lower(self._lower, r)
+        return level_sptrsv_upper(self._upper, y)
 
     def lower_factor(self) -> CSRMatrix:
         return self._lower

@@ -8,18 +8,13 @@ simulator computes the actual numeric results of the dataflow, so
 functional correctness is checked against the reference kernels exactly
 as the paper validates its simulator against Ginkgo.
 
-The core is layered (enforced by ``tools/check_layers.py`` and the
-import-linter contract in ``.importlinter``)::
+The core is layered (enforced by ``tools/check_layers.py``)::
 
     events  — calendar queue + drain loop       (repro.sim.events)
     state   — numeric/functional kernel state   (repro.sim.state)
     fabric  — NoC links + multicast forwarding  (repro.sim.fabric)
-    issue   — PE issue strategies               (repro.sim.issue)
+    issue   — PE issue timing                   (repro.sim.issue)
     engine  — thin composition root             (repro.sim.engine)
-
-``KernelSimulator(..., engine="reference"|"batched")`` selects only the
-:class:`~repro.sim.issue.IssueStrategy`; everything else — numeric
-semantics, link contention, event ordering — is one shared code path.
 
 Three PE models reproduce the paper's comparisons:
 
@@ -40,21 +35,10 @@ from repro.sim.pe import (
     pe_model_by_name,
     pe_model_names,
 )
-from repro.sim.engine import (
-    BatchedKernelSimulator,
-    KernelResult,
-    KernelSimulator,
-    REFERENCE_ENV,
-    ReferenceKernelSimulator,
-)
+from repro.sim.engine import KernelResult, KernelSimulator
 from repro.sim.events import EventQueue, drain
 from repro.sim.fabric import FabricModel, LinkFabric
-from repro.sim.issue import (
-    BatchedIssue,
-    IssueStrategy,
-    PerOpIssue,
-    resolve_strategy,
-)
+from repro.sim.issue import BatchedIssue
 from repro.sim.state import KernelState, TileState
 from repro.sim.machine import AzulMachine, IterationResult
 from repro.sim.full_solve import FullSolveResult, simulate_full_pcg
@@ -76,17 +60,11 @@ __all__ = [
     "pe_model_names",
     "KernelSimulator",
     "KernelResult",
-    "BatchedKernelSimulator",
-    "ReferenceKernelSimulator",
-    "REFERENCE_ENV",
     "EventQueue",
     "drain",
     "FabricModel",
     "LinkFabric",
-    "IssueStrategy",
-    "PerOpIssue",
     "BatchedIssue",
-    "resolve_strategy",
     "KernelState",
     "TileState",
     "AzulMachine",

@@ -1,47 +1,26 @@
 """Discrete-event kernel simulator: the layer composition root.
 
-Executes one :class:`~repro.dataflow.kernel_program.KernelProgram`
+Executes one :class:`~repro.dataflow.ir.CompiledKernel`
 cycle-accurately *and* numerically.  :class:`KernelSimulator` composes
 the simulator layers (``events ← state ← fabric ← issue``, see
-:mod:`repro.sim` and ``docs/simulator.md``); ``engine=`` selects *only*
-the :class:`~repro.sim.issue.IssueStrategy`.  The two engines are
-therefore bit-identical by construction everywhere except issue
-timing, and issue timing is enforced bit-identical by
-``tests/test_engine_equivalence.py``.
-
-``KernelSimulator(...)`` transparently constructs the batched engine;
-set ``AZUL_SIM_REFERENCE=1`` (or pass ``engine="reference"``) to fall
-back to the per-op golden model.
+:mod:`repro.sim` and ``docs/simulator.md``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import AzulConfig, ENV_SIM_REFERENCE, env_truthy
-from repro.dataflow.kernel_program import KernelProgram
+from repro.config import AzulConfig
+from repro.dataflow.ir import CompiledKernel
 from repro.errors import SimulationError
 from repro.sim.events import EV_PUMP, EventQueue, drain
 from repro.sim.fabric import LinkFabric, flatten_multicast_forest
-from repro.sim.issue import (
-    VEC_THRESHOLD as _VEC_THRESHOLD,  # re-exported for the test suite
-    resolve_strategy,
-)
+from repro.sim.issue import BatchedIssue
 from repro.sim.pe import PEModel
 from repro.sim.state import T_MUL, T_SAAC, T_SEND, KernelState
-
-#: Environment variable selecting the per-op golden engine
-#: (canonical name lives in :mod:`repro.config`; see
-#: :func:`repro.config.overrides`).
-REFERENCE_ENV = ENV_SIM_REFERENCE
-
-
-def _env_wants_reference() -> bool:
-    return env_truthy(os.environ.get(REFERENCE_ENV))
 
 
 @dataclass
@@ -89,37 +68,16 @@ class KernelResult:
         )
 
 class KernelSimulator:
-    """Simulates one kernel program on the configured machine.
+    """Simulates one kernel program on the configured machine."""
 
-    Instantiating this class directly dispatches to an engine:
-    :class:`BatchedKernelSimulator` by default,
-    :class:`ReferenceKernelSimulator` when ``engine="reference"`` or
-    the ``AZUL_SIM_REFERENCE`` environment variable is truthy.  The
-    subclasses can also be constructed explicitly (e.g. for
-    equivalence testing); they differ *only* in the issue strategy
-    they select.
-    """
+    #: Issue model, instantiated once per simulator.
+    issue_class = BatchedIssue
 
-    #: Issue-strategy name pinned by the engine subclasses.
-    engine_name: Optional[str] = None
-
-    def __new__(cls, program: KernelProgram, geometry=None,
-                config: Optional[AzulConfig] = None,
-                pe: Optional[PEModel] = None,
-                record_issue_trace: bool = False,
-                engine: Optional[str] = None):
-        if cls is KernelSimulator:
-            cls = _resolve_engine(engine)
-        return object.__new__(cls)
-
-    def __init__(self, program: KernelProgram, geometry,
+    def __init__(self, program: CompiledKernel, geometry,
                  config: AzulConfig, pe: PEModel,
-                 record_issue_trace: bool = False,
-                 engine: Optional[str] = None):
+                 record_issue_trace: bool = False):
         self.program = program
         self.geometry = geometry
-        #: Backwards-compatible alias (the paper machine is a torus).
-        self.torus = geometry
         self.config = config
         self.pe = pe
         self.record_issue_trace = record_issue_trace
@@ -128,13 +86,8 @@ class KernelSimulator:
         )
         self.send_latency = config.sram_access_cycles + 1
         self._ideal = pe.is_ideal
-        name = self.engine_name
-        if name is None:  # pragma: no cover - subclasses always pin it
-            name = engine or (
-                "reference" if _env_wants_reference() else "batched"
-            )
-        self.issue = resolve_strategy(name)()
-        # Shared static structures (engine-independent, built once)
+        self.issue = self.issue_class()
+        # Shared static structures (built once per simulator)
         # straight from the program's flat IR arrays.  Column segments
         # become plain Python lists: scalar ``rows[pos]`` /
         # ``vals[pos]`` reads are then native ints/floats.  ``tolist``
@@ -292,8 +245,8 @@ class KernelSimulator:
             self._schedule_pump(tile_id, 0)
 
     # ------------------------------------------------------------------
-    # Shared control path (event scheduling + completion logic; the
-    # single copy both issue strategies call back into)
+    # Shared control path (event scheduling + completion logic the
+    # issue model calls back into)
     # ------------------------------------------------------------------
     def _schedule_pump(self, tile_id: int, time: int) -> None:
         tile = self.state.tile(tile_id)
@@ -395,35 +348,3 @@ class KernelSimulator:
                                  0, 0, 0, self._dummy_row])
         self._schedule_pump(home, completion)
 
-
-class ReferenceKernelSimulator(KernelSimulator):
-    """The per-op golden engine: composition root + ``PerOpIssue``."""
-
-    engine_name = "reference"
-
-
-class BatchedKernelSimulator(KernelSimulator):
-    """The default engine: composition root + ``BatchedIssue``."""
-
-    engine_name = "batched"
-
-
-_ENGINE_CLASSES: Dict[str, type] = {
-    "reference": ReferenceKernelSimulator,
-    "batched": BatchedKernelSimulator,
-}
-
-
-def _resolve_engine(engine: Optional[str]) -> type:
-    """Map an ``engine`` argument / environment to a simulator class."""
-    if engine is None:
-        engine = "reference" if _env_wants_reference() else "batched"
-    cls = _ENGINE_CLASSES.get(engine)
-    if cls is None:
-        # Unknown names raise the issue layer's ValueError (single
-        # source of truth for the strategy registry).
-        resolve_strategy(engine)
-        raise ValueError(
-            f"no simulator class registered for engine {engine!r}"
-        )
-    return cls

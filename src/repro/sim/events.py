@@ -1,15 +1,14 @@
 """Event core: calendar queue, deterministic tie-breaking, drain loop.
 
 The bottom layer of the simulator core (``events ← fabric ← issue ←
-engine``).  Both issue strategies and the fabric push into one
+engine``).  The issue layer and the fabric push into one
 :class:`EventQueue`; ordering is a strict weak order on
 ``(time, sequence)`` so simultaneous events always replay in push
 order — the determinism the bit-identity suite
 (``tests/test_engine_equivalence.py``) relies on.
 
 This module must not import anything else from :mod:`repro.sim`
-(enforced by the import-linter layer contract and
-``tools/check_layers.py``).
+(enforced by ``tools/check_layers.py``).
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ def drain(queue: EventQueue, on_pump: Handler, on_mcast: Handler,
           on_partial: Handler) -> None:
     """Run the event loop to exhaustion.
 
-    The single drain loop shared by both engines: pops events in
+    The simulator's single drain loop: pops events in
     ``(time, seq)`` order and dispatches on kind.  Handlers receive
     ``(payload, time)``; stale-pump filtering is the pump handler's
     responsibility (a tile has at most one *live* pump, deduplicated

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dataflow.kernel_program import KernelProgram
+from repro.dataflow.ir import CompiledKernel
 from repro.errors import SimulationError
 
 
-def functional_spmv(program: KernelProgram, x: np.ndarray) -> np.ndarray:
+def functional_spmv(program: CompiledKernel, x: np.ndarray) -> np.ndarray:
     """Execute a compiled SpMV program: scale segments, reduce partials."""
     x = np.asarray(x, dtype=np.float64)
     y = np.zeros(program.n)
@@ -28,7 +28,7 @@ def functional_spmv(program: KernelProgram, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def functional_sptrsv(program: KernelProgram, b: np.ndarray) -> np.ndarray:
+def functional_sptrsv(program: CompiledKernel, b: np.ndarray) -> np.ndarray:
     """Execute a compiled SpTRSV program in dependence order.
 
     Rows are solved as their pending contribution counters drain,

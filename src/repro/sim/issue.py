@@ -1,25 +1,18 @@
 """PE issue layer: pipeline, RAW-hazard, and thread-context timing.
 
-The issue model — *when* each FMAC/ADD/MUL/SEND leaves a PE — lives
-behind the :class:`IssueStrategy` interface.  Two implementations share
-the event core, fabric, and numeric state:
+:class:`BatchedIssue` decides *when* each FMAC/ADD/MUL/SEND leaves a
+PE.  It works at run granularity: a ``T_SAAC`` column-segment run is
+issued as one batched step whose per-op issue times are computed
+analytically (numpy for long runs), bounded by an exactness *horizon*
+so cycles, op counts, link stats, spills, and outputs stay
+bit-identical to the operation-granularity model of the hardware
+description (Sec. V-A), in which every operation is one selection scan
+plus one issue.  That per-op model is kept as a test oracle and the
+equivalence is enforced by ``tests/test_engine_equivalence.py``.
 
-* :class:`PerOpIssue` — the golden operation-granularity model: every
-  operation is one selection scan + one issue, with heap round-trips
-  between issue slots.  Each step maps 1:1 onto the hardware
-  description (Sec. V-A).
-* :class:`BatchedIssue` — the run-granularity model (the default): a
-  ``T_SAAC`` column-segment run is issued as one batched step whose
-  per-op issue times are computed analytically (numpy for long runs),
-  bounded by an exactness *horizon* so cycles, op counts, link stats,
-  spills, and outputs stay bit-identical to :class:`PerOpIssue`
-  (enforced by ``tests/test_engine_equivalence.py``).
-
-A strategy is bound per run to the composition root (duck-typed as
-:class:`IssueCore`), which supplies the shared state, event queue,
-fabric, and completion callbacks.  New issue granularities (e.g. the
-medium-granularity SpTRSV dataflow of Chen et al.) plug in as further
-``IssueStrategy`` subclasses without touching the other layers.
+The issue model is bound per run to the composition root (duck-typed
+as :class:`IssueCore`), which supplies the shared state, event queue,
+fabric, and completion callbacks.
 
 Layer contract: ``issue`` may import ``events``/``state``/``fabric``
 but never the engine composition root.
@@ -42,13 +35,13 @@ from repro.sim.state import (
     TileState,
 )
 
-#: Remaining-run length at which the batched strategy switches from the
-#: scalar recurrence to the numpy closed form.
+#: Remaining-run length at which a batch switches from the scalar
+#: recurrence to the numpy closed form.
 VEC_THRESHOLD = 12
 
 
 class IssueCore(Protocol):
-    """What an :class:`IssueStrategy` needs from the composition root."""
+    """What :class:`BatchedIssue` needs from the composition root."""
 
     state: KernelState
     events: EventQueue
@@ -62,182 +55,14 @@ class IssueCore(Protocol):
     def pe(self) -> Any: ...
     def _node_input_done(self, row: int, node: int, time: int) -> None: ...
     def _solve_row(self, row: int, home: int, completion: int) -> None: ...
-    def _schedule_pump(self, tile_id: int, time: int) -> None: ...
 
 
-class IssueStrategy:
-    """Interface: one PE's operation-selection and issue timing.
+class BatchedIssue:
+    """Run-granularity issue: batches column-segment runs exactly.
 
     ``bind`` captures per-run references from the composition root;
     ``pump(tile_id, now)`` then services one PUMP event (including the
-    stale-pump filter).  Strategies may keep no cross-run state.
-    """
-
-    #: Engine name this strategy implements (``engine=`` argument).
-    name: str = ""
-
-    def bind(self, core: IssueCore) -> None:
-        """Capture per-run references (state, events, fabric, hooks)."""
-        pe = core.pe
-        self.ic: int = pe.issue_cycles
-        self.ideal: bool = pe.is_ideal
-        self.limit: int = pe.thread_contexts if pe.multithreaded else 1
-        self.alu_latency: int = core.alu_latency
-        self.send_latency: int = core.send_latency
-        self.state = core.state
-        self.tiles = core.state.tiles
-        self.events = core.events
-        self.traverse = core.fabric.traverse
-        self.trace = core.issue_trace
-        self.mcast_send = core.mcast_send
-        self.on_input_done: Callable[[int, int, int], None] = \
-            core._node_input_done
-        self.on_solve: Callable[[int, int, int], None] = core._solve_row
-        self.schedule_pump: Callable[[int, int], None] = \
-            core._schedule_pump
-
-    def pump(self, tile_id: int, now: int) -> None:
-        """Service one PUMP event at ``now`` on ``tile_id``."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    def _issue_other(self, tile_id: int, tile: TileState, task: List,
-                     task_index: int, issue_time: int) -> None:
-        """Issue one non-SAAC operation (shared by both strategies)."""
-        kind = task[1]
-        ic = self.ic
-        tile.busy += ic
-        if self.trace is not None:
-            self.trace.append((issue_time, tile_id, kind))
-        if not self.ideal:
-            tile.pe_time = issue_time + ic
-        state = self.state
-        if kind == T_ADD:
-            row = task[2]
-            completion = issue_time + self.alu_latency
-            tile.op_counts[T_ADD] += 1
-            tile.acc_ready[row] = completion
-            tile.partial[row] += task[3]
-            del tile.tasks[task_index]
-            if completion > state.end_time:
-                state.end_time = completion
-            self.on_input_done(row, tile_id, completion)
-        elif kind == T_MUL:
-            row = task[2]
-            completion = issue_time + self.alu_latency
-            tile.op_counts[T_MUL] += 1
-            del tile.tasks[task_index]
-            if completion > state.end_time:
-                state.end_time = completion
-            self.on_solve(row, tile_id, completion)
-        else:  # T_SEND
-            payload = task[2]
-            completion = issue_time + self.send_latency
-            tile.op_counts[T_SEND] += 1
-            del tile.tasks[task_index]
-            if completion > state.end_time:
-                state.end_time = completion
-            if payload[0] == "mcast":
-                _, j, value, tree_index = payload
-                root, children = self.mcast_send[(j, tree_index)]
-                if children:
-                    traverse = self.traverse
-                    for child in children:
-                        traverse(root, child, completion, EV_MCAST,
-                                 (child, j, value, tree_index))
-            else:
-                _, row, value, parent = payload
-                self.traverse(tile_id, parent, completion,
-                              EV_PARTIAL, (parent, row, value))
-
-
-class PerOpIssue(IssueStrategy):
-    """Operation-granularity issue (the golden reference model).
-
-    Every operation makes a full selection scan and, on a non-ideal
-    PE, a heap round-trip per issue slot, so events map 1:1 onto the
-    hardware description.  Selected by ``engine="reference"`` or
-    ``AZUL_SIM_REFERENCE=1``.
-    """
-
-    name = "reference"
-
-    def _op_ready_time(self, tile: TileState, task: List) -> int:
-        """Earliest cycle the task's current operation can issue."""
-        kind = task[1]
-        ready = task[0]
-        pe_time = tile.pe_time
-        if pe_time > ready:
-            ready = pe_time
-        if kind == T_SAAC:
-            hazard = tile.acc_ready[task[2][task[5]]]
-        elif kind == T_SEND:
-            return ready
-        else:  # T_ADD / T_MUL gate on their row's accumulator
-            hazard = tile.acc_ready[task[2]]
-        return hazard if hazard > ready else ready
-
-    def pump(self, tile_id: int, now: int) -> None:
-        """Issue every operation that can start at ``now``."""
-        tile = self.tiles[tile_id]
-        if tile.next_pump != now:
-            return  # stale: a different pump is now scheduled
-        tile.next_pump = None
-        ideal = self.ideal
-        limit = self.limit
-        ready_time = self._op_ready_time
-        while tile.tasks:
-            tasks = tile.tasks
-            window = limit if limit < len(tasks) else len(tasks)
-            best_index = 0
-            best_time = ready_time(tile, tasks[0])
-            for index in range(1, window):
-                ready = ready_time(tile, tasks[index])
-                if ready < best_time:
-                    best_time = ready
-                    best_index = index
-            if best_time > now:
-                self.schedule_pump(tile_id, best_time)
-                return
-            self._issue_op(tile_id, tile, tasks[best_index], best_index,
-                           best_time)
-            if not ideal and tile.tasks:
-                # One issue slot consumed; revisit at the next free cycle.
-                self.schedule_pump(tile_id, tile.pe_time)
-                return
-
-    def _issue_op(self, tile_id: int, tile: TileState, task: List,
-                  task_index: int, issue_time: int) -> None:
-        """Execute one operation of ``task`` at ``issue_time``."""
-        if task[1] != T_SAAC:
-            self._issue_other(tile_id, tile, task, task_index, issue_time)
-            return
-        tile.busy += self.ic
-        if self.trace is not None:
-            self.trace.append((issue_time, tile_id, T_SAAC))
-        if not self.ideal:
-            tile.pe_time = issue_time + self.ic
-        rows, vals, xval, pos = task[2], task[3], task[4], task[5]
-        row = rows[pos]
-        completion = issue_time + self.alu_latency
-        tile.op_counts[T_SAAC] += 1
-        tile.acc_ready[row] = completion
-        tile.partial[row] += xval * vals[pos]
-        task[5] = pos + 1
-        if task[5] >= len(rows):
-            del tile.tasks[task_index]
-        local_rem = tile.local_rem
-        remaining = local_rem[row] - 1
-        local_rem[row] = remaining
-        state = self.state
-        if completion > state.end_time:
-            state.end_time = completion
-        if remaining == 0:
-            self.on_input_done(row, tile_id, completion)
-
-
-class BatchedIssue(IssueStrategy):
-    """Run-granularity issue: batches column-segment runs exactly.
+    stale-pump filter).  No state survives across runs.
 
     Exactness argument (mirrored by ``tests/test_engine_equivalence.py``):
 
@@ -262,7 +87,23 @@ class BatchedIssue(IssueStrategy):
       operations in the identical order as per-op issue.
     """
 
-    name = "batched"
+    def bind(self, core: IssueCore) -> None:
+        """Capture per-run references (state, events, fabric, hooks)."""
+        pe = core.pe
+        self.ic: int = pe.issue_cycles
+        self.ideal: bool = pe.is_ideal
+        self.limit: int = pe.thread_contexts if pe.multithreaded else 1
+        self.alu_latency: int = core.alu_latency
+        self.send_latency: int = core.send_latency
+        self.state = core.state
+        self.tiles = core.state.tiles
+        self.events = core.events
+        self.traverse = core.fabric.traverse
+        self.trace = core.issue_trace
+        self.mcast_send = core.mcast_send
+        self.on_input_done: Callable[[int, int, int], None] = \
+            core._node_input_done
+        self.on_solve: Callable[[int, int, int], None] = core._solve_row
 
     def pump(self, tile_id: int, now: int) -> None:
         """Horizon-bounded pump: drains inline while no event intervenes.
@@ -610,20 +451,52 @@ class BatchedIssue(IssueStrategy):
             running = times[-1]
         return count, times, running
 
-
-#: Registered issue strategies by engine name.
-STRATEGIES: Dict[str, type] = {
-    PerOpIssue.name: PerOpIssue,
-    BatchedIssue.name: BatchedIssue,
-}
-
-
-def resolve_strategy(engine: str) -> type:
-    """Map an ``engine`` name to its :class:`IssueStrategy` class."""
-    try:
-        return STRATEGIES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown simulator engine {engine!r}; "
-            f"choices: {', '.join(sorted(STRATEGIES))}"
-        ) from None
+    # ------------------------------------------------------------------
+    def _issue_other(self, tile_id: int, tile: TileState, task: List,
+                     task_index: int, issue_time: int) -> None:
+        """Issue one non-SAAC operation (ADD, MUL or SEND)."""
+        kind = task[1]
+        ic = self.ic
+        tile.busy += ic
+        if self.trace is not None:
+            self.trace.append((issue_time, tile_id, kind))
+        if not self.ideal:
+            tile.pe_time = issue_time + ic
+        state = self.state
+        if kind == T_ADD:
+            row = task[2]
+            completion = issue_time + self.alu_latency
+            tile.op_counts[T_ADD] += 1
+            tile.acc_ready[row] = completion
+            tile.partial[row] += task[3]
+            del tile.tasks[task_index]
+            if completion > state.end_time:
+                state.end_time = completion
+            self.on_input_done(row, tile_id, completion)
+        elif kind == T_MUL:
+            row = task[2]
+            completion = issue_time + self.alu_latency
+            tile.op_counts[T_MUL] += 1
+            del tile.tasks[task_index]
+            if completion > state.end_time:
+                state.end_time = completion
+            self.on_solve(row, tile_id, completion)
+        else:  # T_SEND
+            payload = task[2]
+            completion = issue_time + self.send_latency
+            tile.op_counts[T_SEND] += 1
+            del tile.tasks[task_index]
+            if completion > state.end_time:
+                state.end_time = completion
+            if payload[0] == "mcast":
+                _, j, value, tree_index = payload
+                root, children = self.mcast_send[(j, tree_index)]
+                if children:
+                    traverse = self.traverse
+                    for child in children:
+                        traverse(root, child, completion, EV_MCAST,
+                                 (child, j, value, tree_index))
+            else:
+                _, row, value, parent = payload
+                self.traverse(tile_id, parent, completion,
+                              EV_PARTIAL, (parent, row, value))

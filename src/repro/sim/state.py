@@ -1,12 +1,11 @@
 """Numeric state layer: partials, remaining-input counts, solve values.
 
-One implementation of the simulator's *functional* state, shared by
-both issue strategies: per-tile dense accumulators and task queues
+One implementation of the simulator's *functional* state: per-tile
+dense accumulators and task queues
 (:class:`TileState`), plus the kernel-wide completion bookkeeping
 (:class:`KernelState`).  Timing layers (fabric, issue) mutate this
 state but the numeric semantics — which IEEE-754 operations run, in
-which order — are defined here once, so functional correctness cannot
-diverge between engines.
+which order — are defined here once.
 
 Layer contract: ``state`` sits directly above ``events`` and imports
 nothing else from :mod:`repro.sim`.
@@ -28,9 +27,8 @@ T_SEND = 3   #: push one value into the router
 # Task layout: ``[arrival_time, kind, payload..., hazard_row]``.  Slot 6
 # always holds the row whose accumulator gates the task's *current*
 # operation (a dummy row ``n`` with permanently-zero ready time for
-# Sends), so the batched issue strategy's selection scan reads one
-# uniform ``acc[task[6]]`` with no per-kind branching.  The per-op
-# strategy branches on kind instead and ignores the slot.
+# Sends), so the issue layer's selection scan reads one uniform
+# ``acc[task[6]]`` with no per-kind branching.
 TASK_HAZARD = 6
 
 #: One PE task: a mutable list (mutated in place as ops retire).

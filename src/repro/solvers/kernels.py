@@ -5,30 +5,24 @@ kernel class (SpMV, SpTRSV, vector ops).  Solvers route all their linear
 algebra through a :class:`KernelCounter`, which both executes the
 operation and accumulates the accounting.
 
-Numeric execution of the sparse kernels is delegated to a
-:class:`~repro.sparse.ops.KernelEngine` resolved by name through the
-kernel registry (:data:`repro.sparse.ops.KERNELS`): the default
-``"level"`` engine runs level-scheduled batched kernels over cached
-triangular schedules, while ``kernels="reference"`` (or
-``AZUL_SOLVER_REFERENCE=1``) selects the golden per-row loops.  The
-sparse kernels carry ``solve.kernel.*`` observability timers and
-counters here — one span per kernel invocation; the engines' inner
-level loops stay uninstrumented so the hot path is untouched.
+Triangular solves run the level-scheduled kernels of
+:mod:`repro.sparse.ops` over cached triangular schedules.  The sparse
+kernels carry ``solve.kernel.*`` observability timers and counters
+here — one span per kernel invocation; the inner level loops stay
+uninstrumented so the hot path is untouched.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 import repro.obs as obs
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import (
-    KernelEngine,
     axpy_flops,
     dot_flops,
-    resolve_kernels,
+    level_sptrsv_lower,
+    level_sptrsv_upper,
     spmv_flops,
     sptrsv_flops,
 )
@@ -40,17 +34,9 @@ class KernelCounter:
     Counts follow the paper's convention (FMAC = 2 FLOPs) and are split
     into the three classes of Fig. 3: ``spmv``, ``sptrsv``, ``vector``.
     Call counts per kernel are tracked as well.
-
-    Parameters
-    ----------
-    kernels:
-        Kernel-engine name (``"level"``, ``"reference"``); ``None``
-        resolves the default (``AZUL_SOLVER_REFERENCE=1`` forces the
-        reference loops).
     """
 
-    def __init__(self, kernels: Optional[str] = None):
-        self.engine: KernelEngine = resolve_kernels(kernels)
+    def __init__(self):
         self.flops = {"spmv": 0, "sptrsv": 0, "vector": 0}
         self.calls = {"spmv": 0, "sptrsv": 0, "vector": 0}
 
@@ -70,10 +56,8 @@ class KernelCounter:
         self.calls["sptrsv"] += 1
         obs.counter("solve.kernel.sptrsv.calls")
         with obs.timer("solve.kernel.sptrsv", n=lower.n_rows,
-                       direction="lower", engine=self.engine.name):
-            return self.engine.sptrsv_lower(
-                lower, b, unit_diagonal=unit_diagonal
-            )
+                       direction="lower"):
+            return level_sptrsv_lower(lower, b, unit_diagonal=unit_diagonal)
 
     def sptrsv_upper(self, upper: CSRMatrix, b,
                      unit_diagonal: bool = False) -> np.ndarray:
@@ -82,10 +66,8 @@ class KernelCounter:
         self.calls["sptrsv"] += 1
         obs.counter("solve.kernel.sptrsv.calls")
         with obs.timer("solve.kernel.sptrsv", n=upper.n_rows,
-                       direction="upper", engine=self.engine.name):
-            return self.engine.sptrsv_upper(
-                upper, b, unit_diagonal=unit_diagonal
-            )
+                       direction="upper"):
+            return level_sptrsv_upper(upper, b, unit_diagonal=unit_diagonal)
 
     # -- vector kernels -------------------------------------------------
     def dot(self, a, b) -> float:

@@ -1,11 +1,10 @@
 """Sparse-matrix substrate: formats, kernels, generators, and the suite.
 
 This subpackage provides the sparse linear-algebra foundation the paper's
-solvers run on: COO/CSR/CSC storage, the SpMV/SpTRSV/IC(0) kernel
-engines (level-scheduled and reference, behind the ``KERNELS``
-registry), cached triangular schedules, Matrix Market I/O, synthetic
-matrix generators, and the benchmark suite that stands in for the
-paper's SuiteSparse selection (Table IV).
+solvers run on: COO/CSR/CSC storage, the SpMV/SpTRSV/IC(0) kernels
+(per-row and level-scheduled), cached triangular schedules, Matrix
+Market I/O, synthetic matrix generators, and the benchmark suite that
+stands in for the paper's SuiteSparse selection (Table IV).
 """
 
 from repro.sparse.coo import COOMatrix
@@ -21,13 +20,9 @@ from repro.sparse.convert import (
     to_scipy,
 )
 from repro.sparse.ops import (
-    KERNELS,
-    KernelEngine,
-    LevelScheduledKernels,
-    ReferenceKernels,
-    default_kernels_name,
-    register_kernels,
-    resolve_kernels,
+    ic0_attempt,
+    level_sptrsv_lower,
+    level_sptrsv_upper,
     spmv,
     sptrsv_lower,
     sptrsv_upper,
@@ -66,13 +61,9 @@ __all__ = [
     "csc_to_csr",
     "from_scipy",
     "to_scipy",
-    "KERNELS",
-    "KernelEngine",
-    "LevelScheduledKernels",
-    "ReferenceKernels",
-    "default_kernels_name",
-    "register_kernels",
-    "resolve_kernels",
+    "ic0_attempt",
+    "level_sptrsv_lower",
+    "level_sptrsv_upper",
     "IC0Schedule",
     "TriangularSchedule",
     "ic0_schedule",

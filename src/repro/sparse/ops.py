@@ -1,31 +1,28 @@
-"""Sparse kernels: SpMV, SpTRSV, and IC(0) numeric engines (Sec. II-A).
+"""Sparse kernels: SpMV, SpTRSV, and IC(0) (Sec. II-A).
 
-The per-row loops here are the functional ground truth against which
-the dataflow simulator's results are validated (the paper checks its
-simulator against Ginkgo the same way).  Mirroring the simulator's
-issue layer (:mod:`repro.sim.issue`) and the partitioner's refinement
-layer (:mod:`repro.hypergraph.refine`), the *numeric execution* of the
-solver-facing kernels lives behind the :class:`KernelEngine`
-interface:
+Two forms of the triangular solve live here:
 
-* :class:`ReferenceKernels` — the golden per-row Python model: forward
-  and backward substitution row by row, IC(0) by the classic
-  up-looking merged row scan.  Selected by ``kernels="reference"`` or
-  ``AZUL_SOLVER_REFERENCE=1``.
-* :class:`LevelScheduledKernels` (the default) — level-set (wavefront)
-  execution over a cached :class:`~repro.sparse.schedule.TriangularSchedule`:
-  each dependence level is one batched numpy gather/segment-reduce, so
-  a whole PCG solve re-uses the schedule computed once per factor.
-  IC(0) is batched the same way via
-  :class:`~repro.sparse.schedule.IC0Schedule`.
+* :func:`sptrsv_lower` / :func:`sptrsv_upper` — forward and backward
+  substitution row by row.  They are the functional ground truth the
+  dataflow simulator's results are validated against (the paper checks
+  its simulator against Ginkgo the same way), and the SSOR, ILU(0) and
+  Gauss-Seidel preconditioners use them directly.
+* :func:`level_sptrsv_lower` / :func:`level_sptrsv_upper` — level-set
+  (wavefront) execution over a cached
+  :class:`~repro.sparse.schedule.TriangularSchedule`: each dependence
+  level is one batched numpy gather/segment-reduce, so a whole PCG
+  solve re-uses the schedule computed once per factor.  Solvers reach
+  them through :class:`repro.solvers.kernels.KernelCounter`.
 
-Both engines raise identical exception classes and messages; parity is
-enforced by ``tests/test_kernel_equivalence.py``.  The module-level
-:func:`sptrsv_lower`/:func:`sptrsv_upper` functions remain the plain
-reference implementation (the simulator's validation oracle); solvers
-reach the engines through
-:class:`repro.solvers.kernels.KernelCounter`, preconditioners through
-:func:`repro.precond.ic0.ic0`.
+:func:`ic0_attempt` factors one IC(0) attempt the same level-batched
+way via :class:`~repro.sparse.schedule.IC0Schedule`; preconditioners
+reach it through :func:`repro.precond.ic0.ic0`.
+
+Row sums in the level-scheduled kernels accumulate in a different
+association order than the per-row ``np.dot``, so results agree to
+rounding (bit-identical for rows with at most one off-diagonal entry);
+error classes, messages, and offending-row choices match the per-row
+loops.  ``tests/test_kernel_equivalence.py`` enforces both.
 
 FLOP-counting helpers use the paper's convention: one fused
 multiply-accumulate is two FLOPs.
@@ -33,12 +30,10 @@ multiply-accumulate is two FLOPs.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.config import ENV_SOLVER_REFERENCE, env_truthy
 from repro.errors import MatrixFormatError, NotTriangularError, SingularMatrixError
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.schedule import ic0_schedule, triangular_schedule
@@ -129,185 +124,45 @@ def sptrsv_upper(upper: CSRMatrix, b, unit_diagonal: bool = False) -> np.ndarray
     return x
 
 
-def _ic0_attempt_reference(lower: CSRMatrix,
-                           diag_shift: float) -> Optional[np.ndarray]:
-    """One up-looking IC(0) attempt; returns factor data or None on breakdown.
+def level_sptrsv_lower(lower: CSRMatrix, b,
+                       unit_diagonal: bool = False) -> np.ndarray:
+    """Solve ``L x = b`` level by level (see :func:`sptrsv_lower`)."""
+    b = np.asarray(b, dtype=np.float64)
+    _check_trsv_args(lower, b)
+    schedule = triangular_schedule(
+        lower, is_lower=True, unit_diagonal=unit_diagonal
+    )
+    return schedule.execute(lower.data, b)
 
-    Operates in-place on a copy of the lower triangle's data array,
-    using the standard row-by-row update:
+
+def level_sptrsv_upper(upper: CSRMatrix, b,
+                       unit_diagonal: bool = False) -> np.ndarray:
+    """Solve ``U x = b`` level by level (see :func:`sptrsv_upper`)."""
+    b = np.asarray(b, dtype=np.float64)
+    _check_trsv_args(upper, b)
+    schedule = triangular_schedule(
+        upper, is_lower=False, unit_diagonal=unit_diagonal
+    )
+    return schedule.execute(upper.data, b)
+
+
+def ic0_attempt(lower: CSRMatrix,
+                diag_shift: float = 0.0) -> Optional[np.ndarray]:
+    """One IC(0) attempt on ``tril(A)``; factor data, or None on breakdown.
+
+    Factors ``A + diag_shift * diag(A)`` with the standard up-looking
+    update, batched by dependence level:
 
         L[i,j] = (A[i,j] - sum_k L[i,k] L[j,k]) / L[j,j]   for j < i
         L[i,i] = sqrt(A[i,i] - sum_k L[i,k]^2)
+
+    A structurally missing diagonal is a breakdown (None), not an error.
     """
-    n = lower.n_rows
-    indptr, indices = lower.indptr, lower.indices
-    data = lower.data.copy()
-    # Apply the diagonal shift before factoring.
-    if diag_shift != 0.0:
-        for i in range(n):
-            end = indptr[i + 1]
-            if end > indptr[i] and indices[end - 1] == i:
-                data[end - 1] *= 1.0 + diag_shift
-    # Row-major position of each row's diagonal entry (last in row).
-    for i in range(n):
-        row_start, row_end = indptr[i], indptr[i + 1]
-        if row_end == row_start or indices[row_end - 1] != i:
-            return None  # structurally missing diagonal
-        for pos in range(row_start, row_end - 1):
-            j = indices[pos]
-            # data[pos] currently holds A[i,j] minus prior updates.
-            # Subtract sum_k<j L[i,k] * L[j,k] using merged row scan.
-            acc = data[pos]
-            pi, pj = row_start, indptr[j]
-            j_end = indptr[j + 1] - 1  # exclude L[j,j]
-            while pi < pos and pj < j_end:
-                ci, cj = indices[pi], indices[pj]
-                if ci == cj:
-                    acc -= data[pi] * data[pj]
-                    pi += 1
-                    pj += 1
-                elif ci < cj:
-                    pi += 1
-                else:
-                    pj += 1
-            pivot = data[indptr[j + 1] - 1]
-            if pivot == 0.0:
-                return None
-            data[pos] = acc / pivot
-        # Diagonal entry.
-        diag_pos = row_end - 1
-        acc = data[diag_pos]
-        for pos in range(row_start, diag_pos):
-            acc -= data[pos] * data[pos]
-        if acc <= 0.0:
-            return None
-        data[diag_pos] = np.sqrt(acc)
-    return data
-
-
-# ----------------------------------------------------------------------
-# Kernel engines
-# ----------------------------------------------------------------------
-class KernelEngine:
-    """Interface: numeric execution of the solver-facing sparse kernels.
-
-    Engines are stateless (all per-factor state lives in the cached
-    schedules), so the registry holds one shared instance per engine.
-    """
-
-    #: Engine name this class implements (``kernels=`` argument).
-    name: str = ""
-
-    def sptrsv_lower(self, lower: CSRMatrix, b,
-                     unit_diagonal: bool = False) -> np.ndarray:
-        """Solve ``L x = b`` by forward substitution."""
-        raise NotImplementedError
-
-    def sptrsv_upper(self, upper: CSRMatrix, b,
-                     unit_diagonal: bool = False) -> np.ndarray:
-        """Solve ``U x = b`` by backward substitution."""
-        raise NotImplementedError
-
-    def ic0_attempt(self, lower: CSRMatrix,
-                    diag_shift: float = 0.0) -> Optional[np.ndarray]:
-        """One IC(0) attempt on ``tril(A)``; None on breakdown."""
-        raise NotImplementedError
-
-
-#: Registered kernel engines by name (one shared instance each).
-KERNELS: Dict[str, KernelEngine] = {}
-
-
-def register_kernels(cls):
-    """Class decorator: add an engine instance to :data:`KERNELS`."""
-    KERNELS[cls.name] = cls()
-    return cls
-
-
-def default_kernels_name() -> str:
-    """Engine used when ``kernels`` is unset: env override or fast."""
-    return (
-        "reference"
-        if env_truthy(os.environ.get(ENV_SOLVER_REFERENCE))
-        else "level"
-    )
-
-
-def resolve_kernels(name: Optional[str] = None) -> KernelEngine:
-    """Map a ``kernels`` name (or ``None`` = default) to its engine."""
-    if name is None:
-        name = default_kernels_name()
     try:
-        return KERNELS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel engine {name!r}; "
-            f"choices: {', '.join(sorted(KERNELS))}"
-        ) from None
-
-
-@register_kernels
-class ReferenceKernels(KernelEngine):
-    """The golden per-row Python kernels (reference ground truth)."""
-
-    name = "reference"
-
-    def sptrsv_lower(self, lower: CSRMatrix, b,
-                     unit_diagonal: bool = False) -> np.ndarray:
-        return sptrsv_lower(lower, b, unit_diagonal=unit_diagonal)
-
-    def sptrsv_upper(self, upper: CSRMatrix, b,
-                     unit_diagonal: bool = False) -> np.ndarray:
-        return sptrsv_upper(upper, b, unit_diagonal=unit_diagonal)
-
-    def ic0_attempt(self, lower: CSRMatrix,
-                    diag_shift: float = 0.0) -> Optional[np.ndarray]:
-        return _ic0_attempt_reference(lower, diag_shift)
-
-
-@register_kernels
-class LevelScheduledKernels(KernelEngine):
-    """Level-set batched kernels over cached triangular schedules.
-
-    Each dependence level executes as one numpy gather / segment-sum;
-    the schedule (validation, level sets, per-level CSR slices) is
-    computed once per factor and memoized on the matrix (see
-    :mod:`repro.sparse.schedule`).  Row sums accumulate in a different
-    association order than the reference's per-row ``np.dot``, so
-    results agree to rounding (bit-identical for rows with at most one
-    off-diagonal entry); error classes, messages, and offending-row
-    choices match the reference loops.
-    """
-
-    name = "level"
-
-    def sptrsv_lower(self, lower: CSRMatrix, b,
-                     unit_diagonal: bool = False) -> np.ndarray:
-        b = np.asarray(b, dtype=np.float64)
-        _check_trsv_args(lower, b)
-        schedule = triangular_schedule(
-            lower, is_lower=True, unit_diagonal=unit_diagonal
-        )
-        return schedule.execute(lower.data, b)
-
-    def sptrsv_upper(self, upper: CSRMatrix, b,
-                     unit_diagonal: bool = False) -> np.ndarray:
-        b = np.asarray(b, dtype=np.float64)
-        _check_trsv_args(upper, b)
-        schedule = triangular_schedule(
-            upper, is_lower=False, unit_diagonal=unit_diagonal
-        )
-        return schedule.execute(upper.data, b)
-
-    def ic0_attempt(self, lower: CSRMatrix,
-                    diag_shift: float = 0.0) -> Optional[np.ndarray]:
-        try:
-            schedule = ic0_schedule(lower)
-        except SingularMatrixError:
-            # Reference reports a structurally missing diagonal as a
-            # breakdown (None), not an exception; match that.
-            return None
-        return schedule.attempt(lower, diag_shift)
+        schedule = ic0_schedule(lower)
+    except SingularMatrixError:
+        return None
+    return schedule.attempt(lower, diag_shift)
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,7 @@ reported before any numeric zero-pivot error the reference sweep would
 have hit in an earlier row.
 
 Layer contract: ``schedule`` sits above ``csr`` and below ``ops``
-(see ``tools/check_layers.py`` and ``.importlinter``).
+(see ``tools/check_layers.py``).
 """
 
 from __future__ import annotations
@@ -366,11 +366,10 @@ class IC0Schedule:
     # ------------------------------------------------------------------
     def attempt(self, lower: CSRMatrix,
                 diag_shift: float) -> Optional[np.ndarray]:
-        """One numeric IC(0) attempt; None on breakdown (like reference).
+        """One numeric IC(0) attempt; None on breakdown.
 
         Breakdown — a zero pivot or a non-positive diagonal — returns
-        ``None`` so the caller can retry with a larger diagonal shift,
-        mirroring ``ReferenceKernels.ic0_attempt``.
+        ``None`` so the caller can retry with a larger diagonal shift.
         """
         tri = self.tri
         data = lower.data.copy()

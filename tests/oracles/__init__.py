@@ -1,0 +1,11 @@
+"""Golden models the equivalence suites compare production code against.
+
+Each oracle is the straightforward formulation of a pipeline stage —
+per-op simulator issue, per-vertex FM gains, per-row IC(0), and
+per-element dataflow lowering — kept only as a test reference:
+
+* :mod:`tests.oracles.sim` — operation-granularity PE issue;
+* :mod:`tests.oracles.refine` — FM bookkeeping that recomputes gains;
+* :mod:`tests.oracles.kernels` — the up-looking row-by-row IC(0);
+* :mod:`tests.oracles.lowering` — the per-element lowering loop.
+"""

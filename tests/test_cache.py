@@ -316,12 +316,33 @@ class TestEnvironment:
         assert cache.root == tmp_path / "override"
 
     def test_max_bytes_override(self, monkeypatch):
+        from repro.config import overrides
+
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "12345")
         assert ArtifactCache.from_env(persist_stats=False).max_bytes == 12345
+        assert overrides()["REPRO_CACHE_MAX_BYTES"]["effective"] == 12345
 
     def test_disable_flag(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
         assert ArtifactCache.from_env(persist_stats=False).enabled is False
+
+    @pytest.mark.parametrize("raw", ["1", "yes", "0", "false", "no", "off"])
+    def test_disable_flag_agrees_with_overrides(self, raw, monkeypatch):
+        from repro.config import overrides
+
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", raw)
+        enabled = ArtifactCache.from_env(persist_stats=False).enabled
+        assert enabled is (raw in ("0", "false", "no", "off"))
+        assert overrides()["REPRO_CACHE_DISABLE"]["effective"] is not enabled
+
+    def test_malformed_max_bytes_names_the_variable(self, monkeypatch):
+        from repro.config import overrides
+
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "512MB")
+        with pytest.raises(ValueError, match="REPRO_CACHE_MAX_BYTES"):
+            ArtifactCache.from_env(persist_stats=False)
+        with pytest.raises(ValueError, match="REPRO_CACHE_MAX_BYTES"):
+            overrides()
 
     def test_default_registry_tracks_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))

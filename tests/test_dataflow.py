@@ -73,8 +73,8 @@ class TestSpMVProgram:
         program = build_spmv_program(
             matrix, placement.a_tile, placement.vec_tile, TorusGeometry(1, 1)
         )
-        assert not program.mcast_trees
-        assert not program.red_trees
+        assert program.n_mcast_trees == 0
+        assert program.n_red_trees == 0
 
     def test_local_counts_cover_all_nnz(self, operands):
         matrix, lower = operands

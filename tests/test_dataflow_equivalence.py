@@ -1,54 +1,28 @@
-"""Equivalence contract of the dataflow lowering strategies.
+"""Equivalence contract of the dataflow lowering.
 
-The array-backed ``VectorizedLowering`` must be an *exact* drop-in for
-the per-element ``ReferenceLowering``: bit-identical compiled programs
-on real suite matrices across geometries and multicast modes,
-identical end-to-end simulated cycles, and a clean escape hatch
-(``AZUL_DATAFLOW_REFERENCE``) through the strategy registry.  Also
-covers the content-addressed program cache built on that guarantee:
-sweep points differing only in simulator knobs reuse one compilation.
+:func:`repro.dataflow.lower.lower_kernel` must be an *exact* drop-in
+for the per-element oracle (:mod:`tests.oracles.lowering`):
+bit-identical compiled programs on real suite matrices across
+geometries and multicast modes, and identical end-to-end simulated
+cycles.  Also covers the content-addressed program cache built on that
+guarantee: sweep points differing only in simulator knobs reuse one
+compilation.
 """
-
-import os
-from contextlib import contextmanager
 
 import pytest
 
 from repro import obs
 from repro.cache import ArtifactCache
 from repro.comm import MeshGeometry, TorusGeometry
-from repro.config import ENV_DATAFLOW_REFERENCE, AzulConfig, overrides
+from repro.config import AzulConfig
 from repro.core import map_block
-from repro.dataflow import (
-    LOWERINGS,
-    ReferenceLowering,
-    VectorizedLowering,
-    build_pcg_program,
-    resolve_lowering,
-)
-from repro.dataflow.lower import default_lowering_name
+from repro.dataflow import build_pcg_program, kernel_program
 from repro.precond import ic0
 from repro.sparse.suite import get_suite_matrix
+from tests.oracles.lowering import lower_kernel_oracle
 
 CONFIG = AzulConfig(mesh_rows=4, mesh_cols=4)
 N_TILES = 16
-
-
-@contextmanager
-def _lowering_env(reference: bool):
-    """Temporarily force (or clear) the reference-lowering escape hatch."""
-    old = os.environ.get(ENV_DATAFLOW_REFERENCE)
-    try:
-        if reference:
-            os.environ[ENV_DATAFLOW_REFERENCE] = "1"
-        else:
-            os.environ.pop(ENV_DATAFLOW_REFERENCE, None)
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(ENV_DATAFLOW_REFERENCE, None)
-        else:
-            os.environ[ENV_DATAFLOW_REFERENCE] = old
 
 
 @pytest.fixture(scope="module")
@@ -66,12 +40,13 @@ def mapped(request):
     return get
 
 
-def _build_pair(matrix, lower, placement, geometry, multicast):
-    with _lowering_env(reference=False):
-        vectorized = build_pcg_program(
-            matrix, lower, placement, geometry, CONFIG, multicast=multicast,
-        )
-    with _lowering_env(reference=True):
+def _build_pair(monkeypatch, matrix, lower, placement, geometry, multicast):
+    """The PCG program lowered by production code and by the oracle."""
+    vectorized = build_pcg_program(
+        matrix, lower, placement, geometry, CONFIG, multicast=multicast,
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel_program, "lower_kernel", lower_kernel_oracle)
         reference = build_pcg_program(
             matrix, lower, placement, geometry, CONFIG, multicast=multicast,
         )
@@ -79,17 +54,18 @@ def _build_pair(matrix, lower, placement, geometry, multicast):
 
 
 class TestBitParity:
-    """Vectorized and reference lowering emit byte-identical programs."""
+    """Production and oracle lowering emit byte-identical programs."""
 
     @pytest.mark.parametrize("name", ["tmt_sym", "offshore", "cant"])
     @pytest.mark.parametrize("geometry", [
         TorusGeometry(4, 4), MeshGeometry(4, 4),
     ], ids=["torus", "mesh"])
     @pytest.mark.parametrize("multicast", ["tree", "unicast"])
-    def test_programs_bit_identical(self, mapped, name, geometry, multicast):
+    def test_programs_bit_identical(self, monkeypatch, mapped, name,
+                                    geometry, multicast):
         matrix, lower, placement, _ = mapped(name)
         vectorized, reference = _build_pair(
-            matrix, lower, placement, geometry, multicast,
+            monkeypatch, matrix, lower, placement, geometry, multicast,
         )
         for kernel in ("spmv", "sptrsv_lower", "sptrsv_upper"):
             kv = getattr(vectorized, kernel)
@@ -97,13 +73,13 @@ class TestBitParity:
             assert kv.same_program(kr), (name, kernel, multicast)
             assert kv.total_fmacs == kr.total_fmacs
 
-    def test_identical_end_to_end_cycles(self, mapped):
+    def test_identical_end_to_end_cycles(self, monkeypatch, mapped):
         from repro.sim.machine import AzulMachine, verify_iteration
 
         matrix, lower, placement, b = mapped("tmt_sym")
         machine = AzulMachine(CONFIG)
         vectorized, reference = _build_pair(
-            matrix, lower, placement, machine.torus, "tree",
+            monkeypatch, matrix, lower, placement, machine.torus, "tree",
         )
         result_v = machine.simulate_iteration(vectorized, p=b, r=b)
         result_r = machine.simulate_iteration(reference, p=b, r=b)
@@ -113,38 +89,6 @@ class TestBitParity:
             assert kv.cycles == kr.cycles
             assert kv.op_counts == kr.op_counts
         verify_iteration(result_v, matrix, lower, b)
-
-
-class TestLoweringRegistry:
-    def test_registry_names(self):
-        assert LOWERINGS == {
-            "reference": ReferenceLowering,
-            "vectorized": VectorizedLowering,
-        }
-
-    def test_default_is_vectorized(self):
-        with _lowering_env(reference=False):
-            assert default_lowering_name() == "vectorized"
-            assert resolve_lowering() is VectorizedLowering
-
-    def test_env_escape_hatch_selects_reference(self):
-        with _lowering_env(reference=True):
-            assert default_lowering_name() == "reference"
-            assert resolve_lowering() is ReferenceLowering
-            # An explicit name always beats the environment.
-            assert resolve_lowering("vectorized") is VectorizedLowering
-
-    def test_unknown_lowering_rejected(self):
-        with pytest.raises(ValueError, match="unknown lowering strategy"):
-            resolve_lowering("nope")
-
-    def test_overrides_report_effective_lowering(self):
-        with _lowering_env(reference=False):
-            entry = overrides()[ENV_DATAFLOW_REFERENCE]
-            assert entry == {"raw": None, "effective": "vectorized"}
-        with _lowering_env(reference=True):
-            entry = overrides()[ENV_DATAFLOW_REFERENCE]
-            assert entry == {"raw": "1", "effective": "reference"}
 
 
 class TestProgramCache:
@@ -197,25 +141,6 @@ class TestProgramCache:
         )
         requests, builds, hits = self._compile_counters()
         assert (requests, builds, hits) == (2.0, 2.0, 0.0)
-
-    def test_lowering_name_partitions_cache(self, session):
-        from repro.experiments.common import program_cache_key
-
-        matrix, lower, placement, _ = (
-            session.prepare("tmt_sym").matrix,
-            session.prepare("tmt_sym").lower,
-            session.placement("tmt_sym", "block", N_TILES),
-            None,
-        )
-        with _lowering_env(reference=False):
-            vec_key = program_cache_key(
-                session.cache, CONFIG, matrix, lower, placement,
-            )
-        with _lowering_env(reference=True):
-            ref_key = program_cache_key(
-                session.cache, CONFIG, matrix, lower, placement,
-            )
-        assert vec_key != ref_key
 
     def test_use_cache_false_always_builds(self, session):
         session.compiled_program("tmt_sym", mapper="block", use_cache=False)

@@ -1,14 +1,13 @@
-"""Batched-engine equivalence suite (the PR's bit-exactness guarantee).
+"""Simulator issue equivalence suite (the bit-exactness guarantee).
 
-The batched simulator (:class:`BatchedKernelSimulator`) must reproduce
-the per-op reference engine *exactly* — same cycles, op counts, issue
-slots, link statistics, spills, queue delay, numeric output (IEEE
-bit-identical) and issue-trace multiset — across matrices, meshes, PE
-models and kernels.  Any event-ordering or hazard-modelling drift in
-the fast path shows up here first.
+The simulator (:class:`KernelSimulator`, batched issue) must reproduce
+the per-op oracle (:class:`tests.oracles.sim.PerOpKernelSimulator`)
+*exactly* — same cycles, op counts, issue slots, link statistics,
+spills, queue delay, numeric output (IEEE bit-identical) and
+issue-trace multiset — across matrices, meshes, PE models and kernels.
+Any event-ordering or hazard-modelling drift in the batched path shows
+up here first.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -19,12 +18,7 @@ from repro.core import map_block
 from repro.dataflow import build_spmv_program, build_sptrsv_program
 from repro.precond import ic0
 from repro.sim import KernelSimulator
-from repro.sim.engine import (
-    _VEC_THRESHOLD,
-    REFERENCE_ENV,
-    BatchedKernelSimulator,
-    ReferenceKernelSimulator,
-)
+from repro.sim.issue import VEC_THRESHOLD
 from repro.sim.pe import (
     AZUL_PE,
     AZUL_PE_SINGLE_THREADED,
@@ -32,6 +26,7 @@ from repro.sim.pe import (
     IDEAL_PE,
 )
 from repro.sparse import generators as gen
+from tests.oracles.sim import PerOpKernelSimulator
 
 PES = {
     "azul": AZUL_PE,
@@ -73,10 +68,10 @@ def _programs(kind, rows, cols, topology="torus"):
 
 
 def _assert_equivalent(program, torus, config, pe, x=None, b=None):
-    reference = ReferenceKernelSimulator(
+    reference = PerOpKernelSimulator(
         program, torus, config, pe, record_issue_trace=True
     ).run(x, b)
-    batched = BatchedKernelSimulator(
+    batched = KernelSimulator(
         program, torus, config, pe, record_issue_trace=True
     ).run(x, b)
     assert batched.cycles == reference.cycles
@@ -120,9 +115,9 @@ def test_mesh_and_torus_timing_differ():
     matrix, torus, config, spmv_t, _ = _programs("fem", 4, 4, "torus")
     _, mesh, mconfig, spmv_m, _ = _programs("fem", 4, 4, "mesh")
     x = np.ones(matrix.shape[0])
-    torus_cycles = BatchedKernelSimulator(
+    torus_cycles = KernelSimulator(
         spmv_t, torus, config, AZUL_PE).run(x=x).cycles
-    mesh_cycles = BatchedKernelSimulator(
+    mesh_cycles = KernelSimulator(
         spmv_m, mesh, mconfig, AZUL_PE).run(x=x).cycles
     assert torus_cycles != mesh_cycles
 
@@ -131,46 +126,12 @@ def test_equivalence_exercises_vectorized_batches():
     """The fem case must actually hit the numpy batch path.
 
     A 2x2 mesh concentrates whole matrix columns on each tile, so at
-    least one column-segment run must exceed ``_VEC_THRESHOLD`` — the
+    least one column-segment run must exceed ``VEC_THRESHOLD`` — the
     analytic completion-time kernel (not just the scalar fast-forward)
     is therefore covered by the equivalence assertion below.
     """
     matrix, torus, config, spmv, _ = _programs("fem", 2, 2)
-    longest = max(
-        len(rows)
-        for segments in spmv.col_segments.values()
-        for rows, _ in segments.values()
-    )
-    assert longest >= _VEC_THRESHOLD
+    longest = int(np.diff(spmv.seg_ptr).max())
+    assert longest >= VEC_THRESHOLD
     x = np.ones(matrix.shape[0])
     _assert_equivalent(spmv, torus, config, AZUL_PE, x=x)
-
-
-def test_reference_env_escape_hatch(monkeypatch):
-    """``AZUL_SIM_REFERENCE=1`` flips the default engine."""
-    matrix, torus, config, spmv, _ = _programs("grid", 2, 2)
-    monkeypatch.delenv(REFERENCE_ENV, raising=False)
-    assert isinstance(
-        KernelSimulator(spmv, torus, config, AZUL_PE),
-        BatchedKernelSimulator,
-    )
-    monkeypatch.setenv(REFERENCE_ENV, "1")
-    assert isinstance(
-        KernelSimulator(spmv, torus, config, AZUL_PE),
-        ReferenceKernelSimulator,
-    )
-    monkeypatch.setenv(REFERENCE_ENV, "0")
-    assert isinstance(
-        KernelSimulator(spmv, torus, config, AZUL_PE),
-        BatchedKernelSimulator,
-    )
-
-
-def test_explicit_engine_argument():
-    matrix, torus, config, spmv, _ = _programs("grid", 2, 2)
-    assert isinstance(
-        KernelSimulator(spmv, torus, config, AZUL_PE, engine="reference"),
-        ReferenceKernelSimulator,
-    )
-    with pytest.raises(ValueError):
-        KernelSimulator(spmv, torus, config, AZUL_PE, engine="warp")

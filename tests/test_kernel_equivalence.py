@@ -1,17 +1,22 @@
-"""Level-scheduled kernel-engine equivalence suite.
+"""Level-scheduled kernel equivalence suite.
 
-The level-scheduled engine (:class:`LevelScheduledKernels`) must be a
-drop-in replacement for the per-row reference loops: same results to
-rounding (bit-identical where the summation order is preserved), same
-exception classes/messages on malformed factors, schedules that track
-in-place value mutation yet never leak across structural replacement,
-and PCG runs whose residual histories match the reference engine.
+The level-scheduled kernels (:func:`repro.sparse.ops.level_sptrsv_lower`
+and friends, :func:`repro.sparse.ops.ic0_attempt`) must be drop-in
+replacements for the per-row loops (:func:`repro.sparse.ops.sptrsv_lower`
+and friends, the IC(0) oracle in :mod:`tests.oracles.kernels`): same
+results to rounding (bit-identical where the summation order is
+preserved), same exception classes/messages on malformed factors,
+schedules that track in-place value mutation yet never leak across
+structural replacement, and PCG runs whose residual histories match a
+PCG driven by the per-row loops.
 """
+
+import importlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.config import ENV_SOLVER_REFERENCE
 from repro.errors import (
     NotTriangularError,
     PreconditionerError,
@@ -25,19 +30,21 @@ from repro.sparse import generators as gen
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import (
-    KERNELS,
-    LevelScheduledKernels,
-    ReferenceKernels,
-    default_kernels_name,
-    resolve_kernels,
-    sptrsv_flops,
-)
+from repro.sparse import ops
+from repro.sparse.ops import sptrsv_flops
 from repro.sparse.schedule import triangular_schedule
 from repro.sparse.suite import get_suite_matrix
+from tests.oracles.kernels import ic0_attempt_rowwise
 
-REF = KERNELS["reference"]
-LVL = KERNELS["level"]
+#: The per-row loops and the level-scheduled kernels, side by side.
+REF = SimpleNamespace(
+    sptrsv_lower=ops.sptrsv_lower, sptrsv_upper=ops.sptrsv_upper,
+    ic0_attempt=ic0_attempt_rowwise,
+)
+LVL = SimpleNamespace(
+    sptrsv_lower=ops.level_sptrsv_lower, sptrsv_upper=ops.level_sptrsv_upper,
+    ic0_attempt=ops.ic0_attempt,
+)
 
 MATRIX_KINDS = ["fem", "spd", "grid"]
 
@@ -50,6 +57,18 @@ def _matrix(kind):
     if kind == "spd":
         return gen.random_spd(150, nnz_per_row=6, seed=11)
     return gen.grid_laplacian_2d(14, 14)
+
+
+def _patch_rowwise(patch):
+    """Route IC(0) and the solver's SpTRSVs through the per-row loops."""
+    # ``repro.precond`` re-exports the ``ic0`` function under its
+    # module's name, so look the modules up by path.
+    ic0_module = importlib.import_module("repro.precond.ic0")
+    kernels_module = importlib.import_module("repro.solvers.kernels")
+
+    patch.setattr(ic0_module, "ic0_attempt", ic0_attempt_rowwise)
+    patch.setattr(kernels_module, "level_sptrsv_lower", ops.sptrsv_lower)
+    patch.setattr(kernels_module, "level_sptrsv_upper", ops.sptrsv_upper)
 
 
 def _copy(matrix):
@@ -119,18 +138,21 @@ def test_ic0_parity(kind):
     )
 
 
-def test_ic0_shift_retry_equivalence():
-    """An indefinite 2x2 breaks down identically in both engines and
-    factors identically once the shift is large enough."""
+def test_ic0_shift_retry_equivalence(monkeypatch):
+    """An indefinite 2x2 breaks down identically under both
+    factorizations and factors identically once the shift is large
+    enough."""
     matrix = coo_to_csr(COOMatrix(
         [0, 1, 1], [0, 0, 1], [1.0, 2.0, 1.0], (2, 2)
     ))
     with pytest.raises(PreconditionerError):
-        ic0(matrix, kernels="reference")
-    with pytest.raises(PreconditionerError):
-        ic0(matrix, kernels="level")
-    f_ref = ic0(matrix, max_shift_attempts=12, kernels="reference")
-    f_lvl = ic0(matrix, max_shift_attempts=12, kernels="level")
+        ic0(matrix)
+    f_lvl = ic0(matrix, max_shift_attempts=12)
+    with monkeypatch.context() as patch:
+        _patch_rowwise(patch)
+        with pytest.raises(PreconditionerError):
+            ic0(matrix)
+        f_ref = ic0(matrix, max_shift_attempts=12)
     np.testing.assert_array_equal(f_lvl.data, f_ref.data)
 
 
@@ -228,33 +250,15 @@ def test_schedule_tracks_in_place_values():
 
 
 # ----------------------------------------------------------------------
-# Registry / environment resolution
+# FLOP accounting
 # ----------------------------------------------------------------------
-def test_registry_resolution(monkeypatch):
-    assert isinstance(resolve_kernels("reference"), ReferenceKernels)
-    assert isinstance(resolve_kernels("level"), LevelScheduledKernels)
-    with pytest.raises(ValueError, match="unknown kernel engine"):
-        resolve_kernels("nope")
-    monkeypatch.delenv(ENV_SOLVER_REFERENCE, raising=False)
-    assert default_kernels_name() == "level"
-    assert KernelCounter().engine.name == "level"
-    monkeypatch.setenv(ENV_SOLVER_REFERENCE, "1")
-    assert default_kernels_name() == "reference"
-    assert KernelCounter().engine.name == "reference"
-    monkeypatch.setenv(ENV_SOLVER_REFERENCE, "0")
-    assert default_kernels_name() == "level"
-    # An explicit name always wins over the environment.
-    monkeypatch.setenv(ENV_SOLVER_REFERENCE, "1")
-    assert KernelCounter(kernels="level").engine.name == "level"
-
-
 def test_counter_forwards_unit_diagonal():
-    """`KernelCounter` must forward ``unit_diagonal`` to the engine and
-    to the FLOP model (satellites: the flag used to be dropped)."""
+    """`KernelCounter` must forward ``unit_diagonal`` to the kernel and
+    to the FLOP model (the flag used to be dropped)."""
     strict = coo_to_csr(COOMatrix(
         [1, 2, 3], [0, 1, 2], [0.5, -1.0, 2.0], (4, 4)
     ))
-    counter = KernelCounter(kernels="level")
+    counter = KernelCounter()
     b = np.ones(4)
     x = counter.sptrsv_lower(strict, b, unit_diagonal=True)
     np.testing.assert_array_equal(
@@ -290,12 +294,10 @@ def test_pcg_history_matches_reference(name, monkeypatch):
     options = SolveOptions(max_iterations=40, tol=1e-9,
                            record_history=True)
 
-    monkeypatch.setenv(ENV_SOLVER_REFERENCE, "1")
-    ref = pcg(matrix, b, IncompleteCholesky(matrix, kernels="reference"),
-              options)
-    monkeypatch.delenv(ENV_SOLVER_REFERENCE)
-    lvl = pcg(matrix, b, IncompleteCholesky(matrix, kernels="level"),
-              options)
+    with monkeypatch.context() as patch:
+        _patch_rowwise(patch)
+        ref = pcg(matrix, b, IncompleteCholesky(matrix), options)
+    lvl = pcg(matrix, b, IncompleteCholesky(matrix), options)
 
     assert lvl.iterations == ref.iterations
     assert lvl.converged == ref.converged

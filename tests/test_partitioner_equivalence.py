@@ -1,16 +1,18 @@
-"""Partitioner invariants and refine-strategy equivalence.
+"""Partitioner invariants and FM-refinement equivalence.
 
-The vectorized CSR strategy (``refine_vec``) must be *bit-identical* to
-the reference heap FM on dyadic-weight hypergraphs — both share the
-:func:`repro.hypergraph.refine._fm_pass` selection loop and differ only
-in bookkeeping (see ``refine.py``'s module docstring for the exactness
-argument).  On arbitrary float weights gain sums may round differently,
-so there the contract weakens to cut-quality parity (gmean within 2%).
+The CSR FM bookkeeping of :mod:`repro.hypergraph.refine` must be
+*bit-identical* to the gain-recomputing oracle
+(:mod:`tests.oracles.refine`) on dyadic-weight hypergraphs — both drive
+the :func:`repro.hypergraph.refine._fm_pass` selection loop and differ
+only in bookkeeping (see ``refine.py``'s module docstring for the
+exactness argument).  On arbitrary float weights gain sums may round
+differently, so there the contract weakens to cut-quality parity
+(gmean within 2%).
 
 Also covered: FM never increases the connectivity cut, per-constraint
 caps hold after every refine when the input satisfies them, same-seed
-determinism across presets, the strategy registry / env escape hatch,
-and ``jobs=N`` bit-identity with the serial path.
+determinism across presets, and ``jobs=N`` bit-identity with the
+serial path.
 """
 
 from __future__ import annotations
@@ -19,15 +21,13 @@ import numpy as np
 import pytest
 
 from repro.hypergraph import Hypergraph, PartitionerOptions, partition
+from repro.hypergraph import partitioner
 from repro.hypergraph.metrics import connectivity_cut, cut_weight
-from repro.hypergraph.refine import (
-    REFERENCE_ENV,
-    STRATEGIES,
-    default_refine_name,
-    fm_refine,
-    resolve_refine,
-)
-from repro.hypergraph.refine_vec import VectorizedRefine
+from repro.hypergraph.refine import fm_refine
+from tests.oracles.refine import fm_refine_oracle
+
+#: FM implementations under test, by parametrize id.
+REFINES = {"reference": fm_refine_oracle, "vectorized": fm_refine}
 
 
 def random_hypergraph(rng, n=None, n_edges=None, weight_pool=(1.0, 2.0),
@@ -57,48 +57,21 @@ def random_side(hgraph, rng):
     return (rng.random(hgraph.n_vertices) < 0.5).astype(np.int8)
 
 
-class TestRegistry:
-    def test_both_strategies_registered(self):
-        assert {"reference", "vectorized"} <= set(STRATEGIES)
-
-    def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv(REFERENCE_ENV, raising=False)
-        assert default_refine_name() == "vectorized"
-        assert resolve_refine(None) is VectorizedRefine
-
-    def test_env_selects_reference(self, monkeypatch):
-        monkeypatch.setenv(REFERENCE_ENV, "1")
-        assert default_refine_name() == "reference"
-        monkeypatch.setenv(REFERENCE_ENV, "0")
-        assert default_refine_name() == "vectorized"
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="unknown refine strategy"):
-            resolve_refine("does-not-exist")
-
-    def test_options_select_strategy_end_to_end(self):
-        rng = np.random.default_rng(5)
-        hg = random_hypergraph(rng, n=80, n_edges=160)
-        ref = partition(hg, 8, PartitionerOptions(seed=3, refine="reference"))
-        vec = partition(hg, 8, PartitionerOptions(seed=3, refine="vectorized"))
-        assert np.array_equal(ref, vec)
-
-
 class TestFMInvariants:
-    @pytest.mark.parametrize("refine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("refine", sorted(REFINES))
     def test_fm_never_increases_cut(self, refine):
         rng = np.random.default_rng(11)
         for _ in range(12):
             hg = random_hypergraph(rng)
             side = random_side(hg, rng)
             before = connectivity_cut(hg, side.astype(np.int64))
-            refined = fm_refine(
-                hg, side.copy(), loose_caps(hg), passes=3, refine=refine
+            refined = REFINES[refine](
+                hg, side.copy(), loose_caps(hg), passes=3
             )
             after = connectivity_cut(hg, refined.astype(np.int64))
             assert after <= before + 1e-9
 
-    @pytest.mark.parametrize("refine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("refine", sorted(REFINES))
     def test_caps_respected_after_every_refine(self, refine):
         rng = np.random.default_rng(23)
         for _ in range(12):
@@ -110,7 +83,7 @@ class TestFMInvariants:
             ])
             caps = np.maximum(loose_caps(hg), weights)
             for _ in range(3):  # every refine call, not just the first
-                side = fm_refine(hg, side, caps, passes=1, refine=refine)
+                side = REFINES[refine](hg, side, caps, passes=1)
                 held = np.stack([
                     hg.vertex_weights[side == s].sum(axis=0) for s in (0, 1)
                 ])
@@ -123,25 +96,21 @@ class TestStrategyParity:
         for _ in range(25):
             hg = random_hypergraph(rng, weight_pool=(1.0, 2.0, 4.0))
             side = random_side(hg, rng)
-            ref = fm_refine(hg, side.copy(), loose_caps(hg), passes=3,
-                            refine="reference")
-            vec = fm_refine(hg, side.copy(), loose_caps(hg), passes=3,
-                            refine="vectorized")
+            ref = fm_refine_oracle(hg, side.copy(), loose_caps(hg), passes=3)
+            vec = fm_refine(hg, side.copy(), loose_caps(hg), passes=3)
             assert np.array_equal(ref, vec)
 
-    def test_partition_bit_identical_on_dyadic_weights(self):
+    def test_partition_bit_identical_on_dyadic_weights(self, monkeypatch):
         rng = np.random.default_rng(17)
         for n_parts in (2, 5, 16):
             hg = random_hypergraph(rng, n=150, n_edges=400)
-            ref = partition(
-                hg, n_parts, PartitionerOptions(seed=1, refine="reference")
-            )
-            vec = partition(
-                hg, n_parts, PartitionerOptions(seed=1, refine="vectorized")
-            )
+            vec = partition(hg, n_parts, PartitionerOptions(seed=1))
+            with monkeypatch.context() as patch:
+                patch.setattr(partitioner, "fm_refine", fm_refine_oracle)
+                ref = partition(hg, n_parts, PartitionerOptions(seed=1))
             assert np.array_equal(ref, vec)
 
-    def test_cut_quality_parity_on_float_weights(self):
+    def test_cut_quality_parity_on_float_weights(self, monkeypatch):
         # Non-dyadic weights: gain sums may round differently between
         # bookkeeping schemes, so exact equality is not guaranteed —
         # but cut quality must agree (gmean within 2%).
@@ -151,12 +120,10 @@ class TestStrategyParity:
             n_edges = int(rng.integers(40, 200))
             hg = random_hypergraph(rng, n_edges=n_edges)
             hg.edge_weights = rng.random(hg.n_edges) + 0.25
-            ref = partition(
-                hg, 4, PartitionerOptions(seed=2, refine="reference")
-            )
-            vec = partition(
-                hg, 4, PartitionerOptions(seed=2, refine="vectorized")
-            )
+            vec = partition(hg, 4, PartitionerOptions(seed=2))
+            with monkeypatch.context() as patch:
+                patch.setattr(partitioner, "fm_refine", fm_refine_oracle)
+                ref = partition(hg, 4, PartitionerOptions(seed=2))
             cut_ref = connectivity_cut(hg, ref) + 1.0
             cut_vec = connectivity_cut(hg, vec) + 1.0
             ratios.append(cut_vec / cut_ref)

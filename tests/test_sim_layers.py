@@ -1,11 +1,11 @@
 """Unit tests for the layered simulator core and its contracts.
 
 Covers each layer in isolation — event queue determinism, link
-serialization, multicast-plan flattening, numeric state bookkeeping,
-issue-strategy resolution — plus the two cross-cutting guarantees:
+serialization, multicast-plan flattening, numeric state bookkeeping —
+plus the two cross-cutting guarantees:
 
-* the import-layer contract (``tools/check_layers.py``, the offline
-  twin of the ``.importlinter`` CI job) holds over the whole tree;
+* the import-layer contract (``tools/check_layers.py``) holds over the
+  whole tree;
 * geometry construction is routed through
   :func:`repro.comm.make_geometry` everywhere, so
   ``AzulConfig(topology="mesh")`` is honored by the CLI, the
@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.comm import MeshGeometry, TorusGeometry, make_geometry
 from repro.comm.multicast import build_multicast_tree
@@ -33,12 +32,6 @@ from repro.sim.events import (
     drain,
 )
 from repro.sim.fabric import FabricModel, LinkFabric, flatten_multicast_plan
-from repro.sim.issue import (
-    STRATEGIES,
-    BatchedIssue,
-    PerOpIssue,
-    resolve_strategy,
-)
 from repro.sim.state import KernelState, TileState
 
 REPO = Path(__file__).resolve().parent.parent
@@ -225,24 +218,10 @@ class TestKernelState:
 
 
 # ---------------------------------------------------------------------------
-# issue
-# ---------------------------------------------------------------------------
-class TestIssueRegistry:
-    def test_known_strategies(self):
-        assert resolve_strategy("reference") is PerOpIssue
-        assert resolve_strategy("batched") is BatchedIssue
-        assert set(STRATEGIES) == {"reference", "batched"}
-
-    def test_unknown_strategy_raises(self):
-        with pytest.raises(ValueError, match="warp"):
-            resolve_strategy("warp")
-
-
-# ---------------------------------------------------------------------------
 # cross-cutting contracts
 # ---------------------------------------------------------------------------
 def test_layer_contract_holds():
-    """The AST layer checker (CI twin of import-linter) reports clean."""
+    """The AST layer checker reports clean."""
     sys.path.insert(0, str(REPO / "tools"))
     try:
         import check_layers

@@ -1,19 +1,16 @@
 #!/usr/bin/env python
 """Enforce the repo's layer contracts without third-party tools.
 
-Mirrors the import-linter contracts in ``.importlinter`` (run in CI,
-where ``import-linter`` can be installed) so the same rules are
-checkable offline and in the test suite with nothing but the standard
-library:
+The repo's single layer enforcer: it runs in the test suite
+(``tests/test_sim_layers.py``) and from the command line with nothing
+but the standard library, and checks:
 
 1. **Simulator-core layering** — within ``repro.sim`` the layers
    ``events <- state <- fabric <- issue <- engine`` may only depend
    downward (``engine`` sees everything, ``events`` sees nothing).
 2. **Hypergraph layering** — within ``repro.hypergraph`` the layers
    ``hgraph <- metrics <- rebalance <- coarsen <- initial <- refine
-   <- refine_vec <- partitioner`` may only depend downward; the
-   ``RefineStrategy`` registry (``refine``) sits below the vectorized
-   implementation (``refine_vec``), which sits below the driver.
+   <- partitioner`` may only depend downward.
 3. **comm independence** — ``repro.comm`` never imports ``repro.sim``
    or ``repro.dataflow`` (geometries, trees, and forests stay
    simulator- and program-agnostic).
@@ -31,8 +28,8 @@ library:
    instrument itself through it without creating cycles.
 7. **Sparse-kernel layering** — within ``repro.sparse`` the numeric
    stack layers ``csr <- schedule <- ops`` may only depend downward
-   (schedules are built over CSR structure; the kernel engines consume
-   schedules).
+   (schedules are built over CSR structure; the level-scheduled
+   kernels consume schedules).
 8. **Solver-stack layering** — ``sparse <- precond <- solvers``:
    preconditioners sit on the sparse kernels, solvers on both; none of
    the three may import the simulator or the experiment pipeline (the
@@ -80,7 +77,7 @@ LAYERED_PACKAGES: Dict[str, List[Layer]] = {
     ],
     "repro.hypergraph": [
         "hgraph", "metrics", "rebalance", "coarsen", "initial",
-        "refine", "refine_vec", "partitioner",
+        "refine", "partitioner",
     ],
     "repro.sparse": ["csr", "schedule", "ops"],
     "repro.experiments": [
@@ -100,9 +97,6 @@ LAYERED_PACKAGES: Dict[str, List[Layer]] = {
         "runner",
     ],
 }
-
-#: Back-compat alias (historical public name for the sim-only rule).
-SIM_LAYERS = LAYERED_PACKAGES["repro.sim"]
 
 #: Leaf packages: their modules may import nothing from ``repro``
 #: outside the package itself (standard library / third-party only).
