@@ -36,33 +36,38 @@ from repro.sparse.csr import CSRMatrix
 DEFAULT_ROW_WEIGHT = 2.0
 
 
+def _set_edges(groups: np.ndarray, nnz_ids: np.ndarray, n: int,
+               vec_offset: int):
+    """Flat pins and sizes of the edges {nonzeros in group g} + slot g.
+
+    One edge per non-empty group ``g``, in ascending ``g``.  A stable
+    sort keeps each edge's nonzero ids ascending, and its vector slot
+    (above every nonzero id) comes last, so every edge is sorted and
+    unique as :meth:`Hypergraph.from_flat` requires.
+    """
+    counts = np.bincount(groups, minlength=n)
+    present = np.flatnonzero(counts)
+    pins = np.concatenate([nnz_ids, vec_offset + present])
+    order = np.argsort(np.concatenate([groups, present]), kind="stable")
+    return pins[order], counts[present] + 1
+
+
 def _matrix_edges(matrix: CSRMatrix, nnz_offset: int, vec_offset: int,
                   row_weight: float):
-    """Row and column hyperedges of one matrix, as (pins, weight) pairs."""
+    """Row then column hyperedges of one matrix: (pins, sizes, weights).
+
+    Row edges are reduction sets {nonzeros of row i} + vec slot i;
+    column edges are multicast sets {nonzeros of column j} + vec slot j.
+    """
     n = matrix.n_rows
     rows = np.repeat(np.arange(n), matrix.row_nnz())
-    cols = matrix.indices
     nnz_ids = np.arange(matrix.nnz) + nnz_offset
-
-    edges = []
-    weights = []
-    # Row edges: reduction sets {nonzeros of row i} + vec slot i.
-    row_order = np.argsort(rows, kind="stable")
-    row_starts = np.searchsorted(rows[row_order], np.arange(n + 1))
-    for i in range(n):
-        members = nnz_ids[row_order[row_starts[i]:row_starts[i + 1]]]
-        if len(members):
-            edges.append(np.append(members, vec_offset + i))
-            weights.append(row_weight)
-    # Column edges: multicast sets {nonzeros of column j} + vec slot j.
-    col_order = np.argsort(cols, kind="stable")
-    col_starts = np.searchsorted(cols[col_order], np.arange(n + 1))
-    for j in range(n):
-        members = nnz_ids[col_order[col_starts[j]:col_starts[j + 1]]]
-        if len(members):
-            edges.append(np.append(members, vec_offset + j))
-            weights.append(1.0)
-    return edges, weights
+    row_pins, row_sizes = _set_edges(rows, nnz_ids, n, vec_offset)
+    col_pins, col_sizes = _set_edges(matrix.indices, nnz_ids, n, vec_offset)
+    weights = np.concatenate([np.full(len(row_sizes), float(row_weight)),
+                              np.ones(len(col_sizes))])
+    return (np.concatenate([row_pins, col_pins]),
+            np.concatenate([row_sizes, col_sizes]), weights)
 
 
 def build_pcg_hypergraph(matrix: CSRMatrix, lower: CSRMatrix,
@@ -81,12 +86,14 @@ def build_pcg_hypergraph(matrix: CSRMatrix, lower: CSRMatrix,
     n_vertices = matrix.nnz + lower.nnz + n
     vec_offset = matrix.nnz + lower.nnz
 
-    a_edges, a_weights = _matrix_edges(matrix, 0, vec_offset, row_weight)
-    l_edges, l_weights = _matrix_edges(
+    a_pins, a_sizes, a_weights = _matrix_edges(
+        matrix, 0, vec_offset, row_weight
+    )
+    l_pins, l_sizes, l_weights = _matrix_edges(
         lower, matrix.nnz, vec_offset, row_weight
     )
-    edges = a_edges + l_edges
-    edge_weights = np.array(a_weights + l_weights)
+    edge_ptr = np.concatenate(([0], np.cumsum(np.concatenate(
+        [a_sizes, l_sizes]))))
 
     bytes_col = np.concatenate([
         np.full(matrix.nnz, nnz_bytes, dtype=np.float64),
@@ -100,7 +107,10 @@ def build_pcg_hypergraph(matrix: CSRMatrix, lower: CSRMatrix,
     else:
         vertex_weights = bytes_col[:, None]
 
-    return Hypergraph(n_vertices, edges, edge_weights, vertex_weights)
+    return Hypergraph.from_flat(
+        n_vertices, np.concatenate([a_pins, l_pins]), edge_ptr,
+        np.concatenate([a_weights, l_weights]), vertex_weights,
+    )
 
 
 def map_azul(matrix: CSRMatrix, lower: CSRMatrix, n_tiles: int,

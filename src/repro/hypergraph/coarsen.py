@@ -12,16 +12,17 @@ Both halves of the phase run on the flat CSR arrays:
   (same greedy semantics as the historical per-vertex dict scan), but
   processes them in *batches*: one :func:`ragged_take` gather pulls the
   batch's candidate ``(seed, neighbor)`` incidences, a sort +
-  segment-sum accumulates connectivity scores per candidate pair, and a
-  vectorized weight-cap precheck filters infeasible merges — only the
-  final accept/reject walk (which must see earlier matches) stays in
-  Python, one short candidate scan per seed.
-* :func:`contract` deduplicates re-pinned edges with a
-  ``lexsort``/``np.unique`` pipeline instead of a ``tobytes()`` dict:
-  in-edge duplicates drop via one sorted-neighbor comparison, identical
-  pin sets merge via per-size ``np.unique(axis=0)``, and the coarse
-  hypergraph is assembled with :meth:`Hypergraph.from_flat` (skipping
-  the per-edge normalization of ``Hypergraph.__init__`` entirely).
+  segment-sum accumulates connectivity scores per candidate pair, a
+  vectorized weight-cap precheck filters infeasible merges, and one
+  stable sort on ``(seed, rank of -score)`` orders the candidates —
+  only the final accept/reject walk (which must see earlier matches)
+  stays in Python, one short candidate scan per seed.
+* :func:`contract` deduplicates re-pinned edges with ``lexsort``
+  passes instead of a ``tobytes()`` dict: in-edge duplicates drop via
+  one sorted-neighbor comparison, identical pin sets merge per edge
+  size (a row-wise ``lexsort`` in ``np.unique(axis=0)``'s order), and
+  the coarse hypergraph is assembled with :meth:`Hypergraph.from_flat`
+  (skipping the per-edge normalization of ``Hypergraph.__init__``).
 
 Layer contract: ``coarsen`` sits above ``hgraph``/``metrics`` and below
 ``partitioner`` (see ``tools/check_layers.py``).
@@ -99,8 +100,12 @@ def _batch_candidates(
     cand_seed, neigh, score = (
         cand_seed[feasible], neigh[feasible], score[feasible]
     )
-    # Batch order, then best score, ties to the lowest neighbor id.
-    order = np.lexsort((neigh, -score, cand_seed))
+    # Batch order, then best score, ties to the lowest neighbor id: the
+    # pairs are already (seed, neighbor)-sorted, so one stable sort on
+    # (seed, rank of -score) keeps the neighbor tie-break.
+    _, rank = np.unique(-score, return_inverse=True)
+    order = np.argsort(cand_seed * np.int64(len(score) + 1) + rank,
+                       kind="stable")
     return cand_seed[order], neigh[order], score[order]
 
 
@@ -144,13 +149,12 @@ def match_vertices(
         # seed and pre-sorted, so this is one forward scan.
         bounds = np.searchsorted(
             cand_seed, np.arange(len(batch) + 1), side="left"
-        )
-        for i, v in enumerate(batch):
-            v = int(v)
+        ).tolist()
+        candidates = cand_neigh.tolist()
+        for i, v in enumerate(batch.tolist()):
             if matched[v] >= 0:
                 continue
-            for k in range(bounds[i], bounds[i + 1]):
-                u = int(cand_neigh[k])
+            for u in candidates[bounds[i]:bounds[i + 1]]:
                 if matched[u] < 0:
                     matched[v] = u
                     matched[u] = v
@@ -208,17 +212,21 @@ def contract(hgraph: Hypergraph, mapping: np.ndarray) -> Hypergraph:
     pins_parts: List[np.ndarray] = []
     size_parts: List[np.ndarray] = []
     weight_parts: List[np.ndarray] = []
-    for size in np.unique(sizes):
-        size = int(size)
+    for size in np.unique(sizes).tolist():
         group = np.nonzero(sizes == size)[0]
         rows = cp[ptr[group][:, None] + np.arange(size)[None, :]]
-        uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-        merged_w = np.bincount(
-            inverse.reshape(-1), weights=edge_w[group], minlength=len(uniq)
-        )
-        pins_parts.append(uniq.reshape(-1))
-        size_parts.append(np.full(len(uniq), size, dtype=np.int64))
-        weight_parts.append(merged_w)
+        # Rows in lexicographic order (that of np.unique(axis=0), at a
+        # fraction of its per-call cost); weights of identical rows are
+        # summed in original edge order.
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        inverse = np.empty(len(rows), dtype=np.int64)
+        inverse[order] = np.cumsum(first) - 1
+        pins_parts.append(rows[first].reshape(-1))
+        size_parts.append(np.full(int(first.sum()), size, dtype=np.int64))
+        weight_parts.append(np.bincount(inverse, weights=edge_w[group]))
 
     if pins_parts:
         flat_pins = np.concatenate(pins_parts)

@@ -9,7 +9,7 @@ inner loops touch flat arrays.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -67,6 +67,7 @@ class Hypergraph:
         self._vertex_edge_ptr: Optional[np.ndarray] = None
         self._vertex_edge_ids: Optional[np.ndarray] = None
         self._pin_edge_ids: Optional[np.ndarray] = None
+        self._csr_lists: Optional[Tuple[List[int], ...]] = None
 
     def _set_weights(self, edge_weights, vertex_weights):
         if edge_weights is None:
@@ -107,6 +108,7 @@ class Hypergraph:
         self._vertex_edge_ptr = None
         self._vertex_edge_ids = None
         self._pin_edge_ids = None
+        self._csr_lists = None
         return self
 
     # ------------------------------------------------------------------
@@ -159,6 +161,19 @@ class Hypergraph:
         assert self._vertex_edge_ptr is not None
         assert self._vertex_edge_ids is not None
         return self._vertex_edge_ptr, self._vertex_edge_ids
+
+    def csr_lists(self) -> Tuple[List[int], ...]:
+        """``(pins, edge_ptr, vertex_edge_ptr, vertex_edge_ids)`` as lists.
+
+        Cached Python-list mirrors for the scalar inner loops of region
+        growing and FM, which touch a few dozen elements per step —
+        too few to amortize a numpy call.
+        """
+        if self._csr_lists is None:
+            ve_ptr, ve_ids = self.incidence_arrays()
+            self._csr_lists = (self.pins.tolist(), self.edge_ptr.tolist(),
+                               ve_ptr.tolist(), ve_ids.tolist())
+        return self._csr_lists
 
     def pin_edge_ids(self) -> np.ndarray:
         """Edge id of every flat pin slot (cached).

@@ -6,12 +6,16 @@ accumulated hyperedge connectivity to the grown side, until the target
 weight fraction is reached.  Several seeds are tried and the lowest-cut
 result kept.
 
-The growth loop mirrors the FM pass's lazy-deletion heap: per absorbed
-vertex, one :func:`ragged_take` gather pulls the incident edges' pins,
-an ``np.add.at`` scatter accumulates the connectivity scores, and each
-touched neighbor is (re-)pushed once per wave — no per-(edge, pin)
-Python loop.  Edges larger than the growth limit are skipped when
-scoring (``PartitionerOptions.growth_edge_size_limit``).
+The growth loop mirrors the FM pass's lazy-deletion heap on Python
+lists: per absorbed vertex, a scalar loop over the incident edges'
+pins accumulates the connectivity scores, and each touched neighbor
+is (re-)pushed once per wave.  The target check reruns only after an
+absorption.  Scores receive their additions in (edge, pin) order, and
+heap pops depend only on the set of ``(-score, vertex)`` entries, so
+the result is bit-identical to the array-at-a-time formulation kept as
+a test oracle (``tests/oracles/initial.py``).  Edges larger than the
+growth limit are skipped when scoring
+(``PartitionerOptions.growth_edge_size_limit``).
 
 Layer contract: ``initial`` sits above ``hgraph``/``metrics`` and below
 ``partitioner`` (see ``tools/check_layers.py``).
@@ -23,7 +27,7 @@ import heapq
 
 import numpy as np
 
-from repro.hypergraph.hgraph import Hypergraph, ragged_take
+from repro.hypergraph.hgraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_cut
 
 #: Default cap on hyperedge size during region growing; larger edges
@@ -38,12 +42,13 @@ def _grow_once(hgraph: Hypergraph, target_fraction: float,
                ) -> np.ndarray:
     """One region-growing attempt; returns a side array (0 or 1)."""
     n = hgraph.n_vertices
-    side = np.ones(n, dtype=np.int8)
+    side = [1] * n
     totals = hgraph.total_weights()
-    nonzero = totals > 0
-    thresh = (totals * target_fraction * 0.98)[nonzero]
-    weight0 = np.zeros(hgraph.n_constraints)
-    vertex_weights = hgraph.vertex_weights
+    weighted = np.flatnonzero(totals > 0).tolist()
+    thresh = (totals * target_fraction * 0.98).tolist()
+    weight0 = [0.0] * hgraph.n_constraints
+    vertex_weights = hgraph.vertex_weights.tolist()
+    caps = caps0.tolist()
 
     sizes = hgraph.edge_sizes()
     eligible = (sizes >= 2) & (sizes <= edge_size_limit)
@@ -51,51 +56,53 @@ def _grow_once(hgraph: Hypergraph, target_fraction: float,
     bonus[eligible] = hgraph.edge_weights[eligible] / np.maximum(
         sizes[eligible] - 1, 1
     )
-    ve_ptr, ve_ids = hgraph.incidence_arrays()
+    eligible_list, bonus_list = eligible.tolist(), bonus.tolist()
+    pins, edge_ptr, ve_ptr, ve_ids = hgraph.csr_lists()
 
     #: Accumulated connectivity of each unassigned vertex to side 0.
-    score = np.zeros(n)
-
-    def fits(v: int) -> bool:
-        return bool(((weight0 + vertex_weights[v]) <= caps0).all())
+    score = [0.0] * n
 
     def reached_target() -> bool:
         # Grown far enough once the dominant constraint hits its target.
-        return bool((weight0[nonzero] >= thresh).all())
+        return all(weight0[c] >= thresh[c] for c in weighted)
 
     seed = int(rng.integers(n))
     heap = [(0.0, seed)]
+    done = reached_target()
 
-    while heap and not reached_target():
+    while heap and not done:
         neg, v = heapq.heappop(heap)
         if side[v] == 0:
             continue
         if -neg != score[v]:
-            heapq.heappush(heap, (-float(score[v]), v))
+            heapq.heappush(heap, (-score[v], v))
             continue
-        if not fits(v):
+        weight = vertex_weights[v]
+        if not all(weight0[c] + x <= caps[c] for c, x in enumerate(weight)):
             continue
         side[v] = 0
-        weight0 += vertex_weights[v]
+        for c, x in enumerate(weight):
+            weight0[c] += x
+        done = reached_target()
         # Accumulate the connectivity v's edges contribute to side 0,
-        # then (re-)push each touched neighbor once for this wave.
-        edges = ve_ids[ve_ptr[v]:ve_ptr[v + 1]]
-        edges = edges[eligible[edges]]
-        if len(edges):
-            lengths = sizes[edges]
-            pv = ragged_take(hgraph.pins, hgraph.edge_ptr[edges], lengths)
-            b = np.repeat(bonus[edges], lengths)
-            outside = side[pv] == 1
-            np.add.at(score, pv[outside], b[outside])
-            for u in np.unique(pv[outside]):
-                u = int(u)
-                heapq.heappush(heap, (-float(score[u]), u))
-        if not heap:
+        # in (edge, pin) order, then (re-)push each touched neighbor
+        # once for this wave.
+        touched = set()
+        for e in ve_ids[ve_ptr[v]:ve_ptr[v + 1]]:
+            if eligible_list[e]:
+                b = bonus_list[e]
+                for u in pins[edge_ptr[e]:edge_ptr[e + 1]]:
+                    if side[u] == 1:
+                        score[u] += b
+                        touched.add(u)
+        for u in touched:
+            heapq.heappush(heap, (-score[u], u))
+        if not heap and not done:
             # Disconnected: restart growth from a fresh unassigned vertex.
-            remaining = np.nonzero(side == 1)[0]
-            if len(remaining) and not reached_target():
+            remaining = np.flatnonzero(np.array(side) == 1)
+            if len(remaining):
                 heapq.heappush(heap, (0.0, int(rng.choice(remaining))))
-    return side
+    return np.array(side, dtype=np.int8)
 
 
 def greedy_bisect(hgraph: Hypergraph, target_fraction: float,

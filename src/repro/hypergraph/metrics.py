@@ -15,12 +15,14 @@ from repro.hypergraph.hgraph import Hypergraph
 
 def _edge_lambdas(hgraph: Hypergraph, assignment: np.ndarray) -> np.ndarray:
     """Number of distinct parts spanned by each hyperedge."""
-    lambdas = np.empty(hgraph.n_edges, dtype=np.int64)
+    pin_edge = hgraph.pin_edge_ids()
     pin_parts = assignment[hgraph.pins]
-    for e in range(hgraph.n_edges):
-        start, end = hgraph.edge_ptr[e], hgraph.edge_ptr[e + 1]
-        lambdas[e] = len(np.unique(pin_parts[start:end])) if end > start else 0
-    return lambdas
+    order = np.lexsort((pin_parts, pin_edge))
+    edge, part = pin_edge[order], pin_parts[order]
+    # Count each (edge, part) pair at its first occurrence.
+    first = np.ones(len(edge), dtype=bool)
+    first[1:] = (edge[1:] != edge[:-1]) | (part[1:] != part[:-1])
+    return np.bincount(edge[first], minlength=hgraph.n_edges)
 
 
 def cut_weight(hgraph: Hypergraph, assignment: np.ndarray) -> float:

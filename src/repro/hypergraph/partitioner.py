@@ -141,8 +141,7 @@ def partition(hgraph: Hypergraph, n_parts: int,
 def _scatter_degenerate(vertex_ids: np.ndarray, n_parts: int,
                         part_offset: int, assignment: np.ndarray) -> None:
     """Round-robin scatter when there are no more vertices than parts."""
-    for i in range(len(vertex_ids)):
-        assignment[vertex_ids[i]] = part_offset + (i % n_parts)
+    assignment[vertex_ids] = part_offset + np.arange(len(vertex_ids)) % n_parts
 
 
 def _recurse(hgraph: Hypergraph, vertex_ids: np.ndarray, n_parts: int,

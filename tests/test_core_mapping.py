@@ -20,9 +20,10 @@ from repro.core import (
 )
 from repro.core.placement import pin_diagonals
 from repro.errors import CapacityError, MappingError
-from repro.hypergraph import PartitionerOptions
+from repro.hypergraph import Hypergraph, PartitionerOptions
 from repro.precond import ic0
 from repro.sparse import generators as gen
+from repro.sparse.csr import CSRMatrix
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +163,42 @@ class TestAzulHypergraph:
         for e in range(hg.n_edges):
             pins = hg.edge_pins(e)
             assert int((pins >= vec_offset).sum()) == 1
+
+
+    @pytest.mark.parametrize("row_weight", [2.0, 3.5])
+    def test_flat_build_matches_per_edge_construction(self, pcg_operands,
+                                                      row_weight):
+        matrix, _ = pcg_operands
+        # Empty out row/column 3 of A, so empty rows and columns of A
+        # and L are skipped.
+        dense = matrix.to_dense()
+        dense[3, :] = dense[:, 3] = 0.0
+        rows, cols = np.nonzero(dense)
+        indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(rows, minlength=len(dense))))
+        )
+        sparse = CSRMatrix(indptr, cols, dense[rows, cols], dense.shape)
+        lower = sparse.lower_triangle()
+        hg = build_pcg_hypergraph(sparse, lower, row_weight=row_weight)
+
+        # Reference: one edge list per set, normalized by Hypergraph().
+        vec_offset = sparse.nnz + lower.nnz
+        edges, weights = [], []
+        for m, offset in ((sparse, 0), (lower, sparse.nnz)):
+            m_rows = np.repeat(np.arange(m.n_rows), m.row_nnz())
+            for groups, weight in ((m_rows, row_weight), (m.indices, 1.0)):
+                for g in range(m.n_rows):
+                    members = np.flatnonzero(groups == g) + offset
+                    if len(members):
+                        edges.append(np.append(members, vec_offset + g))
+                        weights.append(weight)
+        ref = Hypergraph(hg.n_vertices, edges, np.array(weights),
+                         hg.vertex_weights)
+        assert hg.n_edges == ref.n_edges
+        for name in ("pins", "edge_ptr", "edge_weights", "vertex_weights"):
+            got, want = getattr(hg, name), getattr(ref, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestAzulMapping:

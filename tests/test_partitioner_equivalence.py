@@ -9,8 +9,14 @@ exactness argument).  On arbitrary float weights gain sums may round
 differently, so there the contract weakens to cut-quality parity
 (gmean within 2%).
 
+The scalar region growing of :mod:`repro.hypergraph.initial` and the
+sort-based ``_edge_lambdas`` of :mod:`repro.hypergraph.metrics` are
+held to their array-at-a-time oracles (:mod:`tests.oracles.initial`,
+:mod:`tests.oracles.metrics`) exactly, on arbitrary float weights.
+
 Also covered: FM never increases the connectivity cut, per-constraint
-caps hold after every refine when the input satisfies them, same-seed
+caps hold after every refine when the input satisfies them, the
+maintained gains track recomputed ones after every move, same-seed
 determinism across presets, and ``jobs=N`` bit-identity with the
 serial path.
 """
@@ -22,12 +28,15 @@ import pytest
 
 from repro.hypergraph import Hypergraph, PartitionerOptions, partition
 from repro.hypergraph import partitioner
-from repro.hypergraph.metrics import connectivity_cut, cut_weight
-from repro.hypergraph.refine import fm_refine
-from tests.oracles.refine import fm_refine_oracle
+from repro.hypergraph.initial import _grow_once
+from repro.hypergraph.metrics import _edge_lambdas, connectivity_cut, cut_weight
+from repro.hypergraph.refine import _BisectionState, fm_refine
+from tests.oracles.initial import grow_once_oracle
+from tests.oracles.metrics import edge_lambdas_oracle
+from tests.oracles.refine import RecomputingBisectionState, fm_refine_oracle
 
 #: FM implementations under test, by parametrize id.
-REFINES = {"reference": fm_refine_oracle, "vectorized": fm_refine}
+REFINES = {"reference": fm_refine_oracle, "production": fm_refine}
 
 
 def random_hypergraph(rng, n=None, n_edges=None, weight_pool=(1.0, 2.0),
@@ -51,6 +60,14 @@ def loose_caps(hgraph, fraction=0.5, epsilon=0.10):
     caps[0] = totals * fraction * (1.0 + epsilon) + slack
     caps[1] = totals * (1.0 - fraction) * (1.0 + epsilon) + slack
     return caps
+
+
+def float_hypergraph(rng, n, n_edges, n_constraints, max_pins=8):
+    """Non-dyadic float edge and vertex weights."""
+    edges = [rng.integers(0, n, size=int(rng.integers(1, max_pins + 1)))
+             for _ in range(n_edges)]
+    return Hypergraph(n, edges, rng.random(n_edges) * 3 + 0.1,
+                      rng.random((n, n_constraints)) + 0.05)
 
 
 def random_side(hgraph, rng):
@@ -88,6 +105,130 @@ class TestFMInvariants:
                     hg.vertex_weights[side == s].sum(axis=0) for s in (0, 1)
                 ])
                 assert (held <= caps + 1e-9).all()
+
+    def test_refine_leaves_result_in_callers_side(self):
+        rng = np.random.default_rng(5)
+        hg = random_hypergraph(rng, n=80, n_edges=200)
+        side = random_side(hg, rng)
+        start = side.copy()
+        expected = fm_refine_oracle(hg, side.copy(), loose_caps(hg), passes=3)
+        refined = fm_refine(hg, side, loose_caps(hg), passes=3)
+        assert refined is side
+        assert np.array_equal(side, expected)
+        assert not np.array_equal(side, start)
+
+    def test_gains_track_recomputed_gains_after_every_move(self):
+        rng = np.random.default_rng(13)
+        for _ in range(6):
+            hg = float_hypergraph(rng, 60, 150, n_constraints=3)
+            side = random_side(hg, rng)
+            state = _BisectionState(hg, side.copy())
+            oracle = RecomputingBisectionState(hg, side.copy())
+            for v in rng.integers(0, hg.n_vertices, size=40).tolist():
+                state.move(v)
+                oracle.move(v)
+                recomputed = [oracle.gain(u) for u in range(hg.n_vertices)]
+                np.testing.assert_allclose(state.gains, recomputed,
+                                           rtol=0, atol=1e-12)
+                assert state.side == oracle.side.tolist()
+                assert state.count0 == oracle.count0.tolist()
+                np.testing.assert_allclose(state.part_weights,
+                                           oracle.part_weights,
+                                           rtol=0, atol=1e-12)
+
+
+def assert_growth_matches_oracle(hg, fraction, caps0, seed, limit):
+    """Production and oracle growth from identically seeded generators."""
+    rng_prod, rng_oracle = (np.random.default_rng(seed) for _ in range(2))
+    got = _grow_once(hg, fraction, caps0, rng_prod, edge_size_limit=limit)
+    want = grow_once_oracle(hg, fraction, caps0, rng_oracle, limit)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    # Both consumed the same draws.
+    assert rng_prod.integers(2**62) == rng_oracle.integers(2**62)
+    return got
+
+
+class TestGrowthParity:
+    def test_float_weights_and_constraints(self):
+        rng = np.random.default_rng(47)
+        for trial in range(24):
+            c = int(rng.integers(2, 7))
+            hg = float_hypergraph(rng, int(rng.integers(20, 150)),
+                                  int(rng.integers(20, 300)), c)
+            if trial % 2 == 0:
+                # Few distinct non-dyadic weights: equal scores reached
+                # by different float sums, where rounding decides ties.
+                hg.edge_weights = rng.choice([0.1, 0.2, 0.3], hg.n_edges)
+            if trial % 3 == 0:
+                hg.vertex_weights[:, -1] = 0.0  # a constraint with no weight
+            fraction = float(rng.choice([0.5, 0.375, 3 / 7]))
+            # Some caps bind below the growth target, so fits() rejects.
+            tightness = float(rng.choice([0.9, 1.0, 1.1]))
+            caps0 = (hg.total_weights() * fraction * tightness
+                     + hg.vertex_weights.max(axis=0))
+            assert_growth_matches_oracle(hg, fraction, caps0, trial, 256)
+
+    def test_disconnected_hypergraph_restarts(self):
+        # Disjoint pairs plus isolated vertices: the heap runs dry right
+        # after each component is absorbed, so growth must restart.
+        rng = np.random.default_rng(59)
+        pairs = 20
+        edges = [[2 * b, 2 * b + 1] for b in range(pairs)]
+        n = 2 * pairs + 6
+        hg = Hypergraph(n, edges, rng.random(pairs) + 0.3,
+                        rng.random((n, 2)) + 0.1)
+        caps0 = hg.total_weights() * 0.55 + hg.vertex_weights.max(axis=0)
+        for seed in range(6):
+            side = assert_growth_matches_oracle(hg, 0.5, caps0, seed, 256)
+            assert (side == 0).sum() > 2  # more than one component grown
+
+    @pytest.mark.parametrize("preset", ["speed", "default", "quality"])
+    def test_preset_growth_edge_limits(self, preset):
+        limit = {
+            "speed": PartitionerOptions.speed,
+            "default": PartitionerOptions,
+            "quality": PartitionerOptions.quality,
+        }[preset]().growth_edge_size_limit
+        rng = np.random.default_rng(61)
+        n = 2 * limit + 50
+        edges = [rng.integers(0, n, size=int(rng.integers(2, 9)))
+                 for _ in range(3 * n)]
+        # Edges just inside and just beyond the growth limit.
+        edges += [rng.choice(n, size=s, replace=False)
+                  for s in (limit - 1, limit, limit + 1, limit + 40)]
+        hg = Hypergraph(n, edges, rng.random(len(edges)) + 0.2,
+                        rng.random((n, 3)) + 0.1)
+        caps0 = hg.total_weights() * 0.55 + hg.vertex_weights.max(axis=0)
+        for seed in range(3):
+            assert_growth_matches_oracle(hg, 0.5, caps0, seed, limit)
+
+
+class TestEdgeLambdas:
+    def test_matches_per_edge_oracle(self):
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            n = int(rng.integers(5, 80))
+            edges = [rng.integers(0, n, size=int(rng.integers(0, 10)))
+                     for _ in range(int(rng.integers(0, 120)))]
+            edges += [[], [int(rng.integers(n))]]  # empty and single-pin
+            hg = Hypergraph(n, edges, rng.random(len(edges)) + 0.1)
+            assignment = rng.integers(0, int(rng.integers(1, 9)), size=n)
+            got = _edge_lambdas(hg, assignment)
+            want = edge_lambdas_oracle(hg, assignment)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            excess = np.maximum(want - 1, 0)
+            assert connectivity_cut(hg, assignment) == float(
+                (excess * hg.edge_weights).sum()
+            )
+            assert cut_weight(hg, assignment) == float(
+                hg.edge_weights[want > 1].sum()
+            )
+
+    def test_no_edges(self):
+        hg = Hypergraph(4, [])
+        assert len(_edge_lambdas(hg, np.zeros(4, dtype=np.int64))) == 0
 
 
 class TestStrategyParity:
