@@ -4,9 +4,10 @@
 Each benchmark's best-of-rounds time in the pytest-benchmark JSON
 emitted by ``benchmarks/emit_bench.py`` must not be more than
 ``--threshold`` (default 25%) slower than the same benchmark in the
-baseline file.  Absolute timings are machine dependent, so CI keeps the
-baselines refreshed from the same runner class (see
-``benchmarks/baselines/``).
+baseline file, and every baseline benchmark must be present in the run:
+one that was renamed or deselected fails the gate.  Absolute timings are
+machine dependent, so CI keeps the baselines refreshed from the same
+runner class (see ``benchmarks/baselines/``).
 
 Exit status is non-zero on any violation.
 
@@ -39,6 +40,9 @@ def check(current_path: Path, baseline_path: Path,
         return 0
     baseline = load_times(baseline_path)
     failures = 0
+    for name in sorted(set(baseline) - set(current)):
+        print(f"  {name}: in the baseline but not in this run [MISSING]")
+        failures += 1
     for name in sorted(current):
         if name not in baseline or baseline[name] <= 0:
             print(f"  new benchmark (no baseline): {name}")

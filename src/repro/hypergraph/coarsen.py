@@ -11,18 +11,26 @@ Both halves of the phase run on the flat CSR arrays:
 * :func:`match_vertices` visits seed vertices in one random permutation
   (same greedy semantics as the historical per-vertex dict scan), but
   processes them in *batches*: one :func:`ragged_take` gather pulls the
-  batch's candidate ``(seed, neighbor)`` incidences, a sort +
-  segment-sum accumulates connectivity scores per candidate pair, a
-  vectorized weight-cap precheck filters infeasible merges, and one
-  stable sort on ``(seed, rank of -score)`` orders the candidates —
-  only the final accept/reject walk (which must see earlier matches)
-  stays in Python, one short candidate scan per seed.
-* :func:`contract` deduplicates re-pinned edges with ``lexsort``
-  passes instead of a ``tobytes()`` dict: in-edge duplicates drop via
-  one sorted-neighbor comparison, identical pin sets merge per edge
-  size (a row-wise ``lexsort`` in ``np.unique(axis=0)``'s order), and
-  the coarse hypergraph is assembled with :meth:`Hypergraph.from_flat`
-  (skipping the per-edge normalization of ``Hypergraph.__init__``).
+  batch's candidate ``(seed, neighbor)`` incidences and a sort +
+  segment-sum accumulates connectivity scores per candidate pair.  The
+  weight cap is checked only for pairs with a *heavy* member (above
+  half the cap in some constraint): two light vertices always fit,
+  because ``0.5 * cap`` is exact and rounding is monotone.  The
+  accept walk, which must see earlier matches, runs on Python lists:
+  each unmatched seed takes its best-scoring unmatched neighbor, and
+  since pairs arrive neighbor-sorted, a strict ``>`` sends ties to the
+  lowest neighbor id.
+* :func:`contract` drops re-pinned in-edge duplicates with one sort of
+  ``edge * n_coarse + pin`` keys.  Identical pin sets merge through one
+  sort per power-of-two width class of big-endian ``(size, pins...)``
+  rows viewed as ``np.void``: their byte order is ``(size, pins)``
+  order, that of a per-size ``np.unique(axis=0)``.  Merged weights are
+  one ``bincount`` in edge order, and the coarse hypergraph is
+  assembled with :meth:`Hypergraph.from_flat`.
+
+The sort-ranked matcher and the per-size contraction these replace are
+the test oracles of ``tests/oracles/coarsen.py``; both return the same
+mappings and byte-identical coarse hypergraphs.
 
 Layer contract: ``coarsen`` sits above ``hgraph``/``metrics`` and below
 ``partitioner`` (see ``tools/check_layers.py``).
@@ -52,12 +60,14 @@ def _batch_candidates(
     eligible: np.ndarray,
     matched: np.ndarray,
     max_vertex_weight: np.ndarray,
+    light: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scored, feasible merge candidates for a batch of seed vertices.
+    """Scored merge candidates for a batch of seed vertices.
 
-    Returns ``(seed_pos, neighbor, score)`` sorted so that each seed's
-    candidates are contiguous in batch order, best score first (ties to
-    the lowest neighbor id).  ``seed_pos`` indexes into ``seeds``.
+    Returns ``(seed_pos, neighbor, score)``, one entry per pair, in
+    ``(seed_pos, neighbor)`` order; pairs over ``max_vertex_weight``
+    score ``-inf``.  ``seed_pos`` indexes into ``seeds``; ``light``
+    marks the vertices within half the cap in every constraint.
     """
     ve_ptr, ve_ids = hgraph.incidence_arrays()
     # Incident eligible edges of every seed, flattened.
@@ -78,7 +88,8 @@ def _batch_candidates(
     if len(neigh) == 0:
         return neigh, neigh, cand_bonus
     # Accumulate scores per (seed, neighbor) pair: sort by the pair key
-    # and segment-sum the bonuses.
+    # and segment-sum the bonuses.  Scores are differences of one
+    # running cumsum over the batch; near-ties depend on its rounding.
     key = cand_seed * np.int64(hgraph.n_vertices) + neigh
     order = np.argsort(key, kind="stable")
     key, neigh = key[order], neigh[order]
@@ -91,22 +102,14 @@ def _batch_candidates(
     score = csum[bounds[1:]] - csum[bounds[:-1]]
     cand_seed, neigh = cand_seed[starts], neigh[starts]
     # Weight-cap feasibility is static (merging never lightens a
-    # vertex), so infeasible pairs are filtered here, vectorized.
-    merged = (
-        hgraph.vertex_weights[seeds[cand_seed]]
-        + hgraph.vertex_weights[neigh]
-    )
-    feasible = (merged <= max_vertex_weight).all(axis=1)
-    cand_seed, neigh, score = (
-        cand_seed[feasible], neigh[feasible], score[feasible]
-    )
-    # Batch order, then best score, ties to the lowest neighbor id: the
-    # pairs are already (seed, neighbor)-sorted, so one stable sort on
-    # (seed, rank of -score) keeps the neighbor tie-break.
-    _, rank = np.unique(-score, return_inverse=True)
-    order = np.argsort(cand_seed * np.int64(len(score) + 1) + rank,
-                       kind="stable")
-    return cand_seed[order], neigh[order], score[order]
+    # vertex).  Two light vertices always fit, so only pairs with a
+    # heavy member are summed and compared; infeasible pairs score -inf,
+    # which the accept walk's strict ``>`` never takes.
+    heavy = np.nonzero(~(light[seeds][cand_seed] & light[neigh]))[0]
+    merged = (hgraph.vertex_weights[seeds[cand_seed[heavy]]]
+              + hgraph.vertex_weights[neigh[heavy]])
+    score[heavy[~(merged <= max_vertex_weight).all(axis=1)]] = -np.inf
+    return cand_seed, neigh, score
 
 
 def match_vertices(
@@ -128,12 +131,14 @@ def match_vertices(
     """
     n = hgraph.n_vertices
     matched = np.full(n, -1, dtype=np.int64)
+    mate = [-1] * n  # list mirror of ``matched`` for the accept walk
     sizes = hgraph.edge_sizes()
     eligible = (sizes >= 2) & (sizes <= edge_size_limit)
     bonus = np.zeros(hgraph.n_edges)
     bonus[eligible] = (
         hgraph.edge_weights[eligible] / (sizes[eligible] - 1)
     )
+    light = (hgraph.vertex_weights <= 0.5 * max_vertex_weight).all(axis=1)
     order = rng.permutation(n)
 
     for start in range(0, n, _MATCH_BATCH):
@@ -141,35 +146,43 @@ def match_vertices(
         batch = batch[matched[batch] < 0]
         if len(batch) == 0:
             continue
-        cand_seed, cand_neigh, _ = _batch_candidates(
-            hgraph, batch, bonus, eligible, matched, max_vertex_weight
+        cand_seed, cand_neigh, cand_score = _batch_candidates(
+            hgraph, batch, bonus, eligible, matched, max_vertex_weight,
+            light,
         )
-        # Accept walk: per seed (in batch = permutation order), take the
-        # best candidate still unmatched.  Candidates are contiguous per
-        # seed and pre-sorted, so this is one forward scan.
+        # Accept walk: per seed (in batch = permutation order), the best
+        # score among still-unmatched neighbors.  Each seed's pairs are
+        # contiguous and neighbor-sorted, so the strict ``>`` keeps the
+        # lowest neighbor id among equal scores.
         bounds = np.searchsorted(
             cand_seed, np.arange(len(batch) + 1), side="left"
         ).tolist()
-        candidates = cand_neigh.tolist()
+        neighbors, scores = cand_neigh.tolist(), cand_score.tolist()
+        accepted: List[int] = []
         for i, v in enumerate(batch.tolist()):
-            if matched[v] >= 0:
+            if mate[v] >= 0:
                 continue
-            for u in candidates[bounds[i]:bounds[i + 1]]:
-                if matched[u] < 0:
-                    matched[v] = u
-                    matched[u] = v
-                    break
+            best, best_score = -1, -np.inf
+            lo, hi = bounds[i], bounds[i + 1]
+            for u, s in zip(neighbors[lo:hi], scores[lo:hi]):
+                if s > best_score and mate[u] < 0:
+                    best, best_score = u, s
+            if best >= 0:
+                mate[v], mate[best] = best, v
+                accepted += (v, best)
+        matched[accepted] = [mate[u] for u in accepted]
 
     # Coarse ids in permutation-visit order of each pair's first-seen
-    # member (mirrors the historical next_id counter), vectorized via a
-    # rank over first-visit positions.
+    # member (mirrors the historical next_id counter): marking every
+    # group's first position and counting marks up to it gives the rank
+    # of each group position, i.e. np.unique's inverse.
     perm_pos = np.empty(n, dtype=np.int64)
     perm_pos[order] = np.arange(n)
-    group_pos = perm_pos.copy()
-    has = matched >= 0
-    group_pos[has] = np.minimum(perm_pos[has], perm_pos[matched[has]])
-    _, mapping = np.unique(group_pos, return_inverse=True)
-    return mapping.astype(np.int64)
+    partner = np.where(matched >= 0, matched, np.arange(n))
+    group_pos = np.minimum(perm_pos, perm_pos[partner])
+    first = np.zeros(n, dtype=bool)
+    first[group_pos] = True
+    return (np.cumsum(first, dtype=np.int64) - 1)[group_pos]
 
 
 def contract(hgraph: Hypergraph, mapping: np.ndarray) -> Hypergraph:
@@ -182,63 +195,61 @@ def contract(hgraph: Hypergraph, mapping: np.ndarray) -> Hypergraph:
     n_coarse = int(mapping.max()) + 1 if len(mapping) else 0
     weights = np.zeros((n_coarse, hgraph.n_constraints))
     np.add.at(weights, mapping, hgraph.vertex_weights)
-    if hgraph.n_edges == 0:
-        return Hypergraph.from_flat(
-            n_coarse, np.empty(0, dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-            np.empty(0, dtype=np.float64), weights,
-        )
 
-    # Re-pin, then drop in-edge duplicates: sort pins within each edge
-    # (stable lexsort on (pin, edge)) and keep each (edge, pin) once.
-    coarse_pins = mapping[hgraph.pins]
-    pin_edge = hgraph.pin_edge_ids()
-    order = np.lexsort((coarse_pins, pin_edge))
-    cp, pe = coarse_pins[order], pin_edge[order]
-    keep = np.ones(len(cp), dtype=bool)
-    keep[1:] = (cp[1:] != cp[:-1]) | (pe[1:] != pe[:-1])
-    cp, pe = cp[keep], pe[keep]
+    # Re-pin, then sort pins within each edge and drop in-edge
+    # duplicates: one sort of (edge, pin) keys.
+    radix = max(n_coarse, 1)
+    key = np.sort(hgraph.pin_edge_ids() * radix + mapping[hgraph.pins])
+    pe, cp = np.divmod(key[np.diff(key, prepend=-1) != 0], radix)
     # Drop edges contracted below two pins.
     sizes = np.bincount(pe, minlength=hgraph.n_edges)
     keep_edge = sizes >= 2
-    pin_ok = keep_edge[pe]
-    cp, pe = cp[pin_ok], pe[pin_ok]
+    cp = cp[keep_edge[pe]]
     sizes = sizes[keep_edge]
-    edge_w = hgraph.edge_weights[keep_edge]
 
-    # Cross-edge dedup: identical pin sets necessarily share a size, so
-    # group by size and unique the (m, size) pin matrices row-wise.
+    # Cross-edge dedup: identical pin sets share a size.  Each edge is
+    # a big-endian row (size, pins..., zero padding) whose pin width is
+    # the power of two at or above its size, so a row holds at most
+    # about twice the pins it encodes.  Rows of one width class, viewed
+    # as np.void, sort bytewise in (size, pins) order, and the classes
+    # grow with size: visiting them in turn yields the row order of a
+    # per-size np.unique(axis=0).
     ptr = np.concatenate(([0], np.cumsum(sizes)))
-    pins_parts: List[np.ndarray] = []
-    size_parts: List[np.ndarray] = []
-    weight_parts: List[np.ndarray] = []
-    for size in np.unique(sizes).tolist():
-        group = np.nonzero(sizes == size)[0]
-        rows = cp[ptr[group][:, None] + np.arange(size)[None, :]]
-        # Rows in lexicographic order (that of np.unique(axis=0), at a
-        # fraction of its per-call cost); weights of identical rows are
-        # summed in original edge order.
-        order = np.lexsort(rows.T[::-1])
-        rows = rows[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        inverse = np.empty(len(rows), dtype=np.int64)
-        inverse[order] = np.cumsum(first) - 1
-        pins_parts.append(rows[first].reshape(-1))
-        size_parts.append(np.full(int(first.sum()), size, dtype=np.int64))
-        weight_parts.append(np.bincount(inverse, weights=edge_w[group]))
+    width_exp = np.frexp(sizes - 1)[1]  # pin width 2**width_exp >= size
+    row_len = 1 + (np.int64(1) << width_exp)
+    by_class = np.argsort(width_exp, kind="stable")
+    row_end = np.cumsum(row_len[by_class])
+    row_start = np.empty_like(sizes)
+    row_start[by_class] = row_end - row_len[by_class]
+    table = np.zeros(row_end[-1] if len(sizes) else 0, dtype=">i8")
+    table[row_start] = sizes
+    table[np.repeat(row_start + 1 - ptr[:-1], sizes)
+          + np.arange(len(cp))] = cp
+    inverse = np.empty(len(sizes), dtype=np.int64)
+    reps = [np.empty(0, dtype=np.int64)]
+    n_unique = lo = start = 0
+    for exp, count in enumerate(np.bincount(width_exp).tolist()):
+        if count == 0:
+            continue
+        length = 1 + (1 << exp)
+        edges = by_class[lo:lo + count]
+        rows = table[start:start + count * length].view(f"V{8 * length}")
+        _, first, inv = np.unique(rows, return_index=True,
+                                  return_inverse=True)
+        inverse[edges] = inv + n_unique
+        reps.append(edges[first])
+        n_unique += len(first)
+        lo, start = lo + count, start + count * length
 
-    if pins_parts:
-        flat_pins = np.concatenate(pins_parts)
-        flat_sizes = np.concatenate(size_parts)
-        flat_weights = np.concatenate(weight_parts)
-    else:
-        flat_pins = np.empty(0, dtype=np.int64)
-        flat_sizes = np.empty(0, dtype=np.int64)
-        flat_weights = np.empty(0, dtype=np.float64)
-    edge_ptr = np.concatenate(([0], np.cumsum(flat_sizes)))
+    # One representative edge per pin set, in (size, pins) order; merged
+    # weights summed in original edge order.
+    rep = np.concatenate(reps)
     return Hypergraph.from_flat(
-        n_coarse, flat_pins, edge_ptr, flat_weights, weights
+        n_coarse, ragged_take(cp, ptr[rep], sizes[rep]),
+        np.concatenate(([0], np.cumsum(sizes[rep]))),
+        np.bincount(inverse, weights=hgraph.edge_weights[keep_edge],
+                    minlength=n_unique),
+        weights,
     )
 
 

@@ -2,12 +2,14 @@
 
 Each oracle is the straightforward formulation of a pipeline stage —
 per-op simulator issue, per-vertex FM gains, array-at-a-time region
-growing, per-edge cut counts, per-row IC(0), and per-element dataflow
-lowering — kept only as a test reference:
+growing, sort-ranked matching, per-edge cut counts, per-row IC(0), and
+per-element dataflow lowering — kept only as a test reference:
 
 * :mod:`tests.oracles.sim` — operation-granularity PE issue;
 * :mod:`tests.oracles.refine` — FM bookkeeping that recomputes gains;
 * :mod:`tests.oracles.initial` — array-at-a-time region growing;
+* :mod:`tests.oracles.coarsen` — score-sorted matching and per-size
+  contraction;
 * :mod:`tests.oracles.metrics` — per-edge connectivity counts;
 * :mod:`tests.oracles.kernels` — the up-looking row-by-row IC(0);
 * :mod:`tests.oracles.lowering` — the per-element lowering loop.

@@ -9,10 +9,11 @@ exactness argument).  On arbitrary float weights gain sums may round
 differently, so there the contract weakens to cut-quality parity
 (gmean within 2%).
 
-The scalar region growing of :mod:`repro.hypergraph.initial` and the
-sort-based ``_edge_lambdas`` of :mod:`repro.hypergraph.metrics` are
-held to their array-at-a-time oracles (:mod:`tests.oracles.initial`,
-:mod:`tests.oracles.metrics`) exactly, on arbitrary float weights.
+The scalar region growing of :mod:`repro.hypergraph.initial`, the
+sort-based ``_edge_lambdas`` of :mod:`repro.hypergraph.metrics` and the
+matcher and contraction of :mod:`repro.hypergraph.coarsen` are held to
+their oracles (:mod:`tests.oracles.initial`, :mod:`tests.oracles.metrics`,
+:mod:`tests.oracles.coarsen`) exactly, on arbitrary float weights.
 
 Also covered: FM never increases the connectivity cut, per-constraint
 caps hold after every refine when the input satisfies them, the
@@ -27,10 +28,13 @@ import numpy as np
 import pytest
 
 from repro.hypergraph import Hypergraph, PartitionerOptions, partition
+from repro.hypergraph import coarsen as coarsen_mod
 from repro.hypergraph import partitioner
+from repro.hypergraph.coarsen import coarsen, contract, match_vertices
 from repro.hypergraph.initial import _grow_once
 from repro.hypergraph.metrics import _edge_lambdas, connectivity_cut, cut_weight
 from repro.hypergraph.refine import _BisectionState, fm_refine
+from tests.oracles.coarsen import contract_oracle, match_vertices_oracle
 from tests.oracles.initial import grow_once_oracle
 from tests.oracles.metrics import edge_lambdas_oracle
 from tests.oracles.refine import RecomputingBisectionState, fm_refine_oracle
@@ -202,6 +206,147 @@ class TestGrowthParity:
         caps0 = hg.total_weights() * 0.55 + hg.vertex_weights.max(axis=0)
         for seed in range(3):
             assert_growth_matches_oracle(hg, 0.5, caps0, seed, limit)
+
+
+def assert_same_hypergraph(got, want):
+    assert got.n_vertices == want.n_vertices
+    for name in ("pins", "edge_ptr", "edge_weights", "vertex_weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def assert_coarsening_matches_oracle(hg, cap, seed, limit):
+    """Production and oracle matching, then contraction, bit for bit."""
+    rng_prod, rng_oracle = (np.random.default_rng(seed) for _ in range(2))
+    got = match_vertices(hg, rng_prod, cap, edge_size_limit=limit)
+    want = match_vertices_oracle(hg, rng_oracle, cap, limit,
+                                 batch_size=coarsen_mod._MATCH_BATCH)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert rng_prod.integers(2**62) == rng_oracle.integers(2**62)
+    assert_same_hypergraph(contract(hg, got), contract_oracle(hg, want))
+    return got
+
+
+def coarsening_hypergraph(rng, n, n_edges, n_constraints, max_pins=8):
+    """Float weights plus duplicate, single-pin and empty edges."""
+    hg = float_hypergraph(rng, n, n_edges, n_constraints, max_pins)
+    edges = [hg.edge_pins(e) for e in range(hg.n_edges)]
+    edges += [edges[int(i)][::-1] for i in rng.integers(0, n_edges, 6)]
+    edges += [[int(rng.integers(n))], [], []]
+    return Hypergraph(n, edges, rng.random(len(edges)) * 3 + 0.1,
+                      hg.vertex_weights)
+
+
+def coarsening_cap(hg):
+    """The cap of :func:`coarsen`: 1/8 of each constraint's total."""
+    return np.maximum(hg.total_weights() / 8.0,
+                      hg.vertex_weights.max(axis=0))
+
+
+class TestCoarseningParity:
+    def test_float_weights_and_constraints(self):
+        rng = np.random.default_rng(67)
+        for trial in range(30):
+            c = int(rng.integers(1, 7))
+            hg = coarsening_hypergraph(rng, int(rng.integers(10, 160)),
+                                       int(rng.integers(5, 320)), c)
+            if trial % 2 == 0:
+                # Few distinct non-dyadic weights: equal scores reached
+                # by different float sums, where rounding decides ties.
+                hg.edge_weights = rng.choice([0.1, 0.2, 0.3], hg.n_edges)
+            # Caps from coarsen()'s own down to ones most pairs exceed.
+            cap = coarsening_cap(hg) * float(rng.choice([1.0, 0.6, 0.35]))
+            cap = np.maximum(cap, hg.vertex_weights.max(axis=0))
+            assert_coarsening_matches_oracle(hg, cap, trial, 64)
+
+    def test_weights_at_and_just_above_half_the_cap(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        n, c = 90, 3
+        cap = rng.random(c) + 0.7
+        half = 0.5 * cap
+        above = np.nextafter(half, np.inf)
+        weights = rng.random((n, c)) * half
+        weights[0:30] = half  # exactly half in every constraint
+        weights[30:50] = above  # just above half in every constraint
+        weights[50:65, 1] = above[1]  # heavy in one constraint only
+        weights[65:75, 1] = cap[1] - above[1]  # fills the cap exactly
+        edges = [rng.choice(n, size=int(rng.integers(2, 6)), replace=False)
+                 for _ in range(300)]
+        hg = Hypergraph(n, edges, rng.choice([0.1, 0.3], len(edges)),
+                        weights)
+        lights = []
+
+        def spy(*args):
+            lights.append(args[-1])
+            return batch_candidates(*args)
+
+        batch_candidates = coarsen_mod._batch_candidates
+        monkeypatch.setattr(coarsen_mod, "_batch_candidates", spy)
+        for seed in range(8):
+            mapping = assert_coarsening_matches_oracle(hg, cap, seed, 64)
+            merged = np.zeros((mapping.max() + 1, c))
+            np.add.at(merged, mapping, weights)
+            assert (merged <= cap).all()
+        # Exactly half the cap is light (never summed); above it is not.
+        light = lights[0]
+        assert light[:30].all() and not light[30:65].any()
+
+    @pytest.mark.parametrize("preset", ["speed", "default", "quality"])
+    def test_preset_matching_edge_limits(self, preset):
+        limit = {
+            "speed": PartitionerOptions.speed,
+            "default": PartitionerOptions,
+            "quality": PartitionerOptions.quality,
+        }[preset]().matching_edge_size_limit
+        rng = np.random.default_rng(73)
+        n = 2 * limit + 40
+        edges = [rng.integers(0, n, size=int(rng.integers(2, 9)))
+                 for _ in range(3 * n)]
+        # Edges just inside and just beyond the matching limit.
+        edges += [rng.choice(n, size=s, replace=False)
+                  for s in (limit - 1, limit, limit + 1, limit + 30)]
+        hg = Hypergraph(n, edges, rng.random(len(edges)) + 0.2,
+                        rng.random((n, 4)) + 0.1)
+        for seed in range(3):
+            assert_coarsening_matches_oracle(hg, coarsening_cap(hg), seed,
+                                             limit)
+
+    def test_multi_batch(self, monkeypatch):
+        # Small batches: later batches see earlier matches, and each
+        # batch's scores come from its own running cumsum.
+        rng = np.random.default_rng(79)
+        for batch in (1, 5, 23):
+            monkeypatch.setattr(coarsen_mod, "_MATCH_BATCH", batch)
+            for seed in range(4):
+                hg = coarsening_hypergraph(rng, 120, 260, 2)
+                hg.edge_weights = rng.choice([0.1, 0.2, 0.3], hg.n_edges)
+                assert_coarsening_matches_oracle(hg, coarsening_cap(hg),
+                                                 seed, 64)
+
+    @pytest.mark.parametrize("batch", [coarsen_mod._MATCH_BATCH, 16])
+    def test_coarsen_levels_and_mappings(self, monkeypatch, batch):
+        rng = np.random.default_rng(83)
+        hg = coarsening_hypergraph(rng, 600, 1500, 3, max_pins=12)
+        monkeypatch.setattr(coarsen_mod, "_MATCH_BATCH", batch)
+        levels, mappings = coarsen(hg, np.random.default_rng(5), stop_at=20)
+        with monkeypatch.context() as patch:
+            patch.setattr(coarsen_mod, "contract", contract_oracle)
+            patch.setattr(
+                coarsen_mod, "match_vertices",
+                lambda *args, edge_size_limit: match_vertices_oracle(
+                    *args, edge_size_limit, batch_size=batch),
+            )
+            ref_levels, ref_mappings = coarsen(
+                hg, np.random.default_rng(5), stop_at=20
+            )
+        assert len(levels) == len(ref_levels) > 3
+        for got, want in zip(levels, ref_levels):
+            assert_same_hypergraph(got, want)
+        for got, want in zip(mappings, ref_mappings):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestEdgeLambdas:
