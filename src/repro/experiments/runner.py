@@ -140,7 +140,8 @@ def main(argv=None):
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for the merged simulation sweep "
-             "(default: serial; REPRO_JOBS also honored)",
+             "(default: REPRO_JOBS if set, else min(8, CPU count); "
+             "1 runs serially)",
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",

@@ -36,7 +36,7 @@ from repro.sim.pe import (
     pe_model_names,
 )
 from repro.sim.engine import KernelResult, KernelSimulator
-from repro.sim.events import EventQueue, drain
+from repro.sim.events import EventQueue
 from repro.sim.fabric import FabricModel, LinkFabric
 from repro.sim.issue import BatchedIssue
 from repro.sim.state import KernelState, TileState
@@ -61,7 +61,6 @@ __all__ = [
     "KernelSimulator",
     "KernelResult",
     "EventQueue",
-    "drain",
     "FabricModel",
     "LinkFabric",
     "BatchedIssue",

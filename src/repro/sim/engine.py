@@ -16,11 +16,18 @@ import numpy as np
 from repro.config import AzulConfig
 from repro.dataflow.ir import CompiledKernel
 from repro.errors import SimulationError
-from repro.sim.events import EV_PUMP, EventQueue, drain
-from repro.sim.fabric import LinkFabric, flatten_multicast_forest
+from repro.sim.events import EV_MCAST, EV_PUMP, EventQueue
+from repro.sim.fabric import LinkFabric, multicast_forks
 from repro.sim.issue import BatchedIssue
 from repro.sim.pe import PEModel
-from repro.sim.state import T_MUL, T_SAAC, T_SEND, KernelState
+from repro.sim.state import (
+    T_ADD,
+    T_MUL,
+    T_SAAC,
+    T_SEND,
+    KernelState,
+    input_counts,
+)
 
 
 @dataclass
@@ -67,11 +74,37 @@ class KernelResult:
             + self.op_counts["mul"]
         )
 
+def _segment_bounds(program: CompiledKernel, keys: np.ndarray,
+                    mask: Optional[np.ndarray] = None
+                    ) -> Tuple[List[int], List[int]]:
+    """``rows``/``values`` bounds of the segment with each key.
+
+    Keys are ``tile · n + col``.  Segments are sorted by (tile, col), so
+    their keys are sorted and one binary search finds each.  A key with
+    no segment, or masked out, gets ``lo = hi = -1``.
+    """
+    n = program.n
+    seg_key = np.append(program.seg_tile * n + program.seg_col,
+                        np.iinfo(np.int64).max)
+    slot = np.searchsorted(seg_key, keys)
+    found = seg_key[slot] == keys
+    if mask is not None:
+        found &= mask
+    ptr = program.seg_ptr
+    lo = np.where(found, ptr[slot], -1)
+    hi = np.where(found, ptr[np.minimum(slot + 1, len(ptr) - 1)], -1)
+    return lo.tolist(), hi.tolist()
+
+
 class KernelSimulator:
     """Simulates one kernel program on the configured machine."""
 
-    #: Issue model, instantiated once per simulator.
+    #: Issue model and event queue, instantiated once per run.  The
+    #: issue model holds this simulator's callbacks, so the simulator
+    #: keeps no reference to it: nothing forms a reference cycle, and
+    #: a finished simulator is freed as soon as its caller drops it.
     issue_class = BatchedIssue
+    queue_class = EventQueue
 
     def __init__(self, program: CompiledKernel, geometry,
                  config: AzulConfig, pe: PEModel,
@@ -86,51 +119,50 @@ class KernelSimulator:
         )
         self.send_latency = config.sram_access_cycles + 1
         self._ideal = pe.is_ideal
-        self.issue = self.issue_class()
-        # Shared static structures (built once per simulator)
-        # straight from the program's flat IR arrays.  Column segments
-        # become plain Python lists: scalar ``rows[pos]`` /
-        # ``vals[pos]`` reads are then native ints/floats.  ``tolist``
-        # preserves the exact IEEE-754 values.
-        rows_list = program.rows.tolist()
-        vals_list = program.values.tolist()
-        seg_ptr = program.seg_ptr.tolist()
-        seg_tile = program.seg_tile.tolist()
-        seg_col = program.seg_col.tolist()
-        segments_by_tile: Dict[int, Dict[int, tuple]] = {}
-        for s in range(len(seg_tile)):
-            lo, hi = seg_ptr[s], seg_ptr[s + 1]
-            segments_by_tile.setdefault(seg_tile[s], {})[seg_col[s]] = (
-                rows_list[lo:hi], vals_list[lo:hi],
-            )
-        self._segments = segments_by_tile
-        # Flattened multicast routing (one dict probe per arrival); the
-        # destination payload is the triggered column segment, if any.
-        self._mcast_plan, self.mcast_send = flatten_multicast_forest(
-            program, self._segment_at,
+        # Flat static tables, built once per simulator straight from
+        # the program's IR arrays.  Every per-event lookup is a list
+        # index or an integer-keyed dict probe.
+        n = program.n
+        n_tiles = self.n_tiles = geometry.n_tiles
+        # Column nonzeros as plain Python lists: a triggered segment is
+        # a slice of them, so scalar ``rows[pos]`` / ``vals[pos]`` reads
+        # are native ints/floats.  ``tolist`` preserves the exact
+        # IEEE-754 values.
+        self._rows = program.rows.tolist()
+        self._vals = program.values.tolist()
+        forks = multicast_forks(program, n_tiles)
+        #: Home segment bounds per column (-1: the home holds none).
+        self._home_lo, self._home_hi = _segment_bounds(
+            program, program.vec_tile * n + np.arange(n, dtype=np.int64),
         )
+        #: Bounds of the segment a multicast arrival over edge ``e``
+        #: triggers at the edge's child (-1 unless the child is a
+        #: destination holding a segment of the tree's column).
+        self._edge_lo, self._edge_hi = _segment_bounds(
+            program, program.mcast_child * n + program.mcast_col[forks.tree],
+            forks.delivers,
+        )
+        self._edge_child = program.mcast_child.tolist()
+        self.mcast_link = forks.link.tolist()
+        self._fork_lo = forks.fork_lo.tolist()
+        self._fork_hi = forks.fork_hi.tolist()
+        self.root_lo = forks.root_lo.tolist()
+        self.root_hi = forks.root_hi.tolist()
+        self._mcast_first = program.mcast_first.tolist()
         #: Multicast trees per column (0 for home-only columns).
         self._mcast_count = program.mcast_count.tolist()
-        # Reduction next-hops, flattened to one probe per completion:
-        # ``(row, node) -> parent``.
-        red_parent: Dict[Tuple[int, int], int] = {}
-        red_row = program.red_row.tolist()
-        red_edge_ptr = program.red_edge_ptr.tolist()
-        red_child = program.red_child.tolist()
-        red_parent_arr = program.red_parent.tolist()
-        for t, row in enumerate(red_row):
-            for e in range(red_edge_ptr[t], red_edge_ptr[t + 1]):
-                red_parent[(row, red_child[e])] = red_parent_arr[e]
-        self._red_parent = red_parent
+        # Reduction next hop per ``row · n_tiles + node``.
+        edge_row = np.repeat(program.red_row, np.diff(program.red_edge_ptr))
+        self._red_parent = dict(zip(
+            (edge_row * n_tiles + program.red_child).tolist(),
+            program.red_parent.tolist(),
+        ))
+        self._input_counts = input_counts(program, n_tiles)
         self._vec_tile_list = program.vec_tile.tolist()
         # Dummy hazard row (see ``state.TASK_HAZARD``): Sends gate on
         # nothing, so they point at accumulator slot ``n`` which stays
         # 0 forever.
-        self._dummy_row = int(program.n)
-
-    def _segment_at(self, node: int, j: int):
-        segments = self._segments.get(node)
-        return None if segments is None else segments.get(j)
+        self._dummy_row = int(n)
 
     # ------------------------------------------------------------------
     def run(self, x=None, b=None) -> KernelResult:
@@ -142,20 +174,21 @@ class KernelSimulator:
         program = self.program
         n = program.n
         config = self.config
-        self.events = EventQueue()
+        self.events = self.queue_class()
         self.state = KernelState(
             n, program.local_tiles, program.local_counts,
             config.msg_buffer_entries, 2 * config.sram_access_cycles,
         )
-        self.fabric = LinkFabric(self.events, config.hop_cycles)
+        self.state.node_remaining = dict(self._input_counts)
+        self.fabric = LinkFabric(self.events, config.hop_cycles,
+                                 self.n_tiles)
         self.issue_trace = [] if self.record_issue_trace else None
         self._b = None if b is None else np.asarray(b, dtype=np.float64)
         self._x = (
             np.asarray(x, dtype=np.float64) if x is not None
             else np.zeros(n)
         )
-        self.state.init_node_remaining(program)
-        self.issue.bind(self)
+        pump = self.issue_class().bind(self)
 
         if program.dependent:
             if self._b is None:
@@ -166,8 +199,7 @@ class KernelSimulator:
                 raise SimulationError("SpMV simulation requires x")
             self._init_spmv()
 
-        drain(self.events, self.issue.pump, self._handle_mcast,
-              self._handle_partial)
+        self.events.drain(pump, self._handle_mcast, self._handle_partial)
 
         state = self.state
         if state.rows_done != n:
@@ -177,9 +209,10 @@ class KernelSimulator:
             )
         op_totals, busy = state.op_totals()
         fabric = self.fabric
+        last_arrival = fabric.last_arrival()
         cycles = (
-            state.end_time if state.end_time >= fabric.last_arrival
-            else fabric.last_arrival
+            state.end_time if state.end_time >= last_arrival
+            else last_arrival
         )
         return KernelResult(
             name=program.name,
@@ -192,12 +225,12 @@ class KernelSimulator:
                 "send": op_totals[3],
             },
             busy_slots=busy,
-            link_activations=fabric.link_count,
-            per_link=fabric.per_link,
+            link_activations=fabric.link_count(),
+            per_link=fabric.link_counts(),
             spills=state.spills,
             link_queue_delay=fabric.queue_delay,
             issue_trace=self.issue_trace,
-            n_tiles=self.geometry.n_tiles,
+            n_tiles=self.n_tiles,
         )
 
     # ------------------------------------------------------------------
@@ -205,53 +238,56 @@ class KernelSimulator:
     # ------------------------------------------------------------------
     def _init_spmv(self) -> None:
         """Distribute input-vector values at time zero (SendV tasks)."""
-        program = self.program
-        state = self.state
-        enqueue = state.enqueue
+        n_tiles = self.n_tiles
         vec_tile = self._vec_tile_list
-        x = self._x
+        all_rows = self._rows
+        all_vals = self._vals
+        home_lo = self._home_lo
+        home_hi = self._home_hi
+        mcast_first = self._mcast_first
+        mcast_count = self._mcast_count
+        enqueue = self._enqueue_and_pump
         dummy = self._dummy_row
-        for j in range(program.n):
-            home = vec_tile[j]
-            value = float(x[j])
-            segment = self._segment_at(home, j)
-            if segment is not None:
-                enqueue(home, [0, T_SAAC, segment[0], segment[1],
-                               value, 0, segment[0][0]])
-            for tree_index in range(self._mcast_count[j]):
-                enqueue(home, [0, T_SEND, ("mcast", j, value, tree_index),
-                               0, 0, 0, dummy])
+        x = self._x.tolist()
+        for j, home in enumerate(vec_tile):
+            value = x[j]
+            lo = home_lo[j]
+            if lo >= 0:
+                hi = home_hi[j]
+                enqueue(home, [0, T_SAAC, all_rows[lo:hi], all_vals[lo:hi],
+                               value, 0, all_rows[lo]], 0)
+            first = mcast_first[j]
+            for tree in range(first, first + mcast_count[j]):
+                enqueue(home, [0, T_SEND, ("mcast", tree, value),
+                               0, 0, 0, dummy], 0)
         # Rows with no pending inputs complete immediately (y_i = 0 or
         # purely-local rows start from their FMACs).
-        node_remaining = state.node_remaining
-        for i in range(program.n):
-            if node_remaining[(i, vec_tile[i])] == 0:
+        node_remaining = self.state.node_remaining
+        for i, home in enumerate(vec_tile):
+            if node_remaining[i * n_tiles + home] == 0:
                 self._row_complete(i, 0)
-        self._flush_pumps()
 
     def _init_sptrsv(self) -> None:
         """Schedule dependence-free rows for solving at time zero."""
-        program = self.program
+        n_tiles = self.n_tiles
         node_remaining = self.state.node_remaining
-        vec_tile = self._vec_tile_list
-        for i in range(program.n):
-            home = vec_tile[i]
-            if node_remaining[(i, home)] == 0:
-                self.state.enqueue(home, [0, T_MUL, i, 0, 0, 0, i])
-        self._flush_pumps()
-
-    def _flush_pumps(self) -> None:
-        for tile_id in list(self.state.tiles):
-            self._schedule_pump(tile_id, 0)
+        for i, home in enumerate(self._vec_tile_list):
+            if node_remaining[i * n_tiles + home] == 0:
+                self._enqueue_and_pump(home, [0, T_MUL, i, 0, 0, 0, i], 0)
 
     # ------------------------------------------------------------------
     # Shared control path (event scheduling + completion logic the
     # issue model calls back into)
     # ------------------------------------------------------------------
     def _schedule_pump(self, tile_id: int, time: int) -> None:
-        tile = self.state.tile(tile_id)
+        """Make sure a pump covers the tile's work from ``time`` on.
+
+        The pump is clamped to the PE's next free slot (nothing can
+        issue before it) and deduplicated: a tile keeps at most one
+        live pump, at the earliest time any of its tasks could start.
+        """
+        tile = self.state.tiles[tile_id]
         if not self._ideal and tile.pe_time > time:
-            # Nothing can issue before the PE's next free slot anyway.
             time = tile.pe_time
         nxt = tile.next_pump
         if nxt is None or time < nxt:
@@ -260,7 +296,7 @@ class KernelSimulator:
 
     def _enqueue_and_pump(self, tile_id: int, task: list,
                           time: int) -> None:
-        """Fused enqueue + pump scheduling (one tile fetch)."""
+        """Fused enqueue + :meth:`_schedule_pump` (one tile fetch)."""
         tile = self.state.enqueue(tile_id, task)
         if not self._ideal and tile.pe_time > time:
             time = tile.pe_time
@@ -270,43 +306,46 @@ class KernelSimulator:
             self.events.push(time, EV_PUMP, tile_id)
 
     def _handle_mcast(self, payload, time: int) -> None:
-        """A multicast value reached a node: forward and trigger work."""
-        node, j, value, tree_index = payload
-        children, segment = self._mcast_plan[(j, tree_index, node)]
-        if children:
+        """A multicast value arrived over a tree edge: fork and trigger."""
+        edge, value = payload
+        lo = self._fork_lo[edge]
+        hi = self._fork_hi[edge]
+        if lo < hi:
             traverse = self.fabric.traverse
-            for child in children:
-                traverse(node, child, time, 1,  # EV_MCAST
-                         (child, j, value, tree_index))
-        if segment is not None:
+            link = self.mcast_link
+            for child_edge in range(lo, hi):
+                traverse(link[child_edge], time, EV_MCAST,
+                         (child_edge, value))
+        lo = self._edge_lo[edge]
+        if lo >= 0:
+            hi = self._edge_hi[edge]
             self._enqueue_and_pump(
-                node, [time, T_SAAC, segment[0], segment[1], value, 0,
-                       segment[0][0]],
+                self._edge_child[edge],
+                [time, T_SAAC, self._rows[lo:hi], self._vals[lo:hi], value,
+                 0, self._rows[lo]],
                 time,
             )
 
     def _handle_partial(self, payload, time: int) -> None:
         """A reduction partial arrived: merge via a standalone Add."""
         node, row, value = payload
-        self._enqueue_and_pump(node, [time, 1, row, value, 0, 0, row],
-                               time)  # T_ADD
+        self._enqueue_and_pump(node, [time, T_ADD, row, value, 0, 0, row],
+                               time)
 
     def _node_input_done(self, row: int, node: int, time: int) -> None:
         """One expected input of reduction node ``(row, node)`` merged."""
         state = self.state
         remaining_map = state.node_remaining
-        key = (row, node)
+        key = row * self.n_tiles + node
         remaining = remaining_map[key] - 1
         remaining_map[key] = remaining
         if remaining > 0:
             return
-        home = self._vec_tile_list[row]
-        if node == home:
+        if node == self._vec_tile_list[row]:
             self._row_complete(row, time)
         else:
-            parent = self._red_parent[(row, node)]
-            tile = state.tiles.get(node)
-            value = 0.0 if tile is None else tile.partial[row]
+            parent = self._red_parent[key]
+            value = state.tiles[node].partial[row]
             self._enqueue_and_pump(
                 node, [time, T_SEND, ("partial", row, value, parent),
                        0, 0, 0, self._dummy_row],
@@ -331,20 +370,21 @@ class KernelSimulator:
         """SpTRSV: produce ``x_row`` and distribute it down the column."""
         program = self.program
         state = self.state
-        tile = state.tiles.get(home)
-        acc = 0.0 if tile is None else tile.partial[row]
+        acc = state.tiles[home].partial[row]
         # ``float()`` keeps the produced value a native float (the bits
         # are unchanged) so downstream FMACs avoid numpy scalar math.
         value = float((self._b[row] - acc) * program.inv_diag[row])
         state.output[row] = value
         state.rows_done += 1
-        segment = self._segment_at(home, row)
-        if segment is not None:
-            state.enqueue(home, [completion, T_SAAC, segment[0],
-                                 segment[1], value, 0, segment[0][0]])
-        for tree_index in range(self._mcast_count[row]):
+        lo = self._home_lo[row]
+        if lo >= 0:
+            hi = self._home_hi[row]
+            state.enqueue(home, [completion, T_SAAC, self._rows[lo:hi],
+                                 self._vals[lo:hi], value, 0,
+                                 self._rows[lo]])
+        first = self._mcast_first[row]
+        for tree in range(first, first + self._mcast_count[row]):
             state.enqueue(home, [completion, T_SEND,
-                                 ("mcast", row, value, tree_index),
+                                 ("mcast", tree, value),
                                  0, 0, 0, self._dummy_row])
         self._schedule_pump(home, completion)
-

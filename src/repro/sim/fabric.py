@@ -4,10 +4,13 @@ Two views of the same fabric:
 
 * :class:`LinkFabric` — the *dynamic* per-run state: flit
   serialization on directed links (one flit per link per cycle),
-  queueing delay, per-link activation counts, and the flattened
-  multicast-forwarding plan.  Works over any geometry (torus or mesh);
-  the geometry is baked into the trees at program-build time, so the
-  fabric itself only sees tile ids.
+  queueing delay and per-link activation counts, keyed by the integer
+  link ``src · n_tiles + dst``.  Works over any geometry (torus or
+  mesh); the geometry is baked into the trees at program-build time,
+  so the fabric itself only sees tile ids.
+* :func:`multicast_forks` — the flat multicast forwarding tables of
+  one compiled kernel, indexed by tree edge, so an arrival is one list
+  read per table instead of a tree walk or a tuple-keyed probe.
 * :class:`FabricModel` — the *static* tree/link API consumed by the
   machine model, solver timing, and ``repro.core.traffic``: multicast
   and reduction trees, hop distances, and link enumeration over a
@@ -21,18 +24,15 @@ issue layer or the composition root.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Tuple
+
+import numpy as np
 
 from repro.comm.multicast import MulticastTree, build_multicast_tree
 from repro.comm.reduction import ReductionTree, build_reduction_tree
 from repro.sim.events import EventQueue
 
 Link = Tuple[int, int]
-
-#: Flattened multicast step: children to fork to, plus an opaque
-#: destination payload (the engine stores the triggered column segment
-#: there; the fabric never interprets it).
-McastStep = Tuple[Tuple[int, ...], Any]
 
 
 class LinkFabric:
@@ -43,27 +43,27 @@ class LinkFabric:
     traversal costs ``hop_cycles`` of latency before the arrival event
     fires.  Arrival events are pushed into the shared
     :class:`~repro.sim.events.EventQueue`, preserving deterministic
-    tie-breaking.
+    tie-breaking.  Links are the integers ``src * n_tiles + dst``;
+    :meth:`link_counts` maps them back to ``(src, dst)`` pairs.
     """
 
-    __slots__ = ("events", "hop_cycles", "link_free", "per_link",
-                 "link_count", "queue_delay", "last_arrival")
+    __slots__ = ("events", "hop_cycles", "n_tiles", "link_free",
+                 "per_link", "queue_delay")
 
-    def __init__(self, events: EventQueue, hop_cycles: int) -> None:
+    def __init__(self, events: EventQueue, hop_cycles: int,
+                 n_tiles: int) -> None:
         self.events = events
         self.hop_cycles = hop_cycles
-        self.link_free: Dict[Link, int] = {}
-        self.per_link: Dict[Link, int] = {}
-        self.link_count = 0
+        self.n_tiles = n_tiles
+        #: Next free departure cycle per link key.
+        self.link_free: Dict[int, int] = {}
+        #: Activations per link key, in first-use order.
+        self.per_link: Dict[int, int] = {}
         self.queue_delay = 0
-        #: Latest link arrival seen so far (combined with the state
-        #: layer's compute completion for the reported cycle count).
-        self.last_arrival = 0
 
-    def traverse(self, src: int, dst: int, time: int, event_kind: int,
+    def traverse(self, link: int, time: int, event_kind: int,
                  payload: Any) -> None:
-        """Serialize a flit onto a link and schedule its arrival."""
-        link = (src, dst)
+        """Serialize a flit onto ``link`` and schedule its arrival."""
         link_free = self.link_free
         depart = link_free.get(link, 0)
         if depart < time:
@@ -73,100 +73,88 @@ class LinkFabric:
         link_free[link] = depart + 1
         per_link = self.per_link
         per_link[link] = per_link.get(link, 0) + 1
-        self.link_count += 1
-        arrival = depart + self.hop_cycles
-        self.events.push(arrival, event_kind, payload)
-        if arrival > self.last_arrival:
-            self.last_arrival = arrival
+        self.events.push(depart + self.hop_cycles, event_kind, payload)
+
+    def link_counts(self) -> Dict[Link, int]:
+        """Activations per directed ``(src, dst)`` link, in first-use order."""
+        n_tiles = self.n_tiles
+        return {divmod(link, n_tiles): count
+                for link, count in self.per_link.items()}
+
+    def link_count(self) -> int:
+        """Total link traversals."""
+        return sum(self.per_link.values())
+
+    def last_arrival(self) -> int:
+        """Latest arrival cycle of any flit (0 when no flit moved).
+
+        Departures on one link only grow, so a link's last arrival is
+        its last departure (``link_free - 1``) plus the hop latency.
+        """
+        if not self.link_free:
+            return 0
+        return max(self.link_free.values()) - 1 + self.hop_cycles
 
 
-def flatten_multicast_plan(
-    mcast_trees: Dict[int, Tuple[MulticastTree, ...]],
-    payload_at: Callable[[int, int], Any],
-) -> Tuple[Dict[Tuple[int, int, int], McastStep],
-           Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]]]:
-    """Flatten multicast trees into O(1) per-arrival lookup tables.
+class MulticastForks(NamedTuple):
+    """Flat multicast forwarding tables of one compiled kernel.
 
-    Returns ``(plan, send_plan)``:
+    Edge ``e`` is edge ``e`` of the kernel's multicast forest
+    (``CompiledKernel.mcast_parent[e] → mcast_child[e]``); tree ``t``
+    is forest tree ``t``.  All fields are int64 arrays except
+    ``delivers``:
 
-    * ``plan[(j, tree_index, node)] = (children, payload)`` — the
-      router-side fork at ``node`` plus, when ``node`` is a
-      destination, ``payload_at(node, j)`` (e.g. the column segment
-      the arrival triggers; ``None`` elsewhere).
-    * ``send_plan[(j, tree_index)] = (root, root_children)`` — the
-      fork a Send op performs at the tree root.
-
-    One dict probe then replaces the tree-attribute chase, set
-    membership test, and nested segment lookup per arrival.
+    * ``tree[e]`` — the tree the edge belongs to;
+    * ``link[e]`` — the integer link key ``parent · n_tiles + child``;
+    * ``fork_lo[e]:fork_hi[e]`` — the edges leaving ``child[e]`` in the
+      same tree: the router-side fork when a value arrives over ``e``,
+      in sorted-edge order (the canonical form the lowering emits);
+    * ``delivers[e]`` — whether ``child[e]`` is a destination of the
+      tree (bool);
+    * ``root_lo[t]:root_hi[t]`` — the edges leaving tree ``t``'s root:
+      the fork a Send op performs.
     """
-    plan: Dict[Tuple[int, int, int], McastStep] = {}
-    send_plan: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]] = {}
-    for j, trees in mcast_trees.items():
-        for tree_index, tree in enumerate(trees):
-            nodes = set(tree.children)
-            for childs in tree.children.values():
-                nodes.update(childs)
-            nodes.add(tree.root)
-            for node in nodes:
-                payload = None
-                if node in tree.destinations:
-                    payload = payload_at(node, j)
-                plan[(j, tree_index, node)] = (
-                    tuple(tree.children.get(node, ())), payload,
-                )
-            send_plan[(j, tree_index)] = (
-                tree.root, tuple(tree.children.get(tree.root, ())),
-            )
-    return plan, send_plan
+
+    tree: np.ndarray
+    link: np.ndarray
+    fork_lo: np.ndarray
+    fork_hi: np.ndarray
+    delivers: np.ndarray
+    root_lo: np.ndarray
+    root_hi: np.ndarray
 
 
-def flatten_multicast_forest(
-    program,
-    payload_at: Callable[[int, int], Any],
-) -> Tuple[Dict[Tuple[int, int, int], McastStep],
-           Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]]]:
-    """Flatten a compiled kernel's multicast forest into lookup tables.
+def multicast_forks(program, n_tiles: int) -> MulticastForks:
+    """Vectorized multicast forwarding tables of a compiled kernel.
 
-    The flat-array counterpart of :func:`flatten_multicast_plan`:
-    reads the :class:`~repro.dataflow.ir.CompiledKernel` forest arrays
-    (``mcast_col``/``mcast_root``/``mcast_edge_ptr``/…) directly, so
-    no per-tree objects are materialized.  Returns the same
-    ``(plan, send_plan)`` tables keyed ``(col, tree_index, node)`` /
-    ``(col, tree_index)``.
-
-    Children fork in sorted-edge order (the canonical form the
-    lowering emits), which is deterministic and engine-independent.
+    ``program`` is duck-typed (a
+    :class:`~repro.dataflow.ir.CompiledKernel`); only its multicast
+    forest arrays are read.  Edges are sorted by ``(tree, parent,
+    child)``, so ``tree · n_tiles + parent`` is non-decreasing and the
+    out-edges of every tree node form one contiguous range, found by
+    binary search.
     """
-    plan: Dict[Tuple[int, int, int], McastStep] = {}
-    send_plan: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]] = {}
-    mcast_col = program.mcast_col.tolist()
-    mcast_root = program.mcast_root.tolist()
-    mcast_first = program.mcast_first
-    edge_ptr = program.mcast_edge_ptr.tolist()
-    parents = program.mcast_parent.tolist()
-    child_arr = program.mcast_child.tolist()
-    dst_ptr = program.mcast_dst_ptr.tolist()
-    dsts = program.mcast_dst.tolist()
-    for t in range(len(mcast_col)):
-        j = mcast_col[t]
-        tree_index = t - int(mcast_first[j])
-        root = mcast_root[t]
-        children: Dict[int, List[int]] = {}
-        nodes = {root}
-        for e in range(edge_ptr[t], edge_ptr[t + 1]):
-            children.setdefault(parents[e], []).append(child_arr[e])
-            nodes.add(child_arr[e])
-            nodes.add(parents[e])
-        destinations = set(dsts[dst_ptr[t]:dst_ptr[t + 1]])
-        for node in nodes:
-            payload = payload_at(node, j) if node in destinations else None
-            plan[(j, tree_index, node)] = (
-                tuple(children.get(node, ())), payload,
-            )
-        send_plan[(j, tree_index)] = (
-            root, tuple(children.get(root, ())),
-        )
-    return plan, send_plan
+    n_trees = len(program.mcast_col)
+    trees = np.arange(n_trees, dtype=np.int64)
+    tree = np.repeat(trees, np.diff(program.mcast_edge_ptr))
+    parent = program.mcast_parent
+    child = program.mcast_child
+    out_key = tree * n_tiles + parent
+    at_child = tree * n_tiles + child
+    at_root = trees * n_tiles + program.mcast_root
+    dst_key = (
+        np.repeat(trees, np.diff(program.mcast_dst_ptr)) * n_tiles
+        + program.mcast_dst
+    )
+    return MulticastForks(
+        tree=tree,
+        link=parent * n_tiles + child,
+        fork_lo=np.searchsorted(out_key, at_child, side="left"),
+        fork_hi=np.searchsorted(out_key, at_child, side="right"),
+        delivers=np.isin(at_child, dst_key),
+        root_lo=np.searchsorted(out_key, at_root, side="left"),
+        root_hi=np.searchsorted(out_key, at_root, side="right"),
+    )
 
 
 class FabricModel:
@@ -213,4 +201,4 @@ class FabricModel:
     # -- dynamic state -------------------------------------------------
     def new_link_state(self, events: EventQueue) -> LinkFabric:
         """Fresh per-run link-contention state bound to ``events``."""
-        return LinkFabric(events, self.hop_cycles)
+        return LinkFabric(events, self.hop_cycles, self.n_tiles)

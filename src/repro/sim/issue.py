@@ -4,15 +4,16 @@
 PE.  It works at run granularity: a ``T_SAAC`` column-segment run is
 issued as one batched step whose per-op issue times are computed
 analytically (numpy for long runs), bounded by an exactness *horizon*
-so cycles, op counts, link stats, spills, and outputs stay
-bit-identical to the operation-granularity model of the hardware
-description (Sec. V-A), in which every operation is one selection scan
-plus one issue.  That per-op model is kept as a test oracle and the
-equivalence is enforced by ``tests/test_engine_equivalence.py``.
+(the earliest pending event of the calendar queue) so cycles, op
+counts, link stats, spills, and outputs stay bit-identical to the
+operation-granularity model of the hardware description (Sec. V-A),
+in which every operation is one selection scan plus one issue.  That
+per-op model is kept as a test oracle and the equivalence is enforced
+by ``tests/test_engine_equivalence.py``.
 
 The issue model is bound per run to the composition root (duck-typed
 as :class:`IssueCore`), which supplies the shared state, event queue,
-fabric, and completion callbacks.
+fabric, routing tables, and completion callbacks.
 
 Layer contract: ``issue`` may import ``events``/``state``/``fabric``
 but never the engine composition root.
@@ -20,11 +21,18 @@ but never the engine composition root.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Callable, List, Optional, Protocol, Tuple
 
 import numpy as np
 
-from repro.sim.events import EV_MCAST, EV_PARTIAL, EV_PUMP, NEVER, EventQueue
+from repro.sim.events import (
+    EV_MCAST,
+    EV_PARTIAL,
+    EV_PUMP,
+    NEVER,
+    EventQueue,
+    Handler,
+)
 from repro.sim.fabric import LinkFabric
 from repro.sim.state import (
     T_ADD,
@@ -46,10 +54,15 @@ class IssueCore(Protocol):
     state: KernelState
     events: EventQueue
     fabric: LinkFabric
+    n_tiles: int
     alu_latency: int
     send_latency: int
     issue_trace: Optional[List[Tuple[int, int, int]]]
-    mcast_send: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]]
+    #: Integer link key per multicast edge, and each tree's root-edge
+    #: range (see :class:`repro.sim.fabric.MulticastForks`).
+    mcast_link: List[int]
+    root_lo: List[int]
+    root_hi: List[int]
 
     @property
     def pe(self) -> Any: ...
@@ -60,19 +73,21 @@ class IssueCore(Protocol):
 class BatchedIssue:
     """Run-granularity issue: batches column-segment runs exactly.
 
-    ``bind`` captures per-run references from the composition root;
-    ``pump(tile_id, now)`` then services one PUMP event (including the
-    stale-pump filter).  No state survives across runs.
+    ``bind`` captures per-run references from the composition root and
+    returns the PUMP handler ``pump(tile_id, now)``, which services one
+    PUMP event (including the stale-pump filter).  No state survives
+    across runs.
 
     Exactness argument (mirrored by ``tests/test_engine_equivalence.py``):
 
-    * **Horizon** ``h`` — the earliest pending heap event.  While the
-      next issue time is strictly below ``h`` no external event (message
-      arrival, other tile's pump) could have interposed in the per-op
-      model, so the pump keeps going inline instead of bouncing through
-      the heap.  Ideal PEs additionally issue everything ready at the
-      current pump time regardless of the heap, exactly like the per-op
-      loop.
+    * **Horizon** ``h`` — the earliest pending event: the current cycle
+      while the calendar bucket being drained still holds events, else
+      the earliest pending cycle.  While the next issue time is
+      strictly below ``h`` no external event (message arrival, other
+      tile's pump) could have interposed in the per-op model, so the
+      pump keeps going inline instead of bouncing through the queue.
+      Ideal PEs additionally issue everything ready at the current pump
+      time regardless of the queue, exactly like the per-op loop.
     * **Window competition** — a batched SAAC run continues only while
       its next op's issue time stays strictly below every *other*
       window task's hazard floor ``max(task_time, acc_ready[row])``.
@@ -87,8 +102,8 @@ class BatchedIssue:
       operations in the identical order as per-op issue.
     """
 
-    def bind(self, core: IssueCore) -> None:
-        """Capture per-run references (state, events, fabric, hooks)."""
+    def _capture(self, core: IssueCore) -> None:
+        """Capture the per-run references every issue path reads."""
         pe = core.pe
         self.ic: int = pe.issue_cycles
         self.ideal: bool = pe.is_ideal
@@ -99,178 +114,207 @@ class BatchedIssue:
         self.tiles = core.state.tiles
         self.events = core.events
         self.traverse = core.fabric.traverse
+        self.n_tiles = core.n_tiles
         self.trace = core.issue_trace
-        self.mcast_send = core.mcast_send
+        self.mcast_link = core.mcast_link
+        self.root_lo = core.root_lo
+        self.root_hi = core.root_hi
         self.on_input_done: Callable[[int, int, int], None] = \
             core._node_input_done
         self.on_solve: Callable[[int, int, int], None] = core._solve_row
 
-    def pump(self, tile_id: int, now: int) -> None:
-        """Horizon-bounded pump: drains inline while no event intervenes.
+    def bind(self, core: IssueCore) -> Handler:
+        """Capture per-run references; return the PUMP handler.
 
-        The single-op SAAC issue (the dominant case once the machine is
-        saturated and batches are horizon-bounded) is fully inlined
-        here; runs that can batch further go through ``_saac_batch``.
+        The handler is a closure over the run's constants (PE model,
+        latencies, state, calendar, callbacks), so servicing a pump
+        reads them as cell variables instead of attributes.
         """
-        tile = self.tiles[tile_id]
-        if tile.next_pump != now:
-            return  # stale: a different pump is now scheduled
-        tile.next_pump = None
+        self._capture(core)
         ideal = self.ideal
         limit = self.limit
         ic = self.ic
         alu = self.alu_latency
-        eq = self.events
-        heap = eq.heap
         state = self.state
-        acc = tile.acc_ready
-        tasks = tile.tasks
-        partial = tile.partial
-        local_rem = tile.local_rem
-        op_counts = tile.op_counts
+        tiles = self.tiles
+        events = self.events
+        cycles = events.cycles
+        push = events.push
         trace = self.trace
-        while True:
-            n_tasks = len(tasks)
-            if not n_tasks:
-                return
-            h = heap[0][0] if heap else NEVER
-            window = limit if limit < n_tasks else n_tasks
-            # Inline selection, identical to the per-op scan: the
-            # winner is the first strict minimum of
-            # ``ready = max(arrival, acc hazard, pe_time)``.  Ties go to
-            # the lowest index, so the first task whose hazard floor is
-            # at or below ``pe_time`` wins outright (``ready`` cannot
-            # drop below ``pe_time``) and the scan short-circuits.
-            pe_time = tile.pe_time
-            best_index = 0
-            best_ready = NEVER
-            index = 0
-            for task in tasks if window == n_tasks else tasks[:window]:
-                # Branch-free hazard read: slot ``TASK_HAZARD`` always
-                # names the row whose accumulator gates the task's
-                # current op (Sends name the dummy row, stuck at 0).
-                m = acc[task[6]]
-                t = task[0]
-                if t > m:
-                    m = t
-                if m <= pe_time:
-                    best_index = index
-                    best_ready = pe_time
-                    break
-                if m < best_ready:
-                    best_ready = m
-                    best_index = index
-                index += 1
-            best_time = best_ready
-            if best_time > now:
-                if best_time >= h:
-                    # An event at or before best_time could change the
-                    # picture: yield to the heap (per-op order).
-                    nxt = tile.next_pump
-                    if nxt is None or best_time < nxt:
-                        tile.next_pump = best_time
-                        eq.push(best_time, EV_PUMP, tile_id)
-                    return
-                # Fast-forward: nothing can intervene.  The per-op
-                # model would push a pump at best_time and pop it
-                # straight back (clearing ``next_pump``); mirror that.
-                now = best_time
-                tile.next_pump = None
-            task = tasks[best_index]
-            if task[1] == 0:  # T_SAAC
-                rows = task[2]
-                pos = task[5]
-                row0 = rows[pos]
-                trigger = local_rem[row0] == 1
-                p1 = pos + 1
-                # Probe whether a second run op could join the batch;
-                # if so, defer to the multi-op planner.  The heap
-                # horizon blocks extension in the vast majority of
-                # pumps, so the hazard floor of the losing window tasks
-                # (``other_floor``) is only computed once the cheap
-                # horizon gate has already passed.
-                if not trigger and p1 < len(rows):
-                    t0 = task[0]
-                    ready2 = acc[rows[p1]]
-                    if t0 > ready2:
-                        ready2 = t0
-                    if ideal:
-                        t1 = ready2
-                        gate = ready2 <= now or ready2 < h
-                    else:
-                        t1 = best_time + ic
-                        if ready2 > t1:
-                            t1 = ready2
-                        gate = t1 < h
-                    if gate:
-                        other_floor = NEVER
-                        k = 0
-                        for task2 in (tasks if window == n_tasks
-                                      else tasks[:window]):
-                            if k != best_index:
-                                m = acc[task2[6]]
-                                t = task2[0]
-                                if t > m:
-                                    m = t
-                                if m < other_floor:
-                                    other_floor = m
-                            k += 1
-                        if t1 < other_floor:
-                            now = self._saac_batch(
-                                tile_id, tile, task, best_index,
-                                best_time, other_floor, h, now, t1,
-                            )
-                            if now < 0:
-                                return
-                            continue
-                # -- single-op issue, fully inline ---------------------
-                completion = best_time + alu
-                acc[row0] = completion
-                partial[row0] += task[4] * task[3][pos]
-                local_rem[row0] -= 1
-                op_counts[0] += 1
-                tile.busy += ic
-                if trace is not None:
-                    trace.append((best_time, tile_id, 0))
-                if p1 >= len(rows):
-                    del tasks[best_index]
-                else:
-                    task[5] = p1
-                    task[6] = rows[p1]
-                if not ideal:
-                    pe_time = best_time + ic
-                    tile.pe_time = pe_time
-                if completion > state.end_time:
-                    state.end_time = completion
-                if trigger:
-                    self.on_input_done(row0, tile_id, completion)
-                if ideal:
-                    # The per-op ideal pump keeps draining within one
-                    # invocation.
-                    continue
-            else:
-                self._issue_other(tile_id, tile, task, best_index,
-                                  best_time)
-                if ideal:
-                    # The per-op ideal pump keeps draining within one
-                    # invocation (no heap round-trip, no next_pump
-                    # churn).
-                    continue
-                pe_time = tile.pe_time
-            if not tasks:
-                # The per-op loop exits without scheduling.
-                return
-            if heap and heap[0][0] <= pe_time:
-                nxt = tile.next_pump
-                if nxt is None or pe_time < nxt:
-                    tile.next_pump = pe_time
-                    eq.push(pe_time, EV_PUMP, tile_id)
-                return
-            # The per-op model would push a pump at pe_time and pop it
-            # right back (strictly before any event): continue inline
-            # with the same ``next_pump = None`` state.
+        on_input_done = self.on_input_done
+        issue_other = self._issue_other
+        saac_batch = self._saac_batch
+
+        def pump(tile_id: int, now: int) -> None:
+            """Horizon-bounded pump: drains inline while no event intervenes.
+
+            The single-op SAAC issue (the dominant case once the machine
+            is saturated and batches are horizon-bounded) is fully
+            inlined here; runs that can batch further go through
+            ``_saac_batch``.
+            """
+            tile = tiles[tile_id]
+            if tile.next_pump != now:
+                return  # stale: a different pump is now scheduled
             tile.next_pump = None
-            now = pe_time
+            # The calendar bucket of this cycle: while it still holds
+            # events, they are the earliest pending ones.
+            current = events.current
+            cycle = now
+            acc = tile.acc_ready
+            tasks = tile.tasks
+            partial = tile.partial
+            local_rem = tile.local_rem
+            op_counts = tile.op_counts
+            while True:
+                n_tasks = len(tasks)
+                if not n_tasks:
+                    return
+                h = (cycle if current
+                     else cycles[0] if cycles else NEVER)
+                window = limit if limit < n_tasks else n_tasks
+                # Inline selection, identical to the per-op scan: the
+                # winner is the first strict minimum of
+                # ``ready = max(arrival, acc hazard, pe_time)``.  Ties go
+                # to the lowest index, so the first task whose hazard
+                # floor is at or below ``pe_time`` wins outright
+                # (``ready`` cannot drop below ``pe_time``) and the scan
+                # short-circuits.
+                pe_time = tile.pe_time
+                best_index = 0
+                best_ready = NEVER
+                index = 0
+                for task in tasks if window == n_tasks else tasks[:window]:
+                    # Branch-free hazard read: slot ``TASK_HAZARD``
+                    # always names the row whose accumulator gates the
+                    # task's current op (Sends name the dummy row, stuck
+                    # at 0).
+                    m = acc[task[6]]
+                    t = task[0]
+                    if t > m:
+                        m = t
+                    if m <= pe_time:
+                        best_index = index
+                        best_ready = pe_time
+                        break
+                    if m < best_ready:
+                        best_ready = m
+                        best_index = index
+                    index += 1
+                best_time = best_ready
+                if best_time > now:
+                    if best_time >= h:
+                        # An event at or before best_time could change
+                        # the picture: yield to the queue (per-op
+                        # order).
+                        nxt = tile.next_pump
+                        if nxt is None or best_time < nxt:
+                            tile.next_pump = best_time
+                            push(best_time, EV_PUMP, tile_id)
+                        return
+                    # Fast-forward: nothing can intervene.  The per-op
+                    # model would push a pump at best_time and pop it
+                    # straight back (clearing ``next_pump``); mirror
+                    # that.
+                    now = best_time
+                    tile.next_pump = None
+                task = tasks[best_index]
+                if task[1] == 0:  # T_SAAC
+                    rows = task[2]
+                    pos = task[5]
+                    row0 = rows[pos]
+                    trigger = local_rem[row0] == 1
+                    p1 = pos + 1
+                    # Probe whether a second run op could join the
+                    # batch; if so, defer to the multi-op planner.  The
+                    # horizon blocks extension in the vast majority of
+                    # pumps, so the hazard floor of the losing window
+                    # tasks (``other_floor``) is only computed once the
+                    # cheap horizon gate has already passed.
+                    if not trigger and p1 < len(rows):
+                        t0 = task[0]
+                        ready2 = acc[rows[p1]]
+                        if t0 > ready2:
+                            ready2 = t0
+                        if ideal:
+                            t1 = ready2
+                            gate = ready2 <= now or ready2 < h
+                        else:
+                            t1 = best_time + ic
+                            if ready2 > t1:
+                                t1 = ready2
+                            gate = t1 < h
+                        if gate:
+                            other_floor = NEVER
+                            k = 0
+                            for task2 in (tasks if window == n_tasks
+                                          else tasks[:window]):
+                                if k != best_index:
+                                    m = acc[task2[6]]
+                                    t = task2[0]
+                                    if t > m:
+                                        m = t
+                                    if m < other_floor:
+                                        other_floor = m
+                                k += 1
+                            if t1 < other_floor:
+                                now = saac_batch(
+                                    tile_id, tile, task, best_index,
+                                    best_time, other_floor, h, now, t1,
+                                )
+                                if now < 0:
+                                    return
+                                continue
+                    # -- single-op issue, fully inline -----------------
+                    completion = best_time + alu
+                    acc[row0] = completion
+                    partial[row0] += task[4] * task[3][pos]
+                    local_rem[row0] -= 1
+                    op_counts[0] += 1
+                    tile.busy += ic
+                    if trace is not None:
+                        trace.append((best_time, tile_id, 0))
+                    if p1 >= len(rows):
+                        del tasks[best_index]
+                    else:
+                        task[5] = p1
+                        task[6] = rows[p1]
+                    if not ideal:
+                        pe_time = best_time + ic
+                        tile.pe_time = pe_time
+                    if completion > state.end_time:
+                        state.end_time = completion
+                    if trigger:
+                        on_input_done(row0, tile_id, completion)
+                    if ideal:
+                        # The per-op ideal pump keeps draining within
+                        # one invocation.
+                        continue
+                else:
+                    issue_other(tile_id, tile, task, best_index, best_time)
+                    if ideal:
+                        # The per-op ideal pump keeps draining within
+                        # one invocation (no queue round-trip, no
+                        # next_pump churn).
+                        continue
+                    pe_time = tile.pe_time
+                if not tasks:
+                    # The per-op loop exits without scheduling.
+                    return
+                if (cycle if current
+                        else cycles[0] if cycles else NEVER) <= pe_time:
+                    nxt = tile.next_pump
+                    if nxt is None or pe_time < nxt:
+                        tile.next_pump = pe_time
+                        push(pe_time, EV_PUMP, tile_id)
+                    return
+                # The per-op model would push a pump at pe_time and pop
+                # it right back (strictly before any event): continue
+                # inline with the same ``next_pump = None`` state.
+                tile.next_pump = None
+                now = pe_time
+
+        return pump
 
     # ------------------------------------------------------------------
     def _saac_batch(self, tile_id: int, tile: TileState, task: List,
@@ -282,7 +326,7 @@ class BatchedIssue:
         second op (issuing at ``t1``) can join the batch, so ``count``
         is always at least 2.  Returns the pump's new ``now``
         (non-negative) to continue inline, or ``-1`` when the pump
-        must yield to the heap.
+        must yield to the queue.
         """
         ic = self.ic
         ideal = self.ideal
@@ -388,13 +432,12 @@ class BatchedIssue:
         pe_time = tile.pe_time
         if not tile.tasks:
             return pe_time  # pump loop exits without scheduling
-        eq = self.events
-        heap = eq.heap
-        if heap and heap[0][0] <= pe_time:
+        events = self.events
+        if events.next_time() <= pe_time:
             nxt = tile.next_pump
             if nxt is None or pe_time < nxt:
                 tile.next_pump = pe_time
-                eq.push(pe_time, EV_PUMP, tile_id)
+                events.push(pe_time, EV_PUMP, tile_id)
             return -1
         tile.next_pump = None
         return pe_time
@@ -489,14 +532,13 @@ class BatchedIssue:
             if completion > state.end_time:
                 state.end_time = completion
             if payload[0] == "mcast":
-                _, j, value, tree_index = payload
-                root, children = self.mcast_send[(j, tree_index)]
-                if children:
-                    traverse = self.traverse
-                    for child in children:
-                        traverse(root, child, completion, EV_MCAST,
-                                 (child, j, value, tree_index))
+                _, tree, value = payload
+                traverse = self.traverse
+                link = self.mcast_link
+                for edge in range(self.root_lo[tree], self.root_hi[tree]):
+                    traverse(link[edge], completion, EV_MCAST,
+                             (edge, value))
             else:
                 _, row, value, parent = payload
-                self.traverse(tile_id, parent, completion,
+                self.traverse(tile_id * self.n_tiles + parent, completion,
                               EV_PARTIAL, (parent, row, value))

@@ -71,6 +71,10 @@ class KernelState:
     vector, spill accounting for the message buffer, and the running
     compute-completion time.  The composition root creates one per
     :meth:`~repro.sim.engine.KernelSimulator.run`.
+
+    ``node_remaining`` maps ``row * n_tiles + node`` to the inputs
+    reduction node ``(row, node)`` still expects; the composition root
+    fills it with a fresh copy of :func:`input_counts` per run.
     """
 
     __slots__ = (
@@ -83,7 +87,7 @@ class KernelState:
                  msg_buffer_entries: int, spill_penalty: int) -> None:
         self.n = n
         self.tiles: Dict[int, TileState] = {}
-        self.node_remaining: Dict[Tuple[int, int], int] = {}
+        self.node_remaining: Dict[int, int] = {}
         self.rows_done = 0
         self.output = np.zeros(n)
         self.spills = 0
@@ -120,57 +124,15 @@ class KernelState:
         into the Data SRAM: the spill is counted and the task's start
         is delayed by one SRAM round trip (Sec. V-A).
         """
-        tile = self.tile(tile_id)
+        tile = self.tiles.get(tile_id)
+        if tile is None:
+            tile = self.tile(tile_id)
         tasks = tile.tasks
         if len(tasks) >= self.msg_buffer_entries:
             self.spills += 1
             task[0] += self.spill_penalty
         tasks.append(task)
         return tile
-
-    def partial_value(self, tile_id: int, row: int) -> float:
-        """Current accumulated partial for ``row`` on ``tile_id``."""
-        tile = self.tiles.get(tile_id)
-        return 0.0 if tile is None else tile.partial[row]
-
-    # ------------------------------------------------------------------
-    def init_node_remaining(self, program) -> None:
-        """Expected inputs at every reduction-tree node and every home.
-
-        ``program`` is duck-typed (a
-        :class:`~repro.dataflow.ir.CompiledKernel`); the state layer
-        reads only ``n``, ``vec_tile``, the flat reduction-forest
-        arrays (``red_index``/``red_edge_ptr``/``red_child``/
-        ``red_parent``), and the dense local counters mirrored in
-        :attr:`local_by_tile`.
-        """
-        node_remaining = self.node_remaining
-        local_by_tile = self.local_by_tile
-        vec_tile = program.vec_tile.tolist()
-        red_index = program.red_index.tolist()
-        edge_ptr = program.red_edge_ptr.tolist()
-        red_child = program.red_child.tolist()
-        red_parent = program.red_parent.tolist()
-        for i in range(program.n):
-            home = vec_tile[i]
-            tree = red_index[i]
-            if tree < 0:
-                rem = local_by_tile.get(home)
-                node_remaining[(i, home)] = (
-                    1 if rem is not None and rem[i] > 0 else 0
-                )
-                continue
-            children: Dict[int, int] = {}
-            nodes = {home}
-            for e in range(edge_ptr[tree], edge_ptr[tree + 1]):
-                children[red_parent[e]] = children.get(red_parent[e], 0) + 1
-                nodes.add(red_child[e])
-            for node in nodes:
-                expected = children.get(node, 0)
-                rem = local_by_tile.get(node)
-                if rem is not None and rem[i] > 0:
-                    expected += 1
-                node_remaining[(i, node)] = expected
 
     def op_totals(self) -> Tuple[List[int], int]:
         """``([fmac, add, mul, send] totals, busy-slot total)``."""
@@ -182,3 +144,35 @@ class KernelState:
             for k in range(4):
                 totals[k] += counts[k]
         return totals, busy
+
+
+def input_counts(program, n_tiles: int) -> Dict[int, int]:
+    """Expected inputs at every reduction-tree node and every home.
+
+    Keyed ``row * n_tiles + node``.  A node of row ``i``'s reduction
+    tree (its home plus every tree child) expects one partial per tree
+    child it parents, plus one for its own FMACs when it holds row-``i``
+    nonzeros; a row without a tree has only its home node.
+
+    ``program`` is duck-typed (a
+    :class:`~repro.dataflow.ir.CompiledKernel`); the state layer reads
+    only ``n``, ``vec_tile``, the flat reduction-forest arrays
+    (``red_row``/``red_edge_ptr``/``red_child``/``red_parent``) and the
+    dense local counters.
+    """
+    n = program.n
+    edge_row = np.repeat(program.red_row, np.diff(program.red_edge_ptr))
+    nodes = np.unique(np.concatenate((
+        np.arange(n, dtype=np.int64) * n_tiles + program.vec_tile,
+        edge_row * n_tiles + program.red_child,
+    )))
+    local_pos, local_row = np.nonzero(program.local_counts > 0)
+    inputs = np.concatenate((
+        edge_row * n_tiles + program.red_parent,
+        local_row * n_tiles + program.local_tiles[local_pos],
+    ))
+    # Count only inputs that land on a tree node.
+    slot = np.minimum(np.searchsorted(nodes, inputs), len(nodes) - 1)
+    on_node = nodes[slot] == inputs
+    expected = np.bincount(slot[on_node], minlength=len(nodes))
+    return dict(zip(nodes.tolist(), expected.tolist()))

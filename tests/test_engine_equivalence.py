@@ -1,20 +1,23 @@
 """Simulator issue equivalence suite (the bit-exactness guarantee).
 
-The simulator (:class:`KernelSimulator`, batched issue) must reproduce
-the per-op oracle (:class:`tests.oracles.sim.PerOpKernelSimulator`)
-*exactly* — same cycles, op counts, issue slots, link statistics,
-spills, queue delay, numeric output (IEEE bit-identical) and
-issue-trace multiset — across matrices, meshes, PE models and kernels.
-Any event-ordering or hazard-modelling drift in the batched path shows
-up here first.
+The simulator (:class:`KernelSimulator`: batched issue on the calendar
+queue, flat routing tables) must reproduce the per-op oracle
+(:class:`tests.oracles.sim.PerOpKernelSimulator`: one op per pump on
+the ``(time, seq)`` heap) *exactly* — same cycles, op counts, issue
+slots, link statistics, spills, queue delay, numeric output (IEEE
+bit-identical) and issue-trace multiset — across matrices, meshes, PE
+models and kernels, fixed and generated.  Any event-ordering or
+hazard-modelling drift in the batched path shows up here first.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from repro.comm import MeshGeometry, TorusGeometry, make_geometry
 from repro.config import AzulConfig
 from repro.core import map_block
+from repro.core.placement import Placement, pin_diagonals
 from repro.dataflow import build_spmv_program, build_sptrsv_program
 from repro.precond import ic0
 from repro.sim import KernelSimulator
@@ -26,7 +29,12 @@ from repro.sim.pe import (
     IDEAL_PE,
 )
 from repro.sparse import generators as gen
-from tests.oracles.sim import PerOpKernelSimulator
+from tests.oracles.sim import (
+    PerOpKernelSimulator,
+    flatten_multicast_forest,
+    tuple_keyed_tables,
+)
+from tests.test_properties import spd_like_matrices
 
 PES = {
     "azul": AZUL_PE,
@@ -52,7 +60,7 @@ def _matrix(kind):
     return _MATRICES[kind]
 
 
-def _programs(kind, rows, cols, topology="torus"):
+def _programs(kind, rows, cols, topology="torus", multicast="tree"):
     matrix, lower = _matrix(kind)
     config = AzulConfig(mesh_rows=rows, mesh_cols=cols, topology=topology)
     torus = make_geometry(config)
@@ -61,9 +69,10 @@ def _programs(kind, rows, cols, topology="torus"):
     )
     placement = map_block(matrix, lower, rows * cols)
     spmv = build_spmv_program(matrix, placement.a_tile, placement.vec_tile,
-                              torus)
+                              torus, multicast=multicast)
     sptrsv = build_sptrsv_program(lower, placement.l_tile,
-                                  placement.vec_tile, torus)
+                                  placement.vec_tile, torus,
+                                  multicast=multicast)
     return matrix, torus, config, spmv, sptrsv
 
 
@@ -135,3 +144,129 @@ def test_equivalence_exercises_vectorized_batches():
     assert longest >= VEC_THRESHOLD
     x = np.ones(matrix.shape[0])
     _assert_equivalent(spmv, torus, config, AZUL_PE, x=x)
+
+
+# ---------------------------------------------------------------------------
+# Flat routing tables against the dict-building oracles
+# ---------------------------------------------------------------------------
+def _triggered(sim, lo, hi):
+    """The ``(rows, vals)`` segment a table entry triggers, or None."""
+    return (sim._rows[lo:hi], sim._vals[lo:hi]) if lo >= 0 else None
+
+
+def _assert_tables_match_dicts(program, geometry, config):
+    """Every (tree, node) forks to the same children in the same order
+    and triggers the same segment; input counts and reduction parents
+    agree key for key."""
+    sim = KernelSimulator(program, geometry, config, AZUL_PE)
+    n_tiles = geometry.n_tiles
+    rows = program.rows.tolist()
+    vals = program.values.tolist()
+    seg_ptr = program.seg_ptr.tolist()
+    by_tile_col = {
+        (tile, col): (rows[lo:hi], vals[lo:hi])
+        for tile, col, lo, hi in zip(program.seg_tile.tolist(),
+                                     program.seg_col.tolist(),
+                                     seg_ptr, seg_ptr[1:])
+    }
+    plan, send_plan = flatten_multicast_forest(
+        program, lambda node, j: by_tile_col.get((node, j)),
+    )
+    col = program.mcast_col.tolist()
+    first = program.mcast_first.tolist()
+    parent = program.mcast_parent.tolist()
+    child = program.mcast_child.tolist()
+    edge_tree = np.repeat(np.arange(program.n_mcast_trees),
+                          np.diff(program.mcast_edge_ptr)).tolist()
+    covered = set()
+    for t, root in enumerate(program.mcast_root.tolist()):
+        key = (col[t], t - first[col[t]])
+        lo, hi = sim.root_lo[t], sim.root_hi[t]
+        assert send_plan[key] == (root, tuple(child[lo:hi]))
+        assert plan[key + (root,)] == (tuple(child[lo:hi]), None)
+        covered.add(key + (root,))
+    for e, t in enumerate(edge_tree):
+        key = (col[t], t - first[col[t]], child[e])
+        children, payload = plan[key]
+        assert tuple(child[sim._fork_lo[e]:sim._fork_hi[e]]) == children
+        assert _triggered(sim, sim._edge_lo[e], sim._edge_hi[e]) == payload
+        assert sim.mcast_link[e] == parent[e] * n_tiles + child[e]
+        covered.add(key)
+    assert covered == set(plan)
+    node_remaining, red_parent = tuple_keyed_tables(program)
+    assert {divmod(k, n_tiles): v for k, v in sim._input_counts.items()} \
+        == node_remaining
+    assert {divmod(k, n_tiles): v for k, v in sim._red_parent.items()} \
+        == red_parent
+    vec_tile = program.vec_tile.tolist()
+    for j in range(program.n):
+        assert _triggered(sim, sim._home_lo[j], sim._home_hi[j]) \
+            == by_tile_col.get((vec_tile[j], j))
+
+
+@pytest.mark.parametrize("multicast", ["tree", "unicast"])
+@pytest.mark.parametrize("topology", ["torus", "mesh"])
+@pytest.mark.parametrize("kind,rows,cols", [
+    ("fem", 4, 4), ("spd", 4, 4), ("grid", 2, 2),
+])
+def test_flat_tables_match_dict_plan(kind, rows, cols, topology, multicast):
+    _, geometry, config, spmv, sptrsv = _programs(kind, rows, cols,
+                                                  topology, multicast)
+    assert spmv.n_mcast_trees and sptrsv.n_red_trees
+    for program in (spmv, sptrsv):
+        _assert_tables_match_dicts(program, geometry, config)
+
+
+# ---------------------------------------------------------------------------
+# Generated differential test: production against the per-op oracle
+# ---------------------------------------------------------------------------
+@st.composite
+def mapped_kernels(draw):
+    """A small SPD system, a random placement and machine, one kernel."""
+    matrix = draw(spd_like_matrices(max_dim=24))
+    lower = ic0(matrix)
+    mesh_rows = draw(st.integers(2, 4))
+    mesh_cols = draw(st.integers(2, 4))
+    config = AzulConfig(
+        mesh_rows=mesh_rows, mesh_cols=mesh_cols,
+        topology=draw(st.sampled_from(["torus", "mesh"])),
+        hop_cycles=draw(st.integers(1, 4)),
+        sram_access_cycles=draw(st.integers(1, 4)),
+        msg_buffer_entries=draw(st.sampled_from([1, 2, 16])),
+    )
+    geometry = make_geometry(config)
+    n_tiles = mesh_rows * mesh_cols
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = matrix.n_rows
+    placement = pin_diagonals(Placement(
+        n_tiles=n_tiles,
+        a_tile=rng.integers(0, n_tiles, matrix.nnz),
+        l_tile=rng.integers(0, n_tiles, lower.nnz),
+        vec_tile=rng.integers(0, n_tiles, n),
+    ), lower)
+    multicast = draw(st.sampled_from(["tree", "unicast"]))
+    kernel = draw(st.sampled_from(["spmv", "lower", "upper"]))
+    if kernel == "spmv":
+        program = build_spmv_program(matrix, placement.a_tile,
+                                     placement.vec_tile, geometry,
+                                     multicast=multicast)
+    else:
+        program = build_sptrsv_program(lower, placement.l_tile,
+                                       placement.vec_tile, geometry,
+                                       transpose=kernel == "upper",
+                                       multicast=multicast)
+    vector = rng.standard_normal(n)
+    pe = PES[draw(st.sampled_from(sorted(PES)))]
+    return program, geometry, config, pe, vector
+
+
+@seed(2024)
+@settings(max_examples=300, deadline=2000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mapped_kernels())
+def test_generated_kernels_match_per_op_oracle(case):
+    program, geometry, config, pe, vector = case
+    if program.dependent:
+        _assert_equivalent(program, geometry, config, pe, b=vector)
+    else:
+        _assert_equivalent(program, geometry, config, pe, x=vector)

@@ -204,3 +204,16 @@ class TestCsvExport:
 
         assert main(["tab2", "--csv-dir", str(tmp_path)]) == 0
         assert (tmp_path / "tab2.csv").exists()
+
+
+def test_runner_jobs_help_names_the_real_default(capsys):
+    """``--jobs`` omitted means ``parallel.default_jobs()``, not serial."""
+    from repro.experiments.runner import main
+
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    jobs_help = " ".join(out.split("  --jobs N")[1].split("  --")[0].split())
+    assert "REPRO_JOBS" in jobs_help
+    assert "min(8, CPU count)" in jobs_help
+    assert "default: serial" not in jobs_help

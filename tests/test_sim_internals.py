@@ -102,6 +102,32 @@ class TestDeterminism:
         assert first.op_counts == second.op_counts
         assert np.array_equal(first.output, second.output)
 
+    def test_finished_simulator_freed_without_gc(self):
+        """No reference cycle keeps a run simulator (and its per-run
+        state) alive until the cyclic collector happens to run."""
+        import gc
+        import weakref
+
+        matrix = gen.random_spd(30, nnz_per_row=4, seed=5)
+        placement = map_block(matrix, ic0(matrix), 16)
+        torus = TorusGeometry(4, 4)
+        program = build_spmv_program(
+            matrix, placement.a_tile, placement.vec_tile, torus
+        )
+        simulator = KernelSimulator(
+            program, torus, AzulConfig(mesh_rows=4, mesh_cols=4), AZUL_PE
+        )
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            simulator.run(x=np.ones(30))
+            ref = weakref.ref(simulator)
+            del simulator
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestMulticastCost:
     def test_tree_beats_point_to_point_serialization(self):

@@ -1,8 +1,8 @@
 """Unit tests for the layered simulator core and its contracts.
 
-Covers each layer in isolation — event queue determinism, link
-serialization, multicast-plan flattening, numeric state bookkeeping —
-plus the two cross-cutting guarantees:
+Covers each layer in isolation — event queue determinism (against the
+heap oracle, on generated schedules), link serialization, numeric state
+bookkeeping — plus the two cross-cutting guarantees:
 
 * the import-layer contract (``tools/check_layers.py``) holds over the
   whole tree;
@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.comm import MeshGeometry, TorusGeometry, make_geometry
 from repro.comm.multicast import build_multicast_tree
@@ -29,10 +30,10 @@ from repro.sim.events import (
     EV_PUMP,
     NEVER,
     EventQueue,
-    drain,
 )
-from repro.sim.fabric import FabricModel, LinkFabric, flatten_multicast_plan
+from repro.sim.fabric import FabricModel, LinkFabric
 from repro.sim.state import KernelState, TileState
+from tests.oracles.sim import HeapEventQueue
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -47,13 +48,13 @@ class TestEventQueue:
         queue.push(5, EV_PUMP, "late")
         queue.push(1, EV_PUMP, "early")
         queue.push(3, EV_PUMP, "mid")
-        assert [queue.pop()[3] for _ in range(3)] == ["early", "mid", "late"]
+        assert [queue.pop()[2] for _ in range(3)] == ["early", "mid", "late"]
 
     def test_ties_pop_in_push_order(self):
         queue = EventQueue()
         for i in range(10):
             queue.push(7, EV_PUMP, i)
-        assert [queue.pop()[3] for _ in range(10)] == list(range(10))
+        assert [queue.pop()[2] for _ in range(10)] == list(range(10))
 
     def test_next_time_and_never(self):
         queue = EventQueue()
@@ -69,8 +70,7 @@ class TestEventQueue:
         queue.push(1, EV_PUMP, "p")
         queue.push(3, EV_PARTIAL, "r")
         seen = []
-        drain(
-            queue,
+        queue.drain(
             on_pump=lambda payload, t: seen.append(("pump", payload, t)),
             on_mcast=lambda payload, t: seen.append(("mcast", payload, t)),
             on_partial=lambda payload, t: seen.append(("part", payload, t)),
@@ -90,8 +90,81 @@ class TestEventQueue:
             if payload:
                 queue.push(time + 1, EV_PUMP, payload - 1)
 
-        drain(queue, on_pump, lambda p, t: None, lambda p, t: None)
+        queue.drain(on_pump, lambda p, t: None, lambda p, t: None)
         assert fired == [0, 1, 2, 3]
+
+    def test_horizon_while_draining(self):
+        """Inside a handler the horizon is the current cycle while its
+        bucket still holds events, else the next pending cycle."""
+        queue = EventQueue()
+        queue.push(4, EV_PUMP, "a")
+        queue.push(4, EV_PUMP, "b")
+        queue.push(9, EV_PUMP, "c")
+        horizons = []
+
+        def on_pump(payload, time):
+            horizons.append((payload, queue.next_time()))
+            if payload == "b":
+                queue.push(4, EV_PUMP, "d")  # same cycle, after "b"
+                horizons.append(("b+d", queue.next_time()))
+
+        queue.drain(on_pump, lambda p, t: None, lambda p, t: None)
+        assert horizons == [("a", 4), ("b", 9), ("b+d", 4), ("d", 9),
+                            ("c", NEVER)]
+
+
+@st.composite
+def cascading_schedules(draw):
+    """Initial events plus, per event id, the pushes its handler makes.
+
+    Each push is ``(delay, kind)``: the handler schedules a fresh event
+    ``delay`` cycles after the one it handles (``delay = 0`` lands in
+    the bucket being drained).  Ids are assigned in push order.
+    """
+    initial = draw(st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 2)),
+        min_size=1, max_size=12,
+    ))
+    reactions = draw(st.lists(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                 max_size=3),
+        min_size=1, max_size=40,
+    ))
+    return initial, reactions
+
+
+def _dispatch_order(queue, schedule):
+    """Replay ``schedule`` on ``queue``; the ``(kind, id, time)`` log."""
+    initial, reactions = schedule
+    log = []
+    next_id = [0]
+
+    def push(time, kind):
+        queue.push(time, kind, next_id[0])
+        next_id[0] += 1
+
+    def handler(kind):
+        def handle(event_id, time):
+            log.append((kind, event_id, time))
+            if event_id < len(reactions):
+                for delay, push_kind in reactions[event_id]:
+                    push(time + delay, push_kind)
+        return handle
+
+    for time, kind in initial:
+        push(time, kind)
+    queue.drain(handler(EV_PUMP), handler(EV_MCAST), handler(EV_PARTIAL))
+    return log
+
+
+@seed(1988)
+@settings(max_examples=200, deadline=1000)
+@given(cascading_schedules())
+def test_calendar_matches_heap_on_cascades(schedule):
+    """The calendar queue dispatches in the heap's ``(time, seq)`` order,
+    including same-cycle pushes made while a bucket drains."""
+    assert _dispatch_order(EventQueue(), schedule) \
+        == _dispatch_order(HeapEventQueue(), schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -100,44 +173,27 @@ class TestEventQueue:
 class TestLinkFabric:
     def test_serializes_one_flit_per_cycle(self):
         events = EventQueue()
-        fabric = LinkFabric(events, hop_cycles=2)
+        fabric = LinkFabric(events, hop_cycles=2, n_tiles=4)
         # Three flits on the same link at the same cycle: departures
         # serialize at t=0,1,2 so arrivals land at 2,3,4.
         for i in range(3):
-            fabric.traverse(0, 1, 0, EV_MCAST, i)
+            fabric.traverse(0 * 4 + 1, 0, EV_MCAST, i)
         arrivals = sorted(events.pop()[0] for _ in range(3))
         assert arrivals == [2, 3, 4]
         assert fabric.queue_delay == 0 + 1 + 2
-        assert fabric.link_count == 3
-        assert fabric.per_link == {(0, 1): 3}
-        assert fabric.last_arrival == 4
+        assert fabric.link_count() == 3
+        assert fabric.link_counts() == {(0, 1): 3}
+        assert fabric.last_arrival() == 4
 
     def test_distinct_links_do_not_contend(self):
         events = EventQueue()
-        fabric = LinkFabric(events, hop_cycles=1)
-        fabric.traverse(0, 1, 5, EV_PARTIAL, "a")
-        fabric.traverse(1, 0, 5, EV_PARTIAL, "b")  # opposite direction
+        fabric = LinkFabric(events, hop_cycles=1, n_tiles=4)
+        fabric.traverse(0 * 4 + 1, 5, EV_PARTIAL, "a")
+        fabric.traverse(1 * 4 + 0, 5, EV_PARTIAL, "b")  # opposite direction
         times = sorted(events.pop()[0] for _ in range(2))
         assert times == [6, 6]
         assert fabric.queue_delay == 0
-
-
-class TestFlattenMulticastPlan:
-    def test_plan_matches_tree(self):
-        torus = TorusGeometry(2, 2)
-        tree = build_multicast_tree(torus, 0, [1, 2, 3])
-        plan, send_plan = flatten_multicast_plan(
-            {7: (tree,)}, payload_at=lambda node, j: f"seg-{node}-{j}"
-        )
-        root, root_children = send_plan[(7, 0)]
-        assert root == 0
-        assert set(root_children) == set(tree.children.get(0, ()))
-        for dest in tree.destinations:
-            children, payload = plan[(7, 0, dest)]
-            assert payload == f"seg-{dest}-7"
-            assert list(children) == list(tree.children.get(dest, ()))
-        # The root is not a destination: no payload there.
-        assert plan[(7, 0, 0)][1] is None
+        assert list(fabric.link_counts()) == [(0, 1), (1, 0)]
 
 
 class TestFabricModel:
@@ -166,6 +222,7 @@ class TestFabricModel:
         assert isinstance(link_state, LinkFabric)
         assert link_state.events is events
         assert link_state.hop_cycles == 3
+        assert link_state.n_tiles == 4
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +266,6 @@ class TestKernelState:
         totals, busy = state.op_totals()
         assert totals == [11, 2, 3, 5]
         assert busy == 12
-
-    def test_partial_value_defaults_to_zero(self):
-        state = KernelState(2, [], np.zeros((0, 2), dtype=np.int64), 8, 6)
-        assert state.partial_value(3, 1) == 0.0
-        state.tile(3).partial[1] = 2.5
-        assert state.partial_value(3, 1) == 2.5
 
 
 # ---------------------------------------------------------------------------
