@@ -3,9 +3,8 @@
 Rows with the same color share no nonzero coupling, so after permuting
 same-color rows to be adjacent, the lower triangle's dependence graph
 has at most one level per color.  The paper colors matrices with
-networkx's greedy coloring; we provide the same strategies through
-networkx plus a self-contained implementation that needs no graph
-conversion.
+networkx's greedy coloring; this module implements the same strategies
+directly on the CSR pattern, without networkx.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ def greedy_coloring(matrix: CSRMatrix, strategy: str = "largest_first") -> np.nd
         The pattern must be structurally symmetric (guaranteed for the
         SPD matrices iterative solvers consume).
     strategy:
-        ``"largest_first"`` (default, matches the paper's use of
-        networkx greedy coloring), ``"natural"`` (index order),
+        ``"largest_first"`` (default, the strategy of the networkx
+        greedy coloring the paper uses), ``"natural"`` (index order),
         ``"smallest_last"``, or ``"dsatur"`` (saturation-degree
         ordering, typically fewest colors).
 

@@ -1,4 +1,4 @@
-"""Conversions between sparse formats (and to/from SciPy for testing).
+"""Conversions between sparse formats (and to/from SciPy for interop).
 
 All conversions sum duplicate COO entries and produce sorted indices in
 the compressed formats, so downstream kernels can rely on ordered rows
@@ -59,14 +59,20 @@ def csc_to_csr(csc: CSCMatrix) -> CSRMatrix:
 
 
 def from_scipy(mat) -> CSRMatrix:
-    """Build a :class:`CSRMatrix` from any SciPy sparse matrix."""
+    """Build a :class:`CSRMatrix` from any SciPy sparse matrix.
+
+    Needs scipy installed (it is not a runtime dependency of ``repro``).
+    """
     sp = mat.tocoo()
     coo = COOMatrix(sp.row, sp.col, sp.data, sp.shape)
     return coo_to_csr(coo)
 
 
 def to_scipy(csr: CSRMatrix):
-    """Convert a :class:`CSRMatrix` to a ``scipy.sparse.csr_matrix``."""
+    """Convert a :class:`CSRMatrix` to a ``scipy.sparse.csr_matrix``.
+
+    Needs scipy installed (it is not a runtime dependency of ``repro``).
+    """
     import scipy.sparse as sps
 
     return sps.csr_matrix(

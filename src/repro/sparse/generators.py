@@ -108,6 +108,44 @@ def banded_spd(n: int, half_bandwidth: int, density: float = 0.5,
     return _symmetrize_and_dominate(rows, cols, vals, n)
 
 
+#: Most pairwise distances :func:`_nearest_neighbors` holds at once.
+_NEIGHBOR_BLOCK = 1 << 18
+
+
+def _nearest_neighbors(points: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` points nearest to each point, nearest first.
+
+    Exact blocked brute force over all pairs, for ``1 <= k <= n``.
+    Squared distances are summed one coordinate at a time into a zeroed
+    block, ``((0 + dx^2) + dy^2) + dz^2``, which is the order of
+    ``scipy.spatial.cKDTree``'s Euclidean metric, so the distances are
+    bit-equal to its own and the neighbor order matches it wherever no
+    two distances tie.  Ties are ordered by lower index.  Returns an
+    ``(n, k)`` integer array; a point's own index comes first unless
+    another point coincides with it at a lower index.
+    """
+    n, dim = points.shape
+    neighbors = np.empty((n, k), dtype=np.intp)
+    rows = max(1, _NEIGHBOR_BLOCK // n)
+    for start in range(0, n, rows):
+        block = np.zeros((min(rows, n - start), n))
+        for axis in range(dim):
+            diff = points[start:start + rows, axis, None] - points[:, axis]
+            diff *= diff
+            block += diff
+        nearest = np.argpartition(block, k - 1, axis=1)[:, :k]
+        dist = np.take_along_axis(block, nearest, axis=1)
+        order = np.lexsort((nearest, dist), axis=1)
+        nearest = np.take_along_axis(nearest, order, axis=1)
+        # argpartition picks arbitrarily among distances tied with the
+        # k-th; redo any row that left such a tie out, by lower index.
+        kth = dist.max(axis=1, keepdims=True)
+        for row in np.flatnonzero((block <= kth).sum(axis=1) > k):
+            nearest[row] = np.argsort(block[row], kind="stable")[:k]
+        neighbors[start:start + len(block)] = nearest
+    return neighbors
+
+
 def random_geometric_fem(n_points: int, avg_degree: int = 8, dim: int = 3,
                          dofs_per_node: int = 1, seed: int = 0) -> CSRMatrix:
     """Unstructured-mesh stiffness-matrix analog.
@@ -116,15 +154,17 @@ def random_geometric_fem(n_points: int, avg_degree: int = 8, dim: int = 3,
     neighbors (a proxy for FEM mesh adjacency); each mesh node carries
     ``dofs_per_node`` degrees of freedom coupled densely within an edge,
     mimicking the dense node blocks of matrices like shipsec1, consph
-    and bmwcra_1.
+    and bmwcra_1.  With one point or ``avg_degree=0`` there are no
+    edges and the result is diagonal.
     """
-    from scipy.spatial import cKDTree
-
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
+    if avg_degree < 0:
+        raise ValueError(f"avg_degree must be non-negative, got {avg_degree}")
     rng = np.random.default_rng(seed)
     points = rng.random((n_points, dim))
-    tree = cKDTree(points)
     k = min(avg_degree + 1, n_points)
-    _, neighbors = tree.query(points, k=k)
+    neighbors = _nearest_neighbors(points, k)
     src = np.repeat(np.arange(n_points), k - 1)
     dst = neighbors[:, 1:].ravel()
     d = dofs_per_node

@@ -2,8 +2,9 @@
 
 Each oracle is the straightforward formulation of a pipeline stage —
 per-op simulator issue, per-vertex FM gains, array-at-a-time region
-growing, sort-ranked matching, per-edge cut counts, per-row IC(0), and
-per-element dataflow lowering — kept only as a test reference:
+growing, sort-ranked matching, per-edge cut counts, per-row IC(0),
+per-element dataflow lowering, and the k-d tree nearest-neighbour
+query — kept only as a test reference:
 
 * :mod:`tests.oracles.sim` — operation-granularity PE issue;
 * :mod:`tests.oracles.refine` — FM bookkeeping that recomputes gains;
@@ -12,5 +13,6 @@ per-element dataflow lowering — kept only as a test reference:
   contraction;
 * :mod:`tests.oracles.metrics` — per-edge connectivity counts;
 * :mod:`tests.oracles.kernels` — the up-looking row-by-row IC(0);
-* :mod:`tests.oracles.lowering` — the per-element lowering loop.
+* :mod:`tests.oracles.lowering` — the per-element lowering loop;
+* :mod:`tests.oracles.neighbors` — scipy's cKDTree neighbour query.
 """

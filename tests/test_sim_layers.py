@@ -5,7 +5,8 @@ heap oracle, on generated schedules), link serialization, numeric state
 bookkeeping — plus the two cross-cutting guarantees:
 
 * the import-layer contract (``tools/check_layers.py``) holds over the
-  whole tree;
+  whole tree, and its runtime-dependency rule flags a stray scipy
+  import;
 * geometry construction is routed through
   :func:`repro.comm.make_geometry` everywhere, so
   ``AzulConfig(topology="mesh")`` is honored by the CLI, the
@@ -271,14 +272,31 @@ class TestKernelState:
 # ---------------------------------------------------------------------------
 # cross-cutting contracts
 # ---------------------------------------------------------------------------
-def test_layer_contract_holds():
-    """The AST layer checker reports clean."""
+def _check_layers():
     sys.path.insert(0, str(REPO / "tools"))
     try:
         import check_layers
     finally:
         sys.path.pop(0)
-    assert check_layers.check() == []
+    return check_layers
+
+
+def test_layer_contract_holds():
+    """The AST layer checker reports clean."""
+    assert _check_layers().check() == []
+
+
+def test_runtime_imports_no_third_party_but_numpy(tmp_path):
+    """scipy is allowed in ``repro.sparse.convert`` and nowhere else."""
+    package = tmp_path / "repro" / "sparse"
+    package.mkdir(parents=True)
+    (package / "convert.py").write_text(
+        "import json\nimport numpy as np\nimport scipy.sparse as sps\n")
+    (package / "generators.py").write_text(
+        "from scipy.spatial import cKDTree\n")
+    violations = _check_layers().check(src=tmp_path)
+    assert len(violations) == 1
+    assert "repro.sparse.generators imports scipy.spatial" in violations[0]
 
 
 def test_no_direct_geometry_construction_outside_comm():

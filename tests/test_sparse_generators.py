@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.sparse import (
     bandwidth,
@@ -25,6 +26,7 @@ from repro.sparse.suite import (
     suite_inventory,
     suite_names,
 )
+from tests.oracles.neighbors import kdtree_neighbors
 
 
 def _assert_spd(matrix):
@@ -89,6 +91,112 @@ class TestGenerators:
     def test_rhs_from_known_solution(self, small_spd):
         b, x_true = gen.make_rhs_with_solution(small_spd, seed=3)
         assert np.allclose(small_spd.spmv(x_true), b)
+
+
+class TestFemDegenerateInputs:
+    """Meshes without edges are diagonal; impossible sizes are refused."""
+
+    def test_single_point_is_diagonal(self):
+        matrix = gen.random_geometric_fem(1)
+        assert matrix.to_dense().tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("dofs", [1, 3])
+    def test_zero_degree_is_diagonal(self, dofs):
+        matrix = gen.random_geometric_fem(5, avg_degree=0, dofs_per_node=dofs)
+        assert np.array_equal(matrix.to_dense(), np.eye(5 * dofs))
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_points": 0}, "n_points"),
+        ({"n_points": 5, "avg_degree": -1}, "avg_degree"),
+    ])
+    def test_rejects_impossible_sizes(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            gen.random_geometric_fem(**kwargs)
+
+
+def _lattice(side, dim):
+    axes = np.meshgrid(*[np.arange(side)] * dim, indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1).astype(float)
+
+
+@st.composite
+def point_sets(draw):
+    """Seeded uniform points, so no two distances tie (see the oracle)."""
+    n = draw(st.integers(1, 300))
+    dim = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random((n, dim)), k
+
+
+class TestNearestNeighbors:
+    """The mesh generator's brute-force k-nearest-neighbour search
+    against the cKDTree query it replaced."""
+
+    @pytest.mark.parametrize("entry, scale", [
+        pytest.param(entry, scale, id=f"{entry.name}-x{scale}")
+        for entry in azul_suite("all") if entry.category == "mesh"
+        for scale in ((1, 2) if entry.section == "small" else (1,))
+    ])
+    def test_suite_meshes_match_kdtree_build(self, entry, scale,
+                                             monkeypatch):
+        built = entry.build(scale)
+        monkeypatch.setattr(gen, "_nearest_neighbors", kdtree_neighbors)
+        reference = entry.build(scale)
+        for field in ("indptr", "indices", "data"):
+            ours, theirs = getattr(built, field), getattr(reference, field)
+            assert ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes()
+
+    @seed(1717)
+    @settings(max_examples=200, deadline=1000)
+    @given(point_sets())
+    def test_generated_points_match_kdtree(self, case):
+        points, k = case
+        assert np.array_equal(gen._nearest_neighbors(points, k),
+                              kdtree_neighbors(points, k))
+
+    def test_distances_sum_in_kdtree_order(self):
+        # (a, b, c) and (c, b, a) are equally far from the origin in
+        # exact arithmetic, so rounding alone ranks them: only cKDTree's
+        # summation order gives its neighbour order.
+        checked = 0
+        for a, b, c in np.random.default_rng(7).random((100, 3)):
+            if (a * a + b * b) + c * c == (c * c + b * b) + a * a:
+                continue
+            points = np.array([[0.0, 0.0, 0.0], [a, b, c], [c, b, a]])
+            assert np.array_equal(gen._nearest_neighbors(points, 3),
+                                  kdtree_neighbors(points, 3))
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("side, dim", [(7, 1), (3, 2), (3, 3)])
+    def test_ties_order_by_lower_index(self, side, dim):
+        points = _lattice(side, dim)
+        squared = ((points[:, None, :] - points[None, :, :]) ** 2).sum(-1)
+        ranked = np.argsort(squared, axis=1, kind="stable")
+        for k in range(1, len(points) + 1):
+            assert np.array_equal(gen._nearest_neighbors(points, k),
+                                  ranked[:, :k])
+
+    def test_tie_rule_by_hand(self):
+        # The centre of a 3x3 lattice has four neighbours at distance 1:
+        # k=4 keeps the three of lowest index.  A coinciding point of
+        # lower index comes before the point itself.
+        assert gen._nearest_neighbors(_lattice(3, 2), 4)[4].tolist() == [
+            4, 1, 3, 5]
+        assert gen._nearest_neighbors(np.zeros((2, 1)), 2).tolist() == [
+            [0, 1], [0, 1]]
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_does_not_change_result(self, block, monkeypatch):
+        cases = [(np.random.default_rng(n).random((n, 3)), k)
+                 for n, k in ((2, 2), (3, 2), (50, 9))]
+        cases.append((_lattice(3, 2), 4))
+        expected = [gen._nearest_neighbors(points, k) for points, k in cases]
+        monkeypatch.setattr(gen, "_NEIGHBOR_BLOCK", block)
+        for (points, k), want in zip(cases, expected):
+            assert np.array_equal(gen._nearest_neighbors(points, k), want)
 
 
 class TestProperties:

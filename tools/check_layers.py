@@ -41,6 +41,11 @@ but the standard library, and checks:
    group*: they share one layer and none may import another, so every
    experiment stays independently loadable and the executor can plan
    any subset.  The experiments package also never imports the CLI.
+10. **Runtime dependencies** — ``repro`` imports nothing outside the
+    standard library and itself except numpy, the one entry of
+    ``dependencies`` in ``pyproject.toml``.  The sole exception is
+    scipy inside ``repro.sparse.convert``, whose ``to_scipy`` /
+    ``from_scipy`` interop helpers serve callers that have it.
 
 The scan is purely static (``ast`` over every ``repro`` module);
 ``from x import y`` and ``import x`` are both resolved, including
@@ -103,6 +108,14 @@ LAYERED_PACKAGES: Dict[str, List[Layer]] = {
 LEAF_PACKAGES: Dict[str, str] = {
     "repro.obs": "obs is the observability leaf every layer may import; "
                  "it must not import any repro layer back",
+}
+
+#: Third-party packages every ``repro`` module may import at runtime.
+RUNTIME_DEPENDENCIES = ("numpy",)
+
+#: (module, package): the only imports of other third-party packages.
+OPTIONAL_IMPORTS = {
+    ("repro.sparse.convert", "scipy"),
 }
 
 #: (importer-prefix, forbidden-import-prefix, reason)
@@ -245,6 +258,16 @@ def check(src: Path = SRC) -> List[str]:
                     violations.append(
                         f"{where}: {module} imports {target} ({reason})"
                     )
+            # Rule 10: numpy is the only third-party runtime import.
+            top = target.split(".")[0]
+            if (top != "repro" and top not in sys.stdlib_module_names
+                    and top not in RUNTIME_DEPENDENCIES
+                    and (module, top) not in OPTIONAL_IMPORTS):
+                violations.append(
+                    f"{where}: {module} imports {target} (a third-party "
+                    f"package outside the runtime dependencies: "
+                    f"{', '.join(RUNTIME_DEPENDENCIES)})"
+                )
             # Leaf packages: no repro import outside the package.
             for package, reason in LEAF_PACKAGES.items():
                 if (module == package
@@ -276,6 +299,7 @@ def main() -> int:
     )
     print(f"layer contract OK ({summaries}; "
           f"{len(FORBIDDEN)} cross-package rules; "
+          f"runtime imports: {', '.join(RUNTIME_DEPENDENCIES)}; "
           f"{len(LEAF_PACKAGES)} leaf package(s): "
           f"{', '.join(LEAF_PACKAGES)})")
     return 0
