@@ -19,6 +19,10 @@ The package provides, as a library:
 * the experiment harness reproducing every evaluation table and figure
   (:mod:`repro.experiments`).
 
+``import repro`` imports nothing else: each public name, and each
+subpackage reached as an attribute (``repro.sim``), is imported on
+first use (see :func:`_lazy_exports`).
+
 Quickstart::
 
     from repro import (AzulConfig, AzulMachine, map_azul, pcg,
@@ -36,114 +40,92 @@ Quickstart::
     print(timing.gflops(), "GFLOP/s,", reference.iterations, "iterations")
 """
 
-from repro.config import AzulConfig, default_config, paper_config
-from repro.errors import (
-    CapacityError,
-    ConvergenceError,
-    MappingError,
-    MatrixFormatError,
-    PartitionError,
-    PreconditionerError,
-    ReproError,
-    SimulationError,
-    SingularMatrixError,
-)
-from repro.sparse import COOMatrix, CSCMatrix, CSRMatrix
-from repro.solvers import (
-    SolveOptions,
-    SolveResult,
-    bicgstab,
-    chebyshev,
-    conjugate_gradient,
-    gmres,
-    pcg,
-    power_iteration,
-)
-from repro.precond import (
-    AMGPreconditioner,
-    BlockJacobiPreconditioner,
-    IdentityPreconditioner,
-    IncompleteCholesky,
-    IncompleteLU,
-    JacobiPreconditioner,
-    SSORPreconditioner,
-    SymmetricGaussSeidel,
-)
-from repro.core import (
-    Placement,
-    analyze_traffic,
-    map_azul,
-    map_block,
-    map_round_robin,
-    map_sparsep,
-)
-from repro.sim import (
-    AZUL_PE,
-    DALOREX_PE,
-    IDEAL_PE,
-    AzulMachine,
-    IterationResult,
-)
-from repro.models import AlreschaModel, GPUModel, area_report, power_report
-from repro.cache import ArtifactCache, CacheStats
-from repro.parallel import SimPoint, default_jobs
-
-# Imported last: the experiment pipeline builds on everything above.
-from repro.experiments.common import ExperimentSession
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AzulConfig",
-    "default_config",
-    "paper_config",
-    "ReproError",
-    "MatrixFormatError",
-    "SingularMatrixError",
-    "PreconditionerError",
-    "ConvergenceError",
-    "PartitionError",
-    "MappingError",
-    "CapacityError",
-    "SimulationError",
-    "COOMatrix",
-    "CSRMatrix",
-    "CSCMatrix",
-    "SolveOptions",
-    "SolveResult",
-    "pcg",
-    "conjugate_gradient",
-    "bicgstab",
-    "chebyshev",
-    "gmres",
-    "power_iteration",
-    "IdentityPreconditioner",
-    "JacobiPreconditioner",
-    "IncompleteCholesky",
-    "IncompleteLU",
-    "SymmetricGaussSeidel",
-    "SSORPreconditioner",
-    "BlockJacobiPreconditioner",
-    "AMGPreconditioner",
-    "Placement",
-    "map_azul",
-    "map_block",
-    "map_round_robin",
-    "map_sparsep",
-    "analyze_traffic",
-    "AzulMachine",
-    "IterationResult",
-    "AZUL_PE",
-    "DALOREX_PE",
-    "IDEAL_PE",
-    "GPUModel",
-    "AlreschaModel",
-    "area_report",
-    "power_report",
-    "ArtifactCache",
-    "CacheStats",
-    "SimPoint",
-    "default_jobs",
-    "ExperimentSession",
-    "__version__",
-]
+
+def _lazy_exports(package: str, exports: dict):
+    """PEP 562 ``__getattr__``/``__dir__`` that import names on first use.
+
+    ``exports`` maps each module to the public names ``package`` takes
+    from it; a name that is itself a submodule (``repro.sparse``'s
+    ``generators``) maps from the package.  Any other public name
+    resolves to the submodule of that name, as after an eager import
+    (``repro.sim``).  A resolved value is cached in the package, so
+    each name costs one import.
+
+    Only a package none of whose public names is also the name of one
+    of its submodules may use this: importing such a submodule binds
+    it over the package attribute, and the facade would return the
+    module (see ``docs/architecture.md``).
+
+    Imports go through the builtin ``__import__``: ``importlib`` is not
+    loaded at interpreter start, and ``import repro`` must load nothing.
+    """
+    origin = {name: module for module, names in exports.items()
+              for name in names}
+
+    def __getattr__(name: str):
+        module = origin.get(name, package)
+        if module != package:
+            __import__(module)
+            value = getattr(sys.modules[module], name)
+        elif name.startswith("_"):
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        else:
+            submodule = f"{package}.{name}"
+            try:
+                __import__(submodule)
+            except ModuleNotFoundError as exc:
+                if exc.name != submodule:
+                    raise
+                raise AttributeError(
+                    f"module {package!r} has no attribute {name!r}"
+                ) from None
+            value = sys.modules[submodule]
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__():
+        return sorted(set(vars(sys.modules[package])) | set(origin))
+
+    return __getattr__, __dir__
+
+
+_EXPORTS = {
+    "repro.config": ("AzulConfig", "default_config", "paper_config"),
+    "repro.errors": (
+        "ReproError", "MatrixFormatError", "SingularMatrixError",
+        "PreconditionerError", "ConvergenceError", "PartitionError",
+        "MappingError", "CapacityError", "SimulationError",
+    ),
+    "repro.sparse": ("COOMatrix", "CSRMatrix", "CSCMatrix"),
+    "repro.solvers": (
+        "SolveOptions", "SolveResult", "pcg", "conjugate_gradient",
+        "bicgstab", "chebyshev", "gmres", "power_iteration",
+    ),
+    "repro.precond": (
+        "IdentityPreconditioner", "JacobiPreconditioner",
+        "IncompleteCholesky", "IncompleteLU", "SymmetricGaussSeidel",
+        "SSORPreconditioner", "BlockJacobiPreconditioner",
+        "AMGPreconditioner",
+    ),
+    "repro.core": (
+        "Placement", "map_azul", "map_block", "map_round_robin",
+        "map_sparsep", "analyze_traffic",
+    ),
+    "repro.sim": ("AzulMachine", "IterationResult", "AZUL_PE",
+                  "DALOREX_PE", "IDEAL_PE"),
+    "repro.models": ("GPUModel", "AlreschaModel", "area_report",
+                     "power_report"),
+    "repro.cache": ("ArtifactCache", "CacheStats"),
+    "repro.parallel": ("SimPoint", "default_jobs"),
+    "repro.experiments.common": ("ExperimentSession",),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__all__.append("__version__")
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

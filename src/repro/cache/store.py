@@ -11,7 +11,9 @@ amortization safe at sweep scale:
 * **Atomic writes.**  Payload and metadata are written to temp files in
   the cache directory and published with :func:`os.replace`; readers
   never observe a half-written entry, and a crash mid-write leaves only
-  a ``.tmp-*`` file that is swept opportunistically.
+  a ``.tmp-*`` file that is swept opportunistically.  Storing the bytes
+  an intact entry already holds (a warm run re-checkpointing its
+  results) writes nothing.
 * **Quarantine, never crash.**  Any load failure — truncated payload,
   garbage bytes, checksum mismatch, missing/invalid metadata, codec
   error — moves the entry into ``quarantine/`` and reports a miss so
@@ -114,6 +116,30 @@ def parse_max_bytes(raw: Optional[str]) -> int:
         raise ValueError(
             f"{ENV_MAX_BYTES} must be an integer byte count, got {raw!r}"
         ) from None
+
+
+def _check_meta(meta, serializer: Serializer, raw: bytes,
+                checksum: str) -> None:
+    """Raise ``ValueError`` unless ``meta`` records ``raw`` intact.
+
+    The one rule for an intact entry: metadata is a JSON object of this
+    cache schema and ``serializer`` whose size and checksum (``raw``'s,
+    passed in) match the payload bytes.
+    """
+    if not isinstance(meta, dict):
+        raise ValueError(f"metadata is a {type(meta).__name__}, not an object")
+    if meta.get("schema") != SCHEMA_VERSION:
+        raise ValueError(
+            f"schema {meta.get('schema')!r} != {SCHEMA_VERSION}"
+        )
+    if meta.get("serializer") != serializer.name:
+        raise ValueError(
+            f"serializer {meta.get('serializer')!r} != {serializer.name!r}"
+        )
+    if meta.get("size") != len(raw):
+        raise ValueError(f"size {len(raw)} != recorded {meta.get('size')!r}")
+    if meta.get("checksum") != checksum:
+        raise ValueError("checksum mismatch")
 
 
 @dataclass
@@ -298,21 +324,7 @@ class ArtifactCache:
         try:
             raw = payload.read_bytes()
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            if meta.get("schema") != SCHEMA_VERSION:
-                raise ValueError(
-                    f"schema {meta.get('schema')!r} != {SCHEMA_VERSION}"
-                )
-            if meta.get("serializer") != serializer.name:
-                raise ValueError(
-                    f"serializer {meta.get('serializer')!r} != "
-                    f"{serializer.name!r}"
-                )
-            if meta.get("size") != len(raw):
-                raise ValueError(
-                    f"size {len(raw)} != recorded {meta.get('size')!r}"
-                )
-            if meta.get("checksum") != content_checksum(raw):
-                raise ValueError("checksum mismatch")
+            _check_meta(meta, serializer, raw, content_checksum(raw))
             value = serializer.loads(raw)
         except Exception as exc:  # noqa: BLE001 — resilience by design
             self._quarantine(payload, meta_path, repr(exc))
@@ -321,21 +333,30 @@ class ArtifactCache:
         return value
 
     def put(self, namespace: str, key: str, value, serializer: Serializer):
-        """Store ``value`` atomically; returns the value for chaining."""
+        """Store ``value`` atomically; returns the value for chaining.
+
+        When an intact entry already holds the same bytes, nothing is
+        written: the entry's mtime and the memory tier are refreshed,
+        and no write is counted.
+        """
         if not self.enabled:
             return value
         raw = serializer.dumps(value)
+        checksum = content_checksum(raw)
         with self._lock:
-            directory = self._namespace_dir(namespace)
-            directory.mkdir(parents=True, exist_ok=True)
             payload = self._payload_path(namespace, key, serializer)
+            if self._stored(payload, serializer, raw, checksum):
+                self._touch(payload)
+                self._memory_put((namespace, key), value)
+                return value
+            payload.parent.mkdir(parents=True, exist_ok=True)
             meta = {
                 "schema": SCHEMA_VERSION,
                 "key": key,
                 "namespace": namespace,
                 "serializer": serializer.name,
                 "size": len(raw),
-                "checksum": content_checksum(raw),
+                "checksum": checksum,
                 "created": time.time(),
             }
             self._atomic_write(payload, raw)
@@ -348,6 +369,18 @@ class ArtifactCache:
             self.sweep_tmp(TMP_SWEEP_AGE_SECONDS)
             self._evict_over_budget(protect=payload)
         return value
+
+    def _stored(self, payload: Path, serializer: Serializer, raw: bytes,
+                checksum: str) -> bool:
+        """Whether ``payload`` and its metadata already record ``raw``."""
+        try:
+            meta = json.loads(
+                self._meta_path(payload).read_text(encoding="utf-8")
+            )
+            _check_meta(meta, serializer, raw, checksum)
+            return payload.read_bytes() == raw
+        except (OSError, ValueError):
+            return False
 
     def contains(self, namespace: str, key: str,
                  serializer: Serializer) -> bool:
@@ -476,13 +509,15 @@ class ArtifactCache:
                     continue
                 meta_path = self._meta_path(payload)
                 try:
-                    size = payload.stat().st_size
-                    mtime = payload.stat().st_mtime
-                    if meta_path.exists():
-                        size += meta_path.stat().st_size
+                    stat = payload.stat()
                 except OSError:
                     continue
-                yield payload, meta_path, size, mtime
+                size = stat.st_size
+                try:
+                    size += meta_path.stat().st_size
+                except OSError:
+                    pass  # no metadata: the payload alone counts
+                yield payload, meta_path, size, stat.st_mtime
 
     def disk_bytes(self) -> int:
         """Total bytes of live entries (payloads + metadata)."""

@@ -11,36 +11,27 @@ traffic (Sec. IV-A), so the paper compares four strategies (Sec. VI-C):
 * **SparseP**: coordinate-space 2D chunking with equal-nnz splits.
 * **Azul**: hypergraph partitioning with communication-set hyperedges,
   row-edge overweighting, and temporal quantile balance constraints.
+
+Public names are imported on first use, so naming a mapper (the
+registry in :mod:`repro.core.registry`) does not load the partitioner.
 """
 
-from repro.core.placement import Placement, placement_stats
-from repro.core.round_robin import map_round_robin
-from repro.core.block import map_block
-from repro.core.sparsep import map_sparsep
-from repro.core.azul_mapping import map_azul, build_pcg_hypergraph
-from repro.core.quantiles import depth_quantile_weights
-from repro.core.traffic import TrafficReport, analyze_traffic
-from repro.core.registry import MAPPERS, get_mapper
-from repro.core.mapping_io import (
-    load_placement,
-    placements_equal,
-    save_placement,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Placement",
-    "placement_stats",
-    "map_round_robin",
-    "map_block",
-    "map_sparsep",
-    "map_azul",
-    "build_pcg_hypergraph",
-    "depth_quantile_weights",
-    "TrafficReport",
-    "analyze_traffic",
-    "MAPPERS",
-    "get_mapper",
-    "save_placement",
-    "load_placement",
-    "placements_equal",
-]
+_EXPORTS = {
+    "repro.core.placement": ("Placement", "placement_stats"),
+    "repro.core.round_robin": ("map_round_robin",),
+    "repro.core.block": ("map_block",),
+    "repro.core.sparsep": ("map_sparsep",),
+    "repro.core.azul_mapping": ("map_azul", "build_pcg_hypergraph"),
+    "repro.core.quantiles": ("depth_quantile_weights",),
+    "repro.core.traffic": ("TrafficReport", "analyze_traffic"),
+    "repro.core.registry": ("MAPPERS", "get_mapper"),
+    "repro.core.mapping_io": (
+        "save_placement", "load_placement", "placements_equal",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

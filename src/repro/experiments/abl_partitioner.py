@@ -15,7 +15,8 @@ import numpy as np
 
 from repro.comm import make_geometry
 from repro.config import AzulConfig
-from repro.core import analyze_traffic, build_pcg_hypergraph, map_azul
+from repro.core.azul_mapping import build_pcg_hypergraph, map_azul
+from repro.core.traffic import analyze_traffic
 from repro.experiments.common import ExperimentSession
 from repro.experiments.spec import ExperimentPlan, register
 from repro.hypergraph import PartitionerOptions, connectivity_cut

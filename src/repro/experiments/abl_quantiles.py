@@ -13,12 +13,13 @@ from typing import Optional
 
 from repro.comm import make_geometry
 from repro.config import AzulConfig
-from repro.core import map_azul
+from repro.core.azul_mapping import map_azul
 from repro.dataflow import build_sptrsv_program
 from repro.experiments.common import ExperimentSession, mapper_options
 from repro.experiments.spec import ExperimentPlan, register
 from repro.perf import ExperimentResult
-from repro.sim import AZUL_PE, KernelSimulator
+from repro.sim.engine import KernelSimulator
+from repro.sim.pe import AZUL_PE
 
 
 @register("abl_quantiles", title="Temporal balance quantile sweep",

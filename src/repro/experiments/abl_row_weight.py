@@ -13,7 +13,8 @@ from typing import Optional
 
 from repro.comm import make_geometry
 from repro.config import AzulConfig
-from repro.core import analyze_traffic, map_azul
+from repro.core.azul_mapping import map_azul
+from repro.core.traffic import analyze_traffic
 from repro.experiments.common import ExperimentSession, mapper_options
 from repro.experiments.spec import ExperimentPlan, register
 from repro.perf import ExperimentResult

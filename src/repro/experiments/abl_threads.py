@@ -15,7 +15,7 @@ from repro.experiments.common import ExperimentSession, default_matrices
 from repro.experiments.spec import ExperimentPlan, register
 from repro.parallel import SimPoint
 from repro.perf import ExperimentResult, gmean
-from repro.sim import PEModel
+from repro.sim.pe import PEModel
 
 
 @register("abl_threads", title="PE thread-context sweep",

@@ -48,20 +48,21 @@ import difflib
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 import repro.obs as obs
 from repro.cache import MISS, NPZ, PICKLE, ArtifactCache
 from repro.config import AzulConfig
-from repro.core import MAPPERS, Placement, get_mapper
-from repro.graph import color_and_permute
-from repro.hypergraph import PartitionerOptions
-from repro.precond import ic0
-from repro.sim import AzulMachine, PEModel, pe_model_by_name, pe_model_names
-from repro.sim.machine import verify_iteration
+from repro.core.placement import Placement
+from repro.core.registry import get_mapper, mapper_names
+from repro.sim.pe import PEModel, pe_model_by_name, pe_model_names
 from repro.sparse.suite import REPRESENTATIVE, get_suite_matrix, suite_names
+
+if TYPE_CHECKING:
+    from repro.hypergraph.partitioner import PartitionerOptions
+    from repro.sim.machine import AzulMachine
 
 #: Cache namespaces (subdirectories of the cache root).
 PLACEMENT_NAMESPACE = "placements"
@@ -83,9 +84,11 @@ PROGRAM_NAMESPACE = "programs"
 #: ``v4``: :class:`~repro.sim.KernelResult` gained ``n_tiles`` (pre-v4
 #: pickles lack the field) and the cache key now includes the
 #: ``trace`` flag, so results carrying per-op issue logs never alias
-#: untraced ones.
+#: untraced ones.  Simulation ``v5``: the result types moved to
+#: :mod:`repro.sim.stats`.  A pickle names its class's module, so a
+#: ``v4`` entry would import the engine again to load.
 PLACEMENT_SCHEMA = "v3"
-SIMULATION_SCHEMA = "v4"
+SIMULATION_SCHEMA = "v5"
 
 #: Compiled-program cache entries hold the three
 #: :class:`~repro.dataflow.ir.CompiledKernel` objects of one PCG
@@ -117,6 +120,8 @@ def full_suite_matrices() -> list:
 
 def mapper_options(preset: str) -> PartitionerOptions:
     """Partitioner preset used for Azul mappings in experiments."""
+    from repro.hypergraph.partitioner import PartitionerOptions
+
     if preset == "speed":
         return PartitionerOptions.speed(seed=0)
     if preset == "quality":
@@ -315,6 +320,9 @@ class ExperimentSession:
             prepared = _PREPARED.get(key)
         if prepared is not None:
             return prepared
+        from repro.graph.permute import color_and_permute
+        from repro.precond.ic0 import ic0
+
         with obs.timer("pipeline.prepare", matrix=name, scale=scale):
             matrix, b = get_suite_matrix(name, scale=scale)
             permuted, permuted_b, _ = color_and_permute(matrix, b)
@@ -340,7 +348,7 @@ class ExperimentSession:
         independent sub-bisections; placements are bit-identical
         regardless, so ``jobs`` is *not* part of the cache key.
         """
-        _validate_choice("mapper", mapper, MAPPERS)
+        _validate_choice("mapper", mapper, mapper_names())
         n_tiles = self.config.num_tiles if n_tiles is None else int(n_tiles)
         scale = self.scale if scale is None else int(scale)
         preset = self.preset if preset is None else preset
@@ -411,7 +419,7 @@ class ExperimentSession:
         multicast mode agree share one compilation, whatever their
         timing configuration.
         """
-        _validate_choice("mapper", mapper, MAPPERS)
+        _validate_choice("mapper", mapper, mapper_names())
         scale = self.scale if scale is None else int(scale)
         preset = self.preset if preset is None else preset
         _validate_choice("preset", preset, PRESETS)
@@ -421,6 +429,8 @@ class ExperimentSession:
             name, mapper, self.config.num_tiles,
             scale=scale, preset=preset, use_cache=use_cache,
         )
+        from repro.sim.machine import AzulMachine
+
         machine = AzulMachine(self.config)
         return compile_pcg_program(
             machine, prepared.matrix, prepared.lower, placement,
@@ -469,7 +479,7 @@ class ExperimentSession:
         :mod:`repro.obs`); it defaults to
         :func:`repro.obs.tracing_enabled`.
         """
-        _validate_choice("mapper", mapper, MAPPERS)
+        _validate_choice("mapper", mapper, mapper_names())
         if not isinstance(pe, PEModel):
             _validate_choice("pe", pe, pe_model_names())
         scale = self.scale if scale is None else int(scale)
@@ -488,6 +498,8 @@ class ExperimentSession:
                 if trace:
                     self._bridge_trace(key, f"{name}/{mapper}", cached)
                 return cached
+
+        from repro.sim.machine import AzulMachine, verify_iteration
 
         prepared = self.prepare(name, scale)
         placement = self.placement(

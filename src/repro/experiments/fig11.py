@@ -12,7 +12,7 @@ from typing import Optional
 
 from repro.comm import make_geometry
 from repro.config import AzulConfig
-from repro.core import analyze_traffic
+from repro.core.traffic import analyze_traffic
 from repro.experiments.common import ExperimentSession, default_matrices
 from repro.experiments.spec import ExperimentPlan, register
 from repro.perf import ExperimentResult, gmean

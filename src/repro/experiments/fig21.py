@@ -15,7 +15,7 @@ from repro.experiments.common import ExperimentSession, default_matrices
 from repro.experiments.spec import ExperimentPlan, register
 from repro.parallel import SimPoint
 from repro.perf import ExperimentResult
-from repro.sim import breakdown_from_results
+from repro.sim.stats import breakdown_from_results
 
 
 @register("fig21", title="Azul PE cycle breakdown",

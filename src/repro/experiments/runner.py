@@ -170,6 +170,11 @@ def main(argv=None):
         return 1
     if args.csv_dir:
         os.makedirs(args.csv_dir, exist_ok=True)
+    # A malformed REPRO_JOBS raises here, before any experiment runs,
+    # even when --jobs makes the sweep itself never read it.
+    from repro.parallel import default_jobs
+
+    default_jobs()
 
     observe = args.trace is not None or args.metrics is not None
     if observe:

@@ -15,7 +15,7 @@ from repro.experiments.common import ExperimentSession
 from repro.experiments.spec import ExperimentPlan, register
 from repro.parallel import SimPoint
 from repro.perf import ExperimentResult
-from repro.sim import AzulMachine
+from repro.sim.machine import AzulMachine
 from repro.sim.solver_timing import RECIPES, solver_iteration_cycles
 
 

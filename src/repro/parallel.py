@@ -28,7 +28,6 @@ Results are returned in point order and are identical to what a serial
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -68,14 +67,19 @@ class SimPoint:
 
 
 def default_jobs() -> int:
-    """Worker count when unspecified: ``REPRO_JOBS`` or a capped cpu count."""
+    """Worker count when unspecified: ``REPRO_JOBS`` or a capped cpu count.
+
+    A set ``REPRO_JOBS`` must be an integer; values below 1 mean 1.
+    """
     env = os.environ.get(ENV_JOBS, "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(8, os.cpu_count() or 1))
+    if not env:
+        return max(1, min(8, os.cpu_count() or 1))
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(
+            f"{ENV_JOBS} must be an integer worker count, got {env!r}"
+        ) from None
 
 
 def _coerce(point) -> SimPoint:
@@ -151,6 +155,8 @@ def _run_pool(pending: Sequence[tuple], jobs: int, info: dict,
     Returns ``{key: result-or-_FAILED}``; pool-level failures leave
     keys absent, which the caller treats the same as ``_FAILED``.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     computed: dict = {}
     try:
         with ProcessPoolExecutor(
@@ -316,13 +322,13 @@ def _simulate_placement_in_worker(spec: dict):
     the compiled kernels of any prior point that agreed on everything
     program construction reads.
     """
-    from repro.core import Placement
+    from repro.core.placement import Placement
     from repro.experiments.common import (
         ExperimentSession,
         compile_pcg_program,
     )
-    from repro.sim import AzulMachine, pe_model_by_name
-    from repro.sim.machine import verify_iteration
+    from repro.sim.machine import AzulMachine, verify_iteration
+    from repro.sim.pe import pe_model_by_name
 
     session = ExperimentSession(
         spec["config"], scale=spec["scale"], use_cache=spec["use_cache"],

@@ -16,6 +16,11 @@ The core is layered (enforced by ``tools/check_layers.py``)::
     issue   — PE issue timing                   (repro.sim.issue)
     engine  — thin composition root             (repro.sim.engine)
 
+The result types (:class:`KernelResult`, :class:`IterationResult`) live
+in the light :mod:`repro.sim.stats`, so unpickling a cached simulation
+loads neither the engine nor the dataflow compiler.  Public names are
+imported on first use.
+
 Three PE models reproduce the paper's comparisons:
 
 * :data:`AZUL_PE` — specialized pipeline, multithreaded (the default).
@@ -26,55 +31,30 @@ Three PE models reproduce the paper's comparisons:
   PEs that expose pure network behavior).
 """
 
-from repro.sim.pe import (
-    PEModel,
-    AZUL_PE,
-    AZUL_PE_SINGLE_THREADED,
-    DALOREX_PE,
-    IDEAL_PE,
-    pe_model_by_name,
-    pe_model_names,
-)
-from repro.sim.engine import KernelResult, KernelSimulator
-from repro.sim.events import EventQueue
-from repro.sim.fabric import FabricModel, LinkFabric
-from repro.sim.issue import BatchedIssue
-from repro.sim.state import KernelState, TileState
-from repro.sim.machine import AzulMachine, IterationResult
-from repro.sim.full_solve import FullSolveResult, simulate_full_pcg
-from repro.sim.solver_timing import (
-    RECIPES,
-    IterationRecipe,
-    solver_iteration_cycles,
-)
-from repro.sim.functional import functional_spmv, functional_sptrsv
-from repro.sim.stats import CycleBreakdown, breakdown_from_results
+from repro import _lazy_exports
 
-__all__ = [
-    "PEModel",
-    "AZUL_PE",
-    "AZUL_PE_SINGLE_THREADED",
-    "DALOREX_PE",
-    "IDEAL_PE",
-    "pe_model_by_name",
-    "pe_model_names",
-    "KernelSimulator",
-    "KernelResult",
-    "EventQueue",
-    "FabricModel",
-    "LinkFabric",
-    "BatchedIssue",
-    "KernelState",
-    "TileState",
-    "AzulMachine",
-    "IterationResult",
-    "FullSolveResult",
-    "simulate_full_pcg",
-    "RECIPES",
-    "IterationRecipe",
-    "solver_iteration_cycles",
-    "functional_spmv",
-    "functional_sptrsv",
-    "CycleBreakdown",
-    "breakdown_from_results",
-]
+_EXPORTS = {
+    "repro.sim.pe": (
+        "PEModel", "AZUL_PE", "AZUL_PE_SINGLE_THREADED", "DALOREX_PE",
+        "IDEAL_PE", "pe_model_by_name", "pe_model_names",
+    ),
+    "repro.sim.engine": ("KernelSimulator",),
+    "repro.sim.events": ("EventQueue",),
+    "repro.sim.fabric": ("FabricModel", "LinkFabric"),
+    "repro.sim.issue": ("BatchedIssue",),
+    "repro.sim.state": ("KernelState", "TileState"),
+    "repro.sim.machine": ("AzulMachine",),
+    "repro.sim.full_solve": ("FullSolveResult", "simulate_full_pcg"),
+    "repro.sim.solver_timing": (
+        "RECIPES", "IterationRecipe", "solver_iteration_cycles",
+    ),
+    "repro.sim.functional": ("functional_spmv", "functional_sptrsv"),
+    "repro.sim.stats": (
+        "KernelResult", "IterationResult", "CycleBreakdown",
+        "breakdown_from_results",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

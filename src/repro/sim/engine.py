@@ -8,8 +8,7 @@ the simulator layers (``events ← state ← fabric ← issue``, see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -28,51 +27,8 @@ from repro.sim.state import (
     KernelState,
     input_counts,
 )
+from repro.sim.stats import KernelResult
 
-
-@dataclass
-class KernelResult:
-    """Outcome of simulating one kernel.
-
-    ``cycles`` is the completion time; ``output`` the computed result
-    vector (``y`` for SpMV, ``x`` for SpTRSV); ``op_counts`` executed
-    operations by kind (``fmac``/``add``/``mul``/``send``);
-    ``busy_slots`` issue slots consumed across all PEs; ``per_link``
-    activations per directed link; ``spills`` messages that overflowed
-    the register buffer into the Data SRAM; ``issue_trace`` (when
-    recording was requested) one ``(cycle, tile, op_kind)`` tuple per
-    issued operation, for timeline/heatmap analysis.  ``n_tiles``
-    records the simulated machine's tile count so the trace helpers in
-    :mod:`repro.sim.trace` need no redundant caller-side geometry.
-    """
-
-    name: str
-    cycles: int
-    output: np.ndarray
-    op_counts: Dict[str, int]
-    busy_slots: int
-    link_activations: int
-    per_link: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    spills: int = 0
-    #: Total cycles flits waited for busy links (congestion measure)
-    link_queue_delay: int = 0
-    issue_trace: Optional[List[Tuple[int, int, int]]] = None
-    #: Tile count of the machine that produced this result (``None``
-    #: only on results unpickled from pre-v4 cache entries).
-    n_tiles: Optional[int] = None
-
-    def flops(self) -> int:
-        """FLOPs executed, including distribution-overhead Adds.
-
-        Reported GFLOP/s uses the *algorithmic* FLOP count; this
-        counter additionally includes the standalone Adds that
-        inter-tile reductions introduce.
-        """
-        return (
-            2 * self.op_counts["fmac"]
-            + self.op_counts["add"]
-            + self.op_counts["mul"]
-        )
 
 def _segment_bounds(program: CompiledKernel, keys: np.ndarray,
                     mask: Optional[np.ndarray] = None

@@ -10,8 +10,7 @@ steady-state methodology the paper uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -20,68 +19,11 @@ from repro.config import AzulConfig
 from repro.core.placement import Placement
 from repro.dataflow.program import PCGIterationProgram, build_pcg_program
 from repro.errors import SimulationError
-from repro.sim.engine import KernelResult, KernelSimulator
+from repro.sim.engine import KernelSimulator
 from repro.sim.fabric import FabricModel
 from repro.sim.pe import AZUL_PE, PEModel
+from repro.sim.stats import IterationResult, KernelResult
 from repro.sparse.csr import CSRMatrix
-
-
-@dataclass
-class IterationResult:
-    """Timing of one simulated PCG iteration.
-
-    Attributes
-    ----------
-    kernel_results:
-        The three sparse-kernel results (spmv, forward, backward).
-    vector_cycles:
-        Cycles of the analytic vector phase.
-    total_cycles:
-        Sum over all phases (phases are dependence-separated).
-    flops_per_iteration:
-        Useful algorithmic FLOPs of one iteration.
-    """
-
-    kernel_results: List[KernelResult]
-    vector_cycles: int
-    total_cycles: int
-    flops_per_iteration: int
-    config: Optional[AzulConfig] = None
-    vector_ops: Optional[Dict[str, int]] = None
-
-    def gflops(self) -> float:
-        """Steady-state useful GFLOP/s."""
-        if self.total_cycles == 0 or self.config is None:
-            return 0.0
-        seconds = self.total_cycles / self.config.frequency_hz
-        return self.flops_per_iteration / seconds / 1e9
-
-    def utilization(self) -> float:
-        """Fraction of the machine's peak FLOP/s achieved."""
-        if self.config is None:
-            return 0.0
-        return self.gflops() * 1e9 / self.config.peak_flops
-
-    def cycles_by_phase(self) -> Dict[str, int]:
-        """Per-phase cycles (the Fig. 22 breakdown)."""
-        phases = {k.name: k.cycles for k in self.kernel_results}
-        phases["vector"] = self.vector_cycles
-        return phases
-
-    def op_totals(self) -> Dict[str, int]:
-        """Operations issued by kind, across kernels and vector phase."""
-        totals = {"fmac": 0, "add": 0, "mul": 0, "send": 0}
-        for result in self.kernel_results:
-            for kind, count in result.op_counts.items():
-                totals[kind] += count
-        if self.vector_ops:
-            for kind, count in self.vector_ops.items():
-                totals[kind] += count
-        return totals
-
-    def link_activations(self) -> int:
-        """Total NoC link traversals of one iteration."""
-        return sum(r.link_activations for r in self.kernel_results)
 
 
 class AzulMachine:

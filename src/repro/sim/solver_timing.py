@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from repro.dataflow.program import PCGIterationProgram
 from repro.dataflow.vector_ops import axpy_cycles, dot_allreduce_cycles
-from repro.sim.machine import AzulMachine, IterationResult
+from repro.sim.machine import AzulMachine
+from repro.sim.stats import IterationResult
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.dataflow.tasks import OpKind
-from repro.sim.engine import KernelResult
+from repro.sim.stats import KernelResult
 
 #: Issue events kept per kernel in a Chrome trace before downsampling.
 #: 10k per kernel keeps a full fig20-style sweep's trace in the tens of

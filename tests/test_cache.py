@@ -228,6 +228,73 @@ class TestAtomicity:
 
 
 # ----------------------------------------------------------------------
+# Re-puts
+# ----------------------------------------------------------------------
+class TestRePut:
+    def test_identical_put_writes_nothing(self, cache, monkeypatch):
+        key = cache.key("reput")
+        cache.put("ns", key, {"v": [1, 2, 3]}, PICKLE)
+        (payload,) = _payload_files(cache)
+        meta = payload.with_name(payload.name + ".meta.json")
+        meta_bytes, meta_stat = meta.read_bytes(), meta.stat()
+        os.utime(payload, (1_000_000, 1_000_000))
+        cache._memory.clear()
+
+        def no_write(*args):
+            raise AssertionError("an identical put wrote a file")
+
+        monkeypatch.setattr(cache, "_atomic_write", no_write)
+        value = {"v": [1, 2, 3]}
+        assert cache.put("ns", key, value, PICKLE) is value
+        assert cache.stats.writes == 1
+        assert meta.read_bytes() == meta_bytes
+        assert meta.stat().st_mtime_ns == meta_stat.st_mtime_ns
+        assert payload.stat().st_mtime > 1_000_000  # recency refreshed
+        assert cache.get("ns", key, PICKLE) is value  # memory tier
+        assert cache.stats.hits_memory == 1
+
+    def test_different_bytes_rewrite(self, cache):
+        key = cache.key("reput-new")
+        cache.put("ns", key, {"v": 1}, PICKLE)
+        cache.put("ns", key, {"v": 2}, PICKLE)
+        assert cache.stats.writes == 2
+        cache._memory.clear()
+        assert cache.get("ns", key, PICKLE) == {"v": 2}
+
+    @pytest.mark.parametrize("damage", [
+        "meta-garbage", "meta-missing", "meta-checksum", "meta-list",
+        "payload-flip", "payload-missing",
+    ])
+    def test_damaged_entry_is_rewritten(self, cache, damage):
+        key = cache.key("reput", damage)
+        value = {"v": list(range(50))}
+        cache.put("ns", key, value, PICKLE)
+        (payload,) = _payload_files(cache)
+        meta = payload.with_name(payload.name + ".meta.json")
+        if damage == "meta-garbage":
+            meta.write_text("{ not json", encoding="utf-8")
+        elif damage == "meta-missing":
+            meta.unlink()
+        elif damage == "meta-checksum":
+            record = json.loads(meta.read_text(encoding="utf-8"))
+            record["checksum"] = content_checksum(b"other bytes")
+            meta.write_text(json.dumps(record), encoding="utf-8")
+        elif damage == "meta-list":
+            meta.write_text("[]", encoding="utf-8")
+        elif damage == "payload-flip":
+            raw = bytearray(payload.read_bytes())
+            raw[len(raw) // 2] ^= 0xFF  # size and metadata unchanged
+            payload.write_bytes(bytes(raw))
+        else:
+            payload.unlink()
+        cache.put("ns", key, value, PICKLE)
+        assert cache.stats.writes == 2
+        cache._memory.clear()
+        assert cache.get("ns", key, PICKLE) == value
+        assert cache.stats.corruptions == 0
+
+
+# ----------------------------------------------------------------------
 # Eviction
 # ----------------------------------------------------------------------
 class TestEviction:

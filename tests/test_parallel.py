@@ -48,9 +48,29 @@ class TestSimPoint:
         monkeypatch.setenv(parallel.ENV_JOBS, "3")
         assert default_jobs() == 3
         monkeypatch.setenv(parallel.ENV_JOBS, "not-a-number")
-        assert default_jobs() >= 1
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            default_jobs()
         monkeypatch.delenv(parallel.ENV_JOBS)
         assert 1 <= default_jobs() <= 8
+
+    def test_runner_rejects_malformed_jobs_env_up_front(
+            self, fresh_cache, monkeypatch, capsys):
+        """``--jobs`` never reads REPRO_JOBS, yet a bad value fails first.
+
+        Without the up-front check the runner would finish the
+        experiment and fail only when ``--metrics`` reports the
+        environment overrides.
+        """
+        from repro.experiments.runner import main
+
+        monkeypatch.setenv(parallel.ENV_JOBS, "x")
+        metrics = fresh_cache / "m.json"
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            main(["fig21", "--matrices", MATRIX, "--jobs", "1",
+                  "--metrics", str(metrics)])
+        assert capsys.readouterr().out == ""
+        assert not metrics.exists()
+        assert sorted(p.name for p in fresh_cache.iterdir()) == []
 
 
 class TestSimulateMany:
