@@ -17,7 +17,7 @@ import argparse
 import importlib
 import os
 import sys
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.experiments.spec import ExperimentSpec, get_registered
 
@@ -181,6 +181,7 @@ def main(argv=None):
         import repro.obs as obs
 
         obs.enable(metrics=True, tracing=args.trace is not None)
+        rss_before = _peak_rss_mb()
 
     overrides = {}
     if args.matrices is not None:
@@ -238,7 +239,8 @@ def main(argv=None):
         exit_code = 1
 
     if observe:
-        _export_observability(args, [spec.id for spec in specs])
+        _export_observability(args, [spec.id for spec in specs],
+                              rss_before)
 
     if args.cache_stats:
         from repro.cache import ArtifactCache
@@ -249,8 +251,11 @@ def main(argv=None):
     return exit_code
 
 
-def _export_observability(args, ids) -> None:
-    """Write the trace / metrics artifacts collected during the runs."""
+def _export_observability(args, ids, rss_before) -> None:
+    """Write the trace / metrics artifacts collected during the runs.
+
+    ``rss_before`` is :func:`_peak_rss_mb` at the start of the run.
+    """
     import repro.obs as obs
     from repro.cache import ArtifactCache
     from repro.config import overrides
@@ -268,8 +273,35 @@ def _export_observability(args, ids) -> None:
         if not path:
             path = (os.path.join(args.csv_dir, "metrics.json")
                     if args.csv_dir else "metrics.json")
+        rss = _peak_rss_mb()
+        if rss is not None:
+            obs.gauge("process.peak_rss_mb", rss[0])
+            # A child reaped during the run, and larger than any reaped
+            # before it: a --jobs worker.
+            if rss[1] > rss_before[1]:
+                obs.gauge("process.workers_peak_rss_mb", rss[1])
         obs.write_metrics(path, extra=extra)
         print(f"[metrics written to {path}]")
+
+
+def _peak_rss_mb() -> Optional[Tuple[float, float]]:
+    """Peak RSS (MB) of this process and of its largest reaped child.
+
+    ``None`` where ``resource`` is missing.  The children's figure
+    survives ``exec``: a shell's earlier children count until this
+    process reaps a larger one.
+    """
+    try:
+        import resource
+    except ImportError:  # not on this platform (Windows)
+        return None
+    # ru_maxrss counts KiB on Linux and bytes on macOS.
+    per_mb = 2**20 if sys.platform == "darwin" else 2**10
+    own, children = (
+        resource.getrusage(who).ru_maxrss / per_mb
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    )
+    return own, children
 
 
 if __name__ == "__main__":

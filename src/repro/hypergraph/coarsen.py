@@ -10,16 +10,22 @@ Both halves of the phase run on the flat CSR arrays:
 
 * :func:`match_vertices` visits seed vertices in one random permutation
   (same greedy semantics as the historical per-vertex dict scan), but
-  processes them in *batches*: one :func:`ragged_take` gather pulls the
-  batch's candidate ``(seed, neighbor)`` incidences and a sort +
-  segment-sum accumulates connectivity scores per candidate pair.  The
-  weight cap is checked only for pairs with a *heavy* member (above
-  half the cap in some constraint): two light vertices always fit,
-  because ``0.5 * cap`` is exact and rounding is monotone.  The
-  accept walk, which must see earlier matches, runs on Python lists:
-  each unmatched seed takes its best-scoring unmatched neighbor, and
-  since pairs arrive neighbor-sorted, a strict ``>`` sends ties to the
-  lowest neighbor id.
+  processes them in *batches*: :func:`ragged_take` gathers the
+  candidate ``(seed, neighbor)`` incidences and a sort + segment-sum
+  accumulates connectivity scores per candidate pair.  The weight cap
+  is checked only for pairs with a *heavy* member (above half the cap
+  in some constraint): two light vertices always fit, because
+  ``0.5 * cap`` is exact and rounding is monotone.  The accept walk,
+  which must see earlier matches, runs on Python lists: each unmatched
+  seed takes its best-scoring unmatched neighbor, and since pairs
+  arrive neighbor-sorted, a strict ``>`` sends ties to the lowest
+  neighbor id.  A batch fixes two things the matching depends on:
+  neighbors matched before the batch are filtered out, those matched
+  inside it only by the walk, and its scores are differences of one
+  running cumsum that restarts at each batch.  Within a batch, pairs
+  are built, scored and walked in chunks of consecutive seeds that fit
+  ``_PAIR_BUDGET``; the cumsum carries over from chunk to chunk, so
+  chunks bound memory and change nothing else.
 * :func:`contract` drops re-pinned in-edge duplicates with one sort of
   ``edge * n_coarse + pin`` keys.  Identical pin sets merge through one
   sort per power-of-two width class of big-endian ``(size, pins...)``
@@ -38,7 +44,8 @@ Layer contract: ``coarsen`` sits above ``hgraph``/``metrics`` and below
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from bisect import bisect_right
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -50,7 +57,17 @@ from repro.hypergraph.hgraph import Hypergraph, ragged_take
 DEFAULT_MATCHING_EDGE_SIZE_LIMIT = 64
 
 #: Seed vertices whose candidates are gathered per vectorized batch.
+#: A batch fixes what a match can depend on besides the visit order:
+#: the ``matched`` state its neighbor filter reads (that of the batch
+#: start) and where the running score cumsum restarts.  Shrinking it
+#: would move placements.
 _MATCH_BATCH = 4096
+
+#: Candidate pairs built, scored and walked at once.  A batch is split
+#: into chunks of consecutive seeds whose pairs fit this budget (a lone
+#: seed may exceed it).  Chunks bound memory only: any budget gives the
+#: same matching.
+_PAIR_BUDGET = 1 << 15
 
 
 def _batch_candidates(
@@ -61,13 +78,16 @@ def _batch_candidates(
     matched: np.ndarray,
     max_vertex_weight: np.ndarray,
     light: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scored merge candidates for a batch of seed vertices.
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Scored merge candidates for a batch of seed vertices, in chunks.
 
-    Returns ``(seed_pos, neighbor, score)``, one entry per pair, in
-    ``(seed_pos, neighbor)`` order; pairs over ``max_vertex_weight``
-    score ``-inf``.  ``seed_pos`` indexes into ``seeds``; ``light``
-    marks the vertices within half the cap in every constraint.
+    Yields ``(chunk, seed_pos, neighbor, score)`` for consecutive runs
+    ``chunk`` of ``seeds``: one entry per pair, in ``(seed_pos,
+    neighbor)`` order; pairs over ``max_vertex_weight`` score ``-inf``.
+    ``seed_pos`` indexes into ``chunk``; ``light`` marks the vertices
+    within half the cap in every constraint.  Each chunk reads
+    ``matched`` when it is built, so the caller writes it only after
+    the last chunk: every chunk then filters by the batch-start state.
     """
     ve_ptr, ve_ids = hgraph.incidence_arrays()
     # Incident eligible edges of every seed, flattened.
@@ -76,40 +96,61 @@ def _batch_candidates(
     inc_seed = np.repeat(np.arange(len(seeds)), deg)
     ok = eligible[inc_edges]
     inc_edges, inc_seed = inc_edges[ok], inc_seed[ok]
-    # Pins of those edges: the candidate neighbors.
     lengths = hgraph.edge_ptr[inc_edges + 1] - hgraph.edge_ptr[inc_edges]
-    neigh = ragged_take(hgraph.pins, hgraph.edge_ptr[inc_edges], lengths)
-    cand_seed = np.repeat(inc_seed, lengths)
-    cand_bonus = np.repeat(bonus[inc_edges], lengths)
-    # Drop self-pairs and already-matched neighbors (batch-start state;
-    # matches made inside the batch are re-checked in the accept walk).
-    keep = (neigh != seeds[cand_seed]) & (matched[neigh] < 0)
-    neigh, cand_seed, cand_bonus = neigh[keep], cand_seed[keep], cand_bonus[keep]
-    if len(neigh) == 0:
-        return neigh, neigh, cand_bonus
-    # Accumulate scores per (seed, neighbor) pair: sort by the pair key
-    # and segment-sum the bonuses.  Scores are differences of one
-    # running cumsum over the batch; near-ties depend on its rounding.
-    key = cand_seed * np.int64(hgraph.n_vertices) + neigh
-    order = np.argsort(key, kind="stable")
-    key, neigh = key[order], neigh[order]
-    cand_seed, cand_bonus = cand_seed[order], cand_bonus[order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    starts = np.nonzero(first)[0]
-    csum = np.concatenate(([0.0], np.cumsum(cand_bonus)))
-    bounds = np.concatenate((starts, [len(key)]))
-    score = csum[bounds[1:]] - csum[bounds[:-1]]
-    cand_seed, neigh = cand_seed[starts], neigh[starts]
-    # Weight-cap feasibility is static (merging never lightens a
-    # vertex).  Two light vertices always fit, so only pairs with a
-    # heavy member are summed and compared; infeasible pairs score -inf,
-    # which the accept walk's strict ``>`` never takes.
-    heavy = np.nonzero(~(light[seeds][cand_seed] & light[neigh]))[0]
-    merged = (hgraph.vertex_weights[seeds[cand_seed[heavy]]]
-              + hgraph.vertex_weights[neigh[heavy]])
-    score[heavy[~(merged <= max_vertex_weight).all(axis=1)]] = -np.inf
-    return cand_seed, neigh, score
+    # Each seed's first incidence, and the pins of all incidences before
+    # it: a seed has at most as many pairs as its edges have pins.
+    # Chunks are the longest runs of seeds within the pair budget.
+    inc_ptr = np.searchsorted(inc_seed, np.arange(len(seeds) + 1)).tolist()
+    pair_ptr = np.concatenate(([0], np.cumsum(lengths)))[inc_ptr].tolist()
+    cuts = [0]
+    while cuts[-1] < len(seeds):
+        lo = cuts[-1]
+        cuts.append(max(lo + 1, bisect_right(
+            pair_ptr, pair_ptr[lo] + _PAIR_BUDGET) - 1))
+    carry = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        chunk = seeds[lo:hi]
+        inc = slice(inc_ptr[lo], inc_ptr[hi])
+        edges, edge_len = inc_edges[inc], lengths[inc]
+        # Pins of those edges: the candidate neighbors.
+        neigh = ragged_take(hgraph.pins, hgraph.edge_ptr[edges], edge_len)
+        cand_seed = np.repeat(inc_seed[inc] - lo, edge_len)
+        cand_bonus = np.repeat(bonus[edges], edge_len)
+        # Drop self-pairs and already-matched neighbors (batch-start
+        # state; matches made inside the batch are re-checked in the
+        # accept walk).
+        keep = (neigh != chunk[cand_seed]) & (matched[neigh] < 0)
+        neigh, cand_seed = neigh[keep], cand_seed[keep]
+        cand_bonus = cand_bonus[keep]
+        # Accumulate scores per (seed, neighbor) pair: sort by the pair
+        # key and segment-sum the bonuses.  Scores are differences of
+        # one running cumsum over the batch; near-ties depend on its
+        # rounding.  Chunks hold consecutive seeds, so their sorted
+        # pairs are consecutive runs of the batch's, and a sequential
+        # cumsum that starts from the previous chunk's total continues
+        # the batch's bit for bit (adding that total afterwards would
+        # round differently).
+        key = cand_seed * np.int64(hgraph.n_vertices) + neigh
+        order = np.argsort(key, kind="stable")
+        key, neigh = key[order], neigh[order]
+        cand_seed, cand_bonus = cand_seed[order], cand_bonus[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        starts = np.nonzero(first)[0]
+        csum = np.cumsum(np.concatenate(([carry], cand_bonus)))
+        carry = csum[-1]
+        bounds = np.concatenate((starts, [len(key)]))
+        score = csum[bounds[1:]] - csum[bounds[:-1]]
+        cand_seed, neigh = cand_seed[starts], neigh[starts]
+        # Weight-cap feasibility is static (merging never lightens a
+        # vertex).  Two light vertices always fit, so only pairs with a
+        # heavy member are summed and compared; infeasible pairs score
+        # -inf, which the accept walk's strict ``>`` never takes.
+        heavy = np.nonzero(~(light[chunk][cand_seed] & light[neigh]))[0]
+        merged = (hgraph.vertex_weights[chunk[cand_seed[heavy]]]
+                  + hgraph.vertex_weights[neigh[heavy]])
+        score[heavy[~(merged <= max_vertex_weight).all(axis=1)]] = -np.inf
+        yield chunk, cand_seed, neigh, score
 
 
 def match_vertices(
@@ -146,30 +187,32 @@ def match_vertices(
         batch = batch[matched[batch] < 0]
         if len(batch) == 0:
             continue
-        cand_seed, cand_neigh, cand_score = _batch_candidates(
+        # Accept walk: per seed (in batch = permutation order), the best
+        # score among still-unmatched neighbors; ``mate`` carries the
+        # matches of earlier chunks.  Each seed's pairs are contiguous
+        # and neighbor-sorted, so the strict ``>`` keeps the lowest
+        # neighbor id among equal scores.
+        accepted: List[int] = []
+        for chunk, cand_seed, cand_neigh, cand_score in _batch_candidates(
             hgraph, batch, bonus, eligible, matched, max_vertex_weight,
             light,
-        )
-        # Accept walk: per seed (in batch = permutation order), the best
-        # score among still-unmatched neighbors.  Each seed's pairs are
-        # contiguous and neighbor-sorted, so the strict ``>`` keeps the
-        # lowest neighbor id among equal scores.
-        bounds = np.searchsorted(
-            cand_seed, np.arange(len(batch) + 1), side="left"
-        ).tolist()
-        neighbors, scores = cand_neigh.tolist(), cand_score.tolist()
-        accepted: List[int] = []
-        for i, v in enumerate(batch.tolist()):
-            if mate[v] >= 0:
-                continue
-            best, best_score = -1, -np.inf
-            lo, hi = bounds[i], bounds[i + 1]
-            for u, s in zip(neighbors[lo:hi], scores[lo:hi]):
-                if s > best_score and mate[u] < 0:
-                    best, best_score = u, s
-            if best >= 0:
-                mate[v], mate[best] = best, v
-                accepted += (v, best)
+        ):
+            bounds = np.searchsorted(
+                cand_seed, np.arange(len(chunk) + 1), side="left"
+            ).tolist()
+            neighbors, scores = cand_neigh.tolist(), cand_score.tolist()
+            for i, v in enumerate(chunk.tolist()):
+                if mate[v] >= 0:
+                    continue
+                best, best_score = -1, -np.inf
+                lo, hi = bounds[i], bounds[i + 1]
+                for u, s in zip(neighbors[lo:hi], scores[lo:hi]):
+                    if s > best_score and mate[u] < 0:
+                        best, best_score = u, s
+                if best >= 0:
+                    mate[v], mate[best] = best, v
+                    accepted += (v, best)
+        # Only now: every chunk's filter must read the batch-start state.
         matched[accepted] = [mate[u] for u in accepted]
 
     # Coarse ids in permutation-visit order of each pair's first-seen

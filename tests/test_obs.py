@@ -327,6 +327,18 @@ class TestPipelineIntegration:
         assert counters["sweep.points"] == 2.0
         assert counters["sweep.deduplicated"] == 1.0
 
+    def test_runner_metrics_record_peak_rss(self, tmp_path, monkeypatch):
+        from repro.experiments.runner import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        path = tmp_path / "metrics.json"
+        assert main(["fig21", "--matrices", "tmt_sym", "--jobs", "1",
+                     "--metrics", str(path)]) == 0
+        gauges = json.loads(path.read_text())["gauges"]
+        assert gauges["process.peak_rss_mb"] > 0
+        # A serial run reaps no worker.
+        assert "process.workers_peak_rss_mb" not in gauges
+
     def test_cache_counters_unified(self, tmp_path):
         from repro.cache import ArtifactCache
         from repro.experiments.common import ExperimentSession

@@ -13,7 +13,10 @@ The scalar region growing of :mod:`repro.hypergraph.initial`, the
 sort-based ``_edge_lambdas`` of :mod:`repro.hypergraph.metrics` and the
 matcher and contraction of :mod:`repro.hypergraph.coarsen` are held to
 their oracles (:mod:`tests.oracles.initial`, :mod:`tests.oracles.metrics`,
-:mod:`tests.oracles.coarsen`) exactly, on arbitrary float weights.
+:mod:`tests.oracles.coarsen`) exactly, on arbitrary float weights.  The
+matcher is checked at several candidate-pair budgets, which must not
+change a mapping, and one call's traced memory must stay within a
+bound that holding a whole batch's pairs exceeds.
 
 Also covered: FM never increases the connectivity cut, per-constraint
 caps hold after every refine when the input satisfies them, the
@@ -24,8 +27,12 @@ serial path.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import seed as hypothesis_seed
 
 from repro.hypergraph import Hypergraph, PartitionerOptions, partition
 from repro.hypergraph import coarsen as coarsen_mod
@@ -216,15 +223,28 @@ def assert_same_hypergraph(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
-def assert_coarsening_matches_oracle(hg, cap, seed, limit):
-    """Production and oracle matching, then contraction, bit for bit."""
-    rng_prod, rng_oracle = (np.random.default_rng(seed) for _ in range(2))
-    got = match_vertices(hg, rng_prod, cap, edge_size_limit=limit)
+#: Candidate-pair budgets of the chunked matcher: 1 gives every seed
+#: with an eligible edge a chunk of its own, 7 and 64 a few seeds per
+#: chunk, and the default one chunk per batch on these inputs.
+PAIR_BUDGETS = (1, 7, 64, coarsen_mod._PAIR_BUDGET)
+
+
+def assert_coarsening_matches_oracle(hg, cap, seed, limit,
+                                     budgets=(coarsen_mod._PAIR_BUDGET,)):
+    """Production matching at each pair budget, and contraction, equal
+    the oracle's bit for bit."""
+    rng_oracle = np.random.default_rng(seed)
     want = match_vertices_oracle(hg, rng_oracle, cap, limit,
                                  batch_size=coarsen_mod._MATCH_BATCH)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
-    assert rng_prod.integers(2**62) == rng_oracle.integers(2**62)
+    draw = rng_oracle.integers(2**62)
+    for budget in budgets:
+        rng_prod = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coarsen_mod, "_PAIR_BUDGET", budget)
+            got = match_vertices(hg, rng_prod, cap, edge_size_limit=limit)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), budget
+        assert rng_prod.integers(2**62) == draw
     assert_same_hypergraph(contract(hg, got), contract_oracle(hg, want))
     return got
 
@@ -245,6 +265,26 @@ def coarsening_cap(hg):
                       hg.vertex_weights.max(axis=0))
 
 
+@st.composite
+def matching_cases(draw):
+    """A float-weight hypergraph, a cap, an edge limit, and the batch
+    size and pair budget to match it with."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hg = coarsening_hypergraph(
+        rng, draw(st.integers(2, 90)), draw(st.integers(1, 240)),
+        draw(st.integers(1, 4)), max_pins=draw(st.integers(2, 12)),
+    )
+    if draw(st.booleans()):
+        # Few distinct non-dyadic weights: equal scores reached by
+        # different float sums, where rounding decides ties.
+        hg.edge_weights = rng.choice([0.1, 0.2, 0.3], hg.n_edges)
+    scale = draw(st.floats(0.35, 1.0))
+    cap = np.maximum(coarsening_cap(hg) * scale,
+                     hg.vertex_weights.max(axis=0))
+    return (hg, cap, draw(st.sampled_from([4, 8, 64])),
+            draw(st.integers(1, 100)), draw(st.integers(1, 400)))
+
+
 class TestCoarseningParity:
     def test_float_weights_and_constraints(self):
         rng = np.random.default_rng(67)
@@ -259,7 +299,8 @@ class TestCoarseningParity:
             # Caps from coarsen()'s own down to ones most pairs exceed.
             cap = coarsening_cap(hg) * float(rng.choice([1.0, 0.6, 0.35]))
             cap = np.maximum(cap, hg.vertex_weights.max(axis=0))
-            assert_coarsening_matches_oracle(hg, cap, trial, 64)
+            assert_coarsening_matches_oracle(hg, cap, trial, 64,
+                                             PAIR_BUDGETS)
 
     def test_weights_at_and_just_above_half_the_cap(self, monkeypatch):
         rng = np.random.default_rng(71)
@@ -315,7 +356,8 @@ class TestCoarseningParity:
 
     def test_multi_batch(self, monkeypatch):
         # Small batches: later batches see earlier matches, and each
-        # batch's scores come from its own running cumsum.
+        # batch's scores come from its own running cumsum, whatever
+        # the chunks it is split into.
         rng = np.random.default_rng(79)
         for batch in (1, 5, 23):
             monkeypatch.setattr(coarsen_mod, "_MATCH_BATCH", batch)
@@ -323,14 +365,13 @@ class TestCoarseningParity:
                 hg = coarsening_hypergraph(rng, 120, 260, 2)
                 hg.edge_weights = rng.choice([0.1, 0.2, 0.3], hg.n_edges)
                 assert_coarsening_matches_oracle(hg, coarsening_cap(hg),
-                                                 seed, 64)
+                                                 seed, 64, PAIR_BUDGETS)
 
     @pytest.mark.parametrize("batch", [coarsen_mod._MATCH_BATCH, 16])
     def test_coarsen_levels_and_mappings(self, monkeypatch, batch):
         rng = np.random.default_rng(83)
         hg = coarsening_hypergraph(rng, 600, 1500, 3, max_pins=12)
         monkeypatch.setattr(coarsen_mod, "_MATCH_BATCH", batch)
-        levels, mappings = coarsen(hg, np.random.default_rng(5), stop_at=20)
         with monkeypatch.context() as patch:
             patch.setattr(coarsen_mod, "contract", contract_oracle)
             patch.setattr(
@@ -341,12 +382,53 @@ class TestCoarseningParity:
             ref_levels, ref_mappings = coarsen(
                 hg, np.random.default_rng(5), stop_at=20
             )
-        assert len(levels) == len(ref_levels) > 3
-        for got, want in zip(levels, ref_levels):
-            assert_same_hypergraph(got, want)
-        for got, want in zip(mappings, ref_mappings):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        assert len(ref_levels) > 3
+        for budget in PAIR_BUDGETS:
+            monkeypatch.setattr(coarsen_mod, "_PAIR_BUDGET", budget)
+            levels, mappings = coarsen(hg, np.random.default_rng(5),
+                                       stop_at=20)
+            assert len(levels) == len(ref_levels)
+            for got, want in zip(levels, ref_levels):
+                assert_same_hypergraph(got, want)
+            for got, want in zip(mappings, ref_mappings):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    @hypothesis_seed(2026)
+    @settings(max_examples=150, deadline=2000,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(matching_cases())
+    def test_generated_batches_and_budgets(self, case):
+        hg, cap, limit, batch, budget = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coarsen_mod, "_MATCH_BATCH", batch)
+            patch.setattr(coarsen_mod, "_PAIR_BUDGET", budget)
+            got = match_vertices(hg, np.random.default_rng(0), cap,
+                                 edge_size_limit=limit)
+        want = match_vertices_oracle(hg, np.random.default_rng(0), cap,
+                                     limit, batch_size=batch)
+        assert np.array_equal(got, want)
+
+
+class TestMatcherMemory:
+    def test_batch_pairs_stream_in_bounded_chunks(self, monkeypatch):
+        # One batch of 600 seeds holds 128,000 candidate incidences,
+        # 125 budgets' worth; a matcher holding them all at once peaks
+        # at about 10 MB.
+        rng = np.random.default_rng(89)
+        n = 600
+        edges = [rng.choice(n, size=40, replace=False) for _ in range(80)]
+        hg = Hypergraph(n, edges, rng.random(80) + 0.1,
+                        rng.random((n, 2)) + 0.1)
+        hg.incidence_arrays()  # cached CSR, not part of the matcher
+        monkeypatch.setattr(coarsen_mod, "_PAIR_BUDGET", 1024)
+        tracemalloc.start()
+        try:
+            match_vertices(hg, np.random.default_rng(0), coarsening_cap(hg))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestEdgeLambdas:
