@@ -82,10 +82,11 @@ def test_fig23_end_to_end_mappings(benchmark, subset):
     assert result.extras["azul_vs_round_robin"] > 1.0
 
 
-def test_tabD_mapping_costs(benchmark, subset):
-    result = run_once(
-        benchmark, lambda: tabD.run(matrices=subset, use_cache=False)
-    )
+def test_tabD_mapping_costs(benchmark, subset, monkeypatch, tmp_path):
+    # An empty cache, so the timed call maps every pair: fig10/11/23
+    # above cache the same placements, and tabD reports stored times.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    result = run_once(benchmark, lambda: tabD.run(matrices=subset))
     for row in result.rows:
         # Azul's mapping is the most expensive, Block the cheapest
         # (Sec. VI-D's ordering).

@@ -29,11 +29,9 @@ from repro.core.placement import (
     pin_diagonals,
 )
 from repro.core.quantiles import depth_quantile_weights, pcg_vertex_depths
+from repro.core.registry import AZUL_DEFAULTS
 from repro.hypergraph import Hypergraph, PartitionerOptions, partition
 from repro.sparse.csr import CSRMatrix
-
-#: Default weight ratio of row (reduction) to column (multicast) edges.
-DEFAULT_ROW_WEIGHT = 2.0
 
 
 def _set_edges(groups: np.ndarray, nnz_ids: np.ndarray, n: int,
@@ -71,8 +69,8 @@ def _matrix_edges(matrix: CSRMatrix, nnz_offset: int, vec_offset: int,
 
 
 def build_pcg_hypergraph(matrix: CSRMatrix, lower: CSRMatrix,
-                         q: int = 5,
-                         row_weight: float = DEFAULT_ROW_WEIGHT,
+                         q: int = AZUL_DEFAULTS["q"],
+                         row_weight: float = AZUL_DEFAULTS["row_weight"],
                          nnz_bytes: int = 12,
                          vector_bytes: int = 8) -> Hypergraph:
     """Hypergraph of one PCG iteration's communication sets.
@@ -114,7 +112,8 @@ def build_pcg_hypergraph(matrix: CSRMatrix, lower: CSRMatrix,
 
 
 def map_azul(matrix: CSRMatrix, lower: CSRMatrix, n_tiles: int,
-             q: int = 5, row_weight: float = DEFAULT_ROW_WEIGHT,
+             q: int = AZUL_DEFAULTS["q"],
+             row_weight: float = AZUL_DEFAULTS["row_weight"],
              options: Optional[PartitionerOptions] = None,
              jobs: Optional[int] = None) -> Placement:
     """Azul's data mapping: partition the PCG hypergraph over the tiles.

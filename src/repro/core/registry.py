@@ -1,13 +1,14 @@
 """Mapper registry: the four strategies compared in Sec. VI-C.
 
-Names are known without importing the mappers, so validating a mapper
-name does not load the hypergraph partitioner behind ``azul``.
+Names and the Azul mapper's defaults are known without importing the
+mappers, so validating a mapper name or keying a placement does not
+load the hypergraph partitioner behind ``azul``.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Callable, Dict
+from typing import Any, Callable, Dict
 
 #: Mapper name -> module defining ``map_<name>``.
 _MODULES = {
@@ -16,6 +17,11 @@ _MODULES = {
     "sparsep": "repro.core.sparsep",
     "azul": "repro.core.azul_mapping",
 }
+
+#: The ``azul`` mapper's knobs and their defaults: the partitioner
+#: seed, the temporal balance quantiles (Sec. IV-C uses q = 5) and the
+#: weight of row (reduction) edges relative to column edges.
+AZUL_DEFAULTS: Dict[str, Any] = {"seed": 0, "q": 5, "row_weight": 2.0}
 
 #: Name -> mapper callable ``(matrix, lower, n_tiles, **kwargs) -> Placement``.
 #: It imports every mapper, so :func:`__getattr__` builds it on first use.

@@ -21,8 +21,7 @@ from repro.perf import ExperimentResult
 @register("abl_buffer", title="Incoming-message buffer size sweep",
           tags=("extension", "ablation", "sim", "sweep"))
 def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
-         scale: int = 1, buffer_sizes=(2, 4, 16, 64, 256),
-         jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1, buffer_sizes=(2, 4, 16, 64, 256)) -> ExperimentPlan:
     """Sweep the per-tile message-buffer capacity on one matrix."""
     session = ExperimentSession(config, scale=scale)
     config = session.config

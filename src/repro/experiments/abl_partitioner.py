@@ -8,38 +8,38 @@ mapping time, connectivity cut, traffic, and end-to-end throughput.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
 
 from repro.comm import make_geometry
 from repro.config import AzulConfig
-from repro.core.azul_mapping import build_pcg_hypergraph, map_azul
+from repro.core.azul_mapping import build_pcg_hypergraph
 from repro.core.traffic import analyze_traffic
 from repro.experiments.common import ExperimentSession
 from repro.experiments.spec import ExperimentPlan, register
-from repro.hypergraph import PartitionerOptions, connectivity_cut
+from repro.hypergraph import connectivity_cut
+from repro.parallel import PlacementSpec, SimPoint
 from repro.perf import ExperimentResult
 
 
-PRESETS = (
-    ("speed", PartitionerOptions.speed),
-    ("default", lambda seed=0: PartitionerOptions(seed=seed)),
-    ("quality", PartitionerOptions.quality),
-)
+PRESETS = ("speed", "default", "quality")
 
 
 @register("abl_partitioner", title="Partitioner preset ablation",
-          tags=("extension", "ablation", "sim"))
+          tags=("extension", "ablation", "sim", "sweep"))
 def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
-         scale: int = 1, jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1) -> ExperimentPlan:
     """Sweep partitioner presets on one matrix."""
     session = ExperimentSession(config, scale=scale)
+    points: dict = {}
+    for preset in PRESETS:
+        points[f"place/{preset}"] = PlacementSpec(matrix, preset=preset)
+        points[f"sim/{preset}"] = SimPoint(matrix, preset=preset,
+                                           check=False)
 
     def reduce(sims) -> ExperimentResult:
-        config = session.config
-        torus = make_geometry(config)
+        torus = make_geometry(session.config)
         prepared = session.prepare(matrix)
         hypergraph = build_pcg_hypergraph(prepared.matrix, prepared.lower)
         result = ExperimentResult(
@@ -50,20 +50,8 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
                 "link_activations", "gflops",
             ],
         )
-        placements = []
-        mapping_times = []
-        for label, make_options in PRESETS:
-            start = time.perf_counter()
-            placements.append(map_azul(
-                prepared.matrix, prepared.lower, config.num_tiles,
-                options=make_options(seed=0), jobs=jobs,
-            ))
-            mapping_times.append(time.perf_counter() - start)
-        timings = session.simulate_placements(
-            matrix, placements, check=False, jobs=jobs,
-        )
-        for (label, _), placement, mapping_seconds, timing in zip(
-                PRESETS, placements, mapping_times, timings):
+        for preset in PRESETS:
+            placement = sims[f"place/{preset}"]
             assignment = np.concatenate([
                 placement.a_tile, placement.l_tile, placement.vec_tile,
             ])
@@ -71,11 +59,11 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
                 placement, prepared.matrix, prepared.lower, torus
             )
             result.add_row(
-                preset=label,
-                mapping_s=mapping_seconds,
+                preset=preset,
+                mapping_s=placement.placement_seconds,
                 connectivity_cut=connectivity_cut(hypergraph, assignment),
                 link_activations=traffic.total_link_activations,
-                gflops=timing.gflops(),
+                gflops=sims[f"sim/{preset}"].gflops(),
             )
         result.extras = {
             "speed_s": result.rows[0]["mapping_s"],
@@ -89,7 +77,7 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
         )
         return result
 
-    return ExperimentPlan(session=session, reduce=reduce)
+    return ExperimentPlan(session=session, points=points, reduce=reduce)
 
 
 def run(matrix: str = "consph", config: Optional[AzulConfig] = None,

@@ -8,15 +8,14 @@ per-level balancing at growing partitioning cost.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from repro.comm import make_geometry
 from repro.config import AzulConfig
-from repro.core.azul_mapping import map_azul
 from repro.dataflow import build_sptrsv_program
-from repro.experiments.common import ExperimentSession, mapper_options
+from repro.experiments.common import ExperimentSession
 from repro.experiments.spec import ExperimentPlan, register
+from repro.parallel import PlacementSpec
 from repro.perf import ExperimentResult
 from repro.sim.engine import KernelSimulator
 from repro.sim.pe import AZUL_PE
@@ -25,10 +24,13 @@ from repro.sim.pe import AZUL_PE
 @register("abl_quantiles", title="Temporal balance quantile sweep",
           tags=("extension", "ablation", "sim"))
 def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
-         scale: int = 1, quantile_counts=(0, 2, 5, 10),
-         jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1, quantile_counts=(0, 2, 5, 10)) -> ExperimentPlan:
     """Sweep the quantile count on one matrix's forward SpTRSV."""
     session = ExperimentSession(config, scale=scale)
+    points = {
+        f"q{q}": PlacementSpec(matrix, preset="speed", q=q)
+        for q in quantile_counts
+    }
 
     def reduce(sims) -> ExperimentResult:
         config = session.config
@@ -41,12 +43,7 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
         )
         baseline_cycles = None
         for q in quantile_counts:
-            start = time.perf_counter()
-            placement = map_azul(
-                prepared.matrix, prepared.lower, config.num_tiles,
-                q=q, options=mapper_options("speed"),
-            )
-            mapping_seconds = time.perf_counter() - start
+            placement = sims[f"q{q}"]
             program = build_sptrsv_program(
                 prepared.lower, placement.l_tile, placement.vec_tile,
                 torus,
@@ -60,7 +57,7 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
                 q=q,
                 sptrsv_cycles=kernel.cycles,
                 speedup_vs_q0=baseline_cycles / max(kernel.cycles, 1),
-                mapping_s=mapping_seconds,
+                mapping_s=placement.placement_seconds,
             )
         best = max(result.column("speedup_vs_q0"))
         result.extras = {"best_speedup": best}
@@ -70,7 +67,7 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
         )
         return result
 
-    return ExperimentPlan(session=session, reduce=reduce)
+    return ExperimentPlan(session=session, points=points, reduce=reduce)
 
 
 def run(matrix: str = "consph", config: Optional[AzulConfig] = None,

@@ -13,24 +13,30 @@ from typing import Optional
 
 from repro.comm import make_geometry
 from repro.config import AzulConfig
-from repro.core.azul_mapping import map_azul
 from repro.core.traffic import analyze_traffic
-from repro.experiments.common import ExperimentSession, mapper_options
+from repro.experiments.common import ExperimentSession
 from repro.experiments.spec import ExperimentPlan, register
+from repro.parallel import PlacementSpec, SimPoint
 from repro.perf import ExperimentResult
 
 
 @register("abl_row_weight", title="Row-hyperedge overweighting ablation",
-          tags=("extension", "ablation", "sim"))
+          tags=("extension", "ablation", "sim", "sweep"))
 def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
-         scale: int = 1, weights=(1.0, 2.0, 4.0),
-         jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1, weights=(1.0, 2.0, 4.0)) -> ExperimentPlan:
     """Sweep the row-edge weight on one matrix."""
     session = ExperimentSession(config, scale=scale)
+    points: dict = {}
+    for weight in weights:
+        points[f"place/{weight}"] = PlacementSpec(
+            matrix, preset="speed", row_weight=weight,
+        )
+        points[f"sim/{weight}"] = SimPoint(
+            matrix, preset="speed", row_weight=weight, check=False,
+        )
 
     def reduce(sims) -> ExperimentResult:
-        config = session.config
-        torus = make_geometry(config)
+        torus = make_geometry(session.config)
         prepared = session.prepare(matrix)
         result = ExperimentResult(
             experiment="abl_row_weight",
@@ -40,20 +46,10 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
                 "link_activations", "cycles",
             ],
         )
-        placements = [
-            map_azul(
-                prepared.matrix, prepared.lower, config.num_tiles,
-                row_weight=weight, options=mapper_options("speed"),
-            )
-            for weight in weights
-        ]
-        timings = session.simulate_placements(
-            matrix, placements, check=False, jobs=jobs,
-        )
-        for weight, placement, timing in zip(weights, placements,
-                                             timings):
+        for weight in weights:
             traffic = analyze_traffic(
-                placement, prepared.matrix, prepared.lower, torus
+                sims[f"place/{weight}"], prepared.matrix, prepared.lower,
+                torus,
             )
             result.add_row(
                 row_weight=weight,
@@ -64,7 +60,7 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
                     k.multicast_messages for k in traffic.kernels
                 ),
                 link_activations=traffic.total_link_activations,
-                cycles=timing.total_cycles,
+                cycles=sims[f"sim/{weight}"].total_cycles,
             )
         baseline = result.rows[0]["reduction_msgs"]
         weighted = min(row["reduction_msgs"] for row in result.rows[1:])
@@ -78,7 +74,7 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
         )
         return result
 
-    return ExperimentPlan(session=session, reduce=reduce)
+    return ExperimentPlan(session=session, points=points, reduce=reduce)
 
 
 def run(matrix: str = "consph", config: Optional[AzulConfig] = None,

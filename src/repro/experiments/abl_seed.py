@@ -15,25 +15,30 @@ import numpy as np
 
 from repro.comm import make_geometry
 from repro.config import AzulConfig
-from repro.core.azul_mapping import build_pcg_hypergraph, map_azul
+from repro.core.azul_mapping import build_pcg_hypergraph
 from repro.core.traffic import analyze_traffic
 from repro.experiments.common import ExperimentSession
 from repro.experiments.spec import ExperimentPlan, register
-from repro.hypergraph import PartitionerOptions, connectivity_cut
+from repro.hypergraph import connectivity_cut
+from repro.parallel import PlacementSpec, SimPoint
 from repro.perf import ExperimentResult
 
 
 @register("abl_seed", title="Mapping stability across seeds",
-          tags=("extension", "ablation", "sim"))
+          tags=("extension", "ablation", "sim", "sweep"))
 def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
-         scale: int = 1, seeds=(0, 1, 2),
-         jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1, seeds=(0, 1, 2)) -> ExperimentPlan:
     """Map one matrix with several partitioner seeds."""
     session = ExperimentSession(config, scale=scale)
+    points: dict = {}
+    for seed in seeds:
+        points[f"place/{seed}"] = PlacementSpec(matrix, preset="speed",
+                                                seed=seed)
+        points[f"sim/{seed}"] = SimPoint(matrix, preset="speed", seed=seed,
+                                         check=False)
 
     def reduce(sims) -> ExperimentResult:
-        config = session.config
-        torus = make_geometry(config)
+        torus = make_geometry(session.config)
         prepared = session.prepare(matrix)
         hypergraph = build_pcg_hypergraph(prepared.matrix, prepared.lower)
         result = ExperimentResult(
@@ -42,17 +47,8 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
             columns=["seed", "connectivity_cut", "link_activations",
                      "cycles"],
         )
-        placements = [
-            map_azul(
-                prepared.matrix, prepared.lower, config.num_tiles,
-                options=PartitionerOptions.speed(seed=seed), jobs=jobs,
-            )
-            for seed in seeds
-        ]
-        timings = session.simulate_placements(
-            matrix, placements, check=False, jobs=jobs,
-        )
-        for seed, placement, timing in zip(seeds, placements, timings):
+        for seed in seeds:
+            placement = sims[f"place/{seed}"]
             assignment = np.concatenate([
                 placement.a_tile, placement.l_tile, placement.vec_tile,
             ])
@@ -63,7 +59,7 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
                 seed=seed,
                 connectivity_cut=connectivity_cut(hypergraph, assignment),
                 link_activations=traffic.total_link_activations,
-                cycles=timing.total_cycles,
+                cycles=sims[f"sim/{seed}"].total_cycles,
             )
         cycles = np.array(result.column("cycles"), dtype=float)
         spread = (
@@ -77,7 +73,7 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
         )
         return result
 
-    return ExperimentPlan(session=session, reduce=reduce)
+    return ExperimentPlan(session=session, points=points, reduce=reduce)
 
 
 def run(matrix: str = "consph", config: Optional[AzulConfig] = None,

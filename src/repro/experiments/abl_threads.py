@@ -21,8 +21,7 @@ from repro.sim.pe import PEModel
 @register("abl_threads", title="PE thread-context sweep",
           tags=("extension", "ablation", "sim", "sweep"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, context_counts=(1, 2, 4, 8, 16),
-         jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1, context_counts=(1, 2, 4, 8, 16)) -> ExperimentPlan:
     """Sweep thread contexts; gmean GFLOP/s over the matrix set."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(config, scale=scale)

@@ -23,7 +23,7 @@ TOPOLOGIES = ("torus", "mesh")
 @register("abl_topology", title="NoC topology ablation: torus vs mesh",
           tags=("extension", "ablation", "sim", "sweep"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1) -> ExperimentPlan:
     """Same placement, torus vs mesh timing."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(config, scale=scale)

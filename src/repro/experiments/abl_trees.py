@@ -15,16 +15,21 @@ from typing import Optional
 from repro.config import AzulConfig
 from repro.experiments.common import ExperimentSession, default_matrices
 from repro.experiments.spec import ExperimentPlan, register
+from repro.parallel import SimPoint
 from repro.perf import ExperimentResult, gmean
 
 
 @register("abl_trees", title="Multicast trees vs point-to-point",
-          tags=("extension", "ablation", "sim"))
+          tags=("extension", "ablation", "sim", "sweep"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1) -> ExperimentPlan:
     """Compare tree and unicast distribution on the mapped machine."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(config, scale=scale)
+    points = {}
+    for name in matrices:
+        points[f"{name}/tree"] = SimPoint(name, check=False)
+        points[f"{name}/unicast"] = SimPoint(name, multicast="unicast")
 
     def reduce(sims) -> ExperimentResult:
         result = ExperimentResult(
@@ -35,22 +40,9 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
                 "tree_links", "unicast_links", "traffic_saving",
             ],
         )
-        points = []
         for name in matrices:
-            placement = session.placement(name, "azul")
-            points.append({
-                "name": name, "placement": placement,
-                "multicast": "tree", "check": False,
-            })
-            points.append({
-                "name": name, "placement": placement,
-                "multicast": "unicast", "check": True,
-            })
-        timings = session.simulate_placements(placements=points,
-                                              jobs=jobs)
-        for index, name in enumerate(matrices):
-            tree_run = timings[2 * index]
-            unicast_run = timings[2 * index + 1]
+            tree_run = sims[f"{name}/tree"]
+            unicast_run = sims[f"{name}/unicast"]
             result.add_row(
                 matrix=name,
                 tree_cycles=tree_run.total_cycles,
@@ -77,7 +69,7 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
         )
         return result
 
-    return ExperimentPlan(session=session, reduce=reduce)
+    return ExperimentPlan(session=session, points=points, reduce=reduce)
 
 
 def run(matrices=None, config: Optional[AzulConfig] = None,

@@ -57,6 +57,7 @@ from repro.cache import MISS, NPZ, PICKLE, ArtifactCache
 from repro.config import AzulConfig
 from repro.core.placement import Placement
 from repro.core.registry import get_mapper, mapper_names
+from repro.parallel import PlacementSpec, SimPoint, resolve
 from repro.sim.pe import PEModel, pe_model_by_name, pe_model_names
 from repro.sparse.suite import REPRESENTATIVE, get_suite_matrix, suite_names
 
@@ -86,9 +87,13 @@ PROGRAM_NAMESPACE = "programs"
 #: ``trace`` flag, so results carrying per-op issue logs never alias
 #: untraced ones.  Simulation ``v5``: the result types moved to
 #: :mod:`repro.sim.stats`.  A pickle names its class's module, so a
-#: ``v4`` entry would import the engine again to load.
-PLACEMENT_SCHEMA = "v3"
-SIMULATION_SCHEMA = "v5"
+#: ``v4`` entry would import the engine again to load.  Placement
+#: ``v4``: the key is the resolved :class:`~repro.parallel.PlacementSpec`
+#: (adding the seed, ``q`` and row weight); simulation ``v6``: the key
+#: is built on the placement's key and adds the multicast mode, so a
+#: placement change invalidates every simulation of it.
+PLACEMENT_SCHEMA = "v4"
+SIMULATION_SCHEMA = "v6"
 
 #: Compiled-program cache entries hold the three
 #: :class:`~repro.dataflow.ir.CompiledKernel` objects of one PCG
@@ -118,15 +123,15 @@ def full_suite_matrices() -> list:
     return suite_names("small")
 
 
-def mapper_options(preset: str) -> PartitionerOptions:
+def mapper_options(preset: str, seed: int) -> PartitionerOptions:
     """Partitioner preset used for Azul mappings in experiments."""
     from repro.hypergraph.partitioner import PartitionerOptions
 
     if preset == "speed":
-        return PartitionerOptions.speed(seed=0)
+        return PartitionerOptions.speed(seed=seed)
     if preset == "quality":
-        return PartitionerOptions.quality(seed=0)
-    return PartitionerOptions(seed=0)
+        return PartitionerOptions.quality(seed=seed)
+    return PartitionerOptions(seed=seed)
 
 
 @dataclass(frozen=True)
@@ -166,6 +171,36 @@ def _pe_key_part(pe):
             int(pe.thread_contexts),
         )
     return pe
+
+
+# ----------------------------------------------------------------------
+# Cache keys of resolved points (see repro.parallel.resolve)
+# ----------------------------------------------------------------------
+def placement_key(spec: PlacementSpec) -> str:
+    """The artifact-cache key of a resolved placement."""
+    return ArtifactCache.key("placement", spec, PLACEMENT_SCHEMA)
+
+
+def simulation_key(point: SimPoint) -> str:
+    """The artifact-cache key of a resolved simulation point.
+
+    Built on its placement's key, so whatever changes a placement also
+    changes every simulation of it.  ``trace`` is part of the key:
+    traced results carry per-op issue logs and must never alias
+    untraced entries.
+    """
+    return ArtifactCache.key(
+        "simulate", placement_key(point.placement), _pe_key_part(point.pe),
+        point.check, point.trace, point.multicast, point.config,
+        SIMULATION_SCHEMA,
+    )
+
+
+def cache_slot(point) -> tuple:
+    """The ``(namespace, serializer)`` a resolved point is cached under."""
+    if isinstance(point, PlacementSpec):
+        return PLACEMENT_NAMESPACE, NPZ
+    return SIMULATION_NAMESPACE, PICKLE
 
 
 # ----------------------------------------------------------------------
@@ -338,45 +373,49 @@ class ExperimentSession:
                   n_tiles: Optional[int] = None, *,
                   scale: Optional[int] = None,
                   preset: Optional[str] = None,
-                  use_cache: Optional[bool] = None,
-                  jobs: Optional[int] = None) -> Placement:
+                  seed: Optional[int] = None,
+                  q: Optional[int] = None,
+                  row_weight: Optional[float] = None,
+                  use_cache: Optional[bool] = None) -> Placement:
         """Map one prepared matrix with one strategy, with caching.
 
-        Azul mappings additionally record their mapping wall-clock time
-        in ``placement_seconds`` (used by the Sec. VI-D cost
-        comparison).  ``jobs`` bounds the partitioner's worker pool for
-        independent sub-bisections; placements are bit-identical
-        regardless, so ``jobs`` is *not* part of the cache key.
+        The arguments are the fields of a
+        :class:`~repro.parallel.PlacementSpec`; ``seed``, ``q`` and
+        ``row_weight`` shape the ``azul`` mapper only.  Every placement
+        records its mapping wall-clock time in ``placement_seconds``
+        (the Sec. VI-D cost comparison); a cached placement carries the
+        time recorded when it was computed.
         """
         _validate_choice("mapper", mapper, mapper_names())
-        n_tiles = self.config.num_tiles if n_tiles is None else int(n_tiles)
-        scale = self.scale if scale is None else int(scale)
-        preset = self.preset if preset is None else preset
-        _validate_choice("preset", preset, PRESETS)
+        if mapper != "azul" and (seed, q, row_weight) != (None,) * 3:
+            raise ValueError(
+                f"mapper {mapper!r} takes no seed, q or row_weight"
+            )
+        spec, key = resolve(self, PlacementSpec(
+            name, mapper, n_tiles, scale, preset, seed, q, row_weight,
+        ))
+        _validate_choice("preset", spec.preset, PRESETS)
         use_cache = self.use_cache if use_cache is None else bool(use_cache)
-
-        key = self.cache.key(
-            "placement", name, scale, mapper, n_tiles, preset,
-            PLACEMENT_SCHEMA,
-        )
         if use_cache:
-            arrays = self.cache.get(PLACEMENT_NAMESPACE, key, NPZ)
-            if arrays is not MISS:
-                return self._placement_from_arrays(arrays, n_tiles)
+            cached = self.cached(spec, key)
+            if cached is not MISS:
+                return cached
 
-        prepared = self.prepare(name, scale)
+        prepared = self.prepare(name, spec.scale)
         mapper_fn = get_mapper(mapper)
         start = time.perf_counter()
         with obs.timer("pipeline.place", matrix=name, mapper=mapper,
-                       n_tiles=n_tiles):
+                       n_tiles=spec.n_tiles):
             if mapper == "azul":
+                assert spec.preset is not None and spec.seed is not None
                 placement = mapper_fn(
-                    prepared.matrix, prepared.lower, n_tiles,
-                    options=mapper_options(preset), jobs=jobs,
+                    prepared.matrix, prepared.lower, spec.n_tiles,
+                    q=spec.q, row_weight=spec.row_weight,
+                    options=mapper_options(spec.preset, spec.seed),
                 )
             else:
                 placement = mapper_fn(prepared.matrix, prepared.lower,
-                                      n_tiles)
+                                      spec.n_tiles)
         seconds = time.perf_counter() - start
         placement.placement_seconds = seconds
         if use_cache:
@@ -392,6 +431,14 @@ class ExperimentSession:
                 NPZ,
             )
         return placement
+
+    def cached(self, point, key: str):
+        """The cached result of a resolved point, or :data:`MISS`."""
+        namespace, serializer = cache_slot(point)
+        value = self.cache.get(namespace, key, serializer)
+        if value is MISS or not isinstance(point, PlacementSpec):
+            return value
+        return self._placement_from_arrays(value, point.n_tiles)
 
     @staticmethod
     def _placement_from_arrays(arrays: dict, n_tiles: int) -> Placement:
@@ -419,16 +466,11 @@ class ExperimentSession:
         multicast mode agree share one compilation, whatever their
         timing configuration.
         """
-        _validate_choice("mapper", mapper, mapper_names())
-        scale = self.scale if scale is None else int(scale)
-        preset = self.preset if preset is None else preset
-        _validate_choice("preset", preset, PRESETS)
+        spec, _ = resolve(self, PlacementSpec(name, mapper, scale=scale,
+                                             preset=preset))
         use_cache = self.use_cache if use_cache is None else bool(use_cache)
-        prepared = self.prepare(name, scale)
-        placement = self.placement(
-            name, mapper, self.config.num_tiles,
-            scale=scale, preset=preset, use_cache=use_cache,
-        )
+        placement = self.placement(**vars(spec), use_cache=use_cache)
+        prepared = self.prepare(name, spec.scale)
         from repro.sim.machine import AzulMachine
 
         machine = AzulMachine(self.config)
@@ -439,40 +481,23 @@ class ExperimentSession:
         )
 
     # -- simulation ----------------------------------------------------
-    def simulation_key(self, name: str, mapper: str = "azul",
-                       pe="azul", *, scale: Optional[int] = None,
-                       preset: Optional[str] = None,
-                       check: bool = True,
-                       config: Optional[AzulConfig] = None,
-                       trace: bool = False) -> str:
-        """The artifact-cache key one :meth:`simulate` call resolves to.
-
-        Exposed so sweep executors (:mod:`repro.parallel`) can
-        short-circuit cache hits and deduplicate in-flight points
-        before spawning any worker.  ``trace`` is part of the key:
-        traced results carry per-op issue logs and must never alias
-        untraced entries.
-        """
-        scale = self.scale if scale is None else int(scale)
-        preset = self.preset if preset is None else preset
-        config = self.config if config is None else config
-        return self.cache.key(
-            "simulate", name, scale, mapper, _pe_key_part(pe), preset,
-            bool(check), bool(trace), config.cache_key(), SIMULATION_SCHEMA,
-        )
-
     def simulate(self, name: str, mapper: str = "azul", pe="azul",
                  *, scale: Optional[int] = None, preset: Optional[str] = None,
                  check: bool = True, use_cache: Optional[bool] = None,
-                 trace: Optional[bool] = None):
+                 trace: Optional[bool] = None, seed: Optional[int] = None,
+                 row_weight: Optional[float] = None,
+                 multicast: str = "tree"):
         """Simulate one steady-state PCG iteration (cached).
 
         Results live in the in-memory tier (identity-preserving within
-        a process) backed by a persistent on-disk tier keyed on
-        :meth:`AzulConfig.cache_key`, so repeated sweeps across
-        processes skip re-simulation entirely.  ``pe`` accepts a
-        registered model name or a :class:`~repro.sim.PEModel`
-        instance (ablation sweeps construct synthetic PEs).
+        a process) backed by a persistent on-disk tier, so repeated
+        sweeps across processes skip re-simulation entirely.  The
+        arguments are the fields of a :class:`~repro.parallel.SimPoint`
+        on this session's config: ``pe`` accepts a registered model
+        name or a :class:`~repro.sim.PEModel` instance (ablation sweeps
+        construct synthetic PEs), ``seed``/``row_weight`` select the
+        placement as in :meth:`placement` (with the default ``q``), and
+        ``multicast`` is ``"tree"`` or ``"unicast"``.
 
         ``trace`` records per-op issue logs in the kernel results and
         bridges them into the Chrome-trace export (see
@@ -482,18 +507,15 @@ class ExperimentSession:
         _validate_choice("mapper", mapper, mapper_names())
         if not isinstance(pe, PEModel):
             _validate_choice("pe", pe, pe_model_names())
-        scale = self.scale if scale is None else int(scale)
-        preset = self.preset if preset is None else preset
-        _validate_choice("preset", preset, PRESETS)
-        use_cache = self.use_cache if use_cache is None else bool(use_cache)
         trace = obs.tracing_enabled() if trace is None else bool(trace)
-
-        key = self.simulation_key(
-            name, mapper, pe, scale=scale, preset=preset, check=check,
-            trace=trace,
-        )
+        point, key = resolve(self, SimPoint(
+            name, mapper, pe, scale, preset, check, trace=trace, seed=seed,
+            row_weight=row_weight, multicast=multicast,
+        ))
+        _validate_choice("preset", point.preset, PRESETS)
+        use_cache = self.use_cache if use_cache is None else bool(use_cache)
         if use_cache:
-            cached = self.cache.get(SIMULATION_NAMESPACE, key, PICKLE)
+            cached = self.cached(point, key)
             if cached is not MISS:
                 if trace:
                     self._bridge_trace(key, f"{name}/{mapper}", cached)
@@ -501,16 +523,15 @@ class ExperimentSession:
 
         from repro.sim.machine import AzulMachine, verify_iteration
 
-        prepared = self.prepare(name, scale)
-        placement = self.placement(
-            name, mapper, self.config.num_tiles,
-            scale=scale, preset=preset, use_cache=use_cache,
-        )
+        prepared = self.prepare(name, point.scale)
+        placement = self.placement(**vars(point.placement),
+                                   use_cache=use_cache)
         model = pe if isinstance(pe, PEModel) else pe_model_by_name(pe)
         machine = AzulMachine(self.config, model)
         program = compile_pcg_program(
             machine, prepared.matrix, prepared.lower, placement,
-            cache=self.cache, use_cache=use_cache, label=name,
+            multicast=multicast, cache=self.cache, use_cache=use_cache,
+            label=name,
         )
         with obs.timer("pipeline.simulate", matrix=name, mapper=mapper,
                        pe=str(getattr(pe, "name", pe)), trace=trace):
@@ -530,43 +551,19 @@ class ExperimentSession:
     def simulate_many(self, points, jobs: Optional[int] = None, *,
                       use_cache: Optional[bool] = None,
                       stats: Optional[dict] = None) -> list:
-        """Simulate many sweep points, fanned out across processes.
+        """Compute many sweep points, fanned out across processes.
 
-        A drop-in replacement for a serial loop of :meth:`simulate`
-        calls: results come back in point order and are identical to a
-        ``jobs=1`` run.  Cache hits short-circuit before any worker is
-        spawned, duplicate points are computed once, and worker
-        failures degrade gracefully to in-process computation.  See
-        :func:`repro.parallel.simulate_many`.
+        A drop-in replacement for a serial loop of :meth:`placement` and
+        :meth:`simulate` calls: results come back in point order and
+        are identical to a ``jobs=1`` run.  Cache hits short-circuit
+        before any worker is spawned, duplicate points are computed
+        once, and worker failures degrade gracefully to in-process
+        computation.  See :func:`repro.parallel.simulate_many`.
         """
         from repro.parallel import simulate_many as _simulate_many
 
         return _simulate_many(
             self, points, jobs, use_cache=use_cache, stats=stats,
-        )
-
-    def simulate_placements(self, name: Optional[str] = None,
-                            placements=(), *,
-                            pe="azul", check: bool = False,
-                            multicast: str = "tree",
-                            scale: Optional[int] = None,
-                            jobs: Optional[int] = None,
-                            use_cache: Optional[bool] = None,
-                            stats: Optional[dict] = None) -> list:
-        """Simulate explicit placements (usually one matrix).
-
-        Placement-content-keyed variant of :meth:`simulate_many` for
-        the ablations that sweep the mapper itself (seeds, partitioner
-        options, multicast modes).  Entries may be ``Placement``
-        objects or per-point override dicts.  See
-        :func:`repro.parallel.simulate_placements`.
-        """
-        from repro.parallel import simulate_placements as _simulate_placements
-
-        return _simulate_placements(
-            self, name, placements, pe=pe, check=check,
-            multicast=multicast, scale=scale, jobs=jobs,
-            use_cache=use_cache, stats=stats,
         )
 
     # -- observability -------------------------------------------------

@@ -18,6 +18,7 @@ from repro.config import AzulConfig
 from repro.core.traffic import analyze_traffic
 from repro.experiments.common import ExperimentSession, default_matrices
 from repro.experiments.spec import ExperimentPlan, register
+from repro.parallel import PlacementSpec
 from repro.perf import ExperimentResult
 from repro.sparse.analysis import spatial_correlation
 
@@ -25,16 +26,19 @@ from repro.sparse.analysis import spatial_correlation
 @register("corr_study", title="Spatial correlation vs Block mapping",
           tags=("extension", "study", "analytic"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1) -> ExperimentPlan:
     """Correlate pattern structure with Block-mapping effectiveness."""
     matrices = list(
         matrices or (default_matrices() + ["G3_circuit", "tmt_sym"])
     )
     session = ExperimentSession(config, scale=scale)
+    points = {
+        f"{name}/{mapping}": PlacementSpec(name, mapping)
+        for name in matrices for mapping in ("block", "azul")
+    }
 
     def reduce(sims) -> ExperimentResult:
-        config = session.config
-        torus = make_geometry(config)
+        torus = make_geometry(session.config)
         result = ExperimentResult(
             experiment="corr_study",
             title="Spatial correlation vs Block-mapping traffic penalty",
@@ -43,13 +47,11 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
         for name in matrices:
             prepared = session.prepare(name)
             correlation = spatial_correlation(prepared.matrix)
-            block = session.placement(name, "block")
-            azul = session.placement(name, "azul")
             block_traffic = analyze_traffic(
-                block, prepared.matrix, prepared.lower, torus
+                sims[f"{name}/block"], prepared.matrix, prepared.lower, torus
             ).total_link_activations
             azul_traffic = analyze_traffic(
-                azul, prepared.matrix, prepared.lower, torus
+                sims[f"{name}/azul"], prepared.matrix, prepared.lower, torus
             ).total_link_activations
             result.add_row(
                 matrix=name,
@@ -79,7 +81,7 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
         )
         return result
 
-    return ExperimentPlan(session=session, reduce=reduce)
+    return ExperimentPlan(session=session, points=points, reduce=reduce)
 
 
 def run(matrices=None, config: Optional[AzulConfig] = None,

@@ -24,7 +24,7 @@ GPU_TDP_W = 250.0
 @register("eff_study", title="Energy efficiency: GFLOP/s per watt",
           tags=("extension", "study", "sim", "sweep"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1) -> ExperimentPlan:
     """GFLOP/s per watt: simulated Azul vs the GPU model at TDP."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(config, scale=scale)

@@ -9,19 +9,20 @@ declarative specs (:mod:`repro.experiments.spec`):
 
 1. **Plan** — build every selected experiment's
    :class:`~repro.experiments.spec.ExperimentPlan` (cheap by
-   contract) and resolve each keyed point to its content-addressed
-   simulation cache key.
+   contract) and resolve each keyed point — a placement or a
+   simulation — to its content-addressed cache key.
 2. **Dedup globally** — merge the points of *all* experiments by
    cache key: one ``simulate_many`` fan-out serves every experiment
    that needs a given point.  A full-suite run shares dozens of
    azul/azul and dalorex points between the headline figures, the
    breakdown figures, and the efficiency studies; the merged sweep
-   simulates each exactly once.  ``--plan`` prints this as a dry-run
-   (per-experiment point counts, global unique count, predicted
-   cache hits) without simulating anything.
+   computes each exactly once.  ``--plan`` prints this as a dry-run
+   (per-experiment point counts, global unique counts, predicted
+   cache hits, and the placements the run will compute) without
+   computing anything.
 3. **Sweep** — one :func:`repro.parallel.simulate_many` call over
-   the unique points (``--jobs`` workers, cache short-circuit,
-   serial fallback).
+   the unique points, placements dispatched first (``--jobs``
+   workers, cache short-circuit, serial fallback).
 4. **Reduce + checkpoint** — each experiment's ``reduce`` runs in
    isolation; the finished :class:`~repro.perf.ExperimentResult` is
    checkpointed through :mod:`repro.cache`, so ``--resume`` skips
@@ -45,7 +46,7 @@ import repro.obs as obs
 from repro.cache import MISS, PICKLE, ArtifactCache
 from repro.cache.keys import canonical_encode
 from repro.experiments.spec import ExperimentPlan, ExperimentSpec
-from repro.parallel import SimPoint
+from repro.parallel import SimPoint, resolve
 from repro.perf import ExperimentResult
 
 __all__ = [
@@ -63,8 +64,9 @@ __all__ = [
 EXPERIMENT_NAMESPACE = "experiments"
 
 #: Checkpoint schema: bump when ExperimentResult's pickled shape or
-#: the checkpoint key derivation changes incompatibly.
-EXPERIMENT_SCHEMA = "v1"
+#: the checkpoint key derivation changes incompatibly.  ``v2``: the
+#: keys of placement points join the simulation keys.
+EXPERIMENT_SCHEMA = "v2"
 
 
 class ExperimentFailure(RuntimeError):
@@ -91,9 +93,9 @@ class _Entry:
     plan: Optional[ExperimentPlan] = None
     #: Build-time failure (reported; excluded from the sweep).
     error: Optional[BaseException] = None
-    #: point key -> fully-resolved SimPoint.
-    resolved: Dict[str, SimPoint] = field(default_factory=dict)
-    #: point key -> global simulation cache key.
+    #: point key -> fully-resolved SimPoint or PlacementSpec.
+    resolved: Dict[str, Any] = field(default_factory=dict)
+    #: point key -> global cache key of the point.
     point_keys: Dict[str, str] = field(default_factory=dict)
     checkpoint_key: str = ""
     #: Checkpointed result found during planning (``resume`` runs).
@@ -102,12 +104,13 @@ class _Entry:
 
 @dataclass
 class SweepPlan:
-    """The dry-run view: what a run *would* simulate.
+    """The dry-run view: what a run *would* compute.
 
     ``experiments`` rows carry per-experiment counts; the totals show
     the global-dedup effect (``unique_points`` < ``sum_unique`` means
     cross-experiment sharing; both are < ``total_points`` when an
-    experiment repeats a point internally).
+    experiment repeats a point internally).  The ``*points`` counts
+    are simulations; placement points are counted apart.
     """
 
     experiments: List[dict] = field(default_factory=list)
@@ -118,6 +121,13 @@ class SweepPlan:
     unique_points: int = 0
     predicted_cache_hits: int = 0
     to_compute: int = 0
+    #: Placement points, and the globally unique / cached ones.
+    placement_points: int = 0
+    unique_placements: int = 0
+    placement_cache_hits: int = 0
+    #: Placements the run will compute: the uncached placement points
+    #: and the uncached placements of the simulations to compute.
+    placements_to_compute: int = 0
     resumed: int = 0
     build_failures: int = 0
 
@@ -129,14 +139,14 @@ class SweepPlan:
         """The ``--plan`` table."""
         lines = [
             f"{'experiment':18s} {'status':10s} {'points':>6s} "
-            f"{'unique':>6s} {'cached':>6s}"
+            f"{'unique':>6s} {'cached':>6s} {'places':>6s}"
         ]
         lines.append("-" * len(lines[0]))
         for row in self.experiments:
             lines.append(
                 f"{row['id']:18s} {row['status']:10s} "
                 f"{row['points']:6d} {row['unique']:6d} "
-                f"{row['cached']:6d}"
+                f"{row['cached']:6d} {row['placements']:6d}"
             )
         lines.append("")
         lines.append(
@@ -145,6 +155,13 @@ class SweepPlan:
             f"({self.deduplicated} deduplicated; per-experiment sum "
             f"{self.sum_unique}), {self.predicted_cache_hits} predicted "
             f"cache hits, {self.to_compute} to simulate"
+        )
+        lines.append(
+            f"placements: {self.placement_points} points, "
+            f"{self.unique_placements} unique globally, "
+            f"{self.placement_cache_hits} predicted cache hits, "
+            f"{self.placements_to_compute} to compute (with those the "
+            "simulations need)"
         )
         if self.resumed:
             lines.append(
@@ -197,36 +214,6 @@ class ExecutionReport:
 # ----------------------------------------------------------------------
 # Key derivation
 # ----------------------------------------------------------------------
-def _resolve_point(session, point: SimPoint) -> SimPoint:
-    """Fill a point's ``None`` fields from its owning session.
-
-    A fully-resolved point is session-independent: any session may
-    fan it out and it still lands on the same cache key, which is
-    what lets the executor merge points across experiments.
-    """
-    return SimPoint(
-        name=point.name,
-        mapper=point.mapper,
-        pe=point.pe,
-        scale=session.scale if point.scale is None else int(point.scale),
-        preset=session.preset if point.preset is None else point.preset,
-        check=bool(point.check),
-        config=session.config if point.config is None else point.config,
-        trace=(obs.tracing_enabled() if point.trace is None
-               else bool(point.trace)),
-    )
-
-
-def _point_cache_key(session, resolved: SimPoint) -> str:
-    """The simulation cache key a resolved point will hit."""
-    return session.simulation_key(
-        resolved.name, resolved.mapper, resolved.pe,
-        scale=resolved.scale, preset=resolved.preset,
-        check=resolved.check, config=resolved.config,
-        trace=bool(resolved.trace),
-    )
-
-
 def _override_fingerprint(overrides: Dict[str, Any]) -> str:
     """Stable encoding of builder overrides for the checkpoint key.
 
@@ -249,9 +236,9 @@ def _checkpoint_key(cache: ArtifactCache, entry: _Entry) -> str:
     """Content-addressed key of one experiment's result checkpoint.
 
     Keyed on the experiment id, the override fingerprint, and the
-    sorted simulation keys of its points, so a checkpoint can never
-    be replayed against a different machine config, matrix set, or
-    simulation schema.
+    sorted cache keys of its points, so a checkpoint can never be
+    replayed against a different machine config, matrix set, or
+    placement or simulation schema.
     """
     return cache.key(
         "experiment", entry.spec.id, EXPERIMENT_SCHEMA,
@@ -265,7 +252,6 @@ def _checkpoint_key(cache: ArtifactCache, entry: _Entry) -> str:
 # ----------------------------------------------------------------------
 def plan_experiments(
     experiments: Sequence[ExperimentSpec], *,
-    jobs: Optional[int] = None,
     resume: bool = False,
     overrides: Optional[Dict[str, Any]] = None,
     keep_going: bool = False,
@@ -282,7 +268,6 @@ def plan_experiments(
     """
     cache = cache if cache is not None else ArtifactCache.default()
     overrides = dict(overrides or {})
-    overrides.pop("jobs", None)
     specs = list(experiments)
 
     entries: List[_Entry] = []
@@ -295,13 +280,11 @@ def plan_experiments(
             entry = _Entry(spec=spec, overrides=accepted)
             entries.append(entry)
             try:
-                entry.plan = spec.plan(jobs=jobs, **accepted)
+                entry.plan = spec.plan(**accepted)
                 for point_key, point in entry.plan.points.items():
-                    resolved = _resolve_point(entry.plan.session, point)
-                    entry.resolved[point_key] = resolved
-                    entry.point_keys[point_key] = _point_cache_key(
-                        entry.plan.session, resolved
-                    )
+                    (entry.resolved[point_key],
+                     entry.point_keys[point_key]) = resolve(
+                        entry.plan.session, point)
                 entry.checkpoint_key = _checkpoint_key(cache, entry)
                 if resume:
                     entry.checkpointed = cache.get(
@@ -321,6 +304,11 @@ def plan_experiments(
     obs.counter("exec.points.deduplicated", sweep.deduplicated)
     obs.counter("exec.points.predicted_cache_hits",
                 sweep.predicted_cache_hits)
+    obs.counter("exec.placements.total", sweep.placement_points)
+    obs.counter("exec.placements.unique", sweep.unique_placements)
+    obs.counter("exec.placements.predicted_cache_hits",
+                sweep.placement_cache_hits)
+    obs.counter("exec.placements.to_compute", sweep.placements_to_compute)
     if sweep.resumed:
         obs.counter("exec.resumed", sweep.resumed)
     return entries, sweep
@@ -328,41 +316,66 @@ def plan_experiments(
 
 def _summarize(entries: List[_Entry], cache: ArtifactCache) -> SweepPlan:
     """Fold per-experiment plans into the global SweepPlan."""
-    from repro.experiments.common import SIMULATION_NAMESPACE
+    from repro.experiments.common import cache_slot, placement_key
+
+    on_disk: Dict[str, bool] = {}
+
+    def cached(point, key: str) -> bool:
+        if key not in on_disk:
+            namespace, serializer = cache_slot(point)
+            on_disk[key] = cache.contains(namespace, key, serializer)
+        return on_disk[key]
 
     sweep = SweepPlan()
-    global_keys: Dict[str, bool] = {}
+    simulations: Dict[str, SimPoint] = {}
+    placements: Dict[str, Any] = {}
     for entry in entries:
         if entry.error is not None:
             status = "error"
-            keys: List[str] = []
         elif entry.checkpointed is not MISS:
             status = "resumed"
-            keys = []
             sweep.resumed += 1
         else:
             status = "pending"
-            keys = list(entry.point_keys.values())
-        cached = 0
-        for key in set(keys):
-            if key not in global_keys:
-                global_keys[key] = cache.contains(
-                    SIMULATION_NAMESPACE, key, PICKLE
-                )
-            cached += int(global_keys[key])
+        points = [] if status != "pending" else [
+            (entry.resolved[point_key], key)
+            for point_key, key in entry.point_keys.items()
+        ]
+        keys = [key for point, key in points if isinstance(point, SimPoint)]
+        for point, key in points:
+            if isinstance(point, SimPoint):
+                simulations[key] = point
+            else:
+                placements[key] = point
         sweep.experiments.append({
             "id": entry.spec.id,
             "status": status,
             "points": len(keys),
             "unique": len(set(keys)),
-            "cached": cached,
+            "cached": sum(cached(simulations[key], key) for key in set(keys)),
+            "placements": len(points) - len(keys),
         })
         sweep.total_points += len(keys)
         sweep.sum_unique += len(set(keys))
+        sweep.placement_points += len(points) - len(keys)
         sweep.build_failures += int(entry.error is not None)
-    sweep.unique_points = len(global_keys)
-    sweep.predicted_cache_hits = sum(global_keys.values())
+    sweep.unique_points = len(simulations)
+    sweep.predicted_cache_hits = sum(
+        cached(point, key) for key, point in simulations.items()
+    )
     sweep.to_compute = sweep.unique_points - sweep.predicted_cache_hits
+    sweep.unique_placements = len(placements)
+    sweep.placement_cache_hits = sum(
+        cached(point, key) for key, point in placements.items()
+    )
+    # A simulation to compute needs its placement, computed on a miss.
+    for key, point in simulations.items():
+        if not cached(point, key):
+            placements.setdefault(placement_key(point.placement),
+                                  point.placement)
+    sweep.placements_to_compute = sum(
+        not cached(point, key) for key, point in placements.items()
+    )
     return sweep
 
 
@@ -386,8 +399,7 @@ def execute(
         Experiment ids (resolved through the runner registry) or
         :class:`ExperimentSpec` objects.
     jobs:
-        Worker processes for the merged sweep, and the uniform
-        ``jobs`` every builder receives for its internal pools.
+        Worker processes for the merged sweep.
     keep_going:
         Record a failing experiment and continue with the rest; the
         report's ``exit_code`` aggregates to 1.  Off: the first
@@ -407,7 +419,7 @@ def execute(
     report = ExecutionReport()
     with obs.timer("exec.run", experiments=len(list(experiments))):
         entries, report.sweep = plan_experiments(
-            experiments, jobs=jobs, resume=resume, overrides=overrides,
+            experiments, resume=resume, overrides=overrides,
             keep_going=keep_going, cache=cache,
         )
 
@@ -417,7 +429,7 @@ def execute(
             if e.error is None and e.checkpointed is MISS
         ]
         results_by_key: Dict[str, Any] = {}
-        unique: Dict[str, SimPoint] = {}
+        unique: Dict[str, Any] = {}
         for entry in pending:
             for point_key, global_key in entry.point_keys.items():
                 unique.setdefault(

@@ -18,8 +18,7 @@ from repro.perf import ExperimentResult
 
 @register("fig01", title="GPU PCG throughput and utilization",
           tags=("paper", "figure", "analytic"))
-def spec(matrices=None, scale: int = 1,
-         jobs: Optional[int] = None) -> ExperimentPlan:
+def spec(matrices=None, scale: int = 1) -> ExperimentPlan:
     """Evaluate the GPU model on the representative matrices."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(scale=scale)

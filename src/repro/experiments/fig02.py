@@ -20,7 +20,7 @@ from repro.perf import ExperimentResult, gmean
 @register("fig02", title="Headline gmean PCG throughput",
           tags=("paper", "figure", "sim", "sweep"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1) -> ExperimentPlan:
     """Gmean GFLOP/s of the four headline configurations."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(config, scale=scale)

@@ -16,8 +16,7 @@ from repro.perf import ExperimentResult
 
 @register("fig03", title="GPU PCG runtime breakdown by kernel",
           tags=("paper", "figure", "analytic"))
-def spec(matrices=None, scale: int = 1,
-         jobs: Optional[int] = None) -> ExperimentPlan:
+def spec(matrices=None, scale: int = 1) -> ExperimentPlan:
     """Per-kernel GPU runtime fractions for the representative set."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(scale=scale)

@@ -19,8 +19,7 @@ from repro.sparse.suite import get_suite_matrix
 
 @register("fig07", title="GPU speedup from graph coloring",
           tags=("paper", "figure", "analytic"))
-def spec(matrices=None, scale: int = 1,
-         jobs: Optional[int] = None) -> ExperimentPlan:
+def spec(matrices=None, scale: int = 1) -> ExperimentPlan:
     """GPU iteration time: original vs colored+permuted inputs."""
     matrices = list(matrices or default_matrices())
 

@@ -20,7 +20,7 @@ from repro.perf import ExperimentResult
 @register("fig09", title="Dalorex PCG throughput",
           tags=("paper", "figure", "sim", "sweep"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1) -> ExperimentPlan:
     """Simulate Dalorex (round-robin mapping + in-order cores) on PCG."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(config, scale=scale)

@@ -23,7 +23,7 @@ MAPPINGS = ("round_robin", "block", "azul")
 @register("fig10", title="Mapping strategies under idealized PEs",
           tags=("paper", "figure", "sim", "sweep"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1) -> ExperimentPlan:
     """Idealized-PE throughput under the three mappings."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(config, scale=scale)

@@ -15,6 +15,7 @@ from repro.config import AzulConfig
 from repro.core.traffic import analyze_traffic
 from repro.experiments.common import ExperimentSession, default_matrices
 from repro.experiments.spec import ExperimentPlan, register
+from repro.parallel import PlacementSpec
 from repro.perf import ExperimentResult, gmean
 
 
@@ -24,14 +25,17 @@ MAPPINGS = ("round_robin", "block", "sparsep", "azul")
 @register("fig11", title="NoC traffic by mapping strategy",
           tags=("paper", "figure", "analytic"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1) -> ExperimentPlan:
     """Static traffic analysis of one iteration under each mapping."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(config, scale=scale)
+    points = {
+        f"{name}/{mapping}": PlacementSpec(name, mapping)
+        for name in matrices for mapping in MAPPINGS
+    }
 
     def reduce(sims) -> ExperimentResult:
-        config = session.config
-        torus = make_geometry(config)
+        torus = make_geometry(session.config)
         result = ExperimentResult(
             experiment="fig11",
             title="NoC link activations per PCG iteration (normalized)",
@@ -42,9 +46,9 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
             prepared = session.prepare(name)
             activations = {}
             for mapping in MAPPINGS:
-                placement = session.placement(name, mapping)
                 report = analyze_traffic(
-                    placement, prepared.matrix, prepared.lower, torus
+                    sims[f"{name}/{mapping}"], prepared.matrix,
+                    prepared.lower, torus,
                 )
                 activations[mapping] = report.total_link_activations
             worst = max(activations.values())
@@ -64,7 +68,7 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
         )
         return result
 
-    return ExperimentPlan(session=session, reduce=reduce)
+    return ExperimentPlan(session=session, points=points, reduce=reduce)
 
 
 def run(matrices=None, config: Optional[AzulConfig] = None,

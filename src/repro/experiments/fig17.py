@@ -16,10 +16,10 @@ import numpy as np
 
 from repro.comm import make_geometry
 from repro.config import AzulConfig
-from repro.core.azul_mapping import map_azul
 from repro.dataflow import build_sptrsv_program
-from repro.experiments.common import ExperimentSession, mapper_options
+from repro.experiments.common import ExperimentSession
 from repro.experiments.spec import ExperimentPlan, register
+from repro.parallel import PlacementSpec
 from repro.perf import ExperimentResult
 from repro.sim.engine import KernelSimulator
 from repro.sim.pe import AZUL_PE
@@ -38,27 +38,22 @@ def _simulate_sptrsv(prepared, placement, config, torus):
 @register("fig17", title="Temporal load balancing of SpTRSV",
           tags=("paper", "figure", "sim"))
 def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
-         scale: int = 1, n_buckets: int = 10, q: int = 5,
-         jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1, n_buckets: int = 10, q: int = 5) -> ExperimentPlan:
     """Compare nonzero-balanced (q=0) vs time-balanced (q) mappings."""
     session = ExperimentSession(config, scale=scale)
+    points = {
+        "nonzero_balanced": PlacementSpec(matrix, preset="speed", q=0),
+        "time_balanced": PlacementSpec(matrix, preset="speed", q=q),
+    }
 
     def reduce(sims) -> ExperimentResult:
         config = session.config
         torus = make_geometry(config)
         prepared = session.prepare(matrix)
-        options = mapper_options("speed")
-
-        results = {}
-        for label, quantiles in (("nonzero_balanced", 0),
-                                 ("time_balanced", q)):
-            placement = map_azul(
-                prepared.matrix, prepared.lower, config.num_tiles,
-                q=quantiles, options=options,
-            )
-            results[label] = _simulate_sptrsv(
-                prepared, placement, config, torus
-            )
+        results = {
+            label: _simulate_sptrsv(prepared, placement, config, torus)
+            for label, placement in sims.items()
+        }
 
         result = ExperimentResult(
             experiment="fig17",
@@ -100,7 +95,7 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
         )
         return result
 
-    return ExperimentPlan(session=session, reduce=reduce)
+    return ExperimentPlan(session=session, points=points, reduce=reduce)
 
 
 def run(matrix: str = "consph", config: Optional[AzulConfig] = None,

@@ -22,7 +22,7 @@ from repro.perf import ExperimentResult, gmean
 @register("fig20", title="End-to-end PCG speedup over the GPU",
           tags=("paper", "figure", "sim", "sweep"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1) -> ExperimentPlan:
     """End-to-end comparison across the four architectures."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(config, scale=scale)

@@ -21,7 +21,7 @@ from repro.sim.stats import breakdown_from_results
 @register("fig21", title="Azul PE cycle breakdown",
           tags=("paper", "figure", "sim", "sweep"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1) -> ExperimentPlan:
     """Per-matrix PE cycle breakdown on simulated Azul."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(config, scale=scale)

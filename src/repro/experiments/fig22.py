@@ -19,7 +19,7 @@ from repro.perf import ExperimentResult
 @register("fig22", title="Azul runtime breakdown by kernel",
           tags=("paper", "figure", "sim", "sweep"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1) -> ExperimentPlan:
     """Per-kernel runtime fractions on simulated Azul."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(config, scale=scale)

@@ -23,7 +23,7 @@ MAPPINGS = ("round_robin", "block", "sparsep", "azul")
 @register("fig23", title="End-to-end throughput by mapping strategy",
           tags=("paper", "figure", "sim", "sweep"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1) -> ExperimentPlan:
     """Throughput of each mapping on the real-PE simulator."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(config, scale=scale)

@@ -21,7 +21,7 @@ from repro.perf import ExperimentResult
 @register("fig24", title="Power breakdown by component",
           tags=("paper", "figure", "sim", "sweep"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1) -> ExperimentPlan:
     """Estimate power for each matrix from simulated activity."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(config, scale=scale)

@@ -20,8 +20,7 @@ from repro.perf import ExperimentResult, gmean
 @register("fig25", title="Sensitivity to NoC hop latency",
           tags=("paper", "figure", "sim", "sweep"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, latencies=(1, 2, 3, 4),
-         jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1, latencies=(1, 2, 3, 4)) -> ExperimentPlan:
     """Sweep hop latency and report gmean GFLOP/s."""
     matrices = list(matrices or default_matrices())
     config = config or default_experiment_config()

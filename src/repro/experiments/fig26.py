@@ -19,8 +19,7 @@ from repro.perf import ExperimentResult, gmean
 @register("fig26", title="Sensitivity to SRAM access latency",
           tags=("paper", "figure", "sim", "sweep"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, latencies=(1, 2, 3, 4),
-         jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1, latencies=(1, 2, 3, 4)) -> ExperimentPlan:
     """Sweep SRAM latency and report gmean GFLOP/s."""
     matrices = list(matrices or default_matrices())
     config = config or default_experiment_config()

@@ -21,7 +21,7 @@ PES = ("azul", "azul_single")
 @register("fig27", title="Fine-grained multithreading ablation",
           tags=("paper", "figure", "sim", "sweep"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1) -> ExperimentPlan:
     """Compare multithreaded and single-threaded PE configurations."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(config, scale=scale)

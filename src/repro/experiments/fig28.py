@@ -31,8 +31,8 @@ DEFAULT_CASES = (
 
 @register("fig28", title="Scaling Azul up",
           tags=("paper", "figure", "sim", "sweep"))
-def spec(cases=DEFAULT_CASES, config: Optional[AzulConfig] = None,
-         jobs: Optional[int] = None) -> ExperimentPlan:
+def spec(cases=DEFAULT_CASES,
+         config: Optional[AzulConfig] = None) -> ExperimentPlan:
     """Throughput across machine sizes (grid side doubling)."""
     config = config or default_experiment_config()
     machines = [

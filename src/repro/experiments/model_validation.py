@@ -18,23 +18,24 @@ from repro.config import AzulConfig
 from repro.experiments.common import ExperimentSession, default_matrices
 from repro.experiments.spec import ExperimentPlan, register
 from repro.models.azul_analytic import predict_iteration
-from repro.parallel import SimPoint
+from repro.parallel import PlacementSpec, SimPoint
 from repro.perf import ExperimentResult
 
 
 @register("model_validation", title="Analytic model vs cycle simulator",
           tags=("extension", "study", "sim", "sweep"))
 def spec(matrices=None, config: Optional[AzulConfig] = None,
-         scale: int = 1, mappers=("round_robin", "azul"),
-         jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1, mappers=("round_robin", "azul")) -> ExperimentPlan:
     """Predicted vs simulated iteration cycles per matrix/mapping."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(config, scale=scale)
 
-    points = {
-        f"{name}/{mapper}": SimPoint(name, mapper=mapper, pe="azul")
-        for name in matrices for mapper in mappers
-    }
+    points: dict = {}
+    for name in matrices:
+        for mapper in mappers:
+            points[f"{name}/{mapper}"] = SimPoint(name, mapper=mapper,
+                                                  pe="azul")
+            points[f"{name}/{mapper}/place"] = PlacementSpec(name, mapper)
 
     def reduce(sims) -> ExperimentResult:
         config = session.config
@@ -49,9 +50,9 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
         for name in matrices:
             prepared = session.prepare(name)
             for mapper in mappers:
-                placement = session.placement(name, mapper)
                 prediction = predict_iteration(
-                    prepared.matrix, prepared.lower, placement, config
+                    prepared.matrix, prepared.lower,
+                    sims[f"{name}/{mapper}/place"], config,
                 )
                 simulated = sims[f"{name}/{mapper}"]
                 error = (

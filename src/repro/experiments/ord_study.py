@@ -26,8 +26,7 @@ from repro.sparse.suite import get_suite_matrix
 
 @register("ord_study", title="Ordering strategies vs SpTRSV parallelism",
           tags=("extension", "study", "analytic"))
-def spec(matrices=None, scale: int = 1,
-         jobs: Optional[int] = None) -> ExperimentPlan:
+def spec(matrices=None, scale: int = 1) -> ExperimentPlan:
     """Per-ordering bandwidth and SpTRSV parallelism."""
     matrices = list(matrices or default_matrices())
 

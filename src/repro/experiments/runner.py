@@ -2,10 +2,10 @@
 
 Runs one, several, or all experiments through the staged executor
 (:mod:`repro.experiments.executor`): every selected experiment's plan
-is built up front, identical simulation points are deduplicated
-*globally* across experiments, one merged sweep computes the unique
-points (``--jobs``), and each experiment then reduces and checkpoints
-in isolation.  ``--plan`` prints the dry-run, ``--resume`` skips
+is built up front, identical placement and simulation points are
+deduplicated *globally* across experiments, one merged sweep computes
+the unique points (``--jobs``), and each experiment then reduces and
+checkpoints in isolation.  ``--plan`` prints the dry-run, ``--resume`` skips
 checkpointed experiments, ``--keep-going`` records failures instead of
 aborting.  Experiment ids match the paper's artifact numbering (see
 DESIGN.md's per-experiment index).
@@ -85,9 +85,7 @@ def run_experiment(experiment_id: str, jobs: Optional[int] = None,
                    **kwargs):
     """Run one experiment by id; returns its ExperimentResult.
 
-    ``jobs`` is forwarded unconditionally: every spec builder declares
-    a ``jobs`` parameter (the uniform parallelism contract), so no
-    signature probing is needed.
+    ``jobs`` sizes the sweep over the experiment's points.
     """
     return load_spec(experiment_id).run(jobs=jobs, **kwargs)
 
@@ -112,7 +110,8 @@ def main(argv=None):
     parser.add_argument(
         "--plan", action="store_true",
         help="dry-run: print per-experiment point counts, the global "
-             "dedup, and predicted cache hits; simulate nothing",
+             "dedup, predicted cache hits and the placements to compute; "
+             "compute nothing",
     )
     parser.add_argument(
         "--resume", action="store_true",
@@ -139,8 +138,8 @@ def main(argv=None):
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the merged simulation sweep "
-             "(default: REPRO_JOBS if set, else min(8, CPU count); "
+        help="worker processes for the merged placement and simulation "
+             "sweep (default: REPRO_JOBS if set, else min(8, CPU count); "
              "1 runs serially)",
     )
     parser.add_argument(
@@ -197,8 +196,8 @@ def main(argv=None):
         # Dry run: always survey every experiment (keep_going) so the
         # printed plan covers the whole selection.
         _, sweep = plan_experiments(
-            specs, jobs=args.jobs, resume=args.resume,
-            overrides=overrides, keep_going=True,
+            specs, resume=args.resume, overrides=overrides,
+            keep_going=True,
         )
         print(sweep.render())
         return 0

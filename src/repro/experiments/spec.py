@@ -9,17 +9,19 @@ runner, so nothing above a single experiment could share work.
 A spec splits one experiment into three declarative parts:
 
 ``points``
-    A *cheap* builder product: a ``{key: SimPoint}`` mapping naming
-    every steady-state simulation the experiment needs.  Keys are
-    human-readable (``"consph/azul"``) and local to the experiment;
-    the executor resolves each point to its content-addressed
-    simulation cache key, so identical points are deduplicated
+    A *cheap* builder product: a ``{key: point}`` mapping naming every
+    placement (:class:`~repro.parallel.PlacementSpec`) and steady-state
+    simulation (:class:`~repro.parallel.SimPoint`) the experiment
+    needs.  Keys are human-readable (``"consph/azul"``) and local to
+    the experiment; the executor resolves each point to its
+    content-addressed cache key, so identical points are deduplicated
     *globally* across every experiment in a run.
 ``reduce``
     ``reduce(sims) -> ExperimentResult`` where ``sims`` maps each
-    point key to its simulation result.  Everything that is not a
-    standard sweep point — analytic models, traffic analysis,
-    placement-keyed sweeps — lives here.
+    point key to its result: a
+    :class:`~repro.core.placement.Placement` or a simulation result.
+    Everything that is not a point — analytic models, traffic
+    analysis, single-kernel simulations — lives here.
 ``run()`` (module shim)
     Each module keeps a thin ``run(...)`` wrapper delegating to
     :meth:`ExperimentSpec.run`, so historical imports and tests keep
@@ -28,14 +30,8 @@ A spec splits one experiment into three declarative parts:
 Builders MUST be cheap: no ``prepare``/``placement``/``simulate``
 calls — the executor builds every selected experiment's plan up front
 to compute the global sweep (and the ``--plan`` dry-run must never
-simulate anything).  Expensive non-point work belongs in ``reduce``.
-
-Every builder declares a ``jobs`` keyword parameter — parallelism is
-a uniform part of the spec contract (this replaced the old
-``inspect.signature``-based forwarding hack in the runner).  The
-executor owns the fan-out of ``points``; ``jobs`` reaches the builder
-so ``reduce`` closures can bound their *internal* pools
-(placement-keyed sweeps, the partitioner).
+compute anything).  A mapping or a PCG-iteration simulation is a
+point; other expensive work belongs in ``reduce``.
 
 Registration::
 
@@ -43,7 +39,7 @@ Registration::
 
     @register("fig09", title="Dalorex PCG throughput",
               tags=("paper", "figure", "sim", "sweep"))
-    def spec(matrices=None, config=None, scale=1, jobs=None):
+    def spec(matrices=None, config=None, scale=1):
         session = ExperimentSession(config, scale=scale)
         points = {name: SimPoint(name, mapper="round_robin",
                                  pe="dalorex")
@@ -93,12 +89,12 @@ class ExperimentPlan:
         providing defaults (config / scale / preset) for the points
         and the artifact cache everything is keyed through.
     points:
-        ``{point_key: SimPoint}``; may be empty for analytic
-        experiments.  Point keys are experiment-local labels; the
-        executor maps them to global simulation cache keys.
+        ``{point_key: SimPoint or PlacementSpec}``; may be empty for
+        analytic experiments.  Point keys are experiment-local labels;
+        the executor maps them to global cache keys.
     reduce:
-        Turns ``{point_key: simulation result}`` into the final
-        :class:`~repro.perf.ExperimentResult`.
+        Turns ``{point_key: simulation result or Placement}`` into the
+        final :class:`~repro.perf.ExperimentResult`.
     """
 
     session: Any
@@ -109,7 +105,7 @@ class ExperimentPlan:
 
     def resolve(self, jobs: Optional[int] = None, *,
                 stats: Optional[dict] = None) -> Dict[str, Any]:
-        """Simulate this plan's own points (single-experiment path).
+        """Compute this plan's own points (single-experiment path).
 
         The multi-experiment executor does NOT use this — it merges
         points across plans first; this is the ``spec.run()`` /
@@ -143,8 +139,7 @@ class ExperimentSpec:
         """Whether the builder takes an override named ``name``."""
         return name in self.params
 
-    def plan(self, *, jobs: Optional[int] = None,
-             **overrides: Any) -> ExperimentPlan:
+    def plan(self, **overrides: Any) -> ExperimentPlan:
         """Build this experiment's plan (cheap; never simulates)."""
         unknown = sorted(set(overrides) - self.params)
         if unknown:
@@ -153,7 +148,7 @@ class ExperimentSpec:
                 f"{', '.join(unknown)}; its builder takes "
                 f"{', '.join(sorted(self.params))}"
             )
-        plan = self.builder(jobs=jobs, **overrides)
+        plan = self.builder(**overrides)
         if not isinstance(plan, ExperimentPlan):
             raise TypeError(
                 f"builder of experiment {self.id!r} returned "
@@ -164,8 +159,11 @@ class ExperimentSpec:
 
     def run(self, *, jobs: Optional[int] = None,
             **overrides: Any) -> ExperimentResult:
-        """Plan, simulate the points, reduce — one experiment alone."""
-        plan = self.plan(jobs=jobs, **overrides)
+        """Plan, compute the points, reduce — one experiment alone.
+
+        ``jobs`` sizes the sweep over the points.
+        """
+        plan = self.plan(**overrides)
         sims = plan.resolve(jobs)
         return plan.reduce(sims)
 
@@ -184,19 +182,12 @@ def register(experiment_id: str, *, title: str,
                  [Callable[..., ExperimentPlan]], ExperimentSpec]:
     """Class decorator-factory registering a plan builder as a spec.
 
-    The builder must declare a ``jobs`` keyword parameter (uniform
-    parallelism contract).  Returns the :class:`ExperimentSpec`, so
-    the decorated name *becomes* the spec object.
+    Returns the :class:`ExperimentSpec`, so the decorated name
+    *becomes* the spec object.
     """
 
     def decorate(builder: Callable[..., ExperimentPlan]) -> ExperimentSpec:
         parameters = inspect.signature(builder).parameters
-        if "jobs" not in parameters:
-            raise TypeError(
-                f"experiment builder for {experiment_id!r} must declare "
-                "a 'jobs' parameter (specs declare parallelism "
-                "uniformly)"
-            )
         previous = _REGISTRY.get(experiment_id)
         if previous is not None and previous.module != builder.__module__:
             raise ValueError(

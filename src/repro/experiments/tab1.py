@@ -19,8 +19,7 @@ from repro.sparse.suite import get_suite_matrix
 
 @register("tab1", title="Available parallelism of SpMV vs SpTRSV",
           tags=("paper", "table", "analytic"))
-def spec(matrices=None, scale: int = 1,
-         jobs: Optional[int] = None) -> ExperimentPlan:
+def spec(matrices=None, scale: int = 1) -> ExperimentPlan:
     """Compute the Table I rows (uses unpermuted inputs as baseline)."""
     matrices = list(matrices or default_matrices())
 

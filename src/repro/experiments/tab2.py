@@ -15,7 +15,7 @@ from repro.solvers import solver_table
 
 @register("tab2", title="Iterative solvers and required kernels",
           tags=("paper", "table", "analytic"))
-def spec(jobs: Optional[int] = None) -> ExperimentPlan:
+def spec() -> ExperimentPlan:
     """Render the solver/preconditioner/kernels table."""
 
     def reduce(sims) -> ExperimentResult:

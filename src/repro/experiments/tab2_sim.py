@@ -13,7 +13,7 @@ from typing import Optional
 from repro.config import AzulConfig
 from repro.experiments.common import ExperimentSession
 from repro.experiments.spec import ExperimentPlan, register
-from repro.parallel import SimPoint
+from repro.parallel import PlacementSpec, SimPoint
 from repro.perf import ExperimentResult
 from repro.sim.machine import AzulMachine
 from repro.sim.solver_timing import RECIPES, solver_iteration_cycles
@@ -22,22 +22,21 @@ from repro.sim.solver_timing import RECIPES, solver_iteration_cycles
 @register("tab2_sim", title="Table II solver family on Azul",
           tags=("extension", "table", "sim", "sweep"))
 def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
-         scale: int = 1, jobs: Optional[int] = None) -> ExperimentPlan:
+         scale: int = 1) -> ExperimentPlan:
     """Per-solver iteration cycles and GFLOP/s on one mapped matrix."""
     session = ExperimentSession(config, scale=scale)
 
-    # The base PCG iteration is a standard sweep point: routed through
-    # the executor it shares the artifact cache and the global sweep
-    # with every other experiment that simulates this matrix.
-    points = {"pcg": SimPoint(matrix, check=False)}
+    # The base PCG iteration and its placement are standard sweep
+    # points: routed through the executor they share the artifact cache
+    # and the global sweep with every other experiment on this matrix.
+    points = {"pcg": SimPoint(matrix, check=False),
+              "placement": PlacementSpec(matrix)}
 
     def reduce(sims) -> ExperimentResult:
-        config = session.config
         prepared = session.prepare(matrix)
-        placement = session.placement(matrix, "azul")
-        machine = AzulMachine(config)
+        machine = AzulMachine(session.config)
         program = machine.compile(prepared.matrix, prepared.lower,
-                                  placement)
+                                  sims["placement"])
         base = sims["pcg"]
 
         result = ExperimentResult(

@@ -16,8 +16,7 @@ from repro.sparse.suite import suite_inventory
 
 @register("tab4", title="Benchmark-suite inventory",
           tags=("paper", "table", "analytic"))
-def spec(section: str = "all", scale: int = 1,
-         jobs: Optional[int] = None) -> ExperimentPlan:
+def spec(section: str = "all", scale: int = 1) -> ExperimentPlan:
     """Build the suite inventory table."""
 
     def reduce(sims) -> ExperimentResult:

@@ -17,8 +17,7 @@ from repro.perf import ExperimentResult
 
 @register("tab5", title="Azul area estimates at 7nm",
           tags=("paper", "table", "analytic"))
-def spec(config: Optional[AzulConfig] = None,
-         jobs: Optional[int] = None) -> ExperimentPlan:
+def spec(config: Optional[AzulConfig] = None) -> ExperimentPlan:
     """Area breakdowns for the paper config and the simulated config."""
 
     def reduce(sims) -> ExperimentResult:

@@ -20,8 +20,7 @@ from repro.sparse.cholesky import direct_vs_iterative_flops, \
 
 @register("tab_fill", title="Direct-solver fill-in vs iterative solve",
           tags=("extension", "table", "analytic"))
-def spec(matrices=None, scale: int = 1,
-         jobs: Optional[int] = None) -> ExperimentPlan:
+def spec(matrices=None, scale: int = 1) -> ExperimentPlan:
     """Fill ratios and FLOP comparison for the representative set."""
     matrices = list(matrices or default_matrices())
     session = ExperimentSession(scale=scale)

@@ -3,6 +3,8 @@
 Covers the registry contract (every experiment module registers
 exactly one spec whose id matches the runner table and DESIGN.md's
 per-experiment index), the global point dedup across experiments,
+placement points (no ``reduce`` maps a matrix, and ``--plan`` predicts
+every placement and simulation a serial run computes),
 checkpoint-based ``--resume``, ``--keep-going`` failure isolation,
 spec-shim parity (``module.run()`` equals the executor's output), and
 the sibling-group extension of the AST layer checker.
@@ -14,14 +16,17 @@ from pathlib import Path
 
 import pytest
 
+import repro.obs as obs
 from repro.config import AzulConfig
 from repro.experiments import EXPERIMENTS, load_spec, load_specs
-from repro.experiments import fig21, fig22
+from repro.experiments import executor, fig21, fig22
+from repro.experiments.common import ExperimentSession
 from repro.experiments.executor import (
     ExperimentFailure,
     execute,
     plan_experiments,
 )
+from repro.parallel import SimPoint
 from repro.experiments.spec import (
     ExperimentPlan,
     ExperimentSpec,
@@ -34,6 +39,16 @@ from repro.perf import ExperimentResult
 REPO = Path(__file__).resolve().parent.parent
 SMALL = ["offshore", "tmt_sym"]
 TINY_CONFIG = AzulConfig(mesh_rows=4, mesh_cols=4)
+
+#: The specs that declare their mappings (and mapping variants) as
+#: placement points; ``SMALL_OVERRIDES`` shrinks every one of them.
+PLACEMENT_SPECS = (
+    "abl_partitioner", "abl_seed", "abl_row_weight", "abl_quantiles",
+    "fig17", "abl_trees", "tabD", "fig11", "corr_study",
+    "model_validation", "tab2_sim",
+)
+SMALL_OVERRIDES = {"matrices": SMALL, "matrix": "tmt_sym",
+                   "config": TINY_CONFIG}
 
 
 def _design_ids():
@@ -54,7 +69,7 @@ def _synthetic(experiment_id, counter, fail=False):
 
     @register(experiment_id, title=f"synthetic {experiment_id}",
               tags=("extension", "study", "analytic"))
-    def spec(jobs=None):
+    def spec():
         def reduce(sims):
             if fail:
                 raise RuntimeError(f"boom in {experiment_id}")
@@ -87,7 +102,6 @@ class TestRegistry:
         for spec in specs:
             assert spec.module == EXPERIMENTS[spec.id]
             assert spec.title
-            assert "jobs" in spec.params
 
     def test_registry_snapshot_complete(self):
         load_specs()
@@ -106,20 +120,15 @@ class TestRegistry:
                 assert "sim" in tags, spec.id
 
     def test_sweep_tag_matches_default_points(self):
-        # "sweep" means: the builder contributes points by default.
+        # "sweep" means: the builder contributes simulation points by
+        # default (placement points alone do not make a sweep).
         for spec in load_specs():
-            plan = spec.plan()
-            assert bool(plan.points) == ("sweep" in spec.tags), spec.id
-
-    def test_builder_must_declare_jobs(self):
-        with pytest.raises(TypeError, match="jobs"):
-            @register("bogus_nojobs", title="x")
-            def spec():  # pragma: no cover - registration must fail
-                pass
-        assert "bogus_nojobs" not in registered_specs()
+            points = spec.plan().points.values()
+            simulates = any(isinstance(p, SimPoint) for p in points)
+            assert simulates == ("sweep" in spec.tags), spec.id
 
     def test_duplicate_id_from_other_module_rejected(self):
-        def foreign(jobs=None):  # pragma: no cover - never built
+        def foreign():  # pragma: no cover - never built
             pass
 
         foreign.__module__ = "somewhere.else"
@@ -127,7 +136,7 @@ class TestRegistry:
         try:
             with pytest.raises(ValueError, match="already registered"):
                 @register("dup_id_test", title="again")
-                def other(jobs=None):  # pragma: no cover
+                def other():  # pragma: no cover
                     pass
         finally:
             unregister("dup_id_test")
@@ -183,6 +192,27 @@ class TestPlanning:
         simulations = fresh_cache / "simulations"
         assert not simulations.exists() or not any(simulations.iterdir())
 
+    def test_placement_schema_reaches_simulation_and_checkpoint_keys(
+            self, fresh_cache, monkeypatch):
+        """A partitioner change must invalidate what was built on it."""
+        from repro.experiments import common
+
+        specs = [load_spec("fig21"), load_spec("abl_seed"),
+                 load_spec("tabD")]
+
+        def keys():
+            entries, _ = plan_experiments(specs, overrides=SMALL_OVERRIDES)
+            return (set(entries[0].point_keys.values()),
+                    [entry.checkpoint_key for entry in entries])
+
+        simulations, checkpoints = keys()
+        monkeypatch.setattr(common, "PLACEMENT_SCHEMA", "bumped")
+        new_simulations, new_checkpoints = keys()
+        assert len(simulations) == 2
+        assert not simulations & new_simulations
+        for old, new in zip(checkpoints, new_checkpoints):
+            assert old != new
+
     def test_jobs_is_stripped_from_overrides(self, fresh_cache):
         entries, _ = plan_experiments(
             [load_spec("fig21")],
@@ -196,7 +226,7 @@ class TestPlanning:
 
         @register("syn_badbuild", title="bad build",
                   tags=("extension", "study", "analytic"))
-        def bad(jobs=None):
+        def bad():
             raise RuntimeError("builder exploded")
 
         try:
@@ -207,6 +237,59 @@ class TestPlanning:
             assert "WARNING" in sweep.render()
         finally:
             unregister("syn_badbuild")
+
+
+# ----------------------------------------------------------------------
+# Placement points
+# ----------------------------------------------------------------------
+class TestPlacementPoints:
+    def test_no_reduce_maps_and_the_plan_predicts_the_run(
+            self, fresh_cache, monkeypatch):
+        from repro.core import azul_mapping
+
+        specs = [load_spec(experiment_id)
+                 for experiment_id in PLACEMENT_SPECS]
+        _, plan = plan_experiments(specs, overrides=SMALL_OVERRIDES)
+        assert plan.placement_points > 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a reduce computed a placement")
+
+        finish = executor._finish
+
+        def guarded_finish(*args, **kwargs):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(azul_mapping, "map_azul", refuse)
+                patch.setattr(ExperimentSession, "placement", refuse)
+                return finish(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "_finish", guarded_finish)
+
+        def run():
+            obs.reset()
+            obs.enable(metrics=True, tracing=False)
+            try:
+                report = execute(specs, jobs=1, overrides=SMALL_OVERRIDES)
+                return report, obs.snapshot()["histograms"]
+            finally:
+                obs.disable()
+                obs.reset()
+
+        report, timers = run()
+        assert report.exit_code == 0
+        assert timers["pipeline.place.seconds"]["count"] \
+            == plan.placements_to_compute
+        assert report.sweep_stats["computed_serial"] == (
+            plan.unique_placements - plan.placement_cache_hits
+            + plan.to_compute
+        )
+        assert report.sweep_stats["computed_parallel"] == 0
+
+        rerun, timers = run()
+        assert rerun.exit_code == 0
+        assert rerun.sweep_stats["computed_serial"] == 0
+        assert "pipeline.place.seconds" not in timers
+        assert rerun.results().keys() == report.results().keys()
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Tests for :mod:`repro.parallel` (process-parallel sweep execution).
 
 The contract under test: ``simulate_many(points, jobs=N)`` returns, in
-point order, exactly what a serial loop of ``session.simulate`` calls
-returns — through cache hits, in-flight dedup, real worker processes,
-and the serial fallback after worker failures.
+point order, exactly what a serial loop of ``session.placement`` and
+``session.simulate`` calls returns — through cache hits, in-flight
+dedup, real worker processes, and the serial fallback after worker
+failures.
 """
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 
 from repro import parallel
 from repro.config import AzulConfig
-from repro.experiments.common import ExperimentSession
-from repro.parallel import SimPoint, default_jobs, simulate_many
+from repro.experiments.common import ExperimentSession, placement_key
+from repro.parallel import PlacementSpec, SimPoint, default_jobs
 
 TINY = AzulConfig(mesh_rows=4, mesh_cols=4)
 MATRIX = "tmt_sym"
@@ -41,6 +42,8 @@ class TestSimPoint:
             == SimPoint(name=MATRIX, check=False)
         point = SimPoint(MATRIX)
         assert parallel._coerce(point) is point
+        placement = PlacementSpec(MATRIX)
+        assert parallel._coerce(placement) is placement
         with pytest.raises(TypeError):
             parallel._coerce(42)
 
@@ -187,47 +190,86 @@ def _square_or_crash(spec):
     return value * value
 
 
-class TestSimulatePlacements:
-    def test_matches_direct_simulation(self, fresh_cache):
-        session = ExperimentSession(TINY)
-        placement = session.placement(MATRIX, "azul")
-        direct = session.simulate(MATRIX, "azul", "azul", check=False)
-        stats = {}
-        results = session.simulate_placements(
-            MATRIX, [placement, placement], check=False, jobs=1,
-            stats=stats,
-        )
-        # Identical placements share one computation and one cache slot.
-        assert stats["unique"] == 1
-        assert stats["deduplicated"] == 1
-        _timings_equal(results[0], direct)
-        assert results[0] is results[1]
+def _placements_equal(left, right):
+    for name in ("a_tile", "l_tile", "vec_tile"):
+        assert np.array_equal(getattr(left, name), getattr(right, name))
 
-    def test_per_point_overrides(self, fresh_cache):
+
+class TestPlacementPoints:
+    def test_duplicates_computed_once_and_equal_direct_calls(
+            self, fresh_cache):
         session = ExperimentSession(TINY)
-        placement = session.placement(MATRIX, "azul")
-        tree, unicast = session.simulate_placements(placements=[
-            {"name": MATRIX, "placement": placement,
-             "multicast": "tree", "check": False},
-            {"name": MATRIX, "placement": placement,
-             "multicast": "unicast", "check": False},
+        direct_placement = session.placement(MATRIX, "azul",
+                                             use_cache=False)
+        direct = session.simulate(MATRIX, "azul", "azul", check=False,
+                                  use_cache=False)
+        stats = {}
+        results = session.simulate_many([
+            PlacementSpec(MATRIX),
+            PlacementSpec(MATRIX, seed=0),        # the default seed
+            PlacementSpec(MATRIX, row_weight=2),  # the default, as an int
+            SimPoint(MATRIX, check=False),
+            SimPoint(MATRIX, check=False, seed=0),
+            SimPoint(MATRIX, check=False, row_weight=2),
+        ], jobs=1, stats=stats)
+        assert stats["unique"] == 2
+        assert stats["deduplicated"] == 4
+        assert results[0] is results[1] is results[2]
+        assert results[3] is results[4] is results[5]
+        _placements_equal(results[0], direct_placement)
+        _timings_equal(results[3], direct)
+        # session.placement(name, "azul") keys the placement that
+        # SimPoint(name) simulates.
+        simulation, _ = parallel.resolve(session, SimPoint(MATRIX))
+        assert parallel.resolve(session, PlacementSpec(MATRIX))[1] \
+            == placement_key(simulation.placement)
+
+    def test_unicast_activates_more_links_than_tree(self, fresh_cache):
+        tree, unicast = ExperimentSession(TINY).simulate_many([
+            SimPoint(MATRIX, check=False),
+            SimPoint(MATRIX, check=False, multicast="unicast"),
         ], jobs=1)
         assert unicast.link_activations() > tree.link_activations()
 
-    def test_results_are_cached(self, fresh_cache):
-        session = ExperimentSession(TINY)
-        placement = session.placement(MATRIX, "azul")
-        session.simulate_placements(MATRIX, [placement], check=False,
-                                    jobs=1)
+    def test_second_session_served_from_cache(self, fresh_cache):
+        points = [PlacementSpec(MATRIX, seed=1),
+                  SimPoint(MATRIX, check=False, seed=1)]
+        first = ExperimentSession(TINY).simulate_many(points, jobs=1)
         stats = {}
-        again = ExperimentSession(TINY).simulate_placements(
-            MATRIX, [placement], check=False, jobs=1, stats=stats,
-        )
-        assert stats["cache_hits"] == 1
-        assert again[0].total_cycles > 0
+        again = ExperimentSession(TINY).simulate_many(points, jobs=1,
+                                                      stats=stats)
+        assert stats["cache_hits"] == 2
+        assert stats["computed_serial"] == stats["computed_parallel"] == 0
+        _placements_equal(again[0], first[0])
+        _timings_equal(again[1], first[1])
 
-    def test_missing_name_raises(self, fresh_cache):
-        session = ExperimentSession(TINY)
-        placement = session.placement(MATRIX, "azul")
-        with pytest.raises(ValueError):
-            session.simulate_placements(placements=[placement])
+    def test_mixed_points_parallel_identical_to_serial(
+            self, fresh_cache, monkeypatch, tmp_path):
+        points = {
+            "place": PlacementSpec(MATRIX),
+            "place/seed": PlacementSpec(MATRIX, seed=2),
+            "place/block": PlacementSpec(MATRIX, "block"),
+            "tree": SimPoint(MATRIX, check=False),
+            "unicast": SimPoint(MATRIX, multicast="unicast"),
+            "seed": SimPoint(MATRIX, check=False, seed=2),
+            "row_weight": SimPoint(MATRIX, check=False, row_weight=4.0),
+        }
+        serial_stats = {}
+        serial = parallel.simulate_keyed(
+            ExperimentSession(TINY), points, jobs=1, stats=serial_stats,
+        )
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "other"))
+        fanned_stats = {}
+        fanned = parallel.simulate_keyed(
+            ExperimentSession(TINY), points, jobs=2, stats=fanned_stats,
+        )
+        assert serial_stats["computed_serial"] == len(points)
+        assert fanned_stats["computed_parallel"] == len(points)
+        assert fanned_stats["worker_failures"] == 0
+        for key in ("place", "place/seed", "place/block"):
+            _placements_equal(serial[key], fanned[key])
+        for key in ("tree", "unicast", "seed", "row_weight"):
+            _timings_equal(serial[key], fanned[key])
+        # The seed variant really is another placement.
+        assert not np.array_equal(serial["place/seed"].a_tile,
+                                  serial["place"].a_tile)

@@ -14,9 +14,10 @@ from repro.cache import ArtifactCache, MISS, NPZ
 from repro.config import AzulConfig
 from repro.experiments.common import (
     PLACEMENT_NAMESPACE,
-    PLACEMENT_SCHEMA,
     ExperimentSession,
+    placement_key,
 )
+from repro.parallel import PlacementSpec
 
 TINY = AzulConfig(mesh_rows=4, mesh_cols=4)
 
@@ -143,10 +144,9 @@ class TestCorruptionEndToEnd:
 
         # The healed entry reads back cleanly from disk afterwards.
         healed = ArtifactCache.from_env(persist_stats=False)
-        key = healed.key(
-            "placement", "tmt_sym", 1, "block", TINY.num_tiles,
-            "speed", PLACEMENT_SCHEMA,
-        )
+        key = placement_key(PlacementSpec(
+            "tmt_sym", "block", TINY.num_tiles, scale=1, preset="speed",
+        ))
         assert healed.get(PLACEMENT_NAMESPACE, key, NPZ) is not MISS
 
     def test_cache_verify_cli_flags_corruption(self, tmp_path,
