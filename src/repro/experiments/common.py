@@ -91,9 +91,12 @@ PROGRAM_NAMESPACE = "programs"
 #: ``v4``: the key is the resolved :class:`~repro.parallel.PlacementSpec`
 #: (adding the seed, ``q`` and row weight); simulation ``v6``: the key
 #: is built on the placement's key and adds the multicast mode, so a
-#: placement change invalidates every simulation of it.
+#: placement change invalidates every simulation of it.  Simulation
+#: ``v7``: suite right-hand sides are seeded from a digest of the
+#: matrix name instead of the per-process salted ``hash()``, so
+#: results computed from an old ``b`` must miss.
 PLACEMENT_SCHEMA = "v4"
-SIMULATION_SCHEMA = "v6"
+SIMULATION_SCHEMA = "v7"
 
 #: Compiled-program cache entries hold the three
 #: :class:`~repro.dataflow.ir.CompiledKernel` objects of one PCG

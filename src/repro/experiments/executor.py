@@ -65,8 +65,11 @@ EXPERIMENT_NAMESPACE = "experiments"
 
 #: Checkpoint schema: bump when ExperimentResult's pickled shape or
 #: the checkpoint key derivation changes incompatibly.  ``v2``: the
-#: keys of placement points join the simulation keys.
-EXPERIMENT_SCHEMA = "v2"
+#: keys of placement points join the simulation keys.  ``v3``: suite
+#: right-hand sides changed (see ``SIMULATION_SCHEMA``), and an
+#: experiment without simulation points (tab_fill's PCG solves) would
+#: otherwise replay results computed from the old ones.
+EXPERIMENT_SCHEMA = "v3"
 
 
 class ExperimentFailure(RuntimeError):

@@ -16,22 +16,42 @@ The selection loop (:func:`_fm_pass`) is separate from the bookkeeping
   (:meth:`Hypergraph.csr_lists`).
 * **move** — O(degree) delta-gain updates in a scalar loop over the
   incident edges' pins.  A move touches a few dozen pins, too few to
-  amortize numpy's per-call overhead.
-* **affected** — each vertex's sorted neighbor list, memoised (it is
-  static per hypergraph); **boundary** — one vectorized cut-edge mask.
+  amortize numpy's per-call overhead.  It returns the pins to re-push.
+* **boundary** — one vectorized cut-edge mask seeds the heap.
 
 The scalar loop visits (edge, pin) slots in the order an ``np.add.at``
 scatter over the gathered pins would apply them, so every gain gets
 the same float additions in the same sequence as in an array-at-a-time
 formulation, on any weights.
 
-Because Azul's hypergraphs carry dyadic edge weights (integers and
-their coarsened sums), the incremental delta-gain arithmetic is also
-bit-exact against recomputing each gain from its incident edges; the
-deterministic ``(-gain, vertex)`` tie-break does the rest.
-``tests/test_partitioner_equivalence.py`` drives :func:`_fm_pass` with
-such a per-vertex recomputing state as an oracle and asserts identical
-assignments.
+**Re-push rule.**  The heap pops the smallest ``(-gain, vertex)``
+entry, skips locked vertices and re-pushes stale entries with the
+current gain, so which vertex moves (or is locked by its cap) next
+depends only on which unlocked vertices hold an entry equal to their
+current gain.  Every unlocked vertex pushed in a pass keeps such an
+entry: a move re-pushes every pin of each incident edge whose delta is
+non-zero.  The classic rule re-pushes every neighbour, and on any
+weights the extra entries are duplicates.  On an edge of non-zero
+weight, a pin's delta is zero only if the edge was already cut before
+the move: a same-side pin gets a zero delta only when the far side
+holds pins, and a far-side pin exists only on a cut edge.  So the edge
+was cut at pass start, when its pins seeded the heap, or cut by an
+earlier move of the pass, whose non-zero deltas pushed all its pins.
+A zero-weight edge carries no delta at all, so its pins are re-pushed
+on every move, as the classic rule does.
+
+**Rollback.**  A pass that keeps a prefix and is followed by another
+pass undoes the rest with full moves.  After the last pass, or a pass
+that did not improve (which ends refinement), nothing reads the gains,
+counts or part weights again, so the tail is undone on the sides only.
+
+``tests/oracles/refine.py`` keeps the classic loop (re-push every
+neighbour, roll back with full moves) and a per-vertex recomputing
+state.  Production equals the classic loop driving
+:class:`_BisectionState` on any weights.  On Azul's dyadic edge
+weights the incremental gains are also bit-exact against recomputed
+ones, so production equals the classic loop on the recomputing state
+too (``tests/test_partitioner_equivalence.py``).
 
 Layer contract: ``refine`` sits above ``hgraph`` and below
 ``partitioner`` (see ``tools/check_layers.py``).
@@ -40,7 +60,7 @@ Layer contract: ``refine`` sits above ``hgraph`` and below
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set
+from typing import List
 
 import numpy as np
 
@@ -52,8 +72,12 @@ class _BisectionState:
 
     Built vectorized, then kept as Python lists: each move touches a
     few dozen pins, where scalar list updates beat numpy's per-call
-    overhead.  :func:`_fm_pass` relies on the exact semantics of every
-    method, so any other bookkeeping that drives it must preserve them.
+    overhead.  :func:`_fm_pass` reads ``side``, ``gains``,
+    ``part_weights`` and ``vertex_weights`` directly.  Vertex weights
+    are one flat row-major list (vertex ``v``'s start at
+    ``v * n_constraints``): converting the matrix to one list of rows
+    costs about twice as much, a noticeable share of a small level's
+    refinement.
     """
 
     def __init__(self, hgraph: Hypergraph, side: np.ndarray):
@@ -86,26 +110,27 @@ class _BisectionState:
         self.count0: List[int] = count0.tolist()
         self.gains: List[float] = gains.tolist()
         self.part_weights: List[List[float]] = part_weights.tolist()
+        self.n_constraints = hgraph.n_constraints
+        self.vertex_weights: List[float] = (
+            hgraph.vertex_weights.ravel().tolist()
+        )
         self._edge_weights = hgraph.edge_weights.tolist()
-        self._vertex_weights = hgraph.vertex_weights.tolist()
-        self._caps: Optional[np.ndarray] = None
-        self._caps_list: List[List[float]] = []
-        self._neighbors: Dict[int, List[int]] = {}
 
-    def gain(self, v: int) -> float:
-        """Cut reduction if ``v`` switches sides (O(1) lookup)."""
-        return self.gains[v]
-
-    def move(self, v: int) -> None:
+    def move(self, v: int) -> List[int]:
         """Switch ``v``'s side with O(degree) scalar delta-gain updates.
 
         Pins are visited in incident-edge, then pin, order, so each
-        gain receives its float deltas in a fixed sequence.
+        gain receives its float deltas in a fixed sequence.  Returns
+        the pins whose heap entries :func:`_fm_pass` must refresh:
+        every pin (``v`` included, possibly repeated) of each incident
+        edge with a non-zero delta or a zero weight.
         """
         pins, edge_ptr, ve_ptr, ve_ids = self.hgraph.csr_lists()
         side, count0, gains = self.side, self.count0, self.gains
+        edge_weights = self._edge_weights
         s = side[v]
         step = -1 if s == 0 else 1
+        dirty: List[int] = []
         for e in ve_ids[ve_ptr[v]:ve_ptr[v + 1]]:
             start, end = edge_ptr[e], edge_ptr[e + 1]
             sz = end - start
@@ -114,7 +139,7 @@ class _BisectionState:
             # Pre-move pin counts on v's side (cs) and the far side (ct).
             cs = c0 if s == 0 else sz - c0
             ct = sz - cs
-            w = self._edge_weights[e]
+            w = edge_weights[e]
             # Same-side pins: moving v away adds +w when v and u were
             # the only same-side pins (u becomes lone: cs == 2) and +w
             # when the edge was uncut on this side (u can no longer
@@ -126,53 +151,33 @@ class _BisectionState:
             # All-zero deltas are skipped: that can only change the sign
             # of a zero gain, which no comparison distinguishes.
             if same or far:
-                for u in pins[start:end]:
+                edge_pins = pins[start:end]
+                for u in edge_pins:
                     if u != v:
                         gains[u] += same if side[u] == s else far
+                dirty += edge_pins
+            elif not w:
+                dirty += pins[start:end]
         # Every per-edge contribution of v itself flips sign exactly.
         gains[v] = -gains[v]
-        weight = self._vertex_weights[v]
         src, dst = self.part_weights[s], self.part_weights[1 - s]
+        n_constraints = self.n_constraints
+        base = v * n_constraints
+        weight = self.vertex_weights[base:base + n_constraints]
         for c, x in enumerate(weight):
             src[c] -= x
             dst[c] += x
         side[v] = 1 - s
+        return dirty
 
-    def fits_after_move(self, v: int, caps: np.ndarray) -> bool:
-        """Whether moving ``v`` keeps the receiving side under its caps."""
-        if caps is not self._caps:
-            self._caps, self._caps_list = caps, caps.tolist()
-        destination = 1 - self.side[v]
-        current = self.part_weights[destination]
-        cap = self._caps_list[destination]
-        for c, x in enumerate(self._vertex_weights[v]):
-            if not current[c] + x <= cap[c]:
-                return False
-        return True
-
-    def affected(self, v: int) -> List[int]:
-        """Vertices whose gain may change when ``v`` moves.
-
-        The pins of every edge incident to ``v`` (excluding ``v``),
-        unique and ascending — the dirty set re-pushed once per move
-        wave by :func:`_fm_pass`.  Static per hypergraph, so memoised.
-        """
-        neighbors = self._neighbors.get(v)
-        if neighbors is None:
-            pins, edge_ptr, ve_ptr, ve_ids = self.hgraph.csr_lists()
-            found: Set[int] = set()
-            for e in ve_ids[ve_ptr[v]:ve_ptr[v + 1]]:
-                found.update(pins[edge_ptr[e]:edge_ptr[e + 1]])
-            found.discard(v)
-            neighbors = self._neighbors[v] = sorted(found)
-        return neighbors
-
-    def boundary_vertices(self) -> np.ndarray:
-        """Vertices incident to at least one cut edge (vectorized)."""
+    def boundary_vertices(self) -> List[int]:
+        """Vertices incident to at least one cut edge, ascending."""
         hgraph = self.hgraph
         count0 = np.array(self.count0, dtype=np.int64)
         cut_edges = (count0 > 0) & (count0 < self.edge_sizes)
-        return np.unique(hgraph.pins[cut_edges[hgraph.pin_edge_ids()]])
+        on_cut = np.zeros(hgraph.n_vertices, dtype=bool)
+        on_cut[hgraph.pins[cut_edges[hgraph.pin_edge_ids()]]] = True
+        return np.flatnonzero(on_cut).tolist()
 
 
 def fm_refine(hgraph: Hypergraph, side: np.ndarray, caps: np.ndarray,
@@ -191,29 +196,36 @@ def fm_refine(hgraph: Hypergraph, side: np.ndarray, caps: np.ndarray,
         A pass aborts after this many consecutive non-improving moves.
     """
     state = _BisectionState(hgraph, side)
-    for _ in range(passes):
-        if not _fm_pass(hgraph, state, caps, stall_limit):
+    caps_list = caps.tolist()
+    for index in range(passes):
+        if not _fm_pass(state, caps_list, stall_limit,
+                        last=index == passes - 1):
             break
     side[:] = state.side
     return side
 
 
-def _fm_pass(hgraph: Hypergraph, state: _BisectionState, caps: np.ndarray,
-             stall_limit: int) -> bool:
+def _fm_pass(state: _BisectionState, caps: List[List[float]],
+             stall_limit: int, last: bool) -> bool:
     """One FM pass; returns True if the cut improved.
 
-    The lazy-deletion heap pops the highest
-    current gain (ties to the lowest vertex id), stale entries are
-    re-pushed with their current gain, and each move re-pushes its
-    dirty neighborhood *once* (``state.affected``) instead of flooding
-    the heap with one entry per (edge, pin) pair per move — the fix
-    for the historical quadratic heap churn on dense edges.
+    The lazy-deletion heap pops the highest current gain (ties to the
+    lowest vertex id) and re-pushes stale entries with their current
+    gain; each move re-pushes the unlocked pins that
+    :meth:`_BisectionState.move` returns (the module docstring argues
+    why no other entry could change a decision).  With ``last`` set, or
+    when the pass did not improve, the moves after the best prefix are
+    undone on the sides alone: no pass follows to read the rest of the
+    bookkeeping.
     """
-    locked = np.zeros(hgraph.n_vertices, dtype=bool)
-    heap: List = []
-    for v in state.boundary_vertices():
-        v = int(v)
-        heapq.heappush(heap, (-state.gain(v), v))
+    side, gains = state.side, state.gains
+    part_weights, vertex_weights = state.part_weights, state.vertex_weights
+    locked = [False] * len(side)
+    n_constraints = state.n_constraints
+    constraints = range(n_constraints)
+    heap = [(-gains[v], v) for v in state.boundary_vertices()]
+    heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     moves: List[int] = []
     cumulative = 0.0
@@ -222,33 +234,40 @@ def _fm_pass(hgraph: Hypergraph, state: _BisectionState, caps: np.ndarray,
     stall = 0
 
     while heap and stall < stall_limit:
-        neg_gain, v = heapq.heappop(heap)
+        neg_gain, v = heappop(heap)
         if locked[v]:
             continue
-        gain = state.gain(v)
+        gain = gains[v]
         if -neg_gain != gain:
             # Stale entry: re-push with the current gain.
-            heapq.heappush(heap, (-gain, v))
+            heappush(heap, (-gain, v))
             continue
-        if not state.fits_after_move(v, caps):
-            locked[v] = True
-            continue
-        state.move(v)
         locked[v] = True
-        moves.append(v)
-        cumulative += gain
-        if cumulative > best_cumulative + 1e-12:
-            best_cumulative = cumulative
-            best_index = len(moves)
-            stall = 0
+        destination = 1 - side[v]
+        current, cap = part_weights[destination], caps[destination]
+        base = v * n_constraints
+        for c in constraints:
+            if not current[c] + vertex_weights[base + c] <= cap[c]:
+                break
         else:
-            stall += 1
-        # Neighbor gains changed: one re-push per dirty vertex.
-        for u in state.affected(v):
-            if not locked[u]:
-                heapq.heappush(heap, (-state.gain(u), u))
+            dirty = state.move(v)
+            moves.append(v)
+            cumulative += gain
+            if cumulative > best_cumulative + 1e-12:
+                best_cumulative = cumulative
+                best_index = len(moves)
+                stall = 0
+            else:
+                stall += 1
+            for u in dirty:
+                if not locked[u]:
+                    heappush(heap, (-gains[u], u))
 
-    # Roll back every move after the best prefix.
-    for v in reversed(moves[best_index:]):
-        state.move(v)
-    return best_cumulative > 0.0
+    improved = best_cumulative > 0.0
+    if last or not improved:
+        for v in moves[best_index:]:
+            side[v] = 1 - side[v]
+    else:
+        for v in reversed(moves[best_index:]):
+            state.move(v)
+    return improved

@@ -22,6 +22,7 @@ operation-level cycle simulator is tractable in pure Python; the
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -276,7 +277,10 @@ def get_suite_matrix(name: str, scale: int = 1, with_rhs: bool = True):
     matrix = _cached_build(name, scale)
     if not with_rhs:
         return matrix
-    b = gen.make_rhs(matrix, seed=hash(name) % (2**31))
+    # Seeded from a digest of the name, so every process builds the
+    # same b: hash() of a string is salted per process.
+    digest = hashlib.sha256(name.encode()).digest()
+    b = gen.make_rhs(matrix, seed=int.from_bytes(digest[:8], "little"))
     return matrix, b
 
 

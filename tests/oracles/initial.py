@@ -6,7 +6,8 @@ an ``np.add.at`` score scatter, and an ``np.unique`` re-push set.  The
 production :func:`repro.hypergraph.initial._grow_once` runs the same
 algorithm with scalar list updates in the same (edge, pin) order, so
 the two must return identical sides and leave identically seeded
-generators in the same state.
+generators in the same state.  :func:`greedy_bisect_oracle` is
+:func:`repro.hypergraph.initial.greedy_bisect` over this growth.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import heapq
 import numpy as np
 
 from repro.hypergraph.hgraph import Hypergraph, ragged_take
+from repro.hypergraph.metrics import connectivity_cut
 
 
 def grow_once_oracle(hgraph: Hypergraph, target_fraction: float,
@@ -76,3 +78,18 @@ def grow_once_oracle(hgraph: Hypergraph, target_fraction: float,
             if len(remaining) and not reached_target():
                 heapq.heappush(heap, (0.0, int(rng.choice(remaining))))
     return side
+
+
+def greedy_bisect_oracle(hgraph: Hypergraph, target_fraction: float,
+                         caps0: np.ndarray, rng: np.random.Generator,
+                         tries: int = 4,
+                         edge_size_limit: int = 256) -> np.ndarray:
+    """Best-of-``tries`` :func:`grow_once_oracle` by connectivity cut."""
+    best_side, best_cut = None, np.inf
+    for _ in range(max(tries, 1)):
+        side = grow_once_oracle(hgraph, target_fraction, caps0, rng,
+                                edge_size_limit)
+        cut = connectivity_cut(hgraph, side.astype(np.int64))
+        if cut < best_cut:
+            best_side, best_cut = side, cut
+    return best_side

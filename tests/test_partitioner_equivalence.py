@@ -1,13 +1,15 @@
 """Partitioner invariants and FM-refinement equivalence.
 
-The CSR FM bookkeeping of :mod:`repro.hypergraph.refine` must be
-*bit-identical* to the gain-recomputing oracle
-(:mod:`tests.oracles.refine`) on dyadic-weight hypergraphs — both drive
-the :func:`repro.hypergraph.refine._fm_pass` selection loop and differ
-only in bookkeeping (see ``refine.py``'s module docstring for the
-exactness argument).  On arbitrary float weights gain sums may round
-differently, so there the contract weakens to cut-quality parity
-(gmean within 2%).
+Production FM (:func:`repro.hypergraph.refine.fm_refine`) must be
+*bit-identical* to the classic selection loop of
+:mod:`tests.oracles.refine` driving the production
+:class:`~repro.hypergraph.refine._BisectionState`, on any weights: the
+two differ only in which duplicate heap entries they push and in how
+the last pass rolls back (see ``refine.py``'s module docstring for the
+exactness argument).  Against the gain-recomputing oracle state the
+contract is bit-identity on dyadic-weight hypergraphs; on arbitrary
+float weights gain sums may round differently, so there it weakens to
+cut-quality parity (gmean within 2%).
 
 The scalar region growing of :mod:`repro.hypergraph.initial`, the
 sort-based ``_edge_lambdas`` of :mod:`repro.hypergraph.metrics` and the
@@ -16,7 +18,10 @@ their oracles (:mod:`tests.oracles.initial`, :mod:`tests.oracles.metrics`,
 :mod:`tests.oracles.coarsen`) exactly, on arbitrary float weights.  The
 matcher is checked at several candidate-pair budgets, which must not
 change a mapping, and one call's traced memory must stay within a
-bound that holding a whole batch's pairs exceeds.
+bound that holding a whole batch's pairs exceeds.  FM and growth are
+also checked on generated inputs (zero-weight edges, zero vertex
+weights, tight caps) and, with both oracles patched in, on a real PCG
+hypergraph mapped by ``map_azul``.
 
 Also covered: FM never increases the connectivity cut, per-constraint
 caps hold after every refine when the input satisfies them, the
@@ -27,6 +32,7 @@ serial path.
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -38,11 +44,11 @@ from repro.hypergraph import Hypergraph, PartitionerOptions, partition
 from repro.hypergraph import coarsen as coarsen_mod
 from repro.hypergraph import partitioner
 from repro.hypergraph.coarsen import coarsen, contract, match_vertices
-from repro.hypergraph.initial import _grow_once
+from repro.hypergraph.initial import _grow_once, _growth_tables
 from repro.hypergraph.metrics import _edge_lambdas, connectivity_cut, cut_weight
 from repro.hypergraph.refine import _BisectionState, fm_refine
 from tests.oracles.coarsen import contract_oracle, match_vertices_oracle
-from tests.oracles.initial import grow_once_oracle
+from tests.oracles.initial import greedy_bisect_oracle, grow_once_oracle
 from tests.oracles.metrics import edge_lambdas_oracle
 from tests.oracles.refine import RecomputingBisectionState, fm_refine_oracle
 
@@ -151,7 +157,7 @@ class TestFMInvariants:
 def assert_growth_matches_oracle(hg, fraction, caps0, seed, limit):
     """Production and oracle growth from identically seeded generators."""
     rng_prod, rng_oracle = (np.random.default_rng(seed) for _ in range(2))
-    got = _grow_once(hg, fraction, caps0, rng_prod, edge_size_limit=limit)
+    got = _grow_once(_growth_tables(hg, fraction, caps0, limit), rng_prod)
     want = grow_once_oracle(hg, fraction, caps0, rng_oracle, limit)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -213,6 +219,103 @@ class TestGrowthParity:
         caps0 = hg.total_weights() * 0.55 + hg.vertex_weights.max(axis=0)
         for seed in range(3):
             assert_growth_matches_oracle(hg, 0.5, caps0, seed, limit)
+
+
+#: The classic FM loop of the oracle driving the production bookkeeping:
+#: production FM must equal it on any weights.
+classic_refine = functools.partial(fm_refine_oracle, state=_BisectionState)
+
+
+def generated_hypergraph(draw, rng):
+    """Float weights, with zero-weight edges and zero vertex weights."""
+    hg = float_hypergraph(
+        rng, draw(st.integers(2, 90)), draw(st.integers(1, 240)),
+        draw(st.integers(1, 6)), max_pins=draw(st.integers(2, 10)),
+    )
+    if draw(st.booleans()):
+        # Few distinct non-dyadic weights: equal gains and scores
+        # reached by different float sums, where rounding decides ties.
+        hg.edge_weights = rng.choice([0.1, 0.2, 0.3], hg.n_edges)
+    zero_edges = draw(st.sampled_from([0.0, 0.2, 0.6]))
+    hg.edge_weights[rng.random(hg.n_edges) < zero_edges] = 0.0
+    zero_weights = draw(st.sampled_from([0.0, 0.4]))
+    hg.vertex_weights[rng.random(hg.vertex_weights.shape) < zero_weights] = 0.0
+    return hg
+
+
+@st.composite
+def refine_cases(draw):
+    """A generated bisection, tight caps, passes and a stall limit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hg = generated_hypergraph(draw, rng)
+    fraction = draw(st.sampled_from([0.5, 0.375, 3 / 7]))
+    epsilon = draw(st.sampled_from([0.0, 0.03, 0.1]))
+    slack = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    totals = hg.total_weights()
+    caps = np.stack([totals * fraction, totals * (1.0 - fraction)])
+    caps = caps * (1.0 + epsilon) + slack * hg.vertex_weights.max(axis=0)
+    return (hg, random_side(hg, rng), caps, draw(st.integers(1, 4)),
+            draw(st.integers(1, 128)))
+
+
+@st.composite
+def growth_cases(draw):
+    """A generated hypergraph, a target, tight caps, a seed and a limit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hg = generated_hypergraph(draw, rng)
+    fraction = draw(st.sampled_from([0.5, 0.375, 3 / 7]))
+    tightness = draw(st.sampled_from([0.9, 1.0, 1.1]))
+    slack = draw(st.sampled_from([0.0, 1.0]))
+    caps0 = (hg.total_weights() * fraction * tightness
+             + slack * hg.vertex_weights.max(axis=0))
+    return (hg, fraction, caps0, draw(st.integers(0, 2**32 - 1)),
+            draw(st.sampled_from([2, 4, 256])))
+
+
+class TestGeneratedParity:
+    @hypothesis_seed(2026)
+    @settings(max_examples=400, deadline=2000,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(refine_cases())
+    def test_fm_equals_classic_loop(self, case):
+        hg, side, caps, passes, stall_limit = case
+        want = classic_refine(hg, side.copy(), caps, passes, stall_limit)
+        got = fm_refine(hg, side.copy(), caps, passes, stall_limit)
+        assert np.array_equal(got, want)
+
+    @hypothesis_seed(2026)
+    @settings(max_examples=200, deadline=2000,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(growth_cases())
+    def test_growth_equals_oracle(self, case):
+        hg, fraction, caps0, seed, limit = case
+        assert_growth_matches_oracle(hg, fraction, caps0, seed, limit)
+
+
+class TestPCGMappingParity:
+    @pytest.mark.parametrize("preset, n_tiles", [("speed", 64),
+                                                 ("quality", 16)])
+    def test_tight_caps_on_a_suite_matrix(self, monkeypatch, preset,
+                                          n_tiles):
+        # q = 5 gives every vertex six weights under the partitioner's
+        # own caps, where most cap checks reject.
+        from repro.core import map_azul
+        from repro.experiments.common import ExperimentSession
+
+        prepared = ExperimentSession().prepare("tmt_sym")
+        options = getattr(PartitionerOptions, preset)(seed=0)
+
+        def place():
+            return map_azul(prepared.matrix, prepared.lower, n_tiles, q=5,
+                            options=options)
+
+        want = place()
+        monkeypatch.setattr(partitioner, "fm_refine", classic_refine)
+        monkeypatch.setattr(partitioner, "greedy_bisect",
+                            greedy_bisect_oracle)
+        got = place()
+        for field in ("a_tile", "l_tile", "vec_tile"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def assert_same_hypergraph(got, want):

@@ -1,5 +1,10 @@
 """Tests for the synthetic generators, suite, properties, and MM I/O."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -280,6 +285,24 @@ class TestSuite:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
             get_suite_matrix("no_such_matrix")
+
+    def test_rhs_is_the_same_in_every_process(self):
+        # String hashes are salted per process (PYTHONHASHSEED); the
+        # right-hand side's seed must not depend on them.
+        script = ("import sys; from repro.sparse.suite import "
+                  "get_suite_matrix; sys.stdout.buffer.write("
+                  "get_suite_matrix('tmt_sym')[1].tobytes())")
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                check=True, env=dict(os.environ, PYTHONPATH=str(src),
+                                     PYTHONHASHSEED=hash_seed),
+            ).stdout
+            for hash_seed in ("0", "123")
+        ]
+        _, b = get_suite_matrix("tmt_sym")
+        assert outputs[0] == outputs[1] == b.tobytes()
 
     def test_scale_grows_matrix(self):
         small = get_suite_matrix("thermal2", scale=1, with_rhs=False)
