@@ -52,7 +52,7 @@ import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import repro.obs as obs
 from repro.cache.keys import content_checksum, stable_digest
@@ -366,8 +366,8 @@ class ArtifactCache:
             )
             self._memory_put((namespace, key), value)
             self._count("writes")
-            self.sweep_tmp(TMP_SWEEP_AGE_SECONDS)
-            self._evict_over_budget(protect=payload)
+            entries, _ = self._scan(time.time() - TMP_SWEEP_AGE_SECONDS)
+            self._evict_over_budget(entries, protect=payload)
         return value
 
     def _stored(self, payload: Path, serializer: Serializer, raw: bytes,
@@ -476,67 +476,84 @@ class ArtifactCache:
 
     def sweep_tmp(self, max_age_seconds: float = TMP_SWEEP_AGE_SECONDS) -> int:
         """Remove stale ``.tmp-*`` droppings from interrupted writes."""
-        removed = 0
-        cutoff = time.time() - max_age_seconds
-        if not self.root.exists():
-            return 0
-        for tmp in self.root.glob(f"*/{TMP_PREFIX}*"):
-            try:
-                if tmp.stat().st_mtime <= cutoff:
-                    tmp.unlink()
-                    removed += 1
-            except OSError:
-                continue
-        return removed
+        return self._scan(time.time() - max_age_seconds)[1]
 
     # ------------------------------------------------------------------
     # Eviction
     # ------------------------------------------------------------------
+    def _scan(self, tmp_cutoff: Optional[float] = None) -> Tuple[list, int]:
+        """One ``os.scandir`` pass over the disk tier.
+
+        Returns ``(entries, removed)``: a ``(payload path, bytes, mtime)``
+        tuple per disk entry, in path order, and how many temp files
+        were removed.  With ``tmp_cutoff``, every ``.tmp-*`` file of a
+        cache subdirectory last modified at or before that time is
+        removed on the way.
+        """
+        entries: list = []
+        removed = 0
+        try:
+            with os.scandir(self.root) as listing:
+                directories = sorted((d for d in listing if d.is_dir()),
+                                     key=lambda d: d.name)
+        except OSError:  # no cache directory yet
+            return entries, removed
+        for directory in directories:
+            try:
+                with os.scandir(directory.path) as listing:
+                    files = sorted(listing, key=lambda f: f.name)
+            except OSError:
+                continue
+            quarantine = directory.name == QUARANTINE_DIRNAME
+            payloads, meta_bytes = [], {}
+            for item in files:
+                name = item.name
+                try:
+                    if name.startswith(TMP_PREFIX):
+                        if (tmp_cutoff is not None
+                                and item.stat().st_mtime <= tmp_cutoff):
+                            os.unlink(item.path)
+                            removed += 1
+                    elif quarantine:
+                        continue
+                    elif name.endswith(META_SUFFIX):
+                        meta_bytes[name] = item.stat().st_size
+                    elif item.is_file():
+                        payloads.append((item, item.stat()))
+                except OSError:
+                    continue  # removed meanwhile: nothing to count
+            for item, stat in payloads:
+                # No metadata: the payload alone counts.
+                meta = meta_bytes.get(item.name + META_SUFFIX, 0)
+                entries.append((item.path, stat.st_size + meta,
+                                stat.st_mtime))
+        return entries, removed
+
     def _iter_entries(self):
         """Yield ``(payload, meta_path, bytes, mtime)`` per disk entry."""
-        if not self.root.exists():
-            return
-        for directory in sorted(self.root.iterdir()):
-            if not directory.is_dir():
-                continue
-            if directory.name == QUARANTINE_DIRNAME:
-                continue
-            for payload in sorted(directory.iterdir()):
-                name = payload.name
-                if (name.startswith(TMP_PREFIX)
-                        or name.endswith(META_SUFFIX)
-                        or not payload.is_file()):
-                    continue
-                meta_path = self._meta_path(payload)
-                try:
-                    stat = payload.stat()
-                except OSError:
-                    continue
-                size = stat.st_size
-                try:
-                    size += meta_path.stat().st_size
-                except OSError:
-                    pass  # no metadata: the payload alone counts
-                yield payload, meta_path, size, stat.st_mtime
+        for path, size, mtime in self._scan()[0]:
+            payload = Path(path)
+            yield payload, self._meta_path(payload), size, mtime
 
     def disk_bytes(self) -> int:
         """Total bytes of live entries (payloads + metadata)."""
-        return sum(size for _, _, size, _ in self._iter_entries())
+        return sum(size for _, size, _ in self._scan()[0])
 
-    def _evict_over_budget(self, protect: Path = None):
-        entries = sorted(self._iter_entries(), key=lambda e: e[3])
-        total = sum(size for _, _, size, _ in entries)
-        for payload, meta_path, size, _ in entries:
+    def _evict_over_budget(self, entries: list, protect: Path):
+        """Evict the least recently used ``entries`` (from :meth:`_scan`)
+        until the disk tier fits the budget, never ``protect``."""
+        total = sum(size for _, size, _ in entries)
+        for path, size, _ in sorted(entries, key=lambda e: e[2]):
             if total <= self.max_bytes:
                 break
-            if protect is not None and payload == protect:
+            if path == str(protect):
                 continue  # never evict the entry just written
-            for path in (payload, meta_path):
+            for name in (path, path + META_SUFFIX):
                 try:
-                    path.unlink()
+                    os.unlink(name)
                 except OSError:
                     pass
-            self._memory.pop(self._memory_key_for(payload), None)
+            self._memory.pop(self._memory_key_for(Path(path)), None)
             total -= size
             self._count("evictions", flush=True)
 

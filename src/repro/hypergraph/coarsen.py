@@ -16,9 +16,8 @@ Both halves of the phase run on the flat CSR arrays:
   is checked only for pairs with a *heavy* member (above half the cap
   in some constraint): two light vertices always fit, because
   ``0.5 * cap`` is exact and rounding is monotone.  The accept walk,
-  which must see earlier matches, runs on Python lists: each unmatched
-  seed takes its best-scoring unmatched neighbor, and since pairs
-  arrive neighbor-sorted, a strict ``>`` sends ties to the lowest
+  which must see earlier matches, runs in Python: each unmatched seed
+  takes its best-scoring unmatched neighbor, ties to the lowest
   neighbor id.  A batch fixes two things the matching depends on:
   neighbors matched before the batch are filtered out, those matched
   inside it only by the walk, and its scores are differences of one
@@ -26,6 +25,27 @@ Both halves of the phase run on the flat CSR arrays:
   are built, scored and walked in chunks of consecutive seeds that fit
   ``_PAIR_BUDGET``; the cumsum carries over from chunk to chunk, so
   chunks bound memory and change nothing else.
+
+  Three shortcuts keep the matching bit-identical:
+
+  - *One sort per chunk.*  Every raw pair is one int64 key with bit
+    fields (seed, neighbor, incidence), the incidence being the
+    ``(seed, edge)`` it came from.  An edge holds a vertex once, so the
+    keys are unique, and one plain ``np.sort`` puts equal
+    ``(seed, neighbor)`` pairs in incidence order, the order a stable
+    sort of ``(seed, neighbor)`` keys gives.  Each bonus is read
+    through the incidence field, so the cumsum adds the same values in
+    the same order.
+  - *No filter in the first batch.*  Before it no vertex is matched,
+    so the batch-start filter would keep every pair.  A hypergraph of
+    at most ``_MATCH_BATCH`` vertices has no other batch.
+  - *First choices.*  Each seed's first choice is computed per chunk,
+    vectorized: the first pair (lowest neighbor id) holding the seed's
+    top score, if that beats ``-inf``.  While it is unmatched, the walk
+    takes it: no neighbor scores higher, and none before it ties, so
+    the strict-``>`` scan over the seed's still-unmatched neighbors
+    would pick it too.  Otherwise the walk runs that scan over the
+    seed's pairs alone; no chunk turns all its pairs into lists.
 * :func:`contract` drops re-pinned in-edge duplicates with one sort of
   ``edge * n_coarse + pin`` keys.  Identical pin sets merge through one
   sort per power-of-two width class of big-endian ``(size, pins...)``
@@ -45,10 +65,11 @@ Layer contract: ``coarsen`` sits above ``hgraph``/``metrics`` and below
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import PartitionError
 from repro.hypergraph.hgraph import Hypergraph, ragged_take
 
 #: Default cap on hyperedge size during matching: larger edges carry
@@ -75,20 +96,26 @@ def _batch_candidates(
     seeds: np.ndarray,
     bonus: np.ndarray,
     eligible: np.ndarray,
-    matched: np.ndarray,
+    matched: Optional[np.ndarray],
     max_vertex_weight: np.ndarray,
     light: np.ndarray,
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                    np.ndarray]]:
     """Scored merge candidates for a batch of seed vertices, in chunks.
 
-    Yields ``(chunk, seed_pos, neighbor, score)`` for consecutive runs
-    ``chunk`` of ``seeds``: one entry per pair, in ``(seed_pos,
-    neighbor)`` order; pairs over ``max_vertex_weight`` score ``-inf``.
-    ``seed_pos`` indexes into ``chunk``; ``light`` marks the vertices
-    within half the cap in every constraint.  Each chunk reads
-    ``matched`` when it is built, so the caller writes it only after
-    the last chunk: every chunk then filters by the batch-start state.
+    Yields ``(chunk, bounds, neighbor, score, choice)`` for consecutive
+    runs ``chunk`` of ``seeds``: one ``(neighbor, score)`` entry per
+    pair, in ``(seed, neighbor)`` order, seed ``chunk[i]``'s pairs at
+    ``bounds[i]:bounds[i + 1]``; pairs over ``max_vertex_weight`` score
+    ``-inf``.  ``choice[i]`` is the first choice of ``chunk[i]``: its
+    highest-scoring neighbor, ties to the lowest id, or -1 when no
+    score beats ``-inf``.  ``light`` marks the vertices within half the
+    cap in every constraint.  Each chunk reads ``matched`` when it is
+    built, so the caller writes it only after the last chunk: every
+    chunk then filters by the batch-start state.  ``matched`` is
+    ``None`` while no vertex is matched.
     """
+    n = hgraph.n_vertices
     ve_ptr, ve_ids = hgraph.incidence_arrays()
     # Incident eligible edges of every seed, flattened.
     deg = ve_ptr[seeds + 1] - ve_ptr[seeds]
@@ -107,50 +134,69 @@ def _batch_candidates(
         lo = cuts[-1]
         cuts.append(max(lo + 1, bisect_right(
             pair_ptr, pair_ptr[lo] + _PAIR_BUDGET) - 1))
+    neigh_bits = (n - 1).bit_length()
     carry = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
         chunk = seeds[lo:hi]
         inc = slice(inc_ptr[lo], inc_ptr[hi])
         edges, edge_len = inc_edges[inc], lengths[inc]
-        # Pins of those edges: the candidate neighbors.
+        seed_pos = inc_seed[inc] - lo
+        # One unique int64 key per raw pair, bit fields (seed, neighbor,
+        # incidence): a plain sort gives the stable (seed, neighbor)
+        # order (see the module docstring).
+        inc_bits = (len(edges) - 1).bit_length()
+        if (len(chunk) - 1).bit_length() + neigh_bits + inc_bits > 63:
+            raise PartitionError("hypergraph too large for int64 pair keys")
+        head = ((seed_pos << (neigh_bits + inc_bits))
+                | np.arange(len(edges)))
         neigh = ragged_take(hgraph.pins, hgraph.edge_ptr[edges], edge_len)
-        cand_seed = np.repeat(inc_seed[inc] - lo, edge_len)
-        cand_bonus = np.repeat(bonus[edges], edge_len)
-        # Drop self-pairs and already-matched neighbors (batch-start
-        # state; matches made inside the batch are re-checked in the
-        # accept walk).
-        keep = (neigh != chunk[cand_seed]) & (matched[neigh] < 0)
-        neigh, cand_seed = neigh[keep], cand_seed[keep]
-        cand_bonus = cand_bonus[keep]
-        # Accumulate scores per (seed, neighbor) pair: sort by the pair
-        # key and segment-sum the bonuses.  Scores are differences of
-        # one running cumsum over the batch; near-ties depend on its
-        # rounding.  Chunks hold consecutive seeds, so their sorted
-        # pairs are consecutive runs of the batch's, and a sequential
-        # cumsum that starts from the previous chunk's total continues
-        # the batch's bit for bit (adding that total afterwards would
-        # round differently).
-        key = cand_seed * np.int64(hgraph.n_vertices) + neigh
-        order = np.argsort(key, kind="stable")
-        key, neigh = key[order], neigh[order]
-        cand_seed, cand_bonus = cand_seed[order], cand_bonus[order]
-        first = np.ones(len(key), dtype=bool)
-        first[1:] = key[1:] != key[:-1]
+        # Drop self-pairs and, after the first batch, already-matched
+        # neighbors (batch-start state; matches made inside the batch
+        # are re-checked in the accept walk).
+        keep = neigh != np.repeat(chunk[seed_pos], edge_len)
+        if matched is not None:
+            keep &= matched[neigh] < 0
+        key = np.sort((np.repeat(head, edge_len) | (neigh << inc_bits))[keep])
+        # Accumulate scores per (seed, neighbor) pair: segment-sum the
+        # bonuses, read through each key's incidence.  Scores are
+        # differences of one running cumsum over the batch; near-ties
+        # depend on its rounding.  Chunks hold consecutive seeds, so
+        # their sorted pairs are consecutive runs of the batch's, and a
+        # sequential cumsum that starts from the previous chunk's total
+        # continues the batch's bit for bit (adding that total
+        # afterwards would round differently).
+        pair = key >> inc_bits
+        first = np.ones(len(pair), dtype=bool)
+        first[1:] = pair[1:] != pair[:-1]
         starts = np.nonzero(first)[0]
-        csum = np.cumsum(np.concatenate(([carry], cand_bonus)))
+        pair_bonus = bonus[edges][key & ((1 << inc_bits) - 1)]
+        csum = np.cumsum(np.concatenate(([carry], pair_bonus)))
         carry = csum[-1]
-        bounds = np.concatenate((starts, [len(key)]))
-        score = csum[bounds[1:]] - csum[bounds[:-1]]
-        cand_seed, neigh = cand_seed[starts], neigh[starts]
+        score = np.diff(csum[np.append(starts, len(key))])
+        pair = pair[starts]
+        cand_seed, neigh = pair >> neigh_bits, pair & ((1 << neigh_bits) - 1)
         # Weight-cap feasibility is static (merging never lightens a
         # vertex).  Two light vertices always fit, so only pairs with a
         # heavy member are summed and compared; infeasible pairs score
         # -inf, which the accept walk's strict ``>`` never takes.
-        heavy = np.nonzero(~(light[chunk][cand_seed] & light[neigh]))[0]
-        merged = (hgraph.vertex_weights[chunk[cand_seed[heavy]]]
-                  + hgraph.vertex_weights[neigh[heavy]])
-        score[heavy[~(merged <= max_vertex_weight).all(axis=1)]] = -np.inf
-        yield chunk, cand_seed, neigh, score
+        if not light.all():
+            heavy = np.nonzero(~(light[chunk][cand_seed] & light[neigh]))[0]
+            merged = (hgraph.vertex_weights[chunk[cand_seed[heavy]]]
+                      + hgraph.vertex_weights[neigh[heavy]])
+            fits = (merged <= max_vertex_weight).all(axis=1)
+            score[heavy[~fits]] = -np.inf
+        # First choices: the first pair holding its seed's top score.
+        # ``fmax`` skips NaN, which the walk's ``>`` never takes either.
+        counts = np.bincount(cand_seed, minlength=len(chunk))
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        has = np.nonzero(counts)[0]
+        top = np.fmax.reduceat(score, bounds[has])
+        valid = top > -np.inf
+        tops = np.nonzero(score == np.repeat(top, counts[has]))[0]
+        at = tops[np.searchsorted(tops, bounds[has[valid]])]
+        choice = np.full(len(chunk), -1, dtype=np.int64)
+        choice[has[valid]] = neigh[at]
+        yield chunk, bounds, neigh, score, choice
 
 
 def match_vertices(
@@ -184,34 +230,37 @@ def match_vertices(
 
     for start in range(0, n, _MATCH_BATCH):
         batch = order[start:start + _MATCH_BATCH]
-        batch = batch[matched[batch] < 0]
+        if start:
+            batch = batch[matched[batch] < 0]
         if len(batch) == 0:
             continue
         # Accept walk: per seed (in batch = permutation order), the best
         # score among still-unmatched neighbors; ``mate`` carries the
-        # matches of earlier chunks.  Each seed's pairs are contiguous
+        # matches of earlier chunks.  A free first choice is that best.
+        # Otherwise the seed's pairs are scanned: they are contiguous
         # and neighbor-sorted, so the strict ``>`` keeps the lowest
         # neighbor id among equal scores.
         accepted: List[int] = []
-        for chunk, cand_seed, cand_neigh, cand_score in _batch_candidates(
-            hgraph, batch, bonus, eligible, matched, max_vertex_weight,
-            light,
-        ):
-            bounds = np.searchsorted(
-                cand_seed, np.arange(len(chunk) + 1), side="left"
-            ).tolist()
-            neighbors, scores = cand_neigh.tolist(), cand_score.tolist()
-            for i, v in enumerate(chunk.tolist()):
-                if mate[v] >= 0:
+        for chunk, bounds, cand_neigh, cand_score, choice in \
+                _batch_candidates(hgraph, batch, bonus, eligible,
+                                  matched if start else None,
+                                  max_vertex_weight, light):
+            bounds = bounds.tolist()
+            for i, (v, best) in enumerate(zip(chunk.tolist(),
+                                              choice.tolist())):
+                if best < 0 or mate[v] >= 0:
                     continue
-                best, best_score = -1, -np.inf
-                lo, hi = bounds[i], bounds[i + 1]
-                for u, s in zip(neighbors[lo:hi], scores[lo:hi]):
-                    if s > best_score and mate[u] < 0:
-                        best, best_score = u, s
-                if best >= 0:
-                    mate[v], mate[best] = best, v
-                    accepted += (v, best)
+                if mate[best] >= 0:
+                    best, best_score = -1, -np.inf
+                    lo, hi = bounds[i], bounds[i + 1]
+                    for u, s in zip(cand_neigh[lo:hi].tolist(),
+                                    cand_score[lo:hi].tolist()):
+                        if s > best_score and mate[u] < 0:
+                            best, best_score = u, s
+                    if best < 0:
+                        continue
+                mate[v], mate[best] = best, v
+                accepted += (v, best)
         # Only now: every chunk's filter must read the batch-start state.
         matched[accepted] = [mate[u] for u in accepted]
 

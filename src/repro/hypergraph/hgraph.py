@@ -138,13 +138,19 @@ class Hypergraph:
 
     # ------------------------------------------------------------------
     def _build_incidence(self):
-        """Build the vertex -> incident-edges CSR arrays."""
-        edge_ids = np.repeat(np.arange(self.n_edges), self.edge_sizes())
-        order = np.argsort(self.pins, kind="stable")
-        sorted_pins = self.pins[order]
-        counts = np.bincount(sorted_pins, minlength=self.n_vertices)
+        """Build the vertex -> incident-edges CSR arrays.
+
+        One sort of ``(pin, edge)`` keys packed into int64: an edge
+        holds a vertex once, so the keys are unique and list each
+        vertex's edges in id order, as a stable sort of the pins would.
+        """
+        edge_bits = (self.n_edges - 1).bit_length()
+        if (self.n_vertices - 1).bit_length() + edge_bits > 63:
+            raise PartitionError("hypergraph too large for int64 pin keys")
+        key = np.sort((self.pins << edge_bits) | self.pin_edge_ids())
+        counts = np.bincount(key >> edge_bits, minlength=self.n_vertices)
         self._vertex_edge_ptr = np.concatenate(([0], np.cumsum(counts)))
-        self._vertex_edge_ids = edge_ids[order]
+        self._vertex_edge_ids = key & ((1 << edge_bits) - 1)
 
     def vertex_edges(self, v: int) -> np.ndarray:
         """Hyperedges incident to vertex ``v`` (a view)."""

@@ -29,7 +29,6 @@ resolve job counts and pass plain integers down.
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -191,6 +190,9 @@ def _recurse_parallel(hgraph: Hypergraph, vertex_ids: np.ndarray,
     completion induces the two sub-hypergraphs and submits the children.
     Base cases never touch the pool.
     """
+    # Imported here so that serial runs never load the pool machinery.
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     pending: Dict = {}
 
     def submit(executor: ProcessPoolExecutor, sub: Hypergraph,

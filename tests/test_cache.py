@@ -325,6 +325,35 @@ class TestEviction:
         assert cache.stats.evictions >= 1
         assert cache.disk_bytes() <= cache.max_bytes
 
+    def test_put_sweeps_stale_tmp_and_evicts_ties_in_path_order(
+            self, tmp_path):
+        payload = {"v": "x" * 2000}
+        probe = ArtifactCache(tmp_path / "probe", persist_stats=False)
+        probe.put("ns", "probe", payload, PICKLE)
+        cache = ArtifactCache(tmp_path / "cache",
+                              max_bytes=int(probe.disk_bytes() * 3.5),
+                              persist_stats=False)
+        # Written out of path order, then given one mtime.
+        for ns, key in (("b", "k1"), ("a", "k2"), ("a", "k0")):
+            cache.put(ns, key, payload, PICKLE)
+            os.utime(cache._payload_path(ns, key, PICKLE),
+                     (1_000_000, 1_000_000))
+        stale = [cache.root / "a" / ".tmp-stale",
+                 cache.root / "quarantine" / ".tmp-stale"]
+        for path in stale:
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(b"half-written")
+            os.utime(path, (0, 0))
+        fresh = cache.root / "b" / ".tmp-fresh"
+        fresh.write_bytes(b"in flight")
+        cache.put("c", "new", payload, PICKLE)
+        assert not any(path.exists() for path in stale)
+        assert fresh.exists()
+        cache._memory.clear()
+        assert cache.get("a", "k0", PICKLE) is MISS  # first in path order
+        for ns, key in (("a", "k2"), ("b", "k1"), ("c", "new")):
+            assert cache.get(ns, key, PICKLE) is not MISS
+
 
 # ----------------------------------------------------------------------
 # Stats & observability

@@ -11,8 +11,9 @@ only the stages they execute.  These tests pin both halves of that:
   ``repro.solvers`` and ``repro.hypergraph`` eager: importing a
   submodule that shares a public name (``repro.precond.ic0``) binds the
   module over the package attribute.
-* **Start-up.**  ``import repro`` loads nothing else, and a ``--plan``
-  dry run or a warm replay loads none of the compute stages.
+* **Start-up.**  ``import repro`` loads nothing else, a ``--plan``
+  dry run or a warm replay loads none of the compute stages, and a cold
+  ``--jobs 1`` run loads no process pool.
 
 Each check runs in a subprocess, so no module this test session already
 imported can hide a regression.  Run as a script, this file prints the
@@ -187,6 +188,9 @@ def test_warm_replay_loads_no_stage(tmp_path):
     cache = tmp_path / "cache"
     cold = _run(ids + ["--jobs", "1"], cache)
     assert "repro.sim.engine" in cold  # the cold run did simulate
+    # Serial partitioning never loads the process pool.
+    assert "repro.hypergraph.partitioner" in cold
+    assert "concurrent.futures.process" not in cold
     assert _stages(_run(ids, cache)) == []
 
 

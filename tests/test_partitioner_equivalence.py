@@ -15,13 +15,15 @@ The scalar region growing of :mod:`repro.hypergraph.initial`, the
 sort-based ``_edge_lambdas`` of :mod:`repro.hypergraph.metrics` and the
 matcher and contraction of :mod:`repro.hypergraph.coarsen` are held to
 their oracles (:mod:`tests.oracles.initial`, :mod:`tests.oracles.metrics`,
-:mod:`tests.oracles.coarsen`) exactly, on arbitrary float weights.  The
-matcher is checked at several candidate-pair budgets, which must not
-change a mapping, and one call's traced memory must stay within a
-bound that holding a whole batch's pairs exceeds.  FM and growth are
-also checked on generated inputs (zero-weight edges, zero vertex
-weights, tight caps) and, with both oracles patched in, on a real PCG
-hypergraph mapped by ``map_azul``.
+:mod:`tests.oracles.coarsen`) exactly, on arbitrary float weights, and
+growth's bisection cut to ``connectivity_cut``.  The matcher is checked
+at several candidate-pair budgets, which must not change a mapping,
+and one call's traced memory must stay within a bound that holding a
+whole batch's pairs exceeds.  FM and growth are also checked on
+generated inputs (zero-weight edges, zero vertex weights, tight caps).
+On a real PCG hypergraph mapped by ``map_azul``, the FM and growth
+oracles patched in together, and the coarsening oracles at the
+production batch size, must give the same placement.
 
 Also covered: FM never increases the connectivity cut, per-constraint
 caps hold after every refine when the input satisfies them, the
@@ -44,7 +46,11 @@ from repro.hypergraph import Hypergraph, PartitionerOptions, partition
 from repro.hypergraph import coarsen as coarsen_mod
 from repro.hypergraph import partitioner
 from repro.hypergraph.coarsen import coarsen, contract, match_vertices
-from repro.hypergraph.initial import _grow_once, _growth_tables
+from repro.hypergraph.initial import (
+    _bisection_cut,
+    _grow_once,
+    _growth_tables,
+)
 from repro.hypergraph.metrics import _edge_lambdas, connectivity_cut, cut_weight
 from repro.hypergraph.refine import _BisectionState, fm_refine
 from tests.oracles.coarsen import contract_oracle, match_vertices_oracle
@@ -292,6 +298,21 @@ class TestGeneratedParity:
         assert_growth_matches_oracle(hg, fraction, caps0, seed, limit)
 
 
+def place_tmt_sym(preset, n_tiles):
+    """``map_azul`` of the suite matrix tmt_sym at q = 5."""
+    from repro.core import map_azul
+    from repro.experiments.common import ExperimentSession
+
+    prepared = ExperimentSession().prepare("tmt_sym")
+    return map_azul(prepared.matrix, prepared.lower, n_tiles, q=5,
+                    options=getattr(PartitionerOptions, preset)(seed=0))
+
+
+def assert_same_placement(got, want):
+    for field in ("a_tile", "l_tile", "vec_tile"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
 class TestPCGMappingParity:
     @pytest.mark.parametrize("preset, n_tiles", [("speed", 64),
                                                  ("quality", 16)])
@@ -299,23 +320,29 @@ class TestPCGMappingParity:
                                           n_tiles):
         # q = 5 gives every vertex six weights under the partitioner's
         # own caps, where most cap checks reject.
-        from repro.core import map_azul
-        from repro.experiments.common import ExperimentSession
-
-        prepared = ExperimentSession().prepare("tmt_sym")
-        options = getattr(PartitionerOptions, preset)(seed=0)
-
-        def place():
-            return map_azul(prepared.matrix, prepared.lower, n_tiles, q=5,
-                            options=options)
-
-        want = place()
+        want = place_tmt_sym(preset, n_tiles)
         monkeypatch.setattr(partitioner, "fm_refine", classic_refine)
         monkeypatch.setattr(partitioner, "greedy_bisect",
                             greedy_bisect_oracle)
-        got = place()
-        for field in ("a_tile", "l_tile", "vec_tile"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert_same_placement(place_tmt_sym(preset, n_tiles), want)
+
+    def test_coarsening_oracles_at_production_constants(self, monkeypatch):
+        # tmt_sym's hypergraph has more than two batches of vertices, so
+        # the first bisection's matcher filters the second and third
+        # batches by the matches made before them.
+        want = place_tmt_sym("speed", 64)
+        sizes = []
+
+        def matcher(hg, *args, edge_size_limit):
+            sizes.append(hg.n_vertices)
+            return match_vertices_oracle(
+                hg, *args, edge_size_limit,
+                batch_size=coarsen_mod._MATCH_BATCH)
+
+        monkeypatch.setattr(coarsen_mod, "match_vertices", matcher)
+        monkeypatch.setattr(coarsen_mod, "contract", contract_oracle)
+        assert_same_placement(place_tmt_sym("speed", 64), want)
+        assert max(sizes) > 2 * coarsen_mod._MATCH_BATCH
 
 
 def assert_same_hypergraph(got, want):
@@ -559,6 +586,19 @@ class TestEdgeLambdas:
     def test_no_edges(self):
         hg = Hypergraph(4, [])
         assert len(_edge_lambdas(hg, np.zeros(4, dtype=np.int64))) == 0
+
+    def test_bisection_cut_equals_connectivity_cut(self):
+        # Growth scores its tries by side-0 pin counts; the kept try
+        # depends on the two cuts agreeing bit for bit.
+        rng = np.random.default_rng(97)
+        for trial in range(40):
+            hg = coarsening_hypergraph(rng, int(rng.integers(2, 90)),
+                                       int(rng.integers(1, 240)), 1)
+            side = random_side(hg, rng)
+            if trial < 2:
+                side[:] = trial  # one side holds every vertex
+            assert _bisection_cut(hg, side) == connectivity_cut(
+                hg, side.astype(np.int64))
 
 
 class TestStrategyParity:
