@@ -1,11 +1,11 @@
 """Benchmarks for Azul characterization: Figs. 21/22/24 and Table V."""
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig21, fig22, fig24, tab5
+from repro.experiments import run_experiment
 
 
 def test_fig21_cycle_breakdown(benchmark, subset):
-    result = run_once(benchmark, lambda: fig21.run(matrices=subset))
+    result = run_once(benchmark, run_experiment, "fig21", matrices=subset)
     for row in result.rows:
         fractions = [row[k] for k in ("fmac", "add", "mul", "send", "stall")]
         assert abs(sum(fractions) - 1.0) < 1e-9
@@ -15,7 +15,7 @@ def test_fig21_cycle_breakdown(benchmark, subset):
 
 
 def test_fig22_kernel_breakdown(benchmark, subset):
-    result = run_once(benchmark, lambda: fig22.run(matrices=subset))
+    result = run_once(benchmark, run_experiment, "fig22", matrices=subset)
     for row in result.rows:
         assert abs(row["spmv"] + row["sptrsv"] + row["vector"] - 1.0) < 1e-9
         # SpTRSV dominates runtime even on Azul (Fig. 22's shape).
@@ -23,7 +23,7 @@ def test_fig22_kernel_breakdown(benchmark, subset):
 
 
 def test_tab5_area(benchmark):
-    result = run_once(benchmark, tab5.run)
+    result = run_once(benchmark, run_experiment, "tab5")
     paper_rows = {
         row["component"]: row["area_mm2"]
         for row in result.rows if row["configuration"] == "paper 64x64"
@@ -33,7 +33,7 @@ def test_tab5_area(benchmark):
 
 
 def test_fig24_power(benchmark, subset):
-    result = run_once(benchmark, lambda: fig24.run(matrices=subset))
+    result = run_once(benchmark, run_experiment, "fig24", matrices=subset)
     for row in result.rows:
         # SRAM dominates dynamic power (Sec. VI-E).
         assert row["sram"] > row["compute"]

@@ -10,7 +10,7 @@ matrix (BenElechi1), whose mapping cost dominates the Sec. VI-D table.
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig10, fig11, fig17, fig23, tabD
+from repro.experiments import run_experiment
 
 #: Medium-size matrix for the quality-preset partition.
 QUALITY_MATRIX = "consph"
@@ -44,7 +44,7 @@ def test_mapping_quality_largest(benchmark):
 
 
 def test_fig10_idealized_pe_mappings(benchmark, subset):
-    result = run_once(benchmark, lambda: fig10.run(matrices=subset))
+    result = run_once(benchmark, run_experiment, "fig10", matrices=subset)
     # Even with idealized PEs, position-based mappings lose to Azul's.
     # (At 64 tiles a high-parallelism grid can tie — the paper's margin
     # comes from 4096 tiles — so require a majority win plus gmean.)
@@ -54,7 +54,7 @@ def test_fig10_idealized_pe_mappings(benchmark, subset):
 
 
 def test_fig11_traffic_reduction(benchmark, subset):
-    result = run_once(benchmark, lambda: fig11.run(matrices=subset))
+    result = run_once(benchmark, run_experiment, "fig11", matrices=subset)
     for row in result.rows:
         # Azul's mapping must produce the least traffic of all four.
         assert row["azul_norm"] <= row["round_robin_norm"]
@@ -64,7 +64,7 @@ def test_fig11_traffic_reduction(benchmark, subset):
 
 
 def test_fig17_time_balancing(benchmark):
-    result = run_once(benchmark, fig17.run)
+    result = run_once(benchmark, run_experiment, "fig17")
     # Time balancing must not slow the kernel down, and the issue
     # histogram of the balanced mapping must end earlier (no long tail).
     assert result.extras["speedup"] >= 1.0
@@ -75,7 +75,7 @@ def test_fig17_time_balancing(benchmark):
 
 
 def test_fig23_end_to_end_mappings(benchmark, subset):
-    result = run_once(benchmark, lambda: fig23.run(matrices=subset))
+    result = run_once(benchmark, run_experiment, "fig23", matrices=subset)
     for row in result.rows:
         assert row["azul"] > row["round_robin"]
         assert row["azul"] > row["sparsep"]
@@ -86,7 +86,7 @@ def test_tabD_mapping_costs(benchmark, subset, monkeypatch, tmp_path):
     # An empty cache, so the timed call maps every pair: fig10/11/23
     # above cache the same placements, and tabD reports stored times.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    result = run_once(benchmark, lambda: tabD.run(matrices=subset))
+    result = run_once(benchmark, run_experiment, "tabD", matrices=subset)
     for row in result.rows:
         # Azul's mapping is the most expensive, Block the cheapest
         # (Sec. VI-D's ordering).

@@ -2,18 +2,18 @@
 Fig. 7, Table II, and Table IV."""
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig01, fig03, fig07, tab1, tab2, tab4
+from repro.experiments import run_experiment
 
 
 def test_fig01_gpu_utilization(benchmark):
-    result = run_once(benchmark, fig01.run)
+    result = run_once(benchmark, run_experiment, "fig01")
     assert len(result.rows) == 6
     # Paper claim: GPU achieves under 1% of peak on every matrix.
     assert all(row["pct_of_peak"] < 1.0 for row in result.rows)
 
 
 def test_fig03_gpu_kernel_breakdown(benchmark):
-    result = run_once(benchmark, fig03.run)
+    result = run_once(benchmark, run_experiment, "fig03")
     for row in result.rows:
         # SpTRSV dominates SpMV on the GPU (Fig. 3's shape).
         assert row["sptrsv"] > row["spmv"]
@@ -22,7 +22,7 @@ def test_fig03_gpu_kernel_breakdown(benchmark):
 
 
 def test_tab1_parallelism(benchmark):
-    result = run_once(benchmark, tab1.run)
+    result = run_once(benchmark, run_experiment, "tab1")
     for row in result.rows:
         # SpMV parallelism dwarfs SpTRSV's; coloring widens SpTRSV's.
         assert row["spmv"] > row["sptrsv_permuted"]
@@ -30,7 +30,7 @@ def test_tab1_parallelism(benchmark):
 
 
 def test_fig07_coloring_speedup(benchmark):
-    result = run_once(benchmark, fig07.run)
+    result = run_once(benchmark, run_experiment, "fig07")
     # Coloring speeds up the GPU on every matrix; >=2x on most.
     speedups = result.column("speedup")
     assert all(s > 1.0 for s in speedups)
@@ -38,7 +38,7 @@ def test_fig07_coloring_speedup(benchmark):
 
 
 def test_tab2_solver_registry(benchmark):
-    result = run_once(benchmark, tab2.run)
+    result = run_once(benchmark, run_experiment, "tab2")
     assert len(result.rows) == 9
     kernels = set()
     for row in result.rows:
@@ -47,7 +47,7 @@ def test_tab2_solver_registry(benchmark):
 
 
 def test_tab4_suite_inventory(benchmark):
-    result = run_once(benchmark, lambda: tab4.run(section="small"))
+    result = run_once(benchmark, run_experiment, "tab4", section="small")
     assert len(result.rows) == 20
     # Matrices must be ordered by increasing nnz-per-row diversity and
     # cover low (grid) and high (banded/mesh) densities.

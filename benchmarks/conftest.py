@@ -21,6 +21,7 @@ def subset():
     return list(SMALL_SUBSET)
 
 
-def run_once(benchmark, fn):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+def run_once(benchmark, fn, *args, **kwargs):
+    """Run ``fn(*args, **kwargs)`` once under pytest-benchmark timing."""
+    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1,
+                              iterations=1)

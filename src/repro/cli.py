@@ -13,9 +13,10 @@ Commands
 ``simulate MATRIX``
     Full pipeline: preprocess, map, run the cycle-level simulator, and
     report throughput, breakdowns, and power.
-``experiment ID``
-    Run one experiment from the reproduction harness (see
-    ``python -m repro.experiments.runner --list``).
+``run [IDS] [FLAGS]``
+    Run experiments: every argument after ``run`` goes unparsed to the
+    experiment runner (``python -m repro.experiments.runner``), so both
+    commands take the same flags (``run --help`` lists them).
 ``cache {stats,clear,verify}``
     Inspect or maintain the artifact cache (placements, simulation
     results).  ``stats`` reports disk usage and cumulative
@@ -73,9 +74,9 @@ def _make_preconditioner(name: str, matrix):
 
 # ----------------------------------------------------------------------
 def cmd_suite(args):
-    from repro.experiments import tab4
+    from repro.experiments import run_experiment
 
-    print(tab4.run(section=args.section))
+    print(run_experiment("tab4", section=args.section))
     return 0
 
 
@@ -125,7 +126,6 @@ def cmd_map(args):
         placement = mapper(
             matrix, lower, config.num_tiles,
             options=PartitionerOptions.speed(seed=0),
-            jobs=args.jobs,
         )
     else:
         placement = mapper(matrix, lower, config.num_tiles)
@@ -161,7 +161,6 @@ def cmd_simulate(args):
         placement = mapper(
             matrix, lower, config.num_tiles,
             options=PartitionerOptions.speed(seed=0),
-            jobs=args.jobs,
         )
     else:
         placement = mapper(matrix, lower, config.num_tiles)
@@ -192,45 +191,6 @@ def cmd_simulate(args):
         f"-> {seconds * 1e6:.0f} us"
     )
     return 0
-
-
-def cmd_experiment(args):
-    from repro.experiments import run_experiment
-
-    print(run_experiment(args.id, jobs=getattr(args, "jobs", None)))
-    return 0
-
-
-def cmd_run(args):
-    """``repro run [ids...] --jobs N``: the experiment runner."""
-    from repro.experiments import runner
-
-    argv = list(args.ids)
-    if args.list:
-        argv.append("--list")
-    if args.plan:
-        argv.append("--plan")
-    if args.resume:
-        argv.append("--resume")
-    if args.keep_going:
-        argv.append("--keep-going")
-    for tag in args.filter or ():
-        argv += ["--filter", tag]
-    if args.matrices:
-        argv += ["--matrices"] + list(args.matrices)
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.csv_dir:
-        argv += ["--csv-dir", args.csv_dir]
-    if args.cache_stats:
-        argv.append("--cache-stats")
-    if args.trace is not None:
-        argv += ["--trace", args.trace]
-    if args.metrics is not None:
-        argv.append("--metrics")
-        if args.metrics:
-            argv.append(args.metrics)
-    return runner.main(argv)
 
 
 def cmd_cache(args):
@@ -302,9 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--cols", type=int, default=8)
     p_map.add_argument("--topology", default="torus",
                        choices=["torus", "mesh"], help="NoC topology")
-    p_map.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes for the partitioner's "
-                            "sub-bisections (result is identical)")
     p_map.set_defaults(func=cmd_map)
 
     p_sim = sub.add_parser("simulate", help="cycle-simulate PCG on Azul")
@@ -317,58 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--cols", type=int, default=8)
     p_sim.add_argument("--topology", default="torus",
                        choices=["torus", "mesh"], help="NoC topology")
-    p_sim.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes for the partitioner's "
-                            "sub-bisections (result is identical)")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_exp = sub.add_parser("experiment", help="run a paper experiment")
-    p_exp.add_argument("id", help="experiment id (e.g. fig20)")
-    p_exp.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes for sweep-parallel "
-                            "experiments")
-    p_exp.set_defaults(func=cmd_experiment)
-
-    p_run = sub.add_parser(
-        "run", help="run experiments via the runner (sweeps honor --jobs)",
+    # No flags of its own: main() hands everything after "run" to the
+    # experiment runner, whose parser is the only one for them.
+    sub.add_parser(
+        "run", add_help=False,
+        help="run experiments (the runner's flags: run --help)",
     )
-    p_run.add_argument("ids", nargs="*",
-                       help="experiment ids (default: all)")
-    p_run.add_argument("--list", action="store_true",
-                       help="list experiments (id, title, tags) and exit")
-    p_run.add_argument("--filter", action="append", default=None,
-                       metavar="TAG",
-                       help="only run experiments carrying TAG "
-                            "(repeatable)")
-    p_run.add_argument("--plan", action="store_true",
-                       help="dry-run: print the deduplicated sweep plan "
-                            "and predicted cache hits, simulate nothing")
-    p_run.add_argument("--resume", action="store_true",
-                       help="skip experiments already checkpointed in "
-                            "the artifact cache")
-    p_run.add_argument("--keep-going", action="store_true",
-                       help="continue past failing experiments; exit 1 "
-                            "at the end if any failed")
-    p_run.add_argument("--matrices", nargs="+", default=None,
-                       metavar="NAME",
-                       help="override the matrix set of experiments "
-                            "that take one")
-    p_run.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes for the merged simulation "
-                            "sweep (REPRO_JOBS also honored)")
-    p_run.add_argument("--csv-dir", default=None, metavar="DIR",
-                       help="also write each result as DIR/<id>.csv")
-    p_run.add_argument("--cache-stats", action="store_true",
-                       help="print artifact-cache statistics after the "
-                            "runs")
-    p_run.add_argument("--trace", default=None, metavar="PATH",
-                       help="write a Chrome trace of the runs to PATH "
-                            "(load at ui.perfetto.dev)")
-    p_run.add_argument("--metrics", nargs="?", const="", default=None,
-                       metavar="PATH",
-                       help="write a JSON metrics artifact (default "
-                            "PATH: <csv-dir>/metrics.json)")
-    p_run.set_defaults(func=cmd_run)
 
     p_cache = sub.add_parser("cache", help="inspect/maintain the "
                                            "artifact cache")
@@ -382,7 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "run":
+        from repro.experiments import runner
+
+        return runner.main(extra)
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return args.func(args)
 
 

@@ -114,8 +114,7 @@ def build_pcg_hypergraph(matrix: CSRMatrix, lower: CSRMatrix,
 def map_azul(matrix: CSRMatrix, lower: CSRMatrix, n_tiles: int,
              q: int = AZUL_DEFAULTS["q"],
              row_weight: float = AZUL_DEFAULTS["row_weight"],
-             options: Optional[PartitionerOptions] = None,
-             jobs: Optional[int] = None) -> Placement:
+             options: Optional[PartitionerOptions] = None) -> Placement:
     """Azul's data mapping: partition the PCG hypergraph over the tiles.
 
     Parameters
@@ -128,10 +127,6 @@ def map_azul(matrix: CSRMatrix, lower: CSRMatrix, n_tiles: int,
     options:
         Partitioner preset; defaults to
         :meth:`PartitionerOptions.quality` scaled-down default.
-    jobs:
-        Worker-process bound for the partitioner's independent
-        sub-bisections; ``None``/``1`` is serial.  Placements are
-        bit-identical regardless of ``jobs``.
     """
     with obs.timer("place.build_hypergraph"):
         hgraph = build_pcg_hypergraph(matrix, lower, q=q,
@@ -139,7 +134,7 @@ def map_azul(matrix: CSRMatrix, lower: CSRMatrix, n_tiles: int,
     options = options or PartitionerOptions(seed=0)
     with obs.timer("place.partition", n_tiles=n_tiles,
                    n_vertices=hgraph.n_vertices):
-        assignment = partition(hgraph, n_tiles, options, jobs=jobs)
+        assignment = partition(hgraph, n_tiles, options)
 
     vec_offset = matrix.nnz + lower.nnz
     placement = Placement(

@@ -1,13 +1,15 @@
 """Experiment harness: one declarative spec per paper table/figure.
 
 Each module registers an :class:`~repro.experiments.spec.ExperimentSpec`
-(keyed simulation points + a ``reduce`` into an ``ExperimentResult``)
-and keeps a thin ``run(...)`` shim for standalone use.  The staged
-executor (:mod:`repro.experiments.executor`) deduplicates points
-globally across experiments, checkpoints results for ``--resume``, and
-isolates failures; drive it via ``python -m repro.experiments.runner``.
-See DESIGN.md for the experiment index and docs/experiments.md for the
-spec/executor contract.
+(keyed placement and simulation points + a ``reduce`` into an
+``ExperimentResult``) and nothing else.  Every run goes through the
+staged executor (:mod:`repro.experiments.executor`), which
+deduplicates points globally across experiments, checkpoints results
+for ``--resume``, and isolates failures: drive it via
+``python -m repro.experiments.runner`` (or ``repro-azul run``), or run
+one experiment with :func:`run_experiment`.  See DESIGN.md for the
+experiment index and docs/experiments.md for the spec/executor
+contract.
 """
 
 from repro.experiments.runner import (

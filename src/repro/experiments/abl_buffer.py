@@ -65,19 +65,3 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
         return result
 
     return ExperimentPlan(session=session, points=points, reduce=reduce)
-
-
-def run(matrix: str = "consph", config: Optional[AzulConfig] = None,
-        scale: int = 1, buffer_sizes=(2, 4, 16, 64, 256),
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Sweep the per-tile message-buffer capacity on one matrix."""
-    return spec.run(jobs=jobs, matrix=matrix, config=config, scale=scale,
-                    buffer_sizes=buffer_sizes)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

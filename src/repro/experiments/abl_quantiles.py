@@ -68,19 +68,3 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
         return result
 
     return ExperimentPlan(session=session, points=points, reduce=reduce)
-
-
-def run(matrix: str = "consph", config: Optional[AzulConfig] = None,
-        scale: int = 1, quantile_counts=(0, 2, 5, 10),
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Sweep the quantile count on one matrix's forward SpTRSV."""
-    return spec.run(jobs=jobs, matrix=matrix, config=config, scale=scale,
-                    quantile_counts=quantile_counts)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

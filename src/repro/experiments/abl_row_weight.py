@@ -75,19 +75,3 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
         return result
 
     return ExperimentPlan(session=session, points=points, reduce=reduce)
-
-
-def run(matrix: str = "consph", config: Optional[AzulConfig] = None,
-        scale: int = 1, weights=(1.0, 2.0, 4.0),
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Sweep the row-edge weight on one matrix."""
-    return spec.run(jobs=jobs, matrix=matrix, config=config, scale=scale,
-                    weights=weights)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

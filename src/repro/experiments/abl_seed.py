@@ -74,19 +74,3 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
         return result
 
     return ExperimentPlan(session=session, points=points, reduce=reduce)
-
-
-def run(matrix: str = "consph", config: Optional[AzulConfig] = None,
-        scale: int = 1, seeds=(0, 1, 2),
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Map one matrix with several partitioner seeds."""
-    return spec.run(jobs=jobs, matrix=matrix, config=config, scale=scale,
-                    seeds=seeds)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -65,19 +65,3 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
         return result
 
     return ExperimentPlan(session=session, points=points, reduce=reduce)
-
-
-def run(matrices=None, config: Optional[AzulConfig] = None,
-        scale: int = 1, context_counts=(1, 2, 4, 8, 16),
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Sweep thread contexts; gmean GFLOP/s over the matrix set."""
-    return spec.run(jobs=jobs, matrices=matrices, config=config,
-                    scale=scale, context_counts=context_counts)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -77,7 +77,7 @@ PROGRAM_NAMESPACE = "programs"
 #: Simulation ``v3`` admits parametric :class:`~repro.sim.PEModel`
 #: instances (keyed on their full parameter tuple, so a custom model
 #: can never alias a registered name) for the ablation sweeps served
-#: by :meth:`ExperimentSession.simulate_many`.  Placement ``v3``: the
+#: by :func:`repro.parallel.simulate_many`.  Placement ``v3``: the
 #: vectorized multilevel partitioner (per-branch seeded recursion,
 #: sort-based matching, strategy-based FM) produces different —
 #: equal-quality — assignments than the ``v2`` per-vertex
@@ -550,24 +550,6 @@ class ExperimentSession:
         if trace:
             self._bridge_trace(key, f"{name}/{mapper}", result)
         return result
-
-    def simulate_many(self, points, jobs: Optional[int] = None, *,
-                      use_cache: Optional[bool] = None,
-                      stats: Optional[dict] = None) -> list:
-        """Compute many sweep points, fanned out across processes.
-
-        A drop-in replacement for a serial loop of :meth:`placement` and
-        :meth:`simulate` calls: results come back in point order and
-        are identical to a ``jobs=1`` run.  Cache hits short-circuit
-        before any worker is spawned, duplicate points are computed
-        once, and worker failures degrade gracefully to in-process
-        computation.  See :func:`repro.parallel.simulate_many`.
-        """
-        from repro.parallel import simulate_many as _simulate_many
-
-        return _simulate_many(
-            self, points, jobs, use_cache=use_cache, stats=stats,
-        )
 
     # -- observability -------------------------------------------------
     def cache_stats(self):

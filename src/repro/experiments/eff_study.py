@@ -66,18 +66,3 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
         return result
 
     return ExperimentPlan(session=session, points=points, reduce=reduce)
-
-
-def run(matrices=None, config: Optional[AzulConfig] = None,
-        scale: int = 1, jobs: Optional[int] = None) -> ExperimentResult:
-    """GFLOP/s per watt: simulated Azul vs the GPU model at TDP."""
-    return spec.run(jobs=jobs, matrices=matrices, config=config,
-                    scale=scale)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -31,6 +31,10 @@ declarative specs (:mod:`repro.experiments.spec`):
    failing experiment is recorded and the rest still run; the report
    aggregates the exit code.
 
+It is the only way an experiment runs: the runner drives it for a
+selection, and :func:`repro.experiments.runner.run_experiment` for one
+experiment.
+
 Instrumented through :mod:`repro.obs` as ``exec.*`` counters and
 spans (no-ops unless observability is enabled).
 """
@@ -399,8 +403,10 @@ def execute(
     Parameters
     ----------
     experiments:
-        Experiment ids (resolved through the runner registry) or
-        :class:`ExperimentSpec` objects.
+        :class:`ExperimentSpec` objects, which
+        :func:`repro.experiments.runner.load_specs` and
+        :func:`~repro.experiments.runner.run_experiment` resolve from
+        experiment ids.
     jobs:
         Worker processes for the merged sweep.
     keep_going:
@@ -420,7 +426,7 @@ def execute(
     """
     cache = cache if cache is not None else ArtifactCache.default()
     report = ExecutionReport()
-    with obs.timer("exec.run", experiments=len(list(experiments))):
+    with obs.timer("exec.run", experiments=len(experiments)):
         entries, report.sweep = plan_experiments(
             experiments, resume=resume, overrides=overrides,
             keep_going=keep_going, cache=cache,

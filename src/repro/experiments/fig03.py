@@ -6,8 +6,6 @@ V100, with SpTRSV the largest share on most matrices.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.common import ExperimentSession, default_matrices
 from repro.experiments.spec import ExperimentPlan, register
 from repro.models import GPUModel
@@ -46,17 +44,3 @@ def spec(matrices=None, scale: int = 1) -> ExperimentPlan:
         return result
 
     return ExperimentPlan(session=session, reduce=reduce)
-
-
-def run(matrices=None, scale: int = 1,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Per-kernel GPU runtime fractions for the representative set."""
-    return spec.run(jobs=jobs, matrices=matrices, scale=scale)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

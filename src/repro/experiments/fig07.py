@@ -6,8 +6,6 @@ The paper shows coloring+permutation speeds up GPU PCG by at least 2x
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.common import default_matrices
 from repro.experiments.spec import ExperimentPlan, register
 from repro.graph import color_and_permute
@@ -53,17 +51,3 @@ def spec(matrices=None, scale: int = 1) -> ExperimentPlan:
         return result
 
     return ExperimentPlan(session=None, reduce=reduce)
-
-
-def run(matrices=None, scale: int = 1,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """GPU iteration time: original vs colored+permuted inputs."""
-    return spec.run(jobs=jobs, matrices=matrices, scale=scale)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -69,18 +69,3 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
         return result
 
     return ExperimentPlan(session=session, points=points, reduce=reduce)
-
-
-def run(matrices=None, config: Optional[AzulConfig] = None,
-        scale: int = 1, jobs: Optional[int] = None) -> ExperimentResult:
-    """Static traffic analysis of one iteration under each mapping."""
-    return spec.run(jobs=jobs, matrices=matrices, config=config,
-                    scale=scale)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -96,19 +96,3 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
         return result
 
     return ExperimentPlan(session=session, points=points, reduce=reduce)
-
-
-def run(matrix: str = "consph", config: Optional[AzulConfig] = None,
-        scale: int = 1, n_buckets: int = 10, q: int = 5,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Compare nonzero-balanced (q=0) vs time-balanced (q) mappings."""
-    return spec.run(jobs=jobs, matrix=matrix, config=config, scale=scale,
-                    n_buckets=n_buckets, q=q)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -58,18 +58,3 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
         return result
 
     return ExperimentPlan(session=session, points=points, reduce=reduce)
-
-
-def run(matrices=None, config: Optional[AzulConfig] = None,
-        scale: int = 1, jobs: Optional[int] = None) -> ExperimentResult:
-    """Throughput of each mapping on the real-PE simulator."""
-    return spec.run(jobs=jobs, matrices=matrices, config=config,
-                    scale=scale)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

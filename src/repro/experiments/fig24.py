@@ -47,18 +47,3 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
         return result
 
     return ExperimentPlan(session=session, points=points, reduce=reduce)
-
-
-def run(matrices=None, config: Optional[AzulConfig] = None,
-        scale: int = 1, jobs: Optional[int] = None) -> ExperimentResult:
-    """Estimate power for each matrix from simulated activity."""
-    return spec.run(jobs=jobs, matrices=matrices, config=config,
-                    scale=scale)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -59,19 +59,3 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
         return result
 
     return ExperimentPlan(session=session, points=points, reduce=reduce)
-
-
-def run(matrices=None, config: Optional[AzulConfig] = None,
-        scale: int = 1, latencies=(1, 2, 3, 4),
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Sweep hop latency and report gmean GFLOP/s."""
-    return spec.run(jobs=jobs, matrices=matrices, config=config,
-                    scale=scale, latencies=latencies)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -72,17 +72,3 @@ def spec(cases=DEFAULT_CASES,
         return result
 
     return ExperimentPlan(session=session, points=points, reduce=reduce)
-
-
-def run(cases=DEFAULT_CASES, config: Optional[AzulConfig] = None,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Throughput across machine sizes (grid side doubling)."""
-    return spec.run(jobs=jobs, cases=cases, config=config)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

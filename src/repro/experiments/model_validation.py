@@ -90,19 +90,3 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
         return result
 
     return ExperimentPlan(session=session, points=points, reduce=reduce)
-
-
-def run(matrices=None, config: Optional[AzulConfig] = None,
-        scale: int = 1, mappers=("round_robin", "azul"),
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Predicted vs simulated iteration cycles per matrix/mapping."""
-    return spec.run(jobs=jobs, matrices=matrices, config=config,
-                    scale=scale, mappers=mappers)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

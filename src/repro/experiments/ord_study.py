@@ -10,8 +10,6 @@ dependence chains; bandwidth-oriented orderings like RCM can even
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.experiments.common import default_matrices
@@ -75,17 +73,3 @@ def spec(matrices=None, scale: int = 1) -> ExperimentPlan:
         return result
 
     return ExperimentPlan(session=None, reduce=reduce)
-
-
-def run(matrices=None, scale: int = 1,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Per-ordering bandwidth and SpTRSV parallelism."""
-    return spec.run(jobs=jobs, matrices=matrices, scale=scale)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -9,6 +9,10 @@ checkpoints in isolation.  ``--plan`` prints the dry-run, ``--resume`` skips
 checkpointed experiments, ``--keep-going`` records failures instead of
 aborting.  Experiment ids match the paper's artifact numbering (see
 DESIGN.md's per-experiment index).
+
+``repro-azul run ARGS`` hands ``ARGS`` to :func:`main` unparsed, so
+both commands share this one parser, and :func:`run_experiment` runs
+one experiment from Python.  Every run goes through the executor.
 """
 
 from __future__ import annotations
@@ -81,17 +85,34 @@ def load_specs(ids: Optional[Iterable[str]] = None) -> List[ExperimentSpec]:
             for experiment_id in (ids or EXPERIMENTS)]
 
 
-def run_experiment(experiment_id: str, jobs: Optional[int] = None,
-                   **kwargs):
-    """Run one experiment by id; returns its ExperimentResult.
+def run_experiment(experiment_id: str, *, jobs: Optional[int] = None,
+                   **overrides):
+    """Run one experiment by id through the executor; return its result.
 
-    ``jobs`` sizes the sweep over the experiment's points.
+    ``overrides`` are builder arguments (``matrices=[...]``); one the
+    builder does not take raises ``TypeError``.  ``jobs`` sizes the
+    sweep over the experiment's points.  The result is checkpointed
+    like any executor run, and a failure raises the experiment's own
+    exception.
     """
-    return load_spec(experiment_id).run(jobs=jobs, **kwargs)
+    from repro.experiments.executor import ExperimentFailure, execute
+
+    spec = load_spec(experiment_id)
+    spec.check_overrides(overrides)
+    try:
+        report = execute([spec], jobs=jobs, overrides=overrides)
+    except ExperimentFailure as failure:
+        error = failure.cause
+    else:
+        return report.outcomes[0].result
+    # Raised outside the handler, so the traceback is the experiment's.
+    raise error
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
+        # The usage line names the console command for both entry points.
+        prog="repro-azul run",
         description="Run Azul-reproduction experiments.",
     )
     parser.add_argument(

@@ -6,7 +6,7 @@ positional index (``sims[2 * index]``).  That shape made every module
 re-implement the same loop and hid the sweep structure from the
 runner, so nothing above a single experiment could share work.
 
-A spec splits one experiment into three declarative parts:
+A spec's builder splits one experiment into two declarative parts:
 
 ``points``
     A *cheap* builder product: a ``{key: point}`` mapping naming every
@@ -22,16 +22,17 @@ A spec splits one experiment into three declarative parts:
     :class:`~repro.core.placement.Placement` or a simulation result.
     Everything that is not a point — analytic models, traffic
     analysis, single-kernel simulations — lives here.
-``run()`` (module shim)
-    Each module keeps a thin ``run(...)`` wrapper delegating to
-    :meth:`ExperimentSpec.run`, so historical imports and tests keep
-    working unchanged.
 
 Builders MUST be cheap: no ``prepare``/``placement``/``simulate``
 calls — the executor builds every selected experiment's plan up front
 to compute the global sweep (and the ``--plan`` dry-run must never
 compute anything).  A mapping or a PCG-iteration simulation is a
 point; other expensive work belongs in ``reduce``.
+
+A spec never runs itself: the executor
+(:mod:`repro.experiments.executor`) computes its points and reduces
+them, and :func:`repro.experiments.runner.run_experiment` runs one
+experiment by id through it.
 
 Registration::
 
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Tuple
 
 from repro.perf import ExperimentResult
 
@@ -100,26 +101,6 @@ class ExperimentPlan:
     session: Any
     reduce: Reducer
     points: Dict[str, Any] = field(default_factory=dict)
-    #: Back-reference filled in by :meth:`ExperimentSpec.plan`.
-    spec: Optional["ExperimentSpec"] = None
-
-    def resolve(self, jobs: Optional[int] = None, *,
-                stats: Optional[dict] = None) -> Dict[str, Any]:
-        """Compute this plan's own points (single-experiment path).
-
-        The multi-experiment executor does NOT use this — it merges
-        points across plans first; this is the ``spec.run()`` /
-        ``module.run()`` shim path, and both produce identical
-        results because points resolve to identical cache keys.
-        """
-        if not self.points:
-            if stats is not None:
-                stats.update(points=0, unique=0)
-            return {}
-        from repro.parallel import simulate_keyed
-
-        return simulate_keyed(self.session, self.points, jobs,
-                              stats=stats)
 
 
 @dataclass(frozen=True)
@@ -139,8 +120,8 @@ class ExperimentSpec:
         """Whether the builder takes an override named ``name``."""
         return name in self.params
 
-    def plan(self, **overrides: Any) -> ExperimentPlan:
-        """Build this experiment's plan (cheap; never simulates)."""
+    def check_overrides(self, overrides: Mapping[str, Any]) -> None:
+        """Raise ``TypeError`` naming any override the builder lacks."""
         unknown = sorted(set(overrides) - self.params)
         if unknown:
             raise TypeError(
@@ -148,24 +129,17 @@ class ExperimentSpec:
                 f"{', '.join(unknown)}; its builder takes "
                 f"{', '.join(sorted(self.params))}"
             )
+
+    def plan(self, **overrides: Any) -> ExperimentPlan:
+        """Build this experiment's plan (cheap; never simulates)."""
+        self.check_overrides(overrides)
         plan = self.builder(**overrides)
         if not isinstance(plan, ExperimentPlan):
             raise TypeError(
                 f"builder of experiment {self.id!r} returned "
                 f"{type(plan).__name__}, expected ExperimentPlan"
             )
-        plan.spec = self
         return plan
-
-    def run(self, *, jobs: Optional[int] = None,
-            **overrides: Any) -> ExperimentResult:
-        """Plan, compute the points, reduce — one experiment alone.
-
-        ``jobs`` sizes the sweep over the points.
-        """
-        plan = self.plan(**overrides)
-        sims = plan.resolve(jobs)
-        return plan.reduce(sims)
 
     def describe(self) -> str:
         """One ``--list`` line: id, title, and tags."""

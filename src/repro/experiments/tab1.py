@@ -8,8 +8,6 @@ SpTRSV's, and permutation widens SpTRSV parallelism by 10-300x.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.common import default_matrices
 from repro.experiments.spec import ExperimentPlan, register
 from repro.graph import parallelism_report
@@ -50,17 +48,3 @@ def spec(matrices=None, scale: int = 1) -> ExperimentPlan:
         return result
 
     return ExperimentPlan(session=None, reduce=reduce)
-
-
-def run(matrices=None, scale: int = 1,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Compute the Table I rows (uses unpermuted inputs as baseline)."""
-    return spec.run(jobs=jobs, matrices=matrices, scale=scale)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -6,8 +6,6 @@ the widely used solver/preconditioner combinations.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.spec import ExperimentPlan, register
 from repro.perf import ExperimentResult
 from repro.solvers import solver_table
@@ -37,16 +35,3 @@ def spec() -> ExperimentPlan:
         return result
 
     return ExperimentPlan(session=None, reduce=reduce)
-
-
-def run(jobs: Optional[int] = None) -> ExperimentResult:
-    """Render the solver/preconditioner/kernels table."""
-    return spec.run(jobs=jobs)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

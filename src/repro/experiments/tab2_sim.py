@@ -65,17 +65,3 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
         return result
 
     return ExperimentPlan(session=session, points=points, reduce=reduce)
-
-
-def run(matrix: str = "consph", config: Optional[AzulConfig] = None,
-        scale: int = 1, jobs: Optional[int] = None) -> ExperimentResult:
-    """Per-solver iteration cycles and GFLOP/s on one mapped matrix."""
-    return spec.run(jobs=jobs, matrix=matrix, config=config, scale=scale)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

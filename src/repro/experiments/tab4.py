@@ -7,8 +7,6 @@ which machine section it belongs to.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.spec import ExperimentPlan, register
 from repro.perf import ExperimentResult
 from repro.sparse.suite import suite_inventory
@@ -48,17 +46,3 @@ def spec(section: str = "all", scale: int = 1) -> ExperimentPlan:
         return result
 
     return ExperimentPlan(session=None, reduce=reduce)
-
-
-def run(section: str = "all", scale: int = 1,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Build the suite inventory table."""
-    return spec.run(jobs=jobs, section=section, scale=scale)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

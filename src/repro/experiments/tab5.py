@@ -44,17 +44,3 @@ def spec(config: Optional[AzulConfig] = None) -> ExperimentPlan:
         return result
 
     return ExperimentPlan(session=None, reduce=reduce)
-
-
-def run(config: Optional[AzulConfig] = None,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Area breakdowns for the paper config and the simulated config."""
-    return spec.run(jobs=jobs, config=config)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -8,29 +8,26 @@ partition, uncoarsen with FM refinement at every level).
 Quality presets mirror PaToH's speed/default/quality knobs that the
 paper mentions in Sec. VI-D.
 
-Parallel recursion
-------------------
-After each bisection the left/right sub-problems are independent, so
-``partition(..., jobs=N)`` dispatches them through a bounded process
-pool.  Determinism is preserved by construction: every branch of the
-recursion tree draws its randomness from its *own* generator, seeded by
-``np.random.SeedSequence(options.seed, spawn_key=path)`` where ``path``
-is the tuple of 0/1 branch directions from the root — so the result
-depends only on ``(hypergraph, n_parts, options)`` and is bit-identical
-for ``jobs=1`` and any ``jobs=N`` (enforced by
-``tests/test_partitioner_equivalence.py``).  Worker or pool failures
-degrade gracefully to the serial path (mirroring ``repro.parallel``).
+Per-branch randomness
+---------------------
+Every branch of the recursion tree draws its randomness from its *own*
+generator, seeded by ``np.random.SeedSequence(options.seed,
+spawn_key=path)`` where ``path`` is the tuple of 0/1 branch directions
+from the root, so the result depends only on ``(hypergraph, n_parts,
+options)`` and not on the order the branches run in.  Every placement
+depends on these draws.  The partitioner runs in one process; sweeps
+spread whole placements over worker processes (:mod:`repro.parallel`).
 
 Layer contract: ``partitioner`` is the top of the hypergraph stack
 (above ``coarsen``/``initial``/``refine``) and never
 imports ``repro.sim``/``repro.core``/``repro.experiments`` — callers
-resolve job counts and pass plain integers down.
+pass options down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -94,8 +91,7 @@ def _branch_rng(options: PartitionerOptions,
     """Generator for one branch of the recursion tree.
 
     Seeded from ``(options.seed, path)`` so every branch's randomness
-    is independent of execution order — serial and parallel runs make
-    identical draws.
+    is independent of execution order.
     """
     return np.random.default_rng(
         np.random.SeedSequence(options.seed, spawn_key=path)
@@ -103,17 +99,12 @@ def _branch_rng(options: PartitionerOptions,
 
 
 def partition(hgraph: Hypergraph, n_parts: int,
-              options: Optional[PartitionerOptions] = None,
-              jobs: Optional[int] = None) -> np.ndarray:
+              options: Optional[PartitionerOptions] = None) -> np.ndarray:
     """Partition a hypergraph into ``n_parts`` parts.
 
     Returns an assignment array of length ``hgraph.n_vertices`` with
     values in ``[0, n_parts)``.  Balance is enforced per constraint to
     within ``1 + epsilon`` of ideal (plus single-vertex slack).
-
-    ``jobs`` bounds the process pool used for independent sub-
-    bisections; ``None`` or ``1`` runs serially.  Assignments are
-    bit-identical regardless of ``jobs``.
     """
     if n_parts < 1:
         raise PartitionError("n_parts must be positive")
@@ -122,25 +113,8 @@ def partition(hgraph: Hypergraph, n_parts: int,
     if n_parts == 1 or hgraph.n_vertices == 0:
         return assignment
     vertex_ids = np.arange(hgraph.n_vertices)
-    if jobs is not None and jobs > 1:
-        try:
-            _recurse_parallel(
-                hgraph, vertex_ids, n_parts, 0, assignment, options, jobs
-            )
-            return assignment
-        except Exception:
-            # Pool construction or a worker died (resource limits,
-            # daemonic parent, ...): degrade to the serial path, which
-            # produces the identical assignment.
-            assignment = np.zeros(hgraph.n_vertices, dtype=np.int64)
     _recurse(hgraph, vertex_ids, n_parts, 0, assignment, options, ())
     return assignment
-
-
-def _scatter_degenerate(vertex_ids: np.ndarray, n_parts: int,
-                        part_offset: int, assignment: np.ndarray) -> None:
-    """Round-robin scatter when there are no more vertices than parts."""
-    assignment[vertex_ids] = part_offset + np.arange(len(vertex_ids)) % n_parts
 
 
 def _recurse(hgraph: Hypergraph, vertex_ids: np.ndarray, n_parts: int,
@@ -151,7 +125,9 @@ def _recurse(hgraph: Hypergraph, vertex_ids: np.ndarray, n_parts: int,
         assignment[vertex_ids] = part_offset
         return
     if hgraph.n_vertices <= n_parts:
-        _scatter_degenerate(vertex_ids, n_parts, part_offset, assignment)
+        # No more vertices than parts: scatter them round-robin.
+        assignment[vertex_ids] = (part_offset
+                                  + np.arange(len(vertex_ids)) % n_parts)
         return
     k0 = n_parts // 2
     fraction = k0 / n_parts
@@ -166,66 +142,6 @@ def _recurse(hgraph: Hypergraph, vertex_ids: np.ndarray, n_parts: int,
              path + (0,))
     _recurse(right_sub, right_ids, n_parts - k0, part_offset + k0,
              assignment, options, path + (1,))
-
-
-def _bisect_worker(n_vertices: int, pins: np.ndarray, edge_ptr: np.ndarray,
-                   edge_weights: np.ndarray, vertex_weights: np.ndarray,
-                   fraction: float, options: PartitionerOptions,
-                   path: Tuple[int, ...]) -> np.ndarray:
-    """One multilevel bisection in a pool worker (flat-array payload)."""
-    hgraph = Hypergraph.from_flat(
-        n_vertices, pins, edge_ptr, edge_weights, vertex_weights
-    )
-    return multilevel_bisect(hgraph, fraction, options, _branch_rng(options, path))
-
-
-def _recurse_parallel(hgraph: Hypergraph, vertex_ids: np.ndarray,
-                      n_parts: int, part_offset: int,
-                      assignment: np.ndarray, options: PartitionerOptions,
-                      jobs: int) -> None:
-    """Frontier-queue recursive bisection over a bounded process pool.
-
-    The parent keeps the recursion tree: it submits one
-    :func:`_bisect_worker` task per pending bisection, and on each
-    completion induces the two sub-hypergraphs and submits the children.
-    Base cases never touch the pool.
-    """
-    # Imported here so that serial runs never load the pool machinery.
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-    pending: Dict = {}
-
-    def submit(executor: ProcessPoolExecutor, sub: Hypergraph,
-               ids: np.ndarray, k: int, offset: int,
-               path: Tuple[int, ...]) -> None:
-        if k == 1:
-            assignment[ids] = offset
-            return
-        if sub.n_vertices <= k:
-            _scatter_degenerate(ids, k, offset, assignment)
-            return
-        fraction = (k // 2) / k
-        future = executor.submit(
-            _bisect_worker, sub.n_vertices, sub.pins, sub.edge_ptr,
-            sub.edge_weights, sub.vertex_weights, fraction, options, path,
-        )
-        pending[future] = (sub, ids, k, offset, path)
-
-    with ProcessPoolExecutor(max_workers=jobs) as executor:
-        submit(executor, hgraph, vertex_ids, n_parts, part_offset, ())
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                sub, ids, k, offset, path = pending.pop(future)
-                side = future.result()
-                k0 = k // 2
-                left_mask = side == 0
-                left_sub, _ = _induced(sub, left_mask)
-                right_sub, _ = _induced(sub, ~left_mask)
-                submit(executor, left_sub, ids[left_mask], k0, offset,
-                       path + (0,))
-                submit(executor, right_sub, ids[~left_mask], k - k0,
-                       offset + k0, path + (1,))
 
 
 def _induced(hgraph: Hypergraph, mask: np.ndarray):

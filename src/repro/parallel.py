@@ -29,7 +29,8 @@ calls:
 
 Results are returned in point order and are identical to what a serial
 ``jobs=1`` run produces (mapping and simulation are deterministic; see
-``tests/test_parallel.py``).
+``tests/test_parallel.py``).  This is the one ``repro`` module that
+starts processes (``tools/check_layers.py`` rule 11).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.core.registry import AZUL_DEFAULTS
 from repro.sim.pe import PEModel
 
 __all__ = ["PlacementSpec", "SimPoint", "resolve", "simulate_many",
-           "simulate_keyed", "default_jobs", "ENV_JOBS"]
+           "default_jobs", "ENV_JOBS"]
 
 #: Sentinel marking a worker failure (distinct from any result).
 _FAILED = object()
@@ -141,13 +142,9 @@ def default_jobs() -> int:
 def _coerce(point) -> Point:
     if isinstance(point, (SimPoint, PlacementSpec)):
         return point
-    if isinstance(point, str):
-        return SimPoint(name=point)
-    if isinstance(point, dict):
-        return SimPoint(**point)
     raise TypeError(
-        f"sweep point must be a SimPoint, PlacementSpec, matrix name, or "
-        f"dict; got {type(point).__name__}"
+        f"sweep point must be a SimPoint or PlacementSpec; "
+        f"got {type(point).__name__}"
     )
 
 
@@ -263,8 +260,7 @@ def simulate_many(session, points, jobs: Optional[int] = None, *,
     session:
         The owning :class:`~repro.experiments.common.ExperimentSession`.
     points:
-        Iterable of :class:`PlacementSpec` and :class:`SimPoint` (or
-        matrix-name strings / kwargs dicts coerced to a ``SimPoint``).
+        Iterable of :class:`PlacementSpec` and :class:`SimPoint`.
     jobs:
         Worker processes; ``None`` consults ``REPRO_JOBS`` then a
         capped cpu count, ``1`` forces the serial path.
@@ -353,24 +349,3 @@ def simulate_many(session, points, jobs: Optional[int] = None, *,
     if stats is not None:
         stats.update(info)
     return results
-
-
-def simulate_keyed(session, points, jobs: Optional[int] = None, *,
-                   use_cache: Optional[bool] = None,
-                   stats: Optional[dict] = None) -> Dict[str, object]:
-    """Compute a ``{key: point}`` mapping; results come back keyed.
-
-    The keyed face of :func:`simulate_many` used by the declarative
-    experiment specs (:mod:`repro.experiments.spec`): point keys are
-    experiment-local labels, so reducers look results up by name
-    instead of fragile positional arithmetic (``sims[2 * index]``).
-    Duplicate *values* under different keys still deduplicate to one
-    computation, and semantics (cache short-circuit, worker fan-out,
-    serial fallback) are exactly :func:`simulate_many`'s.
-    """
-    keys = list(points.keys())
-    results = simulate_many(
-        session, [points[key] for key in keys], jobs,
-        use_cache=use_cache, stats=stats,
-    )
-    return dict(zip(keys, results))

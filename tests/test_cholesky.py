@@ -97,9 +97,9 @@ class TestFlopComparison:
 
 class TestExperiment:
     def test_tab_fill_runs(self):
-        from repro.experiments import tab_fill
+        from repro.experiments import run_experiment
 
-        result = tab_fill.run(matrices=["tmt_sym", "offshore"])
+        result = run_experiment("tab_fill", matrices=["tmt_sym", "offshore"])
         for row in result.rows:
             assert row["fill_ratio"] >= 1.0
             assert row["nnz_chol"] >= row["nnz_trilA"]

@@ -21,16 +21,37 @@ class TestParser:
         assert args.pe == "azul"
         assert args.rows == 8
 
-    def test_run_jobs_flag(self):
-        args = build_parser().parse_args(["run", "fig27", "--jobs", "4"])
-        assert args.ids == ["fig27"]
-        assert args.jobs == 4
+    def test_run_passes_every_runner_flag_through_unchanged(
+            self, monkeypatch):
+        from repro.experiments import runner
 
-    def test_experiment_jobs_flag(self):
-        args = build_parser().parse_args(
-            ["experiment", "fig27", "--jobs", "2"]
-        )
-        assert args.jobs == 2
+        argv = [
+            "fig21", "--list", "--filter", "sim", "--filter", "paper",
+            "--plan", "--resume", "--keep-going", "--matrices", "a", "b",
+            "--csv-dir", "out", "--cache-stats", "--jobs", "3",
+            "--trace", "t.json", "--metrics", "fig22",
+        ]
+        seen = []
+        monkeypatch.setattr(runner, "main",
+                            lambda args: seen.append(args) or 7)
+        assert main(["run", *argv]) == 7
+        assert seen == [argv]
+
+    def test_run_help_is_the_runners(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "--help"])
+        assert exited.value.code == 0
+        out = capsys.readouterr().out
+        jobs_help = " ".join(
+            out.split("  --jobs N")[1].split("  --")[0].split())
+        assert "min(8, CPU count)" in jobs_help
+        assert "placement" in jobs_help
+
+    def test_other_commands_reject_unknown_flags(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["suite", "--bogus"])
+        assert exited.value.code == 2
+        assert "--bogus" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -83,10 +104,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "GFLOP/s" in out
         assert "end-to-end" in out
-
-    def test_experiment_dispatch(self, capsys):
-        assert main(["experiment", "tab2"]) == 0
-        assert "SpTRSV" in capsys.readouterr().out
 
     def test_run_list(self, capsys):
         assert main(["run", "--list"]) == 0

@@ -6,8 +6,8 @@ per-experiment index), the global point dedup across experiments,
 placement points (no ``reduce`` maps a matrix, and ``--plan`` predicts
 every placement and simulation a serial run computes),
 checkpoint-based ``--resume``, ``--keep-going`` failure isolation,
-spec-shim parity (``module.run()`` equals the executor's output), and
-the sibling-group extension of the AST layer checker.
+the contract of ``run_experiment`` (the one way to run a single
+experiment), and the sibling-group extension of the AST layer checker.
 """
 
 import re
@@ -18,8 +18,13 @@ import pytest
 
 import repro.obs as obs
 from repro.config import AzulConfig
-from repro.experiments import EXPERIMENTS, load_spec, load_specs
-from repro.experiments import executor, fig21, fig22
+from repro.experiments import (
+    EXPERIMENTS,
+    executor,
+    load_spec,
+    load_specs,
+    run_experiment,
+)
 from repro.experiments.common import ExperimentSession
 from repro.experiments.executor import (
     ExperimentFailure,
@@ -367,20 +372,32 @@ class TestExecution:
 
 
 # ----------------------------------------------------------------------
-# Spec-shim parity
+# run_experiment: one experiment through the executor
 # ----------------------------------------------------------------------
-class TestParity:
-    @pytest.mark.parametrize("module,experiment_id",
-                             [(fig21, "fig21"), (fig22, "fig22")])
-    def test_run_shim_matches_executor(self, module, experiment_id):
-        direct = module.run(matrices=SMALL, config=TINY_CONFIG)
+class TestRunExperiment:
+    def test_unknown_override_names_it(self, fresh_cache):
+        """The executor alone would drop it; run_experiment refuses."""
+        with pytest.raises(TypeError, match="nonsense"):
+            run_experiment("fig21", nonsense=1)
+        assert list(fresh_cache.iterdir()) == []
+
+    def test_raises_the_experiments_own_exception(self, fresh_cache):
+        """A ``ValueError``, not the executor's ``ExperimentFailure``."""
+        with pytest.raises(ValueError, match="not_a_matrix"):
+            run_experiment("fig21", matrices=["not_a_matrix"],
+                           config=TINY_CONFIG)
+
+    def test_checkpoints_like_the_runner(self, fresh_cache):
+        result = run_experiment("fig21", matrices=SMALL,
+                                config=TINY_CONFIG)
         report = execute(
-            [load_spec(experiment_id)],
+            [load_spec("fig21")], resume=True,
             overrides={"matrices": SMALL, "config": TINY_CONFIG},
         )
-        via_executor = report.outcomes[0].result
-        assert direct.columns == via_executor.columns
-        assert direct.rows == via_executor.rows
+        (outcome,) = report.outcomes
+        assert outcome.status == "resumed"
+        assert outcome.result.columns == result.columns
+        assert outcome.result.rows == result.rows
 
 
 # ----------------------------------------------------------------------

@@ -5,25 +5,13 @@ Uses small matrix subsets and a 4x4-tile machine so the full pipeline
 exercise the full-size configurations.
 """
 
+import importlib
+import inspect
+
 import pytest
 
 from repro.config import AzulConfig
 from repro.experiments import EXPERIMENTS, run_experiment
-from repro.experiments import (
-    fig01,
-    fig03,
-    fig07,
-    fig11,
-    fig17,
-    fig20,
-    fig21,
-    fig22,
-    fig27,
-    tab1,
-    tab2,
-    tab4,
-    tab5,
-)
 from repro.experiments.common import ExperimentSession
 
 SMALL = ["offshore", "tmt_sym"]
@@ -63,7 +51,7 @@ class TestCommon:
 
 
 class TestDeprecatedWrappersRemoved:
-    """The pre-1.x free functions are gone; the session is the API."""
+    """Removed wrappers stay removed: each job has one path."""
 
     def test_free_functions_removed(self):
         import repro.experiments.common as common
@@ -74,6 +62,39 @@ class TestDeprecatedWrappersRemoved:
                 f"removed wrapper {gone} resurfaced in "
                 f"repro.experiments.common"
             )
+
+    def test_experiment_modules_define_no_shims(self):
+        """An experiment runs only through the executor."""
+        for experiment_id, name in EXPERIMENTS.items():
+            module = importlib.import_module(name)
+            for gone in ("run", "main"):
+                assert not hasattr(module, gone), (
+                    f"{name}.{gone} resurfaced; call "
+                    f"run_experiment({experiment_id!r}) instead"
+                )
+
+    def test_second_paths_removed(self):
+        from repro import parallel
+        from repro.experiments.spec import ExperimentPlan, ExperimentSpec
+        from repro.hypergraph import partitioner
+
+        for owner, gone in ((ExperimentSpec, "run"),
+                            (ExperimentPlan, "resolve"),
+                            (parallel, "simulate_keyed"),
+                            (ExperimentSession, "simulate_many"),
+                            (partitioner, "_recurse_parallel"),
+                            (partitioner, "_bisect_worker")):
+            assert not hasattr(owner, gone), (
+                f"removed {gone} resurfaced on {owner.__name__}"
+            )
+
+    def test_partitioner_takes_no_jobs(self):
+        """Process pools live in repro.parallel, not in the mapper."""
+        from repro.core.azul_mapping import map_azul
+        from repro.hypergraph import partition
+
+        for function in (partition, map_azul):
+            assert "jobs" not in inspect.signature(function).parameters
 
 
 class TestRunner:
@@ -103,50 +124,50 @@ class TestRunner:
 
 class TestCheapExperiments:
     def test_tab2(self):
-        result = tab2.run()
+        result = run_experiment("tab2")
         assert len(result.rows) == 9
 
     def test_tab4(self):
-        result = tab4.run(section="small")
+        result = run_experiment("tab4", section="small")
         assert len(result.rows) == 20
 
     def test_tab5(self):
-        result = tab5.run()
+        result = run_experiment("tab5")
         components = {row["component"] for row in result.rows}
         assert {"PEs", "Routers", "SRAMs", "I/O", "Total"} <= components
 
     def test_fig01(self):
-        result = fig01.run(matrices=SMALL)
+        result = run_experiment("fig01", matrices=SMALL)
         assert all(row["pct_of_peak"] < 1.0 for row in result.rows)
 
     def test_fig03(self):
-        result = fig03.run(matrices=SMALL)
+        result = run_experiment("fig03", matrices=SMALL)
         for row in result.rows:
             assert row["sptrsv"] > 0
 
     def test_tab1(self):
-        result = tab1.run(matrices=SMALL)
+        result = run_experiment("tab1", matrices=SMALL)
         for row in result.rows:
             assert row["spmv"] > row["sptrsv_permuted"]
 
     def test_fig07(self):
-        result = fig07.run(matrices=SMALL)
+        result = run_experiment("fig07", matrices=SMALL)
         assert all(row["speedup"] > 1.0 for row in result.rows)
 
 
 class TestSimulatedExperiments:
     def test_fig20_ordering(self):
-        result = fig20.run(matrices=SMALL, config=TINY_CONFIG)
+        result = run_experiment("fig20", matrices=SMALL, config=TINY_CONFIG)
         for row in result.rows:
             assert row["azul_speedup"] > row["dalorex_speedup"]
 
     def test_fig11_azul_wins(self):
-        result = fig11.run(matrices=SMALL, config=TINY_CONFIG)
+        result = run_experiment("fig11", matrices=SMALL, config=TINY_CONFIG)
         for row in result.rows:
             assert row["azul_norm"] <= row["round_robin_norm"]
 
     def test_fig21_fractions(self):
-        result = fig21.run(matrices=SMALL, config=TINY_CONFIG)
+        result = run_experiment("fig21", matrices=SMALL, config=TINY_CONFIG)
         for row in result.rows:
             total = sum(
                 row[k] for k in ("fmac", "add", "mul", "send", "stall")
@@ -154,34 +175,33 @@ class TestSimulatedExperiments:
             assert abs(total - 1.0) < 1e-9
 
     def test_fig22_fractions(self):
-        result = fig22.run(matrices=SMALL, config=TINY_CONFIG)
+        result = run_experiment("fig22", matrices=SMALL, config=TINY_CONFIG)
         for row in result.rows:
             assert abs(
                 row["spmv"] + row["sptrsv"] + row["vector"] - 1.0
             ) < 1e-9
 
     def test_fig27_multithreading(self):
-        result = fig27.run(matrices=SMALL[:1], config=TINY_CONFIG)
+        result = run_experiment("fig27", matrices=SMALL[:1],
+                                config=TINY_CONFIG)
         assert result.extras["multithreading_gain"] >= 1.0
 
     def test_fig17_runs(self):
-        result = fig17.run(matrix="tmt_sym", config=TINY_CONFIG,
-                           n_buckets=5)
+        result = run_experiment("fig17", matrix="tmt_sym",
+                                config=TINY_CONFIG, n_buckets=5)
         assert len(result.rows) == 5
         assert result.extras["speedup"] > 0
 
     def test_tab2_sim_band(self):
-        from repro.experiments import tab2_sim
-
-        result = tab2_sim.run(matrix="tmt_sym", config=TINY_CONFIG)
+        result = run_experiment("tab2_sim", matrix="tmt_sym",
+                                config=TINY_CONFIG)
         assert len(result.rows) == 9
         # Every solver must land within one order of magnitude.
         assert result.extras["max_gflops"] < 10 * result.extras["min_gflops"]
 
     def test_abl_trees_tiny(self):
-        from repro.experiments import abl_trees
-
-        result = abl_trees.run(matrices=["tmt_sym"], config=TINY_CONFIG)
+        result = run_experiment("abl_trees", matrices=["tmt_sym"],
+                                config=TINY_CONFIG)
         row = result.rows[0]
         assert row["unicast_links"] >= row["tree_links"]
         assert row["unicast_cycles"] >= row["tree_cycles"]
@@ -191,7 +211,7 @@ class TestCsvExport:
     def test_to_csv_roundtrip(self, tmp_path):
         import csv
 
-        result = tab2.run()
+        result = run_experiment("tab2")
         path = tmp_path / "tab2.csv"
         result.to_csv(path)
         with open(path, newline="") as handle:

@@ -321,8 +321,11 @@ class TestPipelineIntegration:
         assert obs.tracer().trace_events() == []
 
     def test_sweep_counters_emitted(self, session):
+        from repro.parallel import SimPoint, simulate_many
+
         obs.enable(metrics=True, tracing=False)
-        session.simulate_many(["tmt_sym", "tmt_sym"], jobs=1)
+        simulate_many(session, [SimPoint("tmt_sym"), SimPoint("tmt_sym")],
+                      jobs=1)
         counters = obs.snapshot()["counters"]
         assert counters["sweep.points"] == 2.0
         assert counters["sweep.deduplicated"] == 1.0

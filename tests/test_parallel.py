@@ -1,10 +1,10 @@
 """Tests for :mod:`repro.parallel` (process-parallel sweep execution).
 
-The contract under test: ``simulate_many(points, jobs=N)`` returns, in
-point order, exactly what a serial loop of ``session.placement`` and
-``session.simulate`` calls returns — through cache hits, in-flight
-dedup, real worker processes, and the serial fallback after worker
-failures.
+The contract under test: ``simulate_many(session, points, jobs=N)``
+returns, in point order, exactly what a serial loop of
+``session.placement`` and ``session.simulate`` calls returns — through
+cache hits, in-flight dedup, real worker processes, and the serial
+fallback after worker failures.
 """
 
 import numpy as np
@@ -13,7 +13,12 @@ import pytest
 from repro import parallel
 from repro.config import AzulConfig
 from repro.experiments.common import ExperimentSession, placement_key
-from repro.parallel import PlacementSpec, SimPoint, default_jobs
+from repro.parallel import (
+    PlacementSpec,
+    SimPoint,
+    default_jobs,
+    simulate_many,
+)
 
 TINY = AzulConfig(mesh_rows=4, mesh_cols=4)
 MATRIX = "tmt_sym"
@@ -37,15 +42,13 @@ def _timings_equal(left, right):
 
 class TestSimPoint:
     def test_coercion(self):
-        assert parallel._coerce(MATRIX) == SimPoint(name=MATRIX)
-        assert parallel._coerce({"name": MATRIX, "check": False}) \
-            == SimPoint(name=MATRIX, check=False)
         point = SimPoint(MATRIX)
         assert parallel._coerce(point) is point
         placement = PlacementSpec(MATRIX)
         assert parallel._coerce(placement) is placement
-        with pytest.raises(TypeError):
-            parallel._coerce(42)
+        for bad in (42, MATRIX, {"name": MATRIX}):
+            with pytest.raises(TypeError):
+                parallel._coerce(bad)
 
     def test_default_jobs_env(self, monkeypatch):
         monkeypatch.setenv(parallel.ENV_JOBS, "3")
@@ -87,7 +90,7 @@ class TestSimulateMany:
                      check=False),
         ]
         stats = {}
-        results = session.simulate_many(points, jobs=1, stats=stats)
+        results = simulate_many(session, points, jobs=1, stats=stats)
         assert stats["points"] == 3
         assert stats["unique"] == 2
         assert stats["deduplicated"] == 1
@@ -103,12 +106,13 @@ class TestSimulateMany:
                      check=False),
         ]
         serial_stats = {}
-        serial = ExperimentSession(TINY).simulate_many(
-            points, jobs=1, use_cache=False, stats=serial_stats,
+        serial = simulate_many(
+            ExperimentSession(TINY), points, jobs=1, use_cache=False,
+            stats=serial_stats,
         )
         parallel_stats = {}
-        fanned = ExperimentSession(TINY).simulate_many(
-            points, jobs=2, stats=parallel_stats,
+        fanned = simulate_many(
+            ExperimentSession(TINY), points, jobs=2, stats=parallel_stats,
         )
         assert serial_stats["computed_serial"] == 2
         assert parallel_stats["computed_parallel"] == 2
@@ -119,10 +123,10 @@ class TestSimulateMany:
     def test_cache_hits_short_circuit(self, fresh_cache):
         points = [SimPoint(MATRIX, check=False)]
         first = ExperimentSession(TINY)
-        warm = first.simulate_many(points, jobs=1)
+        warm = simulate_many(first, points, jobs=1)
         stats = {}
         second = ExperimentSession(TINY)
-        cached = second.simulate_many(points, jobs=4, stats=stats)
+        cached = simulate_many(second, points, jobs=4, stats=stats)
         assert stats["cache_hits"] == 1
         assert stats["computed_parallel"] == 0
         assert stats["computed_serial"] == 0
@@ -135,9 +139,9 @@ class TestSimulateMany:
             SimPoint(MATRIX, mapper="round_robin", pe="dalorex",
                      check=False),
         ]
-        ExperimentSession(TINY).simulate_many(points, jobs=2)
+        simulate_many(ExperimentSession(TINY), points, jobs=2)
         stats = {}
-        ExperimentSession(TINY).simulate_many(points, jobs=2, stats=stats)
+        simulate_many(ExperimentSession(TINY), points, jobs=2, stats=stats)
         assert stats["cache_hits"] == 2
         assert stats["computed_parallel"] == 0
 
@@ -151,7 +155,8 @@ class TestSimulateMany:
         monkeypatch.setattr(parallel, "_run_pool", broken_pool)
         session = ExperimentSession(TINY)
         stats = {}
-        results = session.simulate_many(
+        results = simulate_many(
+            session,
             [SimPoint(MATRIX, check=False),
              SimPoint(MATRIX, pe="ideal", check=False)],
             jobs=2, stats=stats,
@@ -179,7 +184,7 @@ class TestSimulateMany:
     def test_invalid_matrix_raises(self, fresh_cache):
         session = ExperimentSession(TINY)
         with pytest.raises(ValueError):
-            session.simulate_many([SimPoint("not_a_matrix")], jobs=1)
+            simulate_many(session, [SimPoint("not_a_matrix")], jobs=1)
 
 
 def _square_or_crash(spec):
@@ -204,7 +209,7 @@ class TestPlacementPoints:
         direct = session.simulate(MATRIX, "azul", "azul", check=False,
                                   use_cache=False)
         stats = {}
-        results = session.simulate_many([
+        results = simulate_many(session, [
             PlacementSpec(MATRIX),
             PlacementSpec(MATRIX, seed=0),        # the default seed
             PlacementSpec(MATRIX, row_weight=2),  # the default, as an int
@@ -225,7 +230,7 @@ class TestPlacementPoints:
             == placement_key(simulation.placement)
 
     def test_unicast_activates_more_links_than_tree(self, fresh_cache):
-        tree, unicast = ExperimentSession(TINY).simulate_many([
+        tree, unicast = simulate_many(ExperimentSession(TINY), [
             SimPoint(MATRIX, check=False),
             SimPoint(MATRIX, check=False, multicast="unicast"),
         ], jobs=1)
@@ -234,10 +239,10 @@ class TestPlacementPoints:
     def test_second_session_served_from_cache(self, fresh_cache):
         points = [PlacementSpec(MATRIX, seed=1),
                   SimPoint(MATRIX, check=False, seed=1)]
-        first = ExperimentSession(TINY).simulate_many(points, jobs=1)
+        first = simulate_many(ExperimentSession(TINY), points, jobs=1)
         stats = {}
-        again = ExperimentSession(TINY).simulate_many(points, jobs=1,
-                                                      stats=stats)
+        again = simulate_many(ExperimentSession(TINY), points, jobs=1,
+                              stats=stats)
         assert stats["cache_hits"] == 2
         assert stats["computed_serial"] == stats["computed_parallel"] == 0
         _placements_equal(again[0], first[0])
@@ -255,14 +260,16 @@ class TestPlacementPoints:
             "row_weight": SimPoint(MATRIX, check=False, row_weight=4.0),
         }
         serial_stats = {}
-        serial = parallel.simulate_keyed(
-            ExperimentSession(TINY), points, jobs=1, stats=serial_stats,
-        )
+        serial = dict(zip(points, simulate_many(
+            ExperimentSession(TINY), points.values(), jobs=1,
+            stats=serial_stats,
+        )))
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "other"))
         fanned_stats = {}
-        fanned = parallel.simulate_keyed(
-            ExperimentSession(TINY), points, jobs=2, stats=fanned_stats,
-        )
+        fanned = dict(zip(points, simulate_many(
+            ExperimentSession(TINY), points.values(), jobs=2,
+            stats=fanned_stats,
+        )))
         assert serial_stats["computed_serial"] == len(points)
         assert fanned_stats["computed_parallel"] == len(points)
         assert fanned_stats["worker_failures"] == 0

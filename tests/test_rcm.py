@@ -41,8 +41,8 @@ class TestRCM:
 
     def test_ordering_study_shape(self):
         """Coloring wins parallelism; RCM wins bandwidth (ord_study)."""
-        from repro.experiments import ord_study
+        from repro.experiments import run_experiment
 
-        result = ord_study.run(matrices=["consph", "thermal2"])
+        result = run_experiment("ord_study", matrices=["consph", "thermal2"])
         for row in result.rows:
             assert row["par_colored"] >= row["par_rcm"]

@@ -5,8 +5,8 @@ heap oracle, on generated schedules), link serialization, numeric state
 bookkeeping — plus the two cross-cutting guarantees:
 
 * the import-layer contract (``tools/check_layers.py``) holds over the
-  whole tree, and its runtime-dependency rule flags a stray scipy
-  import;
+  whole tree, its runtime-dependency rule flags a stray scipy import,
+  and its process-pool rule flags a pool outside ``repro.parallel``;
 * geometry construction is routed through
   :func:`repro.comm.make_geometry` everywhere, so
   ``AzulConfig(topology="mesh")`` is honored by the CLI, the
@@ -297,6 +297,21 @@ def test_runtime_imports_no_third_party_but_numpy(tmp_path):
     violations = _check_layers().check(src=tmp_path)
     assert len(violations) == 1
     assert "repro.sparse.generators imports scipy.spatial" in violations[0]
+
+
+def test_process_pools_only_in_parallel(tmp_path):
+    """Only ``repro.parallel`` may import a process pool, even locally."""
+    package = tmp_path / "repro" / "hypergraph"
+    package.mkdir(parents=True)
+    (tmp_path / "repro" / "parallel.py").write_text(
+        "from concurrent.futures import ProcessPoolExecutor\n")
+    (package / "partitioner.py").write_text(
+        "def f():\n"
+        "    from concurrent.futures import ProcessPoolExecutor\n")
+    violations = _check_layers().check(src=tmp_path)
+    assert len(violations) == 1
+    assert ("repro.hypergraph.partitioner imports concurrent.futures"
+            in violations[0])
 
 
 def test_no_direct_geometry_construction_outside_comm():

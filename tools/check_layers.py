@@ -22,7 +22,7 @@ but the standard library, and checks:
    program builders form a sibling group.
 5. **hypergraph independence** — ``repro.hypergraph`` never imports
    the simulator, mapping core, experiments, or CLI: the partitioner
-   is a leaf library, callers pass ``jobs``/options down explicitly.
+   is a leaf library, callers pass options down explicitly.
 6. **obs is a leaf** — ``repro.obs`` imports nothing from ``repro``
    outside itself (standard library only), so every layer may
    instrument itself through it without creating cycles.
@@ -46,6 +46,11 @@ but the standard library, and checks:
     ``dependencies`` in ``pyproject.toml``.  The sole exception is
     scipy inside ``repro.sparse.convert``, whose ``to_scipy`` /
     ``from_scipy`` interop helpers serve callers that have it.
+11. **Process pools live in one module** — no ``repro`` module but
+    ``repro.parallel`` imports ``concurrent.futures`` or
+    ``multiprocessing``: sweeps spread whole placements and
+    simulations over worker processes there, and nothing else starts
+    a process.
 
 The scan is purely static (``ast`` over every ``repro`` module);
 ``from x import y`` and ``import x`` are both resolved, including
@@ -117,6 +122,11 @@ RUNTIME_DEPENDENCIES = ("numpy",)
 OPTIONAL_IMPORTS = {
     ("repro.sparse.convert", "scipy"),
 }
+
+#: Standard-library packages that start worker processes, and the one
+#: module that may import them.
+POOL_PACKAGES = ("concurrent", "multiprocessing")
+POOL_MODULE = "repro.parallel"
 
 #: (importer-prefix, forbidden-import-prefix, reason)
 FORBIDDEN: List[Tuple[str, str, str]] = [
@@ -268,6 +278,12 @@ def check(src: Path = SRC) -> List[str]:
                     f"package outside the runtime dependencies: "
                     f"{', '.join(RUNTIME_DEPENDENCIES)})"
                 )
+            # Rule 11: only repro.parallel starts worker processes.
+            if top in POOL_PACKAGES and module != POOL_MODULE:
+                violations.append(
+                    f"{where}: {module} imports {target} (process pools "
+                    f"live only in {POOL_MODULE})"
+                )
             # Leaf packages: no repro import outside the package.
             for package, reason in LEAF_PACKAGES.items():
                 if (module == package
@@ -300,6 +316,7 @@ def main() -> int:
     print(f"layer contract OK ({summaries}; "
           f"{len(FORBIDDEN)} cross-package rules; "
           f"runtime imports: {', '.join(RUNTIME_DEPENDENCIES)}; "
+          f"process pools: {POOL_MODULE}; "
           f"{len(LEAF_PACKAGES)} leaf package(s): "
           f"{', '.join(LEAF_PACKAGES)})")
     return 0
