@@ -23,7 +23,6 @@ from repro import (
     pcg,
     power_iteration,
 )
-from repro.precond import BlockJacobiPreconditioner
 from repro.solvers import SolveOptions, chebyshev
 from repro.graph import color_and_permute
 from repro.sparse import generators
@@ -47,8 +46,6 @@ def main():
          lambda: pcg(matrix, b, SSORPreconditioner(matrix, omega=1.2))),
         ("PCG + IC(0)",
          lambda: pcg(matrix, b, IncompleteCholesky(matrix))),
-        ("PCG + BlockJacobi(8)",
-         lambda: pcg(matrix, b, BlockJacobiPreconditioner(matrix, 8))),
         ("Chebyshev",
          lambda: chebyshev(
              matrix, b,

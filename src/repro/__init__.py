@@ -109,8 +109,7 @@ _EXPORTS = {
     "repro.precond": (
         "IdentityPreconditioner", "JacobiPreconditioner",
         "IncompleteCholesky", "IncompleteLU", "SymmetricGaussSeidel",
-        "SSORPreconditioner", "BlockJacobiPreconditioner",
-        "AMGPreconditioner",
+        "SSORPreconditioner",
     ),
     "repro.core": (
         "Placement", "map_azul", "map_block", "map_round_robin",

@@ -27,9 +27,6 @@ _EXPORTS = {
     "repro.core.quantiles": ("depth_quantile_weights",),
     "repro.core.traffic": ("TrafficReport", "analyze_traffic"),
     "repro.core.registry": ("MAPPERS", "get_mapper"),
-    "repro.core.mapping_io": (
-        "save_placement", "load_placement", "placements_equal",
-    ),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -7,7 +7,6 @@ kernel (matrix + placement) into the per-tile task structures, multicast
 trees, and reduction trees the simulator executes.
 """
 
-from repro.dataflow.messages import Message, MessageKind
 from repro.dataflow.tasks import OpKind, TaskKind
 from repro.dataflow.ir import CompiledKernel
 from repro.dataflow.lower import lower_kernel
@@ -25,8 +24,6 @@ from repro.dataflow.vector_ops import (
 from repro.dataflow.program import PCGIterationProgram, build_pcg_program
 
 __all__ = [
-    "Message",
-    "MessageKind",
     "OpKind",
     "TaskKind",
     "CompiledKernel",

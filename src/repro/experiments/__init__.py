@@ -9,23 +9,21 @@ for ``--resume``, and isolates failures: drive it via
 ``python -m repro.experiments.runner`` (or ``repro-azul run``), or run
 one experiment with :func:`run_experiment`.  See DESIGN.md for the
 experiment index and docs/experiments.md for the spec/executor
-contract.
+contract.  Public names are imported on first use, so
+``python -m repro.experiments.runner`` finds the runner not yet
+imported.
 """
 
-from repro.experiments.runner import (
-    EXPERIMENTS,
-    load_spec,
-    load_specs,
-    run_experiment,
-)
-from repro.experiments.spec import ExperimentPlan, ExperimentSpec, register
+from repro import _lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentPlan",
-    "ExperimentSpec",
-    "load_spec",
-    "load_specs",
-    "register",
-    "run_experiment",
-]
+_EXPORTS = {
+    "repro.experiments.runner": (
+        "EXPERIMENTS", "load_spec", "load_specs", "run_experiment",
+    ),
+    "repro.experiments.spec": ("ExperimentPlan", "ExperimentSpec",
+                               "register"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -22,7 +22,8 @@ declarative specs (:mod:`repro.experiments.spec`):
    computing anything.
 3. **Sweep** — one :func:`repro.parallel.simulate_many` call over
    the unique points, placements dispatched first (``--jobs``
-   workers, cache short-circuit, serial fallback).
+   workers, cache short-circuit, serial fallback).  A point that
+   raises fails only the experiments that own it.
 4. **Reduce + checkpoint** — each experiment's ``reduce`` runs in
    isolation; the finished :class:`~repro.perf.ExperimentResult` is
    checkpointed through :mod:`repro.cache`, so ``--resume`` skips
@@ -437,26 +438,8 @@ def execute(
             e for e in entries
             if e.error is None and e.checkpointed is MISS
         ]
-        results_by_key: Dict[str, Any] = {}
-        unique: Dict[str, Any] = {}
-        for entry in pending:
-            for point_key, global_key in entry.point_keys.items():
-                unique.setdefault(
-                    global_key, entry.resolved[point_key]
-                )
-        if unique:
-            sweep_session = next(
-                e.plan.session for e in pending if e.point_keys
-            )
-            with obs.span("exec.sweep", unique_points=len(unique)):
-                from repro.parallel import simulate_many
-
-                ordered = list(unique)
-                results = simulate_many(
-                    sweep_session, [unique[k] for k in ordered], jobs,
-                    stats=report.sweep_stats,
-                )
-                results_by_key = dict(zip(ordered, results))
+        results_by_key = _sweep(pending, jobs, keep_going,
+                                report.sweep_stats)
 
         # Stage 4: reduce + checkpoint, isolating failures.
         for entry in entries:
@@ -478,6 +461,55 @@ def execute(
     obs.counter("exec.completed",
                 sum(o.status == "ok" for o in report.outcomes))
     return report
+
+
+def _sweep(pending: List[_Entry], jobs: Optional[int], keep_going: bool,
+           stats: Dict[str, int]) -> Dict[str, Any]:
+    """Compute the globally unique points of ``pending``, keyed.
+
+    One merged ``simulate_many`` serves every experiment.  A point that
+    raises fails only the experiments that own it: the sweep is then
+    repeated experiment by experiment (points finished before the
+    failure come back from the cache), and an experiment whose own
+    points raise records the exception as its error.  Without
+    ``keep_going`` the repeat stops at the first such experiment,
+    where stage 4 stops the run.
+    """
+    from repro.parallel import simulate_many
+
+    unique: Dict[str, Any] = {}
+    for entry in pending:
+        for point_key, global_key in entry.point_keys.items():
+            unique.setdefault(global_key, entry.resolved[point_key])
+    if not unique:
+        return {}
+    session = next(e.plan.session for e in pending if e.point_keys)
+    ordered = list(unique)
+    try:
+        with obs.span("exec.sweep", unique_points=len(unique)):
+            results = simulate_many(
+                session, [unique[k] for k in ordered], jobs, stats=stats,
+            )
+        return dict(zip(ordered, results))
+    except Exception:  # noqa: BLE001 — isolation contract
+        pass
+    results_by_key: Dict[str, Any] = {}
+    for entry in pending:
+        keys = [key for key in dict.fromkeys(entry.point_keys.values())
+                if key not in results_by_key]
+        if not keys:
+            continue
+        try:
+            results = simulate_many(
+                session, [unique[key] for key in keys], jobs,
+            )
+        except Exception as exc:  # noqa: BLE001 — isolation contract
+            entry.error = exc
+            if not keep_going:
+                break
+            continue
+        results_by_key.update(zip(keys, results))
+    return results_by_key
 
 
 def _finish(entry: _Entry, results_by_key: Dict[str, Any],

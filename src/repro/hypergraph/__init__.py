@@ -15,7 +15,6 @@ from repro.hypergraph.metrics import (
     is_balanced,
 )
 from repro.hypergraph.partitioner import partition, PartitionerOptions
-from repro.hypergraph.rebalance import rebalance
 
 __all__ = [
     "Hypergraph",
@@ -25,5 +24,4 @@ __all__ = [
     "is_balanced",
     "partition",
     "PartitionerOptions",
-    "rebalance",
 ]

@@ -9,23 +9,19 @@ accelerator's dataflow programs can execute their solves as SpTRSVs.
 from repro.precond.base import Preconditioner
 from repro.precond.identity import IdentityPreconditioner
 from repro.precond.jacobi import JacobiPreconditioner
-from repro.precond.block_jacobi import BlockJacobiPreconditioner
 from repro.precond.ic0 import IncompleteCholesky, ic0
 from repro.precond.ilu0 import IncompleteLU, ilu0
 from repro.precond.gauss_seidel import SymmetricGaussSeidel
 from repro.precond.ssor import SSORPreconditioner
-from repro.precond.amg import AMGPreconditioner
 
 __all__ = [
     "Preconditioner",
     "IdentityPreconditioner",
     "JacobiPreconditioner",
-    "BlockJacobiPreconditioner",
     "IncompleteCholesky",
     "ic0",
     "IncompleteLU",
     "ilu0",
     "SymmetricGaussSeidel",
     "SSORPreconditioner",
-    "AMGPreconditioner",
 ]

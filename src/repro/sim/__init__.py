@@ -41,14 +41,12 @@ _EXPORTS = {
     "repro.sim.engine": ("KernelSimulator",),
     "repro.sim.events": ("EventQueue",),
     "repro.sim.fabric": ("FabricModel", "LinkFabric"),
-    "repro.sim.issue": ("BatchedIssue",),
+    "repro.sim.issue": ("HorizonIssue",),
     "repro.sim.state": ("KernelState", "TileState"),
     "repro.sim.machine": ("AzulMachine",),
-    "repro.sim.full_solve": ("FullSolveResult", "simulate_full_pcg"),
     "repro.sim.solver_timing": (
         "RECIPES", "IterationRecipe", "solver_iteration_cycles",
     ),
-    "repro.sim.functional": ("functional_spmv", "functional_sptrsv"),
     "repro.sim.stats": (
         "KernelResult", "IterationResult", "CycleBreakdown",
         "breakdown_from_results",

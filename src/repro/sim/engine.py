@@ -17,7 +17,7 @@ from repro.dataflow.ir import CompiledKernel
 from repro.errors import SimulationError
 from repro.sim.events import EV_MCAST, EV_PUMP, EventQueue
 from repro.sim.fabric import LinkFabric, multicast_forks
-from repro.sim.issue import BatchedIssue
+from repro.sim.issue import HorizonIssue
 from repro.sim.pe import PEModel
 from repro.sim.state import (
     T_ADD,
@@ -59,7 +59,7 @@ class KernelSimulator:
     #: issue model holds this simulator's callbacks, so the simulator
     #: keeps no reference to it: nothing forms a reference cycle, and
     #: a finished simulator is freed as soon as its caller drops it.
-    issue_class = BatchedIssue
+    issue_class = HorizonIssue
     queue_class = EventQueue
 
     def __init__(self, program: CompiledKernel, geometry,

@@ -50,7 +50,7 @@ class EventQueue:
     scheduled at or after the current time.
 
     ``current`` is the bucket being drained (empty outside
-    :meth:`drain`); hot loops read the batching horizon from it and
+    :meth:`drain`); hot loops read the issue horizon from it and
     ``cycles`` without a method call (see :meth:`next_time`).
     """
 
@@ -83,7 +83,7 @@ class EventQueue:
         return time, kind, payload
 
     def next_time(self, default: int = NEVER) -> int:
-        """Cycle of the earliest pending event (the batching *horizon*).
+        """Cycle of the earliest pending event (the issue *horizon*).
 
         While :meth:`drain` is emptying a bucket that still holds
         events, that is the bucket's own cycle; otherwise the earliest

@@ -32,9 +32,10 @@ class KernelResult:
     activations per directed link; ``spills`` messages that overflowed
     the register buffer into the Data SRAM; ``issue_trace`` (when
     recording was requested) one ``(cycle, tile, op_kind)`` tuple per
-    issued operation, for timeline/heatmap analysis.  ``n_tiles``
-    records the simulated machine's tile count so the trace helpers in
-    :mod:`repro.sim.trace` need no redundant caller-side geometry.
+    issued operation, for the Chrome-trace export.  ``n_tiles``
+    records the simulated machine's tile count, so
+    :func:`repro.sim.trace.chrome_trace_events` lays out one track per
+    tile without the caller's geometry.
     """
 
     name: str

@@ -1,12 +1,15 @@
 """Golden models the equivalence suites compare production code against.
 
 Each oracle is the straightforward formulation of a pipeline stage —
-per-op simulator issue, the classic FM loop and per-vertex FM gains,
-array-at-a-time region growing, sort-ranked matching, per-edge cut
-counts, per-row IC(0), per-element dataflow lowering, and the k-d tree
-nearest-neighbour query — kept only as a test reference:
+per-op simulator issue, timing-free kernel execution, the classic FM
+loop and per-vertex FM gains, array-at-a-time region growing,
+sort-ranked matching, per-edge cut counts, per-row IC(0), per-element
+dataflow lowering, and the k-d tree nearest-neighbour query — kept
+only as a test reference:
 
 * :mod:`tests.oracles.sim` — operation-granularity PE issue;
+* :mod:`tests.oracles.functional` — compiled SpMV/SpTRSV programs
+  executed without timing;
 * :mod:`tests.oracles.refine` — the FM selection loop that re-pushes
   every neighbour, and bookkeeping that recomputes gains;
 * :mod:`tests.oracles.initial` — array-at-a-time region growing;

@@ -3,7 +3,7 @@
 * :class:`PerOpIssue` — operation-granularity PE issue.  Every
   operation makes a full selection scan and, on a non-ideal PE, a
   queue round-trip per issue slot, so events map 1:1 onto the hardware
-  description (Sec. V-A).  :class:`repro.sim.issue.BatchedIssue` must
+  description (Sec. V-A).  :class:`repro.sim.issue.HorizonIssue` must
   be bit-identical to it (``tests/test_engine_equivalence.py``).
 * :class:`HeapEventQueue` — the ``(time, seq)`` binary heap the
   calendar queue (:class:`repro.sim.events.EventQueue`) replaced.
@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Tuple
 
 from repro.sim.engine import KernelSimulator
 from repro.sim.events import EV_MCAST, EV_PUMP, NEVER, Handler
-from repro.sim.issue import BatchedIssue
+from repro.sim.issue import HorizonIssue
 from repro.sim.state import T_SAAC, T_SEND, TileState
 
 #: One heap entry: ``(time, seq, kind, payload)``.
@@ -68,7 +68,7 @@ class HeapEventQueue:
                 on_partial(payload, time)
 
 
-class PerOpIssue(BatchedIssue):
+class PerOpIssue(HorizonIssue):
     """Issues one operation per pump step (non-SAAC ops are shared)."""
 
     def bind(self, core) -> Handler:

@@ -18,10 +18,10 @@ from repro.dataflow.vector_ops import (
     dot_allreduce_cycles,
 )
 from repro.precond import ic0
-from repro.sim.functional import functional_spmv, functional_sptrsv
 from repro.sparse import generators as gen
 from repro.sparse.ops import sptrsv_lower as ref_sptrsv_lower
 from repro.sparse.ops import sptrsv_upper as ref_sptrsv_upper
+from tests.oracles.functional import functional_spmv, functional_sptrsv
 
 
 @pytest.fixture(scope="module")

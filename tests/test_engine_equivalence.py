@@ -1,13 +1,13 @@
 """Simulator issue equivalence suite (the bit-exactness guarantee).
 
-The simulator (:class:`KernelSimulator`: batched issue on the calendar
-queue, flat routing tables) must reproduce the per-op oracle
+The simulator (:class:`KernelSimulator`: horizon-bounded inline issue
+on the calendar queue, flat routing tables) must reproduce the per-op oracle
 (:class:`tests.oracles.sim.PerOpKernelSimulator`: one op per pump on
 the ``(time, seq)`` heap) *exactly* — same cycles, op counts, issue
 slots, link statistics, spills, queue delay, numeric output (IEEE
 bit-identical) and issue-trace multiset — across matrices, meshes, PE
 models and kernels, fixed and generated.  Any event-ordering or
-hazard-modelling drift in the batched path shows up here first.
+hazard-modelling drift in the inline pump shows up here first.
 """
 
 import numpy as np
@@ -21,7 +21,6 @@ from repro.core.placement import Placement, pin_diagonals
 from repro.dataflow import build_spmv_program, build_sptrsv_program
 from repro.precond import ic0
 from repro.sim import KernelSimulator
-from repro.sim.issue import VEC_THRESHOLD
 from repro.sim.pe import (
     AZUL_PE,
     AZUL_PE_SINGLE_THREADED,
@@ -80,20 +79,20 @@ def _assert_equivalent(program, torus, config, pe, x=None, b=None):
     reference = PerOpKernelSimulator(
         program, torus, config, pe, record_issue_trace=True
     ).run(x, b)
-    batched = KernelSimulator(
+    simulated = KernelSimulator(
         program, torus, config, pe, record_issue_trace=True
     ).run(x, b)
-    assert batched.cycles == reference.cycles
-    assert batched.op_counts == reference.op_counts
-    assert batched.busy_slots == reference.busy_slots
-    assert batched.link_activations == reference.link_activations
-    assert batched.per_link == reference.per_link
-    assert batched.spills == reference.spills
-    assert batched.link_queue_delay == reference.link_queue_delay
-    # IEEE bit identity, not tolerance: the batched accumulation must
-    # apply ops in the exact reference order.
-    assert np.array_equal(batched.output, reference.output)
-    assert sorted(map(tuple, batched.issue_trace)) \
+    assert simulated.cycles == reference.cycles
+    assert simulated.op_counts == reference.op_counts
+    assert simulated.busy_slots == reference.busy_slots
+    assert simulated.link_activations == reference.link_activations
+    assert simulated.per_link == reference.per_link
+    assert simulated.spills == reference.spills
+    assert simulated.link_queue_delay == reference.link_queue_delay
+    # IEEE bit identity, not tolerance: the simulator must apply
+    # ops in the exact reference order.
+    assert np.array_equal(simulated.output, reference.output)
+    assert sorted(map(tuple, simulated.issue_trace)) \
         == sorted(map(tuple, reference.issue_trace))
 
 
@@ -101,6 +100,7 @@ def _assert_equivalent(program, torus, config, pe, x=None, b=None):
 @pytest.mark.parametrize("pe_name", sorted(PES))
 @pytest.mark.parametrize("kind,rows,cols", [
     ("fem", 4, 4),
+    ("fem", 2, 2),    # whole columns per tile: long column-segment runs
     ("spd", 4, 4),
     ("grid", 2, 2),   # tiny mesh: heavy window competition per tile
 ])
@@ -129,21 +129,6 @@ def test_mesh_and_torus_timing_differ():
     mesh_cycles = KernelSimulator(
         spmv_m, mesh, mconfig, AZUL_PE).run(x=x).cycles
     assert torus_cycles != mesh_cycles
-
-
-def test_equivalence_exercises_vectorized_batches():
-    """The fem case must actually hit the numpy batch path.
-
-    A 2x2 mesh concentrates whole matrix columns on each tile, so at
-    least one column-segment run must exceed ``VEC_THRESHOLD`` — the
-    analytic completion-time kernel (not just the scalar fast-forward)
-    is therefore covered by the equivalence assertion below.
-    """
-    matrix, torus, config, spmv, _ = _programs("fem", 2, 2)
-    longest = int(np.diff(spmv.seg_ptr).max())
-    assert longest >= VEC_THRESHOLD
-    x = np.ones(matrix.shape[0])
-    _assert_equivalent(spmv, torus, config, AZUL_PE, x=x)
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,35 @@ class TestExecution:
         finally:
             unregister("syn_abort")
 
+    @pytest.mark.parametrize("jobs,matrices", [
+        (1, ["not_a_matrix"]),
+        # A second, valid point makes the sweep start a process pool.
+        (2, ["not_a_matrix", "tmt_sym"]),
+    ])
+    def test_failing_point_fails_only_its_experiment(
+            self, fresh_cache, capsys, jobs, matrices):
+        from repro.experiments.runner import main
+
+        code = main(["fig21", "tab2", "--matrices", *matrices,
+                     "--keep-going", "--jobs", str(jobs)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "TAB2 - Iterative solvers" in out
+        assert ("[fig21 FAILED: ValueError: unknown matrix "
+                "'not_a_matrix'") in err
+        assert "tab2 FAILED" not in err
+
+    def test_failing_point_stops_the_run_without_keep_going(
+            self, fresh_cache):
+        finished = []
+        with pytest.raises(ExperimentFailure) as failure:
+            execute([load_spec("fig21"), load_spec("tab2")], jobs=1,
+                    overrides={"matrices": ["not_a_matrix"]},
+                    on_outcome=finished.append)
+        assert failure.value.experiment_id == "fig21"
+        assert isinstance(failure.value.cause, ValueError)
+        assert [o.experiment_id for o in finished] == ["fig21"]
+
     def test_shared_sweep_serves_both_experiments(self, fresh_cache):
         report = execute(
             [load_spec("fig21"), load_spec("fig22")],

@@ -7,6 +7,10 @@ exercise the full-size configurations.
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from repro.config import AzulConfig
 from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.common import ExperimentSession
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL = ["offshore", "tmt_sym"]
 TINY_CONFIG = AzulConfig(mesh_rows=4, mesh_cols=4)
 
@@ -96,6 +101,45 @@ class TestDeprecatedWrappersRemoved:
         for function in (partition, map_azul):
             assert "jobs" not in inspect.signature(function).parameters
 
+    @pytest.mark.parametrize("module", [
+        "repro.apps", "repro.core.mapping_io", "repro.precond.amg",
+        "repro.precond.block_jacobi", "repro.hypergraph.rebalance",
+        "repro.sim.full_solve", "repro.sim.functional",
+        "repro.dataflow.messages",
+    ])
+    def test_unreached_modules_removed(self, module):
+        """No experiment, runner path or CLI command reached these."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_unreached_names_removed(self):
+        import repro
+        from repro import core, dataflow, hypergraph, precond, sim
+        from repro.sim import issue, trace
+
+        for owner, gone in (
+            (repro, "BlockJacobiPreconditioner"),
+            (repro, "AMGPreconditioner"),
+            (precond, "BlockJacobiPreconditioner"),
+            (precond, "AMGPreconditioner"),
+            (core, "save_placement"), (core, "load_placement"),
+            (core, "placements_equal"),
+            (hypergraph, "rebalance"),
+            (dataflow, "Message"), (dataflow, "MessageKind"),
+            (sim, "FullSolveResult"), (sim, "simulate_full_pcg"),
+            (sim, "functional_spmv"), (sim, "functional_sptrsv"),
+            (sim, "BatchedIssue"),
+            (trace, "utilization_timeline"), (trace, "tile_activity"),
+            (trace, "op_mix_by_tile"), (trace, "link_heatmap"),
+            (trace, "idle_tail_fraction"), (trace, "export_trace_csv"),
+            (issue, "VEC_THRESHOLD"),
+            (issue.HorizonIssue, "_saac_batch"),
+            (issue.HorizonIssue, "_plan_batch_vectorized"),
+        ):
+            assert not hasattr(owner, gone), (
+                f"removed {gone} resurfaced on {owner.__name__}"
+            )
+
 
 class TestRunner:
     def test_registry_covers_all_artifacts(self):
@@ -120,6 +164,18 @@ class TestRunner:
     def test_run_experiment_dispatches(self):
         result = run_experiment("tab2")
         assert result.experiment == "tab2"
+
+    def test_runner_module_runs_without_runtime_warning(self):
+        """``repro.experiments`` imports the runner only on first use,
+        so ``-m repro.experiments.runner`` does not find it loaded."""
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.experiments.runner", "--list"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "fig21" in proc.stdout
 
 
 class TestCheapExperiments:

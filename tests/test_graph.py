@@ -58,6 +58,22 @@ class TestColoring:
             greedy_coloring(grid_matrix, strategy="rainbow")
 
 
+class TestDsatur:
+    def test_valid_coloring(self, grid_matrix):
+        colors = greedy_coloring(grid_matrix, strategy="dsatur")
+        assert validate_coloring(grid_matrix, colors)
+
+    def test_grid_two_colors(self):
+        matrix = gen.grid_laplacian_2d(6, 6)
+        colors = greedy_coloring(matrix, strategy="dsatur")
+        assert colors.max() + 1 == 2
+
+    def test_no_more_colors_than_largest_first(self, mesh_matrix):
+        dsatur = greedy_coloring(mesh_matrix, strategy="dsatur")
+        largest = greedy_coloring(mesh_matrix, strategy="largest_first")
+        assert dsatur.max() <= largest.max() + 1
+
+
 class TestPermutation:
     def test_inverse(self, rng):
         perm = rng.permutation(20)

@@ -210,75 +210,3 @@ class TestPartition:
         for options in (fast, good):
             assignment = partition(hg, 2, options)
             assert set(np.unique(assignment)) == {0, 1}
-
-
-class TestRebalance:
-    def _skewed_instance(self, seed=11):
-        rng = np.random.default_rng(seed)
-        n = 60
-        edges = [
-            [int(rng.integers(n)), int(rng.integers(n))] for _ in range(120)
-        ]
-        edges = [e for e in edges if e[0] != e[1]]
-        hg = Hypergraph(n, edges)
-        # Deliberately skewed: part 0 holds 2/3 of the vertices.
-        assignment = np.zeros(n, dtype=np.int64)
-        assignment[40:] = rng.integers(1, 4, 20)
-        return hg, assignment
-
-    def test_restores_balance(self):
-        from repro.hypergraph import rebalance
-
-        hg, assignment = self._skewed_instance()
-        assert not is_balanced(hg, assignment, 4, epsilon=0.10, slack=1.0)
-        repaired = rebalance(hg, assignment, 4, epsilon=0.10)
-        assert is_balanced(hg, repaired, 4, epsilon=0.10, slack=1.0)
-
-    def test_original_untouched(self):
-        from repro.hypergraph import rebalance
-
-        hg, assignment = self._skewed_instance()
-        snapshot = assignment.copy()
-        rebalance(hg, assignment, 4, epsilon=0.10)
-        assert np.array_equal(assignment, snapshot)
-
-    def test_cut_growth_is_bounded(self):
-        from repro.hypergraph import rebalance
-
-        hg, assignment = self._skewed_instance()
-        before = connectivity_cut(hg, assignment)
-        repaired = rebalance(hg, assignment, 4, epsilon=0.10)
-        after = connectivity_cut(hg, repaired)
-        # Greedy min-delta moves: cut grows, but not catastrophically.
-        total = float(hg.edge_weights.sum())
-        assert after - before < 0.8 * total
-
-    def test_balanced_input_is_noop(self):
-        from repro.hypergraph import rebalance
-
-        hg = Hypergraph(8, [[0, 1], [2, 3], [4, 5], [6, 7]])
-        assignment = np.array([0, 0, 1, 1, 2, 2, 3, 3])
-        repaired = rebalance(hg, assignment, 4, epsilon=0.10)
-        assert np.array_equal(repaired, assignment)
-
-    def test_multi_constraint_repair(self):
-        from repro.hypergraph import rebalance
-
-        rng = np.random.default_rng(13)
-        n = 40
-        weights = np.ones((n, 2))
-        weights[:10, 1] = 5.0  # heavy second-constraint vertices
-        hg = Hypergraph(
-            n,
-            [[int(rng.integers(n)), int(rng.integers(n))]
-             for _ in range(60)],
-            vertex_weights=weights,
-        )
-        # All heavy vertices crammed into part 0.
-        assignment = rng.integers(0, 4, n)
-        assignment[:10] = 0
-        repaired = rebalance(hg, assignment, 4, epsilon=0.25)
-        per_part = np.zeros(4)
-        np.add.at(per_part, repaired, weights[:, 1])
-        cap = weights[:, 1].sum() / 4 * 1.25 + 5.0
-        assert per_part.max() <= cap + 1e-9

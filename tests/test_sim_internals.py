@@ -57,6 +57,32 @@ class TestLinkSerialization:
         assert busiest <= result.cycles
 
 
+class TestQueueDelay:
+    def test_congested_mapping_has_more_queueing(self):
+        matrix = gen.random_spd(80, nnz_per_row=6, seed=74)
+        lower = ic0(matrix)
+        torus = TorusGeometry(4, 4)
+        config = AzulConfig(mesh_rows=4, mesh_cols=4)
+        rr = map_round_robin(matrix, lower, 16)
+        program = build_spmv_program(
+            matrix, rr.a_tile, rr.vec_tile, torus
+        )
+        result = KernelSimulator(program, torus, config, AZUL_PE).run(
+            x=np.ones(80)
+        )
+        assert result.link_queue_delay >= 0
+        # One-tile machines never queue.
+        one = map_round_robin(matrix, lower, 1)
+        program1 = build_spmv_program(
+            matrix, one.a_tile, one.vec_tile, TorusGeometry(1, 1)
+        )
+        local = KernelSimulator(
+            program1, TorusGeometry(1, 1),
+            AzulConfig(mesh_rows=1, mesh_cols=1), AZUL_PE,
+        ).run(x=np.ones(80))
+        assert local.link_queue_delay == 0
+
+
 class TestSpills:
     def test_small_buffer_spills_more(self):
         matrix = _dense_column_matrix(64)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, ReproError
 from repro.precond import (
     IncompleteCholesky,
     IncompleteLU,
@@ -13,7 +13,9 @@ from repro.precond import (
 from repro.solvers import (
     SolveOptions,
     bicgstab,
+    chebyshev,
     conjugate_gradient,
+    gershgorin_bounds,
     gmres,
     kernels_for,
     pcg,
@@ -198,6 +200,57 @@ class TestPowerIteration:
             - result.eigenvalue * result.eigenvector
         )
         assert np.linalg.norm(residual) < 1e-4
+
+
+class TestGershgorinBounds:
+    def test_bounds_bracket_spectrum(self, small_spd):
+        lmin, lmax = gershgorin_bounds(small_spd)
+        eigvals = np.linalg.eigvalsh(small_spd.to_dense())
+        assert lmin <= eigvals.min() + 1e-12
+        assert lmax >= eigvals.max() - 1e-12
+        assert lmin > 0  # diagonally dominant generator
+
+
+class TestChebyshev:
+    def test_solves_system(self, small_spd):
+        b, x_true = gen.make_rhs_with_solution(small_spd, seed=51)
+        result = chebyshev(
+            small_spd, b, options=SolveOptions(tol=1e-9, max_iterations=3000)
+        )
+        assert result.converged
+        assert np.allclose(result.x, x_true, atol=1e-5)
+
+    def test_no_dot_products_in_loop(self, small_spd):
+        """Chebyshev's selling point: one SpMV, no reductions beyond the
+        convergence check."""
+        b = gen.make_rhs(small_spd, seed=52)
+        result = chebyshev(small_spd, b)
+        # Vector FLOPs are only norms (1/iter) + AXPYs (3/iter):
+        # far fewer reductions than CG's 3 dots + norm per iteration.
+        assert result.flops["spmv"] > 0
+        assert result.flops["sptrsv"] == 0
+
+    def test_tighter_bounds_converge_faster(self, small_spd):
+        b = gen.make_rhs(small_spd, seed=53)
+        eigvals = np.linalg.eigvalsh(small_spd.to_dense())
+        exact = (float(eigvals.min()), float(eigvals.max()))
+        loose = chebyshev(small_spd, b)
+        tight = chebyshev(small_spd, b, bounds=exact)
+        assert tight.converged
+        assert tight.iterations <= loose.iterations
+
+    def test_rejects_bad_bounds(self, small_spd):
+        b = gen.make_rhs(small_spd, seed=54)
+        with pytest.raises(ReproError):
+            chebyshev(small_spd, b, bounds=(-1.0, 2.0))
+        with pytest.raises(ReproError):
+            chebyshev(small_spd, b, bounds=(3.0, 2.0))
+
+    def test_initial_guess(self, small_spd):
+        b, x_true = gen.make_rhs_with_solution(small_spd, seed=55)
+        result = chebyshev(small_spd, b, x0=x_true)
+        assert result.converged
+        assert result.iterations == 0
 
 
 class TestRegistry:

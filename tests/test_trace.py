@@ -1,4 +1,4 @@
-"""Tests for simulator trace analysis."""
+"""Tests for the Chrome-trace export of simulator issue traces."""
 
 import dataclasses
 
@@ -11,15 +11,7 @@ from repro.core import map_round_robin
 from repro.dataflow import build_spmv_program
 from repro.precond import ic0
 from repro.sim import AZUL_PE, KernelSimulator
-from repro.sim.trace import (
-    chrome_trace_events,
-    export_trace_csv,
-    idle_tail_fraction,
-    link_heatmap,
-    op_mix_by_tile,
-    tile_activity,
-    utilization_timeline,
-)
+from repro.sim.trace import chrome_trace_events
 from repro.sparse import generators as gen
 
 
@@ -33,96 +25,14 @@ def traced_result():
     program = build_spmv_program(
         matrix, placement.a_tile, placement.vec_tile, torus
     )
-    result = KernelSimulator(
+    return KernelSimulator(
         program, torus, config, AZUL_PE, record_issue_trace=True
     ).run(x=np.ones(50))
-    return result, torus
-
-
-class TestTraceAnalysis:
-    def test_timeline_bounded(self, traced_result):
-        result, _ = traced_result
-        timeline = utilization_timeline(result, 16, n_buckets=10)
-        assert timeline.shape == (10,)
-        assert np.all(timeline >= 0)
-        assert np.all(timeline <= 1.0 + 1e-9)
-        assert timeline.sum() > 0
-
-    def test_tile_activity_sums_to_ops(self, traced_result):
-        result, _ = traced_result
-        activity = tile_activity(result, 16)
-        assert activity.sum() == sum(result.op_counts.values())
-
-    def test_op_mix_matches_totals(self, traced_result):
-        result, _ = traced_result
-        mix = op_mix_by_tile(result, 16)
-        assert mix[:, 0].sum() == result.op_counts["fmac"]
-        assert mix[:, 1].sum() == result.op_counts["add"]
-        assert mix[:, 3].sum() == result.op_counts["send"]
-
-    def test_link_heatmap_sums_to_activations(self, traced_result):
-        result, torus = traced_result
-        heat = link_heatmap(result, torus)
-        assert heat.sum() == result.link_activations
-
-    def test_idle_tail_fraction_range(self, traced_result):
-        result, _ = traced_result
-        tail = idle_tail_fraction(result, 16)
-        assert 0.0 <= tail <= 1.0
-
-    def test_csv_export(self, traced_result, tmp_path):
-        result, _ = traced_result
-        path = tmp_path / "trace.csv"
-        export_trace_csv(result, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "cycle,tile,op"
-        assert len(lines) == 1 + sum(result.op_counts.values())
-        assert any("fmac" in line for line in lines[1:])
-
-    def test_requires_trace(self):
-        matrix = gen.random_spd(20, nnz_per_row=4, seed=5)
-        lower = ic0(matrix)
-        placement = map_round_robin(matrix, lower, 4)
-        torus = TorusGeometry(2, 2)
-        config = AzulConfig(mesh_rows=2, mesh_cols=2)
-        program = build_spmv_program(
-            matrix, placement.a_tile, placement.vec_tile, torus
-        )
-        result = KernelSimulator(program, torus, config, AZUL_PE).run(
-            x=np.ones(20)
-        )
-        with pytest.raises(ValueError):
-            utilization_timeline(result, 4)
-
-
-class TestDerivedNTiles:
-    """Helpers derive ``n_tiles`` from the result since schema v4."""
-
-    def test_helpers_work_without_n_tiles_arg(self, traced_result):
-        result, _ = traced_result
-        assert result.n_tiles == 16
-        timeline = utilization_timeline(result, n_buckets=10)
-        assert (timeline == utilization_timeline(result, 16,
-                                                 n_buckets=10)).all()
-        assert tile_activity(result).sum() == sum(
-            result.op_counts.values()
-        )
-        assert op_mix_by_tile(result).shape == (16, 4)
-        assert 0.0 <= idle_tail_fraction(result) <= 1.0
-
-    def test_pre_v4_result_needs_explicit_n_tiles(self, traced_result):
-        result, _ = traced_result
-        legacy = dataclasses.replace(result, n_tiles=None)
-        with pytest.raises(ValueError, match="n_tiles"):
-            tile_activity(legacy)
-        assert tile_activity(legacy, 16).sum() == sum(
-            legacy.op_counts.values()
-        )
 
 
 class TestChromeTraceEvents:
     def test_events_schema(self, traced_result):
-        result, _ = traced_result
+        result = traced_result
         events = chrome_trace_events(result, pid=7)
         summary, ops = events[0], events[1:]
         assert summary["ph"] == "X"
@@ -138,13 +48,16 @@ class TestChromeTraceEvents:
             assert 0 <= event["ts"] <= result.cycles
 
     def test_event_cap_downsamples(self, traced_result):
-        result, _ = traced_result
-        capped = chrome_trace_events(result, pid=1, cap=10)
+        capped = chrome_trace_events(traced_result, pid=1, cap=10)
         assert len(capped) - 1 <= 10
         assert capped[0]["args"]["issue_events_dropped"] > 0
 
     def test_requires_trace(self, traced_result):
-        result, _ = traced_result
-        untraced = dataclasses.replace(result, issue_trace=None)
+        untraced = dataclasses.replace(traced_result, issue_trace=None)
         with pytest.raises(ValueError):
             chrome_trace_events(untraced, pid=1)
+
+    def test_requires_n_tiles(self, traced_result):
+        unsized = dataclasses.replace(traced_result, n_tiles=None)
+        with pytest.raises(ValueError, match="n_tiles"):
+            chrome_trace_events(unsized, pid=1)

@@ -9,15 +9,15 @@ but the standard library, and checks:
    ``events <- state <- fabric <- issue <- engine`` may only depend
    downward (``engine`` sees everything, ``events`` sees nothing).
 2. **Hypergraph layering** — within ``repro.hypergraph`` the layers
-   ``hgraph <- metrics <- rebalance <- coarsen <- initial <- refine
-   <- partitioner`` may only depend downward.
+   ``hgraph <- metrics <- coarsen <- initial <- refine <- partitioner``
+   may only depend downward.
 3. **comm independence** — ``repro.comm`` never imports ``repro.sim``
    or ``repro.dataflow`` (geometries, trees, and forests stay
    simulator- and program-agnostic).
 4. **dataflow independence** — ``repro.dataflow`` never imports
    ``repro.sim`` (programs are engine-neutral artifacts the simulator
-   consumes), and within the package the layers ``messages <- tasks
-   <- ir <- lower <- kernel_program <- [spmv_graph / sptrsv_graph /
+   consumes), and within the package the layers ``tasks <- ir <-
+   lower <- kernel_program <- [spmv_graph / sptrsv_graph /
    vector_ops] <- program`` may only depend downward; the three
    program builders form a sibling group.
 5. **hypergraph independence** — ``repro.hypergraph`` never imports
@@ -79,15 +79,15 @@ Layer = Union[str, List[str]]
 LAYERED_PACKAGES: Dict[str, List[Layer]] = {
     "repro.sim": ["events", "state", "fabric", "issue", "engine"],
     "repro.dataflow": [
-        "messages", "tasks", "ir", "lower", "kernel_program",
+        "tasks", "ir", "lower", "kernel_program",
         [  # sibling group: independent program builders over the IR
             "spmv_graph", "sptrsv_graph", "vector_ops",
         ],
         "program",
     ],
     "repro.hypergraph": [
-        "hgraph", "metrics", "rebalance", "coarsen", "initial",
-        "refine", "partitioner",
+        "hgraph", "metrics", "coarsen", "initial", "refine",
+        "partitioner",
     ],
     "repro.sparse": ["csr", "schedule", "ops"],
     "repro.experiments": [
