@@ -27,7 +27,6 @@ from repro.cache.serializers import (
     NpzSerializer,
     PickleSerializer,
     Serializer,
-    serializer_by_name,
 )
 from repro.cache.store import (
     DEFAULT_MAX_BYTES,
@@ -61,5 +60,4 @@ __all__ = [
     "PickleSerializer",
     "NPZ",
     "PICKLE",
-    "serializer_by_name",
 ]

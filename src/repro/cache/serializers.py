@@ -2,7 +2,7 @@
 
 The cache stores opaque byte payloads and checksums them; serializers
 are the only components that understand the payload format.  Each
-serializer has a stable ``name`` (recorded in the entry's metadata so a
+serializer has a stable ``name`` (recorded in the entry's header so a
 payload is never deserialized with the wrong codec) and a filename
 ``suffix``.
 
@@ -74,15 +74,3 @@ class PickleSerializer(Serializer):
 #: Shared codec instances (serializers are stateless).
 NPZ = NpzSerializer()
 PICKLE = PickleSerializer()
-
-_BY_NAME = {s.name: s for s in (NPZ, PICKLE)}
-
-
-def serializer_by_name(name: str) -> Serializer:
-    """Look up a codec by its metadata name."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown serializer {name!r}; choices: {sorted(_BY_NAME)}"
-        ) from None

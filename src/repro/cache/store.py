@@ -5,20 +5,20 @@ across runs; this module is the durability layer that makes that
 amortization safe at sweep scale:
 
 * **Content-addressed, versioned entries.**  Keys are stable digests of
-  the inputs (:mod:`repro.cache.keys`); every entry carries a metadata
-  sidecar recording a sha256 checksum, payload size, codec name, and
-  schema version.
-* **Atomic writes.**  Payload and metadata are written to temp files in
-  the cache directory and published with :func:`os.replace`; readers
-  never observe a half-written entry, and a crash mid-write leaves only
-  a ``.tmp-*`` file that is swept opportunistically.  Storing the bytes
+  the inputs (:mod:`repro.cache.keys`); every entry is one file, a
+  one-line JSON header (schema version, codec name, payload size,
+  sha256 checksum) followed by the payload.
+* **Atomic writes.**  An entry is written to a temp file in the cache
+  directory, fsynced and published with :func:`os.replace`: an
+  interrupted ``put`` leaves the previous entry or none, plus a
+  ``.tmp-*`` file that is swept opportunistically.  Storing the bytes
   an intact entry already holds (a warm run re-checkpointing its
   results) writes nothing.
 * **Quarantine, never crash.**  Any load failure — truncated payload,
-  garbage bytes, checksum mismatch, missing/invalid metadata, codec
-  error — moves the entry into ``quarantine/`` and reports a miss so
-  the caller transparently recomputes.  A corrupted cache can cost
-  time, never correctness or an aborted experiment.
+  garbage bytes, checksum mismatch, missing/invalid header, another
+  schema, codec error — moves the entry into ``quarantine/`` and
+  reports a miss so the caller transparently recomputes.  A corrupted
+  cache can cost time, never correctness or an aborted experiment.
 * **Two tiers.**  A per-process LRU of deserialized objects (identity
   preserving: repeated hits return the *same* object) in front of the
   shared on-disk tier.
@@ -50,23 +50,22 @@ import threading
 import time
 import uuid
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Tuple
 
 import repro.obs as obs
 from repro.cache.keys import content_checksum, stable_digest
-from repro.cache.serializers import Serializer
+from repro.cache.serializers import NPZ, PICKLE, Serializer
 
 #: Schema version of the on-disk entry layout.  Bump on incompatible
 #: changes; entries with a different schema are treated as misses.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Sentinel returned by :meth:`ArtifactCache.get` on a miss, so that
 #: ``None`` remains a cacheable value.
 MISS = object()
 
-META_SUFFIX = ".meta.json"
 TMP_PREFIX = ".tmp-"
 QUARANTINE_DIRNAME = "quarantine"
 STATS_FILENAME = "stats.json"
@@ -118,28 +117,36 @@ def parse_max_bytes(raw: Optional[str]) -> int:
         ) from None
 
 
-def _check_meta(meta, serializer: Serializer, raw: bytes,
-                checksum: str) -> None:
-    """Raise ``ValueError`` unless ``meta`` records ``raw`` intact.
+#: The codec of an entry file, by its suffix.
+_SERIALIZERS = {serializer.suffix: serializer for serializer in (NPZ, PICKLE)}
 
-    The one rule for an intact entry: metadata is a JSON object of this
-    cache schema and ``serializer`` whose size and checksum (``raw``'s,
-    passed in) match the payload bytes.
+
+def _read_entry(path: Path, serializer: Serializer) -> bytes:
+    """The payload of the entry file at ``path``, checked intact.
+
+    The one rule for an intact entry: its first line is a JSON object
+    of this cache schema and ``serializer`` whose size and checksum
+    match the payload bytes after it.  Raises ``OSError`` when the file
+    cannot be read and ``ValueError`` when it is not intact.
     """
-    if not isinstance(meta, dict):
-        raise ValueError(f"metadata is a {type(meta).__name__}, not an object")
-    if meta.get("schema") != SCHEMA_VERSION:
+    with open(path, "rb") as handle:
+        header = json.loads(handle.readline())
+        raw = handle.read()
+    if not isinstance(header, dict):
+        raise ValueError(f"header is a {type(header).__name__}, not an object")
+    if header.get("schema") != SCHEMA_VERSION:
         raise ValueError(
-            f"schema {meta.get('schema')!r} != {SCHEMA_VERSION}"
+            f"schema {header.get('schema')!r} != {SCHEMA_VERSION}"
         )
-    if meta.get("serializer") != serializer.name:
+    if header.get("serializer") != serializer.name:
         raise ValueError(
-            f"serializer {meta.get('serializer')!r} != {serializer.name!r}"
+            f"serializer {header.get('serializer')!r} != {serializer.name!r}"
         )
-    if meta.get("size") != len(raw):
-        raise ValueError(f"size {len(raw)} != recorded {meta.get('size')!r}")
-    if meta.get("checksum") != checksum:
+    if header.get("size") != len(raw):
+        raise ValueError(f"size {len(raw)} != {header.get('size')!r}")
+    if header.get("checksum") != content_checksum(raw):
         raise ValueError("checksum mismatch")
+    return raw
 
 
 @dataclass
@@ -191,7 +198,7 @@ class EntryReport:
 
     namespace: str
     key: str
-    status: str  # "ok" | "corrupt" | "orphan"
+    status: str  # "ok" | "corrupt"
     size: int = 0
     detail: str = ""
 
@@ -284,12 +291,8 @@ class ArtifactCache:
             raise ValueError(f"invalid cache namespace {namespace!r}")
         return self.root / namespace
 
-    def _payload_path(self, namespace, key, serializer: Serializer) -> Path:
+    def _entry_path(self, namespace, key, serializer: Serializer) -> Path:
         return self._namespace_dir(namespace) / f"{key}{serializer.suffix}"
-
-    @staticmethod
-    def _meta_path(payload: Path) -> Path:
-        return payload.with_name(payload.name + META_SUFFIX)
 
     @property
     def quarantine_dir(self) -> Path:
@@ -317,19 +320,15 @@ class ArtifactCache:
             return value
 
     def _disk_get(self, namespace: str, key: str, serializer: Serializer):
-        payload = self._payload_path(namespace, key, serializer)
-        if not payload.exists():
+        path = self._entry_path(namespace, key, serializer)
+        if not path.exists():
             return MISS
-        meta_path = self._meta_path(payload)
         try:
-            raw = payload.read_bytes()
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            _check_meta(meta, serializer, raw, content_checksum(raw))
-            value = serializer.loads(raw)
-        except Exception as exc:  # noqa: BLE001 — resilience by design
-            self._quarantine(payload, meta_path, repr(exc))
+            value = serializer.loads(_read_entry(path, serializer))
+        except Exception:  # noqa: BLE001 — resilience by design
+            self._quarantine(path)
             return MISS
-        self._touch(payload)
+        self._touch(path)
         return value
 
     def put(self, namespace: str, key: str, value, serializer: Serializer):
@@ -342,43 +341,34 @@ class ArtifactCache:
         if not self.enabled:
             return value
         raw = serializer.dumps(value)
-        checksum = content_checksum(raw)
         with self._lock:
-            payload = self._payload_path(namespace, key, serializer)
-            if self._stored(payload, serializer, raw, checksum):
-                self._touch(payload)
+            path = self._entry_path(namespace, key, serializer)
+            if self._stored(path, serializer, raw):
+                self._touch(path)
                 self._memory_put((namespace, key), value)
                 return value
-            payload.parent.mkdir(parents=True, exist_ok=True)
-            meta = {
+            path.parent.mkdir(parents=True, exist_ok=True)
+            header = {
                 "schema": SCHEMA_VERSION,
-                "key": key,
-                "namespace": namespace,
                 "serializer": serializer.name,
                 "size": len(raw),
-                "checksum": checksum,
-                "created": time.time(),
+                "checksum": content_checksum(raw),
             }
-            self._atomic_write(payload, raw)
             self._atomic_write(
-                self._meta_path(payload),
-                json.dumps(meta, sort_keys=True).encode("utf-8"),
+                path, json.dumps(header, sort_keys=True).encode("utf-8"),
+                b"\n", raw,
             )
             self._memory_put((namespace, key), value)
             self._count("writes")
             entries, _ = self._scan(time.time() - TMP_SWEEP_AGE_SECONDS)
-            self._evict_over_budget(entries, protect=payload)
+            self._evict_over_budget(entries, protect=path)
         return value
 
-    def _stored(self, payload: Path, serializer: Serializer, raw: bytes,
-                checksum: str) -> bool:
-        """Whether ``payload`` and its metadata already record ``raw``."""
+    @staticmethod
+    def _stored(path: Path, serializer: Serializer, raw: bytes) -> bool:
+        """Whether the entry at ``path`` is intact and holds ``raw``."""
         try:
-            meta = json.loads(
-                self._meta_path(payload).read_text(encoding="utf-8")
-            )
-            _check_meta(meta, serializer, raw, checksum)
-            return payload.read_bytes() == raw
+            return _read_entry(path, serializer) == raw
         except (OSError, ValueError):
             return False
 
@@ -386,7 +376,7 @@ class ArtifactCache:
                  serializer: Serializer) -> bool:
         """Cheap presence probe: would :meth:`get` plausibly hit?
 
-        Checks the memory tier and on-disk payload *existence* only —
+        Checks the memory tier and on-disk entry *existence* only —
         no deserialization, no checksum verification, and no counter
         updates, so executors can *predict* cache hits (``--plan``
         dry-runs) without paying for or perturbing real lookups.  A
@@ -398,18 +388,7 @@ class ArtifactCache:
         with self._lock:
             if (namespace, key) in self._memory:
                 return True
-        return self._payload_path(namespace, key, serializer).exists()
-
-    def get_or_compute(self, namespace: str, key: str, compute,
-                       serializer: Serializer):
-        """Fetch, or compute + store on a miss.  Never raises for cache
-        reasons: corruption quarantines the entry and recomputes."""
-        value = self.get(namespace, key, serializer)
-        if value is not MISS:
-            return value
-        value = compute()
-        self.put(namespace, key, value, serializer)
-        return value
+        return self._entry_path(namespace, key, serializer).exists()
 
     def _memory_put(self, mem_key, value):
         self._memory[mem_key] = value
@@ -420,8 +399,8 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     # Atomicity / resilience internals
     # ------------------------------------------------------------------
-    def _atomic_write(self, destination: Path, raw: bytes):
-        """Publish bytes via tmp-file + ``os.replace`` (same dir/fs)."""
+    def _atomic_write(self, destination: Path, *parts: bytes):
+        """Publish ``parts`` as one file via tmp-file + ``os.replace``."""
         handle = tempfile.NamedTemporaryFile(
             dir=destination.parent,
             prefix=TMP_PREFIX,
@@ -430,7 +409,8 @@ class ArtifactCache:
         )
         try:
             with handle:
-                handle.write(raw)
+                for part in parts:
+                    handle.write(part)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(handle.name, destination)
@@ -441,36 +421,32 @@ class ArtifactCache:
                 pass
             raise
 
-    def _quarantine(self, payload: Path, meta_path: Path, reason: str):
+    def _quarantine(self, path: Path):
         """Move a damaged entry aside; never raises."""
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
         stamp = f"{int(time.time() * 1000):x}-{uuid.uuid4().hex[:6]}"
-        moved = False
-        for path in (payload, meta_path):
-            if not path.exists():
-                continue
-            target = self.quarantine_dir / f"{stamp}-{path.name}"
-            try:
-                os.replace(path, target)
-                moved = True
+        try:
+            os.replace(path, self.quarantine_dir / f"{stamp}-{path.name}")
+            moved = True
+        except OSError:
+            moved = False
+            try:  # last resort: do not let the entry be re-read
+                path.unlink()
             except OSError:
-                try:  # last resort: do not let the entry be re-read
-                    path.unlink()
-                except OSError:
-                    pass
-        self._memory.pop(self._memory_key_for(payload), None)
+                pass
+        self._memory.pop(self._memory_key_for(path), None)
         self._count("corruptions", flush=True)
         if moved:
             self._count("quarantined", flush=True)
 
     @staticmethod
-    def _memory_key_for(payload: Path):
-        return (payload.parent.name, payload.stem)
+    def _memory_key_for(path: Path):
+        return (path.parent.name, path.stem)
 
     @staticmethod
-    def _touch(payload: Path):
+    def _touch(path: Path):
         try:
-            os.utime(payload, None)
+            os.utime(path, None)
         except OSError:
             pass
 
@@ -484,9 +460,9 @@ class ArtifactCache:
     def _scan(self, tmp_cutoff: Optional[float] = None) -> Tuple[list, int]:
         """One ``os.scandir`` pass over the disk tier.
 
-        Returns ``(entries, removed)``: a ``(payload path, bytes, mtime)``
-        tuple per disk entry, in path order, and how many temp files
-        were removed.  With ``tmp_cutoff``, every ``.tmp-*`` file of a
+        Returns ``(entries, removed)``: a ``(path, bytes, mtime)`` tuple
+        per entry file, in path order, and how many temp files were
+        removed.  With ``tmp_cutoff``, every ``.tmp-*`` file of a
         cache subdirectory last modified at or before that time is
         removed on the way.
         """
@@ -505,38 +481,23 @@ class ArtifactCache:
             except OSError:
                 continue
             quarantine = directory.name == QUARANTINE_DIRNAME
-            payloads, meta_bytes = [], {}
             for item in files:
-                name = item.name
                 try:
-                    if name.startswith(TMP_PREFIX):
+                    if item.name.startswith(TMP_PREFIX):
                         if (tmp_cutoff is not None
                                 and item.stat().st_mtime <= tmp_cutoff):
                             os.unlink(item.path)
                             removed += 1
-                    elif quarantine:
-                        continue
-                    elif name.endswith(META_SUFFIX):
-                        meta_bytes[name] = item.stat().st_size
-                    elif item.is_file():
-                        payloads.append((item, item.stat()))
+                    elif not quarantine and item.is_file():
+                        stat = item.stat()
+                        entries.append((item.path, stat.st_size,
+                                        stat.st_mtime))
                 except OSError:
                     continue  # removed meanwhile: nothing to count
-            for item, stat in payloads:
-                # No metadata: the payload alone counts.
-                meta = meta_bytes.get(item.name + META_SUFFIX, 0)
-                entries.append((item.path, stat.st_size + meta,
-                                stat.st_mtime))
         return entries, removed
 
-    def _iter_entries(self):
-        """Yield ``(payload, meta_path, bytes, mtime)`` per disk entry."""
-        for path, size, mtime in self._scan()[0]:
-            payload = Path(path)
-            yield payload, self._meta_path(payload), size, mtime
-
     def disk_bytes(self) -> int:
-        """Total bytes of live entries (payloads + metadata)."""
+        """Total bytes of live entries."""
         return sum(size for _, size, _ in self._scan()[0])
 
     def _evict_over_budget(self, entries: list, protect: Path):
@@ -548,11 +509,10 @@ class ArtifactCache:
                 break
             if path == str(protect):
                 continue  # never evict the entry just written
-            for name in (path, path + META_SUFFIX):
-                try:
-                    os.unlink(name)
-                except OSError:
-                    pass
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
             self._memory.pop(self._memory_key_for(Path(path)), None)
             total -= size
             self._count("evictions", flush=True)
@@ -561,44 +521,28 @@ class ArtifactCache:
     # Maintenance: verify / clear / inventory
     # ------------------------------------------------------------------
     def verify(self, fix: bool = False) -> list:
-        """Checksum every disk entry; optionally quarantine bad ones.
+        """Check every disk entry as :meth:`get` does; optionally
+        quarantine bad ones.
 
-        Returns :class:`EntryReport` rows.  ``orphan`` marks a payload
-        without readable metadata (e.g. a legacy pre-v2 entry);
-        ``corrupt`` marks checksum/size/schema failures.
+        Returns :class:`EntryReport` rows; ``corrupt`` marks a file that
+        a ``get`` would quarantine, or that no serializer writes.
         """
-        from repro.cache.serializers import serializer_by_name
-
         reports = []
         with self._lock:
-            for payload, meta_path, size, _ in list(self._iter_entries()):
-                namespace = payload.parent.name
-                key = payload.stem
+            for name, size, _ in self._scan()[0]:
+                path = Path(name)
                 status, detail = "ok", ""
                 try:
-                    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-                except (OSError, ValueError):
-                    status, detail = "orphan", "missing or unreadable metadata"
-                else:
-                    try:
-                        raw = payload.read_bytes()
-                        if meta.get("schema") != SCHEMA_VERSION:
-                            raise ValueError(
-                                f"schema {meta.get('schema')!r}"
-                            )
-                        if meta.get("size") != len(raw):
-                            raise ValueError("size mismatch")
-                        if meta.get("checksum") != content_checksum(raw):
-                            raise ValueError("checksum mismatch")
-                        serializer_by_name(
-                            meta.get("serializer", "")
-                        ).loads(raw)
-                    except Exception as exc:  # noqa: BLE001
-                        status, detail = "corrupt", repr(exc)
-                reports.append(EntryReport(namespace, key, status, size,
-                                           detail))
-                if status != "ok" and fix:
-                    self._quarantine(payload, meta_path, detail)
+                    serializer = _SERIALIZERS.get(path.suffix)
+                    if serializer is None:
+                        raise ValueError(f"no serializer writes {path.name}")
+                    serializer.loads(_read_entry(path, serializer))
+                except Exception as exc:  # noqa: BLE001 — as get
+                    status, detail = "corrupt", f"{type(exc).__name__}: {exc}"
+                    if fix:
+                        self._quarantine(path)
+                reports.append(EntryReport(path.parent.name, path.stem,
+                                           status, size, detail))
         return reports
 
     def clear(self) -> tuple:
@@ -642,9 +586,9 @@ class ArtifactCache:
     def inventory(self) -> dict:
         """Per-namespace ``{entries, bytes}`` plus quarantine/tmp info."""
         namespaces: dict = {}
-        for payload, _, size, _ in self._iter_entries():
+        for path, size, _ in self._scan()[0]:
             bucket = namespaces.setdefault(
-                payload.parent.name, {"entries": 0, "bytes": 0}
+                Path(path).parent.name, {"entries": 0, "bytes": 0}
             )
             bucket["entries"] += 1
             bucket["bytes"] += size
@@ -670,16 +614,27 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     # Stats accounting / persistence
     # ------------------------------------------------------------------
-    def _count(self, counter: str, flush: bool = False):
-        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+    def add_stats(self, counts: CacheStats):
+        """Count ``counts`` as this cache's own.
+
+        A process-pool worker persists no counters; the parent adds what
+        each of its tasks counted here.
+        """
+        with self._lock:
+            for counter, amount in counts.as_dict().items():
+                if amount:
+                    self._count(counter, amount)
+
+    def _count(self, counter: str, amount: int = 1, flush: bool = False):
+        setattr(self.stats, counter, getattr(self.stats, counter) + amount)
         # Mirror into the observability registry (no-op when disabled)
         # so metrics artifacts report the same counters stats.json
         # accumulates.
-        obs.counter(f"cache.{counter}")
+        obs.counter(f"cache.{counter}", amount)
         if not self.persist_stats:
             return
         setattr(self._unflushed, counter,
-                getattr(self._unflushed, counter) + 1)
+                getattr(self._unflushed, counter) + amount)
         self._unflushed_events += 1
         if not self._atexit_registered:
             atexit.register(self.flush_stats)

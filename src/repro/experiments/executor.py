@@ -438,8 +438,7 @@ def execute(
             e for e in entries
             if e.error is None and e.checkpointed is MISS
         ]
-        results_by_key = _sweep(pending, jobs, keep_going,
-                                report.sweep_stats)
+        results_by_key = _sweep(pending, jobs, report.sweep_stats)
 
         # Stage 4: reduce + checkpoint, isolating failures.
         for entry in entries:
@@ -463,17 +462,13 @@ def execute(
     return report
 
 
-def _sweep(pending: List[_Entry], jobs: Optional[int], keep_going: bool,
+def _sweep(pending: List[_Entry], jobs: Optional[int],
            stats: Dict[str, int]) -> Dict[str, Any]:
     """Compute the globally unique points of ``pending``, keyed.
 
-    One merged ``simulate_many`` serves every experiment.  A point that
-    raises fails only the experiments that own it: the sweep is then
-    repeated experiment by experiment (points finished before the
-    failure come back from the cache), and an experiment whose own
-    points raise records the exception as its error.  Without
-    ``keep_going`` the repeat stops at the first such experiment,
-    where stage 4 stops the run.
+    One merged ``simulate_many`` serves every experiment and computes
+    each point once.  A point that raises fails only the experiments
+    that own it: each records the exception as its error.
     """
     from repro.parallel import simulate_many
 
@@ -484,31 +479,14 @@ def _sweep(pending: List[_Entry], jobs: Optional[int], keep_going: bool,
     if not unique:
         return {}
     session = next(e.plan.session for e in pending if e.point_keys)
-    ordered = list(unique)
-    try:
-        with obs.span("exec.sweep", unique_points=len(unique)):
-            results = simulate_many(
-                session, [unique[k] for k in ordered], jobs, stats=stats,
-            )
-        return dict(zip(ordered, results))
-    except Exception:  # noqa: BLE001 — isolation contract
-        pass
-    results_by_key: Dict[str, Any] = {}
+    with obs.span("exec.sweep", unique_points=len(unique)):
+        results = simulate_many(session, unique, jobs, stats=stats)
+    results_by_key = dict(zip(unique, results))
     for entry in pending:
-        keys = [key for key in dict.fromkeys(entry.point_keys.values())
-                if key not in results_by_key]
-        if not keys:
-            continue
-        try:
-            results = simulate_many(
-                session, [unique[key] for key in keys], jobs,
-            )
-        except Exception as exc:  # noqa: BLE001 — isolation contract
-            entry.error = exc
-            if not keep_going:
+        for key in entry.point_keys.values():
+            if isinstance(results_by_key[key], Exception):
+                entry.error = results_by_key[key]
                 break
-            continue
-        results_by_key.update(zip(keys, results))
     return results_by_key
 
 

@@ -21,11 +21,13 @@ calls:
   and then maps the matrix again itself.
 * **Shared artifact cache** — workers inherit ``REPRO_CACHE_*`` from
   the environment, so their results land in the same store the parent
-  (and the next run) reads.
+  (and the next run) reads.  Each task's cache counters travel back
+  with its outcome, and the parent counts them.
 * **Graceful degradation** — a crashed worker, a broken pool, or an
   unpicklable result demotes only the affected points to an in-process
   serial computation; ``simulate_many`` never fails a sweep because of
-  parallel machinery.
+  parallel machinery.  A point that raises is computed once, and the
+  sweep goes on with the others.
 
 Results are returned in point order and are identical to what a serial
 ``jobs=1`` run produces (mapping and simulation are deterministic; see
@@ -37,10 +39,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, TypeVar, Union
+from typing import Dict, List, Mapping, Optional, Tuple, TypeVar, Union
 
 import repro.obs as obs
-from repro.cache import MISS
+from repro.cache import MISS, ArtifactCache, CacheStats
 from repro.config import ENV_JOBS, AzulConfig
 from repro.core.registry import AZUL_DEFAULTS
 from repro.sim.pe import PEModel
@@ -201,27 +203,42 @@ def _compute(session, point: Point, use_cache: bool):
     return session.simulate(**fields, use_cache=use_cache)
 
 
-def _compute_in_worker(task: tuple):
+def _attempt(session, point: Point, use_cache: bool):
+    """The result of one point, or the exception computing it raised."""
+    try:
+        return _compute(session, point, use_cache)
+    except Exception as exc:  # noqa: BLE001 — fails only this point
+        return exc
+
+
+def _compute_in_worker(task: tuple) -> tuple:
     """Top-level worker entry point (must be picklable by reference).
 
     Builds a fresh session in the worker process; the artifact cache is
     shared with the parent through the inherited ``REPRO_CACHE_*``
     environment, so the computed result is persisted for everyone.
+    Returns what :func:`_attempt` returns and the task's cache
+    counters, which the worker does not persist (a forked worker exits
+    without ``atexit`` and holds the parent's unflushed counts).
     """
     from repro.experiments.common import ExperimentSession
 
     point, use_cache = task
+    cache = ArtifactCache.default()
+    cache.persist_stats = False
+    cache.stats = CacheStats()
     session = ExperimentSession(getattr(point, "config", None),
-                                use_cache=use_cache)
-    return _compute(session, point, use_cache)
+                                cache=cache, use_cache=use_cache)
+    return _attempt(session, point, use_cache), cache.stats
 
 
 def _run_pool(pending: List[tuple], jobs: int, info: dict,
               worker=_compute_in_worker) -> dict:
     """Fan unique cache misses out over a process pool.
 
-    Returns ``{key: result-or-_FAILED}``; pool-level failures leave
-    keys absent, which the caller treats the same as ``_FAILED``.
+    Returns ``{key: what worker returned, or _FAILED}``; pool-level
+    failures leave keys absent, which the caller treats the same as
+    ``_FAILED``.
     """
     from concurrent.futures import ProcessPoolExecutor
 
@@ -260,7 +277,9 @@ def simulate_many(session, points, jobs: Optional[int] = None, *,
     session:
         The owning :class:`~repro.experiments.common.ExperimentSession`.
     points:
-        Iterable of :class:`PlacementSpec` and :class:`SimPoint`.
+        Iterable of :class:`PlacementSpec` and :class:`SimPoint`, or
+        resolved points keyed by their cache keys (as :func:`resolve`
+        returns them), which are used as given.
     jobs:
         Worker processes; ``None`` consults ``REPRO_JOBS`` then a
         capped cpu count, ``1`` forces the serial path.
@@ -269,7 +288,8 @@ def simulate_many(session, points, jobs: Optional[int] = None, *,
     stats:
         Optional dict, filled with sweep observability counters
         (``points``, ``unique``, ``cache_hits``, ``computed_parallel``,
-        ``computed_serial``, ``worker_failures``, ``deduplicated``).
+        ``computed_serial``, ``worker_failures``, ``deduplicated``),
+        also when the sweep raises.
 
     Returns
     -------
@@ -277,51 +297,55 @@ def simulate_many(session, points, jobs: Optional[int] = None, *,
         Results in point order: a
         :class:`~repro.core.placement.Placement` for a placement point,
         exactly what ``session.simulate`` returns for a simulation.
+        Keyed points get the exception a failed point raised in place
+        of its result; otherwise the first such exception is raised,
+        once every other point is computed.
     """
-    points = [_coerce(p) for p in points]
+    keyed = isinstance(points, Mapping)
+    if keyed:
+        resolved = [(point, key) for key, point in points.items()]
+    else:
+        resolved = [resolve(session, _coerce(point)) for point in points]
     use_cache = session.use_cache if use_cache is None else bool(use_cache)
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    resolved = [resolve(session, point) for point in points]
-    with obs.span("sweep.simulate_many", points=len(points),
-                  jobs=jobs) as sweep_span:
-        # Deduplicate in-flight keys: one computation per unique key.
-        # Placements go first, so a serial sweep's simulations find
-        # theirs cached.
-        by_key: Dict[str, List[int]] = {}
-        order = sorted(range(len(points)),
-                       key=lambda i: isinstance(resolved[i][0], SimPoint))
-        for index in order:
-            by_key.setdefault(resolved[index][1], []).append(index)
+    # Deduplicate in-flight keys: one computation per unique key.
+    # Placements go first, so a serial sweep's simulations find theirs
+    # cached.
+    by_key: Dict[str, List[int]] = {}
+    order = sorted(range(len(resolved)),
+                   key=lambda i: isinstance(resolved[i][0], SimPoint))
+    for index in order:
+        by_key.setdefault(resolved[index][1], []).append(index)
+    results: List = [None] * len(resolved)
+    info = {
+        "points": len(resolved),
+        "unique": len(by_key),
+        "deduplicated": len(resolved) - len(by_key),
+        "cache_hits": 0,
+        "computed_parallel": 0,
+        "computed_serial": 0,
+        "worker_failures": 0,
+    }
+    try:
+        with obs.span("sweep.simulate_many", points=len(resolved),
+                      jobs=jobs) as sweep_span:
+            # Cache short-circuit before any worker spawns.
+            pending = []
+            for key, indices in by_key.items():
+                point = resolved[indices[0]][0]
+                if use_cache:
+                    cached = session.cached(point, key)
+                    if cached is not MISS:
+                        info["cache_hits"] += 1
+                        if getattr(point, "trace", False):
+                            session._bridge_trace(
+                                key, f"{point.name}/{point.mapper}", cached,
+                            )
+                        for index in indices:
+                            results[index] = cached
+                        continue
+                pending.append((key, indices, (point, use_cache)))
 
-        results: List = [None] * len(points)
-        info = {
-            "points": len(points),
-            "unique": len(by_key),
-            "deduplicated": len(points) - len(by_key),
-            "cache_hits": 0,
-            "computed_parallel": 0,
-            "computed_serial": 0,
-            "worker_failures": 0,
-        }
-
-        # Cache short-circuit before any worker spawns.
-        pending = []
-        for key, indices in by_key.items():
-            point = resolved[indices[0]][0]
-            if use_cache:
-                cached = session.cached(point, key)
-                if cached is not MISS:
-                    info["cache_hits"] += 1
-                    if getattr(point, "trace", False):
-                        session._bridge_trace(
-                            key, f"{point.name}/{point.mapper}", cached,
-                        )
-                    for index in indices:
-                        results[index] = cached
-                    continue
-            pending.append((key, indices, (point, use_cache)))
-
-        if pending:
             computed = (
                 _run_pool(pending, jobs, info)
                 if jobs > 1 and len(pending) > 1
@@ -330,22 +354,31 @@ def simulate_many(session, points, jobs: Optional[int] = None, *,
             for key, indices, (point, _) in pending:
                 value = computed.get(key, _FAILED)
                 if value is _FAILED:
-                    value = _compute(session, point, use_cache)
+                    value = _attempt(session, point, use_cache)
                     info["computed_serial"] += 1
-                elif getattr(point, "trace", False):
-                    # Workers don't inherit obs enablement; issue logs
-                    # travel back in the result and the parent bridges.
-                    session._bridge_trace(
-                        key, f"{point.name}/{point.mapper}", value,
-                    )
+                else:
+                    value, counts = value
+                    session.cache.add_stats(counts)
+                    if (getattr(point, "trace", False)
+                            and not isinstance(value, Exception)):
+                        # Workers don't inherit obs enablement; issue
+                        # logs travel back in the result and the parent
+                        # bridges.
+                        session._bridge_trace(
+                            key, f"{point.name}/{point.mapper}", value,
+                        )
                 for index in indices:
                     results[index] = value
 
-        sweep_span.set(**info)
+            sweep_span.set(**info)
+    finally:
+        for counter_name, value in info.items():
+            obs.counter(f"sweep.{counter_name}", value)
+        if stats is not None:
+            stats.update(info)
 
-    for counter_name, value in info.items():
-        obs.counter(f"sweep.{counter_name}", value)
-
-    if stats is not None:
-        stats.update(info)
+    if not keyed:
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
     return results

@@ -3,7 +3,9 @@
 Covers the guarantees the experiment harness relies on: content
 addressing, atomic publication, corruption quarantine (never crash),
 LRU eviction under a byte budget, observability counters, environment
-overrides, and cross-process reuse of the disk tier.
+overrides, and cross-process reuse of the disk tier.  Each disk entry
+is one file, its header line (the entry's metadata) before its
+payload; the ``meta-*`` damage kinds damage that header.
 """
 
 import json
@@ -24,6 +26,7 @@ from repro.cache import (
     content_checksum,
     stable_digest,
 )
+from repro.cache import store
 
 
 @pytest.fixture
@@ -31,16 +34,48 @@ def cache(tmp_path):
     return ArtifactCache(tmp_path / "cache", persist_stats=False)
 
 
-def _payload_files(cache):
-    """All payload files on disk (no meta/tmp/stats)."""
+def _entry_files(cache):
+    """All entry files on disk (no tmp/stats/quarantine)."""
     return sorted(
         p for p in cache.root.rglob("*")
         if p.is_file()
-        and not p.name.endswith(".meta.json")
         and not p.name.startswith(".tmp-")
         and p.name != "stats.json"
         and "quarantine" not in p.parts
     )
+
+
+#: Ways to damage an entry file: its header line (``meta-*``) or its
+#: payload.  Every one makes the entry unreadable.
+DAMAGE = ["meta-garbage", "meta-missing", "meta-checksum", "meta-list",
+          "meta-schema", "payload-flip", "payload-missing"]
+
+
+def _damage(entry, kind):
+    header, payload = entry.read_bytes().split(b"\n", 1)
+    record = json.loads(header)
+    if kind == "meta-garbage":
+        header = b"{ not json"
+    elif kind == "meta-missing":
+        entry.write_bytes(payload)
+        return
+    elif kind == "meta-checksum":
+        record["checksum"] = content_checksum(b"other bytes")
+        header = json.dumps(record).encode()
+    elif kind == "meta-list":
+        header = b"[]"
+    elif kind == "meta-schema":
+        record["schema"] = store.SCHEMA_VERSION - 1
+        header = json.dumps(record).encode()
+    elif kind == "payload-flip":
+        flipped = bytearray(payload)
+        flipped[len(flipped) // 2] ^= 0xFF  # size and header unchanged
+        payload = bytes(flipped)
+    else:
+        assert kind == "payload-missing", kind
+        entry.unlink()
+        return
+    entry.write_bytes(header + b"\n" + payload)
 
 
 # ----------------------------------------------------------------------
@@ -102,19 +137,6 @@ class TestRoundtrip:
     def test_miss_on_absent_key(self, cache):
         assert cache.get("ns", "nope", PICKLE) is MISS
 
-    def test_get_or_compute_runs_once(self, cache):
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return {"v": 42}
-
-        key = cache.key("goc")
-        first = cache.get_or_compute("ns", key, compute, PICKLE)
-        second = cache.get_or_compute("ns", key, compute, PICKLE)
-        assert first == second == {"v": 42}
-        assert len(calls) == 1
-
     def test_disabled_cache_is_transparent(self, tmp_path):
         cache = ArtifactCache(tmp_path / "c", enabled=False,
                               persist_stats=False)
@@ -134,19 +156,18 @@ class TestCorruption:
         key = cache.key("victim", mode)
         cache.put("ns", key, {"x": np.arange(8)}, NPZ)
         cache._memory.clear()
-        (payload,) = _payload_files(cache)
-        raw = payload.read_bytes()
+        (entry,) = _entry_files(cache)
+        header, raw = entry.read_bytes().split(b"\n", 1)
         if mode == "truncate":
-            payload.write_bytes(raw[: len(raw) // 2])
+            raw = raw[: len(raw) // 2]
         elif mode == "garbage":
-            payload.write_bytes(b"this is not an npz archive")
+            raw = b"this is not an npz archive"
         else:
-            payload.write_bytes(b"")
+            raw = b""
+        entry.write_bytes(header + b"\n" + raw)
 
-        value = cache.get_or_compute(
-            "ns", key, lambda: {"x": np.arange(8)}, NPZ
-        )
-        np.testing.assert_array_equal(value["x"], np.arange(8))
+        assert cache.get("ns", key, NPZ) is MISS
+        cache.put("ns", key, {"x": np.arange(8)}, NPZ)
         assert cache.stats.corruptions == 1
         assert cache.stats.quarantined == 1
         quarantined = list(cache.quarantine_dir.iterdir())
@@ -159,9 +180,8 @@ class TestCorruption:
         key = cache.key("meta")
         cache.put("ns", key, {"v": 1}, PICKLE)
         cache._memory.clear()
-        (payload,) = _payload_files(cache)
-        meta = payload.with_name(payload.name + ".meta.json")
-        meta.write_text("{ not json", encoding="utf-8")
+        (entry,) = _entry_files(cache)
+        _damage(entry, "meta-garbage")
         assert cache.get("ns", key, PICKLE) is MISS
         assert cache.stats.corruptions == 1
 
@@ -169,8 +189,8 @@ class TestCorruption:
         key = cache.key("nometa")
         cache.put("ns", key, {"v": 1}, PICKLE)
         cache._memory.clear()
-        (payload,) = _payload_files(cache)
-        payload.with_name(payload.name + ".meta.json").unlink()
+        (entry,) = _entry_files(cache)
+        _damage(entry, "meta-missing")
         assert cache.get("ns", key, PICKLE) is MISS
         assert cache.stats.corruptions == 1
 
@@ -178,10 +198,8 @@ class TestCorruption:
         key = cache.key("bitrot")
         cache.put("ns", key, {"v": list(range(100))}, PICKLE)
         cache._memory.clear()
-        (payload,) = _payload_files(cache)
-        raw = bytearray(payload.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF  # single-byte flip, size unchanged
-        payload.write_bytes(bytes(raw))
+        (entry,) = _entry_files(cache)
+        _damage(entry, "payload-flip")
         assert cache.get("ns", key, PICKLE) is MISS
         assert cache.stats.corruptions == 1
 
@@ -190,16 +208,67 @@ class TestCorruption:
         bad = cache.key("bad")
         cache.put("ns", good, {"v": 1}, PICKLE)
         cache.put("ns", bad, {"v": 2}, PICKLE)
-        for payload in _payload_files(cache):
-            if bad in payload.name:
-                payload.write_bytes(b"junk")
+        for entry in _entry_files(cache):
+            if bad in entry.name:
+                entry.write_bytes(b"junk")
         statuses = {r.key: r.status for r in cache.verify(fix=False)}
         assert statuses[good] == "ok"
         assert statuses[bad] == "corrupt"
         cache.verify(fix=True)
-        remaining = {p.stem.split(".")[0] for p in _payload_files(cache)}
+        remaining = {p.stem for p in _entry_files(cache)}
         assert bad not in remaining
         assert list(cache.quarantine_dir.iterdir())
+
+    def test_verify_marks_what_get_quarantines(self, cache):
+        """Over every damage kind, and a codec failure under an intact
+        header, ``verify`` and ``get`` apply one rule."""
+        for kind in ["intact", "codec", *DAMAGE]:
+            cache.put("ns", kind, {"v": kind}, PICKLE)
+            entry = cache._entry_path("ns", kind, PICKLE)
+            if kind == "codec":
+                garbage = b"not a pickle"
+                header = {"schema": store.SCHEMA_VERSION,
+                          "serializer": PICKLE.name, "size": len(garbage),
+                          "checksum": content_checksum(garbage)}
+                entry.write_bytes(json.dumps(header).encode() + b"\n"
+                                  + garbage)
+            elif kind != "intact":
+                _damage(entry, kind)
+        corrupt = {r.key for r in cache.verify() if r.status == "corrupt"}
+        cache._memory.clear()
+        quarantined = set()
+        for kind in ["intact", "codec", *DAMAGE]:
+            before = cache.stats.corruptions
+            cache.get("ns", kind, PICKLE)
+            if cache.stats.corruptions > before:
+                quarantined.add(kind)
+        assert corrupt == quarantined
+        assert corrupt == {"codec", *DAMAGE} - {"payload-missing"}
+
+    def test_schema_2_entry_is_recomputed(self, cache):
+        """A payload with a ``.meta.json`` sidecar (schema 2) is a miss."""
+        key = cache.key("schema-2")
+        raw = PICKLE.dumps({"v": "old"})
+        payload = cache._entry_path("ns", key, PICKLE)
+        payload.parent.mkdir(parents=True)
+        payload.write_bytes(raw)
+        sidecar = payload.with_name(payload.name + ".meta.json")
+        sidecar.write_text(json.dumps({
+            "schema": 2, "key": key, "namespace": "ns",
+            "serializer": PICKLE.name, "size": len(raw),
+            "checksum": content_checksum(raw), "created": 0.0,
+        }), encoding="utf-8")
+
+        assert cache.get("ns", key, PICKLE) is MISS
+        assert cache.stats.quarantined == 1
+        cache.put("ns", key, {"v": "new"}, PICKLE)
+        cache._memory.clear()
+        assert cache.get("ns", key, PICKLE) == {"v": "new"}
+        # The sidecar is a file no serializer writes, until removed.
+        statuses = {r.status for r in cache.verify(fix=True)}
+        assert statuses == {"ok", "corrupt"}
+        assert not sidecar.exists()
+        assert {r.status for r in cache.verify()} == {"ok"}
 
 
 # ----------------------------------------------------------------------
@@ -234,10 +303,9 @@ class TestRePut:
     def test_identical_put_writes_nothing(self, cache, monkeypatch):
         key = cache.key("reput")
         cache.put("ns", key, {"v": [1, 2, 3]}, PICKLE)
-        (payload,) = _payload_files(cache)
-        meta = payload.with_name(payload.name + ".meta.json")
-        meta_bytes, meta_stat = meta.read_bytes(), meta.stat()
-        os.utime(payload, (1_000_000, 1_000_000))
+        (entry,) = _entry_files(cache)
+        stored = entry.read_bytes()
+        os.utime(entry, (1_000_000, 1_000_000))
         cache._memory.clear()
 
         def no_write(*args):
@@ -247,9 +315,8 @@ class TestRePut:
         value = {"v": [1, 2, 3]}
         assert cache.put("ns", key, value, PICKLE) is value
         assert cache.stats.writes == 1
-        assert meta.read_bytes() == meta_bytes
-        assert meta.stat().st_mtime_ns == meta_stat.st_mtime_ns
-        assert payload.stat().st_mtime > 1_000_000  # recency refreshed
+        assert entry.read_bytes() == stored
+        assert entry.stat().st_mtime > 1_000_000  # recency refreshed
         assert cache.get("ns", key, PICKLE) is value  # memory tier
         assert cache.stats.hits_memory == 1
 
@@ -261,36 +328,40 @@ class TestRePut:
         cache._memory.clear()
         assert cache.get("ns", key, PICKLE) == {"v": 2}
 
-    @pytest.mark.parametrize("damage", [
-        "meta-garbage", "meta-missing", "meta-checksum", "meta-list",
-        "payload-flip", "payload-missing",
-    ])
+    @pytest.mark.parametrize("damage", DAMAGE)
     def test_damaged_entry_is_rewritten(self, cache, damage):
         key = cache.key("reput", damage)
         value = {"v": list(range(50))}
         cache.put("ns", key, value, PICKLE)
-        (payload,) = _payload_files(cache)
-        meta = payload.with_name(payload.name + ".meta.json")
-        if damage == "meta-garbage":
-            meta.write_text("{ not json", encoding="utf-8")
-        elif damage == "meta-missing":
-            meta.unlink()
-        elif damage == "meta-checksum":
-            record = json.loads(meta.read_text(encoding="utf-8"))
-            record["checksum"] = content_checksum(b"other bytes")
-            meta.write_text(json.dumps(record), encoding="utf-8")
-        elif damage == "meta-list":
-            meta.write_text("[]", encoding="utf-8")
-        elif damage == "payload-flip":
-            raw = bytearray(payload.read_bytes())
-            raw[len(raw) // 2] ^= 0xFF  # size and metadata unchanged
-            payload.write_bytes(bytes(raw))
-        else:
-            payload.unlink()
+        (entry,) = _entry_files(cache)
+        _damage(entry, damage)
         cache.put("ns", key, value, PICKLE)
         assert cache.stats.writes == 2
         cache._memory.clear()
         assert cache.get("ns", key, PICKLE) == value
+        assert cache.stats.corruptions == 0
+
+    @pytest.mark.parametrize("crash", ["before", "after"])
+    def test_interrupted_reput_leaves_a_readable_entry(
+            self, cache, monkeypatch, crash):
+        """A crash at the ``os.replace`` publishing a re-put, before or
+        after it takes effect, leaves the old or the new value."""
+        key = cache.key("interrupted", crash)
+        cache.put("ns", key, {"v": "old"}, PICKLE)
+        replace = os.replace
+
+        def crashing_replace(source, destination):
+            if crash == "after":
+                replace(source, destination)
+            raise KeyboardInterrupt("crash at os.replace")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(store.os, "replace", crashing_replace)
+            with pytest.raises(KeyboardInterrupt):
+                cache.put("ns", key, {"v": "new"}, PICKLE)
+        cache._memory.clear()
+        expected = {"v": "old" if crash == "before" else "new"}
+        assert cache.get("ns", key, PICKLE) == expected
         assert cache.stats.corruptions == 0
 
 
@@ -311,7 +382,7 @@ class TestEviction:
         for i, key in enumerate(keys[:3]):
             cache.put("ns", key, payload, PICKLE)
             os.utime(
-                cache._payload_path("ns", key, PICKLE),
+                cache._entry_path("ns", key, PICKLE),
                 (1_000_000 + i, 1_000_000 + i),
             )
         # Refresh entry 0 so entry 1 becomes the LRU victim.
@@ -336,7 +407,7 @@ class TestEviction:
         # Written out of path order, then given one mtime.
         for ns, key in (("b", "k1"), ("a", "k2"), ("a", "k0")):
             cache.put(ns, key, payload, PICKLE)
-            os.utime(cache._payload_path(ns, key, PICKLE),
+            os.utime(cache._entry_path(ns, key, PICKLE),
                      (1_000_000, 1_000_000))
         stale = [cache.root / "a" / ".tmp-stale",
                  cache.root / "quarantine" / ".tmp-stale"]

@@ -10,6 +10,8 @@ the contract of ``run_experiment`` (the one way to run a single
 experiment), and the sibling-group extension of the AST layer checker.
 """
 
+import json
+import multiprocessing
 import re
 import sys
 from pathlib import Path
@@ -386,6 +388,39 @@ class TestExecution:
         assert failure.value.experiment_id == "fig21"
         assert isinstance(failure.value.cause, ValueError)
         assert [o.experiment_id for o in finished] == ["fig21"]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the counting patch")
+    @pytest.mark.parametrize("argv,points", [
+        (["fig21", "--matrices", "not_a_matrix", "tmt_sym", "--jobs", "2"],
+         2),
+        (["fig21", "tab2", "--matrices", "not_a_matrix", "--keep-going",
+          "--jobs", "1"], 1),
+    ], ids=["jobs-2", "keep-going"])
+    def test_failing_point_is_attempted_once(self, fresh_cache,
+                                             monkeypatch, argv, points):
+        """Counted in every process; the sweep counters survive it."""
+        from repro.experiments.runner import main
+
+        attempts = fresh_cache / "prepared.log"
+        prepare = ExperimentSession.prepare
+
+        def counted(self, name, *args, **kwargs):
+            with open(attempts, "a", encoding="utf-8") as log:
+                log.write(f"{name}\n")
+            return prepare(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(ExperimentSession, "prepare", counted)
+        metrics = fresh_cache / "metrics.json"
+        obs.reset()
+        try:
+            assert main([*argv, "--metrics", str(metrics)]) == 1
+        finally:
+            obs.disable()
+            obs.reset()
+        assert attempts.read_text().split().count("not_a_matrix") == 1
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["sweep.points"] == points
 
     def test_shared_sweep_serves_both_experiments(self, fresh_cache):
         report = execute(

@@ -7,6 +7,12 @@ cache hits, in-flight dedup, real worker processes, and the serial
 fallback after worker failures.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +28,7 @@ from repro.parallel import (
 
 TINY = AzulConfig(mesh_rows=4, mesh_cols=4)
 MATRIX = "tmt_sym"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -185,6 +192,24 @@ class TestSimulateMany:
         session = ExperimentSession(TINY)
         with pytest.raises(ValueError):
             simulate_many(session, [SimPoint("not_a_matrix")], jobs=1)
+
+    def test_workers_cache_counters_reach_stats_json(self, tmp_path):
+        """A cold ``--jobs 2`` run persists what a ``--jobs 1`` run does."""
+        persisted = []
+        for jobs in ("1", "2"):
+            cache = tmp_path / f"jobs{jobs}"
+            subprocess.run(
+                [sys.executable, "-m", "repro.experiments.runner", "fig21",
+                 "--matrices", MATRIX, "offshore", "--jobs", jobs],
+                env=dict(os.environ, REPRO_CACHE_DIR=str(cache),
+                         PYTHONPATH=str(SRC)),
+                capture_output=True, check=True,
+            )
+            persisted.append(
+                json.loads((cache / "stats.json").read_text()))
+        assert persisted[0] == persisted[1]
+        entries = [p for p in cache.glob("*/*") if p.is_file()]
+        assert persisted[1]["writes"] == len(entries) > 0
 
 
 def _square_or_crash(spec):
