@@ -4,24 +4,15 @@ Azul's tiles communicate over a 2D-torus NoC with dimension-order
 routing.  Multicasts (distributing vector values down matrix columns)
 and reductions (collecting partial row sums) are implemented as trees
 rather than point-to-point message fans, avoiding redundant link traffic
-and serialization (Sec. IV-D, Fig. 18).
+and serialization (Sec. IV-D, Fig. 18).  A kernel's trees are built in
+one batched call per kind (:func:`build_multicast_forest`,
+:func:`build_reduction_forest`).
 """
 
 from repro.comm.torus import TorusGeometry
 from repro.comm.mesh import MeshGeometry
-from repro.comm.routing import route_path, hop_distance
-from repro.comm.multicast import (
-    MulticastForest,
-    MulticastTree,
-    build_multicast_forest,
-    build_multicast_tree,
-)
-from repro.comm.reduction import (
-    ReductionForest,
-    ReductionTree,
-    build_reduction_forest,
-    build_reduction_tree,
-)
+from repro.comm.multicast import MulticastForest, build_multicast_forest
+from repro.comm.reduction import ReductionForest, build_reduction_forest
 
 def make_geometry(config):
     """Build the NoC geometry a config describes (torus or mesh)."""
@@ -33,14 +24,8 @@ __all__ = [
     "TorusGeometry",
     "MeshGeometry",
     "make_geometry",
-    "route_path",
-    "hop_distance",
     "MulticastForest",
-    "MulticastTree",
     "build_multicast_forest",
-    "build_multicast_tree",
     "ReductionForest",
-    "ReductionTree",
     "build_reduction_forest",
-    "build_reduction_tree",
 ]

@@ -5,86 +5,24 @@ tree embedded in the torus: each tree edge is a single link traversal,
 and forking happens at intermediate tiles.  This avoids both redundant
 link traffic and the serialization of issuing hundreds of point-to-point
 sends from one PE (Sec. IV-D).
+
+Because X-then-Y routing gives each destination a unique path from the
+root, the union of the paths to all destinations is a tree; shared
+prefixes are traversed once (e.g. one east-west message forwarded north
+and south, Fig. 18).  :func:`build_multicast_forest` builds all of a
+kernel's trees in one batched call; the compiler, the simulator and the
+static traffic analysis all read its output.  The per-tree loop it must
+match edge for edge is kept as a test oracle (``tests/oracles/trees.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm.routing import route_edges_batch, route_path
+from repro.comm.routing import route_edges_batch
 from repro.comm.torus import TorusGeometry
-
-
-@dataclass
-class MulticastTree:
-    """A multicast tree rooted at ``root`` covering ``destinations``.
-
-    Attributes
-    ----------
-    root:
-        Source tile.
-    destinations:
-        The tiles that must receive the value (excluding the root).
-    children:
-        ``children[tile]`` lists the tiles this node forwards to.
-    edges:
-        All ``(parent, child)`` link traversals, one per tree edge.
-    """
-
-    root: int
-    destinations: tuple
-    children: dict = field(default_factory=dict)
-    edges: list = field(default_factory=list)
-
-    @property
-    def n_link_activations(self) -> int:
-        """Link traversals used by one multicast down this tree."""
-        return len(self.edges)
-
-    def depth(self) -> int:
-        """Longest root-to-leaf hop count."""
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            best = max(best, d)
-            for child in self.children.get(node, ()):
-                stack.append((child, d + 1))
-        return best
-
-    def fanout(self, tile: int) -> int:
-        """Number of children a tile forwards to."""
-        return len(self.children.get(tile, ()))
-
-
-def build_multicast_tree(torus: TorusGeometry, root: int,
-                         destinations) -> MulticastTree:
-    """Merge the dimension-order paths to all destinations into a tree.
-
-    Because X-then-Y routing gives each destination a unique path from
-    the root, the union of paths is a tree; shared prefixes are traversed
-    once (e.g. one east-west message forwarded north and south,
-    Fig. 18).
-    """
-    destinations = tuple(sorted({int(d) for d in destinations} - {int(root)}))
-    children = {}
-    edge_set = set()
-    for dst in destinations:
-        path = route_path(torus, root, dst)
-        for parent, child in zip(path, path[1:]):
-            if (parent, child) not in edge_set:
-                edge_set.add((parent, child))
-                children.setdefault(parent, []).append(child)
-    edges = sorted(edge_set)
-    return MulticastTree(
-        root=int(root),
-        destinations=destinations,
-        children=children,
-        edges=edges,
-    )
 
 
 @dataclass
@@ -93,9 +31,8 @@ class MulticastForest:
 
     Tree ``t`` is rooted at ``roots[t]`` with sorted ``(parent,
     child)`` edges ``(parents[e], children[e])`` for ``e`` in
-    ``edge_ptr[t]:edge_ptr[t+1]`` — exactly the edge list
-    :func:`build_multicast_tree` produces for the same root and
-    destination set.
+    ``edge_ptr[t]:edge_ptr[t+1]``: the union of the dimension-order
+    paths from the root to each destination, each edge once.
     """
 
     roots: np.ndarray
@@ -121,15 +58,15 @@ def build_multicast_forest(geometry: TorusGeometry, roots,
     route paths on ``(root, dst)``, so each distinct path is computed
     once per kernel instead of once per column.
 
-    The per-tree edge lists are bit-identical to what
-    :func:`build_multicast_tree` returns.
+    The per-tree edge lists are bit-identical to merging the routes
+    one destination at a time.
     """
     roots_arr = np.asarray(roots, dtype=np.int64)
     ptr = np.asarray(dst_ptr, dtype=np.int64)
     dsts_arr = np.asarray(destinations, dtype=np.int64)
     n_trees = len(roots_arr)
     # Canonicalize every destination group at once: per-tree sorted,
-    # deduplicated, root excluded (matches build_multicast_tree).
+    # deduplicated, root excluded.
     tree_id = np.repeat(np.arange(n_trees, dtype=np.int64), np.diff(ptr))
     order = np.lexsort((dsts_arr, tree_id))
     tid = tree_id[order]
@@ -190,7 +127,7 @@ def build_multicast_forest(geometry: TorusGeometry, roots,
     raw_child = path_child[raw_src]
     raw_tree = u_tree[raw_pair]
     # Canonical per-tree form: sorted (parent, child), shared-prefix
-    # edges deduplicated — matching build_multicast_tree exactly.
+    # edges deduplicated.
     order = np.lexsort((raw_child, raw_parent, raw_tree))
     e_tree = raw_tree[order]
     e_parent = raw_parent[order]

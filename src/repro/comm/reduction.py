@@ -2,92 +2,18 @@
 
 Partial sums produced on many tiles flow *up* a tree toward the home
 tile of the output element; junction tiles add incoming partials before
-forwarding, so each link carries a single combined value.
+forwarding, so each link carries a single combined value.  A reduction
+tree is the multicast tree from the home to the sources, reversed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm.multicast import build_multicast_forest, build_multicast_tree
+from repro.comm.multicast import build_multicast_forest
 from repro.comm.torus import TorusGeometry
-
-
-@dataclass
-class ReductionTree:
-    """A reduction tree collecting values from ``sources`` into ``root``.
-
-    Attributes
-    ----------
-    root:
-        The home tile receiving the fully-reduced value.
-    sources:
-        Tiles contributing partial values (excluding the root).
-    parent:
-        ``parent[tile]`` is the next hop toward the root.
-    edges:
-        All ``(child, parent)`` link traversals.
-    combine_tiles:
-        Tiles where two or more incoming partials meet and are added
-        before forwarding (each costs a standalone Add, which is why
-        the mapping weights row hyperedges higher, Sec. IV-C).
-    """
-
-    root: int
-    sources: tuple
-    parent: dict = field(default_factory=dict)
-    edges: list = field(default_factory=list)
-    combine_tiles: tuple = ()
-
-    @property
-    def n_link_activations(self) -> int:
-        """Link traversals used by one full reduction up this tree."""
-        return len(self.edges)
-
-    def depth(self) -> int:
-        """Longest source-to-root hop count."""
-        best = 0
-        for source in self.sources:
-            hops = 0
-            node = source
-            while node != self.root:
-                node = self.parent[node]
-                hops += 1
-            best = max(best, hops)
-        return best
-
-
-def build_reduction_tree(torus: TorusGeometry, root: int,
-                         sources) -> ReductionTree:
-    """Build a reduction tree as the reverse of a multicast tree.
-
-    The multicast tree from the root to all sources is reversed: each
-    tree edge ``(parent, child)`` becomes a child-to-parent send.
-    """
-    multicast = build_multicast_tree(torus, root, sources)
-    parent = {}
-    incoming = {}
-    for p, c in multicast.edges:
-        parent[c] = p
-        incoming[p] = incoming.get(p, 0) + 1
-    edges = sorted((c, p) for p, c in multicast.edges)
-    # A tile combines when it merges more than one incoming partial, or
-    # merges an incoming partial with one it produced locally.
-    combine = tuple(
-        sorted(
-            tile for tile, count in incoming.items()
-            if count >= 2 or tile in multicast.destinations or tile == root
-        )
-    )
-    return ReductionTree(
-        root=int(root),
-        sources=multicast.destinations,
-        parent=parent,
-        edges=edges,
-        combine_tiles=combine,
-    )
 
 
 @dataclass
@@ -96,10 +22,10 @@ class ReductionForest:
 
     Tree ``t`` reduces into ``roots[t]`` along sorted ``(child,
     parent)`` edges ``(children[e], parents[e])`` for ``e`` in
-    ``edge_ptr[t]:edge_ptr[t+1]`` — the edge list
-    :func:`build_reduction_tree` produces for the same root and
-    source set.  ``remote_inputs[t]`` counts the tree children
-    delivering merged partial streams directly into the root.
+    ``edge_ptr[t]:edge_ptr[t+1]``: the edges of the multicast tree
+    from the root to the same sources, each reversed.
+    ``remote_inputs[t]`` counts the tree children delivering merged
+    partial streams directly into the root.
     """
 
     roots: np.ndarray
@@ -121,8 +47,7 @@ def build_reduction_forest(geometry: TorusGeometry, roots,
     its sources; the whole batch shares
     :func:`~repro.comm.multicast.build_multicast_forest`'s tree and
     route-path memoization.  Per-tree edges come back sorted by
-    ``(child, parent)``, bit-identical to
-    :func:`build_reduction_tree`.
+    ``(child, parent)``.
     """
     forest = build_multicast_forest(geometry, roots, src_ptr, sources)
     n_edges = len(forest.parents)

@@ -1,9 +1,13 @@
-"""Dimension-order (X-then-Y) routing on the torus.
+"""Dimension-order (X-then-Y) routing on the torus or mesh.
 
 Deterministic dimension-order routing is deadlock-free on a per-
 dimension basis and, crucially for multicast trees, gives every
 (root, destination) pair a unique path: merging the paths of all
 destinations of one multicast yields a tree (Sec. IV-D).
+:func:`route_edges_batch` routes a whole kernel's pairs in one
+vectorized call; the per-pair walk over the geometry's
+``x_steps``/``y_steps`` it must match is kept as a test oracle
+(``tests/oracles/trees.py``).
 """
 
 from __future__ import annotations
@@ -16,59 +20,26 @@ from repro.comm.mesh import MeshGeometry
 from repro.comm.torus import TorusGeometry
 
 
-def route_path(torus: TorusGeometry, src: int, dst: int) -> list:
-    """The tile sequence from ``src`` to ``dst`` (inclusive of both).
-
-    Routes along X (columns) first, then Y (rows), taking the shorter
-    wrap direction on each axis.
-    """
-    path = [src]
-    row, col = torus.coords(src)
-    dst_row, dst_col = torus.coords(dst)
-    for step in torus.x_steps(col, dst_col):
-        col += step
-        path.append(torus.tile_id(row, col))
-    for step in torus.y_steps(row, dst_row):
-        row += step
-        path.append(torus.tile_id(row, col))
-    return path
-
-
-def hop_distance(torus: TorusGeometry, src: int, dst: int) -> int:
-    """Minimal hops between two tiles (wrap-aware)."""
-    return torus.hop_distance(src, dst)
-
-
 def route_edges_batch(geometry, srcs,
                       dsts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dimension-order path edges of many ``(src, dst)`` pairs at once.
 
     Returns ``(edge_ptr, parents, children)``: pair ``p``'s path is the
     ``(parents[e], children[e])`` link sequence for ``e`` in
-    ``edge_ptr[p]:edge_ptr[p+1]`` — exactly the consecutive-node pairs
-    of :func:`route_path` for the same endpoints.  Fully vectorized for
-    the torus and mesh geometries; any other geometry falls back to a
-    per-pair :func:`route_path` loop.
+    ``edge_ptr[p]:edge_ptr[p+1]``, routed along X (columns) first and
+    then Y (rows).  On a torus each axis takes the shorter wrap
+    direction, ties going forward (east/south); a mesh never wraps.
     """
+    if not isinstance(geometry, (TorusGeometry, MeshGeometry)):
+        raise TypeError(f"cannot route on {type(geometry).__name__}")
     srcs = np.asarray(srcs, dtype=np.int64)
     dsts = np.asarray(dsts, dtype=np.int64)
-    if not isinstance(geometry, (TorusGeometry, MeshGeometry)):
-        edge_ptr = np.zeros(len(srcs) + 1, dtype=np.int64)
-        parents_list = []
-        children_list = []
-        for p, (src, dst) in enumerate(zip(srcs.tolist(), dsts.tolist())):
-            path = route_path(geometry, src, dst)
-            parents_list.extend(path[:-1])
-            children_list.extend(path[1:])
-            edge_ptr[p + 1] = len(parents_list)
-        return (edge_ptr, np.asarray(parents_list, dtype=np.int64),
-                np.asarray(children_list, dtype=np.int64))
     n_rows, n_cols = geometry.rows, geometry.cols
     src_row, src_col = np.divmod(srcs, n_cols)
     dst_row, dst_col = np.divmod(dsts, n_cols)
     if isinstance(geometry, TorusGeometry):
         # Shorter wrap direction per axis; ties go forward (east/south),
-        # matching TorusGeometry._axis_steps.
+        # as in TorusGeometry._axis_steps.
         forward = (dst_col - src_col) % n_cols
         backward = (src_col - dst_col) % n_cols
         n_x = np.minimum(forward, backward)

@@ -10,11 +10,11 @@ Given a placement, every kernel's communication is fully determined
 * backward SpTRSV with L^T: columns and rows swap roles (L^T's column
   ``j`` is L's row ``j``).
 
-Messages are counted per the paper's model — a set spanning N tiles
-induces N-1 messages — and link activations come from the actual
-multicast/reduction trees the fabric builds
-(:class:`repro.sim.fabric.FabricModel`), so static analysis and the
-dynamic simulator agree on routing by construction.
+The traffic is counted over the compiled kernels
+(:class:`~repro.dataflow.ir.CompiledKernel`), so the analysis reads
+the very multicast and reduction trees the simulator runs.  Messages
+follow the paper's model — a set spanning N tiles induces N-1
+messages — and every tree edge is one link activation.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.placement import Placement
-from repro.sim.fabric import FabricModel
+from repro.dataflow.spmv_graph import build_spmv_program
+from repro.dataflow.sptrsv_graph import build_sptrsv_program
 from repro.sparse.csr import CSRMatrix
 
 
@@ -67,85 +68,50 @@ class TrafficReport:
         return max(load.values()) if load else 0
 
 
-def _tiles_by_group(group_ids: np.ndarray, tiles: np.ndarray, n_groups: int):
-    """For each group id, the sorted unique tiles holding its members."""
-    order = np.argsort(group_ids, kind="stable")
-    sorted_groups = group_ids[order]
-    sorted_tiles = tiles[order]
-    starts = np.searchsorted(sorted_groups, np.arange(n_groups + 1))
-    return [
-        np.unique(sorted_tiles[starts[g]:starts[g + 1]])
-        for g in range(n_groups)
-    ]
+def kernel_traffic(kernel) -> KernelTraffic:
+    """Traffic of one compiled kernel.
+
+    Multicast messages are its destination entries, reduction messages
+    its (row, tile) partials produced away from the row's home, and
+    link activations its multicast plus reduction edges; ``per_link``
+    maps each directed ``(src, dst)`` link to its activation count.
+    """
+    remote = kernel.local_tiles[:, None] != kernel.vec_tile
+    src = np.concatenate((kernel.mcast_parent, kernel.red_child))
+    dst = np.concatenate((kernel.mcast_child, kernel.red_parent))
+    span = int(max(src.max(), dst.max())) + 1 if len(src) else 1
+    links, counts = np.unique(src * span + dst, return_counts=True)
+    return KernelTraffic(
+        kernel.name,
+        multicast_messages=len(kernel.mcast_dst),
+        reduction_messages=int(np.count_nonzero(kernel.local_counts[remote])),
+        link_activations=len(src),
+        per_link=dict(zip(zip((links // span).tolist(),
+                              (links % span).tolist()),
+                          counts.tolist())),
+    )
 
 
-def _kernel_traffic(name: str, fabric: FabricModel,
-                    col_tiles: list, row_tiles: list,
-                    vec_tile: np.ndarray) -> KernelTraffic:
-    """Traffic of one kernel given per-column and per-row tile sets."""
-    traffic = KernelTraffic(name)
-    per_link = traffic.per_link
-    for j, tiles in enumerate(col_tiles):
-        home = int(vec_tile[j])
-        destinations = [t for t in tiles if t != home]
-        if not destinations:
-            continue
-        traffic.multicast_messages += len(destinations)
-        tree = fabric.multicast_tree(home, destinations)
-        traffic.link_activations += tree.n_link_activations
-        for edge in tree.edges:
-            per_link[edge] = per_link.get(edge, 0) + 1
-    for i, tiles in enumerate(row_tiles):
-        home = int(vec_tile[i])
-        sources = [t for t in tiles if t != home]
-        if not sources:
-            continue
-        traffic.reduction_messages += len(sources)
-        tree = fabric.reduction_tree(home, sources)
-        traffic.link_activations += tree.n_link_activations
-        for edge in tree.edges:
-            per_link[edge] = per_link.get(edge, 0) + 1
-    return traffic
+def count_traffic(kernels, mapper: str) -> TrafficReport:
+    """Traffic of a PCG iteration's compiled sparse kernels."""
+    return TrafficReport(
+        mapper=mapper, kernels=[kernel_traffic(k) for k in kernels],
+    )
 
 
 def analyze_traffic(placement: Placement, matrix: CSRMatrix,
                     lower: CSRMatrix, torus) -> TrafficReport:
     """Full-iteration traffic: SpMV + forward SpTRSV + backward SpTRSV.
 
-    ``torus`` may be a raw geometry (torus or mesh) or an existing
-    :class:`~repro.sim.fabric.FabricModel`; tree construction always
-    goes through the fabric so this static analysis matches the
-    simulator's routing exactly.
+    Compiles the three kernels over ``torus`` (a torus or mesh
+    geometry) and counts them; ``lower`` must be a lower-triangular
+    factor with a full diagonal, as the SpTRSV compiler requires.
     """
-    fabric = torus if isinstance(torus, FabricModel) else FabricModel(torus)
-    n = matrix.n_rows
-    a_rows = np.repeat(np.arange(n), matrix.row_nnz())
-    a_cols = matrix.indices
-    l_rows = np.repeat(np.arange(n), lower.row_nnz())
-    l_cols = lower.indices
-    # Off-diagonal entries only: diagonal work is local to the home tile.
-    l_off = l_rows != l_cols
-
-    spmv = _kernel_traffic(
-        "spmv", fabric,
-        _tiles_by_group(a_cols, placement.a_tile, n),
-        _tiles_by_group(a_rows, placement.a_tile, n),
-        placement.vec_tile,
-    )
-    forward = _kernel_traffic(
-        "sptrsv_lower", fabric,
-        _tiles_by_group(l_cols[l_off], placement.l_tile[l_off], n),
-        _tiles_by_group(l_rows[l_off], placement.l_tile[l_off], n),
-        placement.vec_tile,
-    )
-    # L^T solve: L's rows become columns and vice versa.
-    backward = _kernel_traffic(
-        "sptrsv_upper", fabric,
-        _tiles_by_group(l_rows[l_off], placement.l_tile[l_off], n),
-        _tiles_by_group(l_cols[l_off], placement.l_tile[l_off], n),
-        placement.vec_tile,
-    )
-    return TrafficReport(
-        mapper=placement.mapper,
-        kernels=[spmv, forward, backward],
-    )
+    kernels = [build_spmv_program(matrix, placement.a_tile,
+                                  placement.vec_tile, torus)]
+    for transpose in (False, True):
+        kernels.append(build_sptrsv_program(
+            lower, placement.l_tile, placement.vec_tile, torus,
+            transpose=transpose,
+        ))
+    return count_traffic(kernels, placement.mapper)

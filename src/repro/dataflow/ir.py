@@ -17,7 +17,7 @@ arrays instead of an object graph:
   ``mcast_edge_ptr[t]:mcast_edge_ptr[t+1]`` to destinations
   ``mcast_dst[mcast_dst_ptr[t]:mcast_dst_ptr[t+1]]``.  Edge lists and
   destination lists are sorted (the canonical form
-  :func:`repro.comm.multicast.build_multicast_tree` produces).
+  :func:`repro.comm.multicast.build_multicast_forest` produces).
   ``mcast_first``/``mcast_count`` give O(1) per-column lookup.
 * **Reduction forest** — one tree per row with remote partials,
   ordered by row: reduction edges are ``(child, parent)`` pairs,
@@ -27,8 +27,11 @@ arrays instead of an object graph:
   no nonzeros are not materialized); ``row_remote_inputs[i]`` the
   number of tree children delivering partials into row ``i``'s home.
 
-Layer contract: ``ir`` sits above ``messages``/``tasks`` and imports
-nothing from :mod:`repro.sim`.
+The simulator executes these arrays and the static traffic analysis
+(:mod:`repro.core.traffic`) counts them, so both see the same trees.
+
+Layer contract: ``ir`` sits above ``tasks`` and imports nothing from
+:mod:`repro.sim`.
 """
 
 from __future__ import annotations

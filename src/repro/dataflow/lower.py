@@ -11,7 +11,8 @@ one forest build per kernel through
 shared trees and route paths across columns/rows).  Its programs are
 bit-identical to a per-element loop that builds one tree per column
 and per row; that loop defines the canonical form and is kept as a
-test oracle (``tests/test_dataflow_equivalence.py``).
+test oracle (``tests/oracles/lowering.py``, checked by
+``tests/test_dataflow_equivalence.py``).
 
 Layer contract: ``lower`` sits directly above ``ir`` and may import
 :mod:`repro.comm`, never :mod:`repro.sim`.

@@ -41,10 +41,7 @@ def dot_allreduce_cycles(vec_tile: np.ndarray, torus,
 
     Local FMACs on the critical tile, a global reduction over the tree
     (one Add per level plus link hops), and a broadcast of the scalar
-    back down the tree.  ``torus`` is anything exposing
-    ``reduction_depth()`` — a raw geometry or a
-    ``repro.sim.fabric.FabricModel`` (duck-typed; ``dataflow`` must not
-    import the simulator).
+    back down the tree.  ``torus`` is the NoC geometry (torus or mesh).
     """
     local = _vector_elements_per_tile(vec_tile, config.num_tiles)
     depth = _allreduce_tree_depth(torus)

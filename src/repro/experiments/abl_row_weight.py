@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.comm import make_geometry
 from repro.config import AzulConfig
-from repro.core.traffic import analyze_traffic
 from repro.experiments.common import ExperimentSession
 from repro.experiments.spec import ExperimentPlan, register
 from repro.parallel import PlacementSpec, SimPoint
@@ -36,8 +34,6 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
         )
 
     def reduce(sims) -> ExperimentResult:
-        torus = make_geometry(session.config)
-        prepared = session.prepare(matrix)
         result = ExperimentResult(
             experiment="abl_row_weight",
             title=f"Row-edge weight ablation on {matrix}",
@@ -47,10 +43,7 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
             ],
         )
         for weight in weights:
-            traffic = analyze_traffic(
-                sims[f"place/{weight}"], prepared.matrix, prepared.lower,
-                torus,
-            )
+            traffic = session.traffic(matrix, sims[f"place/{weight}"])
             result.add_row(
                 row_weight=weight,
                 reduction_msgs=sum(

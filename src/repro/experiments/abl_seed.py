@@ -13,10 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.comm import make_geometry
 from repro.config import AzulConfig
 from repro.core.azul_mapping import build_pcg_hypergraph
-from repro.core.traffic import analyze_traffic
 from repro.experiments.common import ExperimentSession
 from repro.experiments.spec import ExperimentPlan, register
 from repro.hypergraph import connectivity_cut
@@ -38,7 +36,6 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
                                          check=False)
 
     def reduce(sims) -> ExperimentResult:
-        torus = make_geometry(session.config)
         prepared = session.prepare(matrix)
         hypergraph = build_pcg_hypergraph(prepared.matrix, prepared.lower)
         result = ExperimentResult(
@@ -52,9 +49,7 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
             assignment = np.concatenate([
                 placement.a_tile, placement.l_tile, placement.vec_tile,
             ])
-            traffic = analyze_traffic(
-                placement, prepared.matrix, prepared.lower, torus
-            )
+            traffic = session.traffic(matrix, placement)
             result.add_row(
                 seed=seed,
                 connectivity_cut=connectivity_cut(hypergraph, assignment),

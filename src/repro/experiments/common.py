@@ -121,11 +121,6 @@ def default_matrices() -> list:
     return list(REPRESENTATIVE)
 
 
-def full_suite_matrices() -> list:
-    """All twenty small-section matrices (paper's main evaluation set)."""
-    return suite_names("small")
-
-
 def mapper_options(preset: str, seed: int) -> PartitionerOptions:
     """Partitioner preset used for Azul mappings in experiments."""
     from repro.hypergraph.partitioner import PartitionerOptions
@@ -456,32 +451,40 @@ class ExperimentSession:
         return placement
 
     # -- compilation ---------------------------------------------------
-    def compiled_program(self, name: str, mapper: str = "azul", *,
+    def compiled_program(self, name: str, placement: Placement, *,
                          scale: Optional[int] = None,
-                         preset: Optional[str] = None,
                          multicast: str = "tree",
                          use_cache: Optional[bool] = None):
-        """The compiled PCG iteration program for one mapped matrix.
+        """The compiled PCG iteration program of one placement of ``name``.
 
-        Programs are content-addressed in the ``programs`` cache
-        namespace (see :func:`program_cache_key`): two sessions — or
-        two sweep points — whose matrix, placement, geometry, and
-        multicast mode agree share one compilation, whatever their
-        timing configuration.
+        ``placement`` maps the matrix :meth:`prepare` returns for
+        ``name`` at ``scale`` (default: the session's).  Programs are
+        content-addressed in the ``programs`` cache namespace (see
+        :func:`program_cache_key`): every simulation and traffic
+        analysis whose matrix, placement, geometry, and multicast mode
+        agree shares one compilation, whatever its timing
+        configuration.
         """
-        spec, _ = resolve(self, PlacementSpec(name, mapper, scale=scale,
-                                             preset=preset))
-        use_cache = self.use_cache if use_cache is None else bool(use_cache)
-        placement = self.placement(**vars(spec), use_cache=use_cache)
-        prepared = self.prepare(name, spec.scale)
         from repro.sim.machine import AzulMachine
 
-        machine = AzulMachine(self.config)
+        prepared = self.prepare(name, scale)
+        use_cache = self.use_cache if use_cache is None else bool(use_cache)
         return compile_pcg_program(
-            machine, prepared.matrix, prepared.lower, placement,
-            multicast=multicast, cache=self.cache, use_cache=use_cache,
-            label=name,
+            AzulMachine(self.config), prepared.matrix, prepared.lower,
+            placement, multicast=multicast, cache=self.cache,
+            use_cache=use_cache, label=name,
         )
+
+    def traffic(self, name: str, placement: Placement):
+        """Static NoC traffic of one placement of ``name``.
+
+        Counted over the program :meth:`compiled_program` returns, so
+        the analysis shares the simulations' cached compilation.
+        """
+        from repro.core.traffic import count_traffic
+
+        program = self.compiled_program(name, placement)
+        return count_traffic(program.kernels, placement.mapper)
 
     # -- simulation ----------------------------------------------------
     def simulate(self, name: str, mapper: str = "azul", pe="azul",
@@ -529,13 +532,12 @@ class ExperimentSession:
         prepared = self.prepare(name, point.scale)
         placement = self.placement(**vars(point.placement),
                                    use_cache=use_cache)
+        program = self.compiled_program(
+            name, placement, scale=point.scale, multicast=multicast,
+            use_cache=use_cache,
+        )
         model = pe if isinstance(pe, PEModel) else pe_model_by_name(pe)
         machine = AzulMachine(self.config, model)
-        program = compile_pcg_program(
-            machine, prepared.matrix, prepared.lower, placement,
-            multicast=multicast, cache=self.cache, use_cache=use_cache,
-            label=name,
-        )
         with obs.timer("pipeline.simulate", matrix=name, mapper=mapper,
                        pe=str(getattr(pe, "name", pe)), trace=trace):
             result = machine.simulate_iteration(

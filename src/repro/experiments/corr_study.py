@@ -13,9 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.comm import make_geometry
 from repro.config import AzulConfig
-from repro.core.traffic import analyze_traffic
 from repro.experiments.common import ExperimentSession, default_matrices
 from repro.experiments.spec import ExperimentPlan, register
 from repro.parallel import PlacementSpec
@@ -38,7 +36,6 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
     }
 
     def reduce(sims) -> ExperimentResult:
-        torus = make_geometry(session.config)
         result = ExperimentResult(
             experiment="corr_study",
             title="Spatial correlation vs Block-mapping traffic penalty",
@@ -47,11 +44,11 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
         for name in matrices:
             prepared = session.prepare(name)
             correlation = spatial_correlation(prepared.matrix)
-            block_traffic = analyze_traffic(
-                sims[f"{name}/block"], prepared.matrix, prepared.lower, torus
+            block_traffic = session.traffic(
+                name, sims[f"{name}/block"]
             ).total_link_activations
-            azul_traffic = analyze_traffic(
-                sims[f"{name}/azul"], prepared.matrix, prepared.lower, torus
+            azul_traffic = session.traffic(
+                name, sims[f"{name}/azul"]
             ).total_link_activations
             result.add_row(
                 matrix=name,

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.comm import make_geometry
 from repro.config import AzulConfig
-from repro.core.traffic import analyze_traffic
 from repro.experiments.common import ExperimentSession, default_matrices
 from repro.experiments.spec import ExperimentPlan, register
 from repro.parallel import PlacementSpec
@@ -35,7 +33,6 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
     }
 
     def reduce(sims) -> ExperimentResult:
-        torus = make_geometry(session.config)
         result = ExperimentResult(
             experiment="fig11",
             title="NoC link activations per PCG iteration (normalized)",
@@ -43,13 +40,9 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
             + ["azul_reduction_vs_rr"],
         )
         for name in matrices:
-            prepared = session.prepare(name)
             activations = {}
             for mapping in MAPPINGS:
-                report = analyze_traffic(
-                    sims[f"{name}/{mapping}"], prepared.matrix,
-                    prepared.lower, torus,
-                )
+                report = session.traffic(name, sims[f"{name}/{mapping}"])
                 activations[mapping] = report.total_link_activations
             worst = max(activations.values())
             row = {"matrix": name}

@@ -197,13 +197,29 @@ def main(argv=None):
     default_jobs()
 
     observe = args.trace is not None or args.metrics is not None
-    if observe:
-        import repro.obs as obs
+    if not observe:
+        return _run(args, specs, observe)
+    import repro.obs as obs
 
-        obs.enable(metrics=True, tracing=args.trace is not None)
-        rss_before = _peak_rss_mb()
+    # An observed call collects from an empty registry and leaves none
+    # behind, so each call's artifacts cover that call alone.
+    obs.reset()
+    obs.enable(metrics=True, tracing=args.trace is not None)
+    try:
+        return _run(args, specs, observe)
+    finally:
+        obs.disable()
+        obs.reset()
 
-    overrides = {}
+
+def _run(args, specs, observe: bool) -> int:
+    """Plan or execute ``specs`` as ``args`` ask; the exit code.
+
+    With ``observe``, the trace / metrics artifacts are written after
+    the runs.
+    """
+    rss_before = _peak_rss_mb() if observe else None
+    overrides: dict = {}
     if args.matrices is not None:
         overrides["matrices"] = list(args.matrices)
 

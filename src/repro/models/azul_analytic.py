@@ -28,7 +28,8 @@ import numpy as np
 from repro.comm.torus import TorusGeometry
 from repro.config import AzulConfig
 from repro.core.placement import Placement
-from repro.core.traffic import analyze_traffic
+from repro.core.traffic import analyze_traffic, kernel_traffic
+from repro.dataflow.spmv_graph import build_spmv_program
 from repro.dataflow.vector_ops import VectorPhaseModel
 from repro.graph.levels import critical_path_ops, level_schedule
 from repro.sparse.csr import CSRMatrix
@@ -114,10 +115,11 @@ def predict_spmv(matrix: CSRMatrix, placement: Placement,
         config.num_tiles, 1,
     )
     if traffic is None:
-        traffic = analyze_traffic(
-            placement, matrix, matrix.lower_triangle(), torus
-        )
-    spmv_traffic = traffic.kernels[0]
+        spmv_traffic = kernel_traffic(build_spmv_program(
+            matrix, placement.a_tile, placement.vec_tile, torus,
+        ))
+    else:
+        spmv_traffic = traffic.kernels[0]
     network = max(
         list(spmv_traffic.per_link.values()) or [0]
     ) * 1.0

@@ -151,11 +151,6 @@ class Tracer:
                 tid = self._tids[ident] = len(self._tids)
             return tid
 
-    def active_span(self) -> Optional[Span]:
-        """The innermost in-flight span on the calling thread."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
     # -- foreign events ------------------------------------------------
     def allocate_pid(self, label: str) -> int:
         """Reserve a Chrome-trace process id for a foreign timeline.

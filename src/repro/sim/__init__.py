@@ -40,7 +40,7 @@ _EXPORTS = {
     ),
     "repro.sim.engine": ("KernelSimulator",),
     "repro.sim.events": ("EventQueue",),
-    "repro.sim.fabric": ("FabricModel", "LinkFabric"),
+    "repro.sim.fabric": ("LinkFabric",),
     "repro.sim.issue": ("HorizonIssue",),
     "repro.sim.state": ("KernelState", "TileState"),
     "repro.sim.machine": ("AzulMachine",),

@@ -1,35 +1,30 @@
 """NoC fabric layer: link occupancy/contention and tree forwarding.
 
-Two views of the same fabric:
-
-* :class:`LinkFabric` — the *dynamic* per-run state: flit
-  serialization on directed links (one flit per link per cycle),
-  queueing delay and per-link activation counts, keyed by the integer
-  link ``src · n_tiles + dst``.  Works over any geometry (torus or
-  mesh); the geometry is baked into the trees at program-build time,
-  so the fabric itself only sees tile ids.
+* :class:`LinkFabric` — the per-run link state: flit serialization on
+  directed links (one flit per link per cycle), queueing delay and
+  per-link activation counts, keyed by the integer link
+  ``src · n_tiles + dst``.  Works over any geometry (torus or mesh);
+  the geometry is baked into the trees at program-build time, so the
+  fabric itself only sees tile ids.
 * :func:`multicast_forks` — the flat multicast forwarding tables of
   one compiled kernel, indexed by tree edge, so an arrival is one list
   read per table instead of a tree walk or a tuple-keyed probe.
-* :class:`FabricModel` — the *static* tree/link API consumed by the
-  machine model, solver timing, and ``repro.core.traffic``: multicast
-  and reduction trees, hop distances, and link enumeration over a
-  :class:`~repro.comm.torus.TorusGeometry` /
-  :class:`~repro.comm.mesh.MeshGeometry`.
+
+The trees themselves are the compiled kernel's forests
+(:mod:`repro.comm.multicast`, :mod:`repro.comm.reduction`); the static
+traffic analysis (:mod:`repro.core.traffic`) counts the same forests.
 
 Layer contract: fabric sits above ``events``/``state`` and below
-``issue``/``engine``; it may import :mod:`repro.comm` but never the
-issue layer or the composition root.
+``issue``/``engine``; it never imports the issue layer or the
+composition root.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, NamedTuple, Tuple
+from typing import Any, Dict, NamedTuple, Tuple
 
 import numpy as np
 
-from repro.comm.multicast import MulticastTree, build_multicast_tree
-from repro.comm.reduction import ReductionTree, build_reduction_tree
 from repro.sim.events import EventQueue
 
 Link = Tuple[int, int]
@@ -155,50 +150,3 @@ def multicast_forks(program, n_tiles: int) -> MulticastForks:
         root_lo=np.searchsorted(out_key, at_root, side="left"),
         root_hi=np.searchsorted(out_key, at_root, side="right"),
     )
-
-
-class FabricModel:
-    """Static tree/link API of the NoC for a given geometry.
-
-    The machine model (:class:`~repro.sim.machine.AzulMachine`), the
-    solver-timing recipes, and the static traffic analysis
-    (:mod:`repro.core.traffic`) consume this instead of building trees
-    straight from :mod:`repro.comm` or reaching into engine internals.
-    """
-
-    __slots__ = ("geometry", "hop_cycles")
-
-    def __init__(self, geometry, hop_cycles: int = 1) -> None:
-        self.geometry = geometry
-        self.hop_cycles = hop_cycles
-
-    @property
-    def n_tiles(self) -> int:
-        return self.geometry.n_tiles
-
-    # -- trees ---------------------------------------------------------
-    def multicast_tree(self, root: int,
-                       destinations: Iterable[int]) -> MulticastTree:
-        """The router-merged multicast tree from ``root``."""
-        return build_multicast_tree(self.geometry, root,
-                                    list(destinations))
-
-    def reduction_tree(self, root: int,
-                       sources: Iterable[int]) -> ReductionTree:
-        """The reduction tree collecting ``sources`` into ``root``."""
-        return build_reduction_tree(self.geometry, root, list(sources))
-
-    # -- links ---------------------------------------------------------
-    def hop_distance(self, src: int, dst: int) -> int:
-        return self.geometry.hop_distance(src, dst)
-
-    def all_links(self) -> List[Link]:
-        return self.geometry.all_links()
-
-    def reduction_depth(self) -> int:
-        return self.geometry.reduction_depth()
-
-    # -- dynamic state -------------------------------------------------
-    def new_link_state(self, events: EventQueue) -> LinkFabric:
-        """Fresh per-run link-contention state bound to ``events``."""
-        return LinkFabric(events, self.hop_cycles, self.n_tiles)

@@ -20,7 +20,6 @@ from repro.core.placement import Placement
 from repro.dataflow.program import PCGIterationProgram, build_pcg_program
 from repro.errors import SimulationError
 from repro.sim.engine import KernelSimulator
-from repro.sim.fabric import FabricModel
 from repro.sim.pe import AZUL_PE, PEModel
 from repro.sim.stats import IterationResult, KernelResult
 from repro.sparse.csr import CSRMatrix
@@ -29,22 +28,17 @@ from repro.sparse.csr import CSRMatrix
 class AzulMachine:
     """A simulated Azul machine executing mapped PCG iterations.
 
-    The machine's view of the NoC is a
-    :class:`~repro.sim.fabric.FabricModel` over the configured geometry
+    ``self.torus`` is the NoC geometry the configuration describes
     (``config.topology`` selects torus or mesh via
-    :func:`repro.comm.make_geometry`); tree/link queries go through
-    ``self.fabric`` rather than the raw geometry.  ``self.torus`` is
-    kept as a backwards-compatible alias for the geometry object.
+    :func:`repro.comm.make_geometry`); programs are compiled over it
+    and the vector-phase model reads its reduction depth.
     """
 
     def __init__(self, config: Optional[AzulConfig] = None,
                  pe: PEModel = AZUL_PE):
         self.config = config or AzulConfig()
         self.pe = pe
-        self.fabric = FabricModel(
-            make_geometry(self.config), self.config.hop_cycles
-        )
-        self.torus = self.fabric.geometry
+        self.torus = make_geometry(self.config)
 
     # ------------------------------------------------------------------
     def compile(self, matrix: CSRMatrix, lower: CSRMatrix,

@@ -71,10 +71,8 @@ def solver_iteration_cycles(machine: AzulMachine,
     spmv_result, forward_result, backward_result = base.kernel_results
     solve_cycles = forward_result.cycles + backward_result.cycles
     config = machine.config
-    # The fabric exposes the geometry's reduction depth; solver timing
-    # never touches the raw geometry object.
     dot = dot_allreduce_cycles(program.vector_phase.vec_tile,
-                               machine.fabric, config)
+                               machine.torus, config)
     axpy = axpy_cycles(program.vector_phase.vec_tile, config)
     cycles = (
         recipe.n_spmv * spmv_result.cycles

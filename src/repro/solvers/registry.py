@@ -18,12 +18,6 @@ class SolverSpec:
     preconditioner: str
     kernels: tuple
 
-    def uses_sptrsv(self) -> bool:
-        return "SpTRSV" in self.kernels
-
-    def uses_spmv(self) -> bool:
-        return "SpMV" in self.kernels
-
 
 _TABLE = [
     SolverSpec("Conjugate Gradients", "None", ("SpMV",)),

@@ -20,19 +20,3 @@ class ConvergenceHistory:
 
     def __len__(self):
         return len(self._residuals)
-
-    def reduction_factor(self) -> float:
-        """Geometric-mean per-iteration residual reduction."""
-        if len(self._residuals) < 2 or self._residuals[0] == 0.0:
-            return 1.0
-        ratio = self._residuals[-1] / self._residuals[0]
-        if ratio <= 0.0:
-            return 0.0
-        return ratio ** (1.0 / (len(self._residuals) - 1))
-
-    def is_monotonic(self) -> bool:
-        """Whether the residual decreased at every recorded iteration."""
-        return all(
-            later <= earlier
-            for earlier, later in zip(self._residuals, self._residuals[1:])
-        )

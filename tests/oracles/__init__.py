@@ -4,8 +4,9 @@ Each oracle is the straightforward formulation of a pipeline stage —
 per-op simulator issue, timing-free kernel execution, the classic FM
 loop and per-vertex FM gains, array-at-a-time region growing,
 sort-ranked matching, per-edge cut counts, per-row IC(0), per-element
-dataflow lowering, and the k-d tree nearest-neighbour query — kept
-only as a test reference:
+dataflow lowering, per-pair routing and per-tree construction,
+per-column traffic analysis, and the k-d tree nearest-neighbour query
+— kept only as a test reference:
 
 * :mod:`tests.oracles.sim` — operation-granularity PE issue;
 * :mod:`tests.oracles.functional` — compiled SpMV/SpTRSV programs
@@ -18,5 +19,9 @@ only as a test reference:
 * :mod:`tests.oracles.metrics` — per-edge connectivity counts;
 * :mod:`tests.oracles.kernels` — the up-looking row-by-row IC(0);
 * :mod:`tests.oracles.lowering` — the per-element lowering loop;
+* :mod:`tests.oracles.trees` — one dimension-order route, multicast
+  tree and reduction tree at a time;
+* :mod:`tests.oracles.traffic` — traffic counted from per-column and
+  per-row tile sets, one tree at a time;
 * :mod:`tests.oracles.neighbors` — scipy's cKDTree neighbour query.
 """

@@ -13,10 +13,9 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro.comm.multicast import build_multicast_tree
-from repro.comm.reduction import build_reduction_tree
 from repro.dataflow.ir import CompiledKernel
 from repro.dataflow.lower import _as_int64, _initial_rows
+from tests.oracles.trees import build_multicast_tree, build_reduction_tree
 
 
 def lower_kernel_oracle(name: str, n: int, rows: np.ndarray,

@@ -1,13 +1,20 @@
-"""Tests for torus geometry, routing, and communication trees."""
+"""Tests for torus geometry, routing, and communication trees.
+
+Production routing (:func:`repro.comm.routing.route_edges_batch`) is
+checked against the per-pair oracle walk on every pair of every small
+torus and mesh; the oracle walk and the per-tree builders
+(:mod:`tests.oracles.trees`) carry the path and tree properties the
+forests are held to.
+"""
 
 import numpy as np
 import pytest
 
-from repro.comm import (
-    TorusGeometry,
+from repro.comm import MeshGeometry, TorusGeometry
+from repro.comm.routing import route_edges_batch
+from tests.oracles.trees import (
     build_multicast_tree,
     build_reduction_tree,
-    hop_distance,
     route_path,
 )
 
@@ -67,7 +74,7 @@ class TestRouting:
         for _ in range(20):
             src, dst = (int(v) for v in rng.integers(0, torus8.n_tiles, 2))
             path = route_path(torus8, src, dst)
-            assert len(path) - 1 == hop_distance(torus8, src, dst)
+            assert len(path) - 1 == torus8.hop_distance(src, dst)
 
     def test_path_steps_are_links(self, torus8, rng):
         for _ in range(10):
@@ -94,10 +101,42 @@ class TestRouting:
         assert all(c == cols[-1] for c in cols[first_row_change:])
 
 
+class TestRouteEdgesBatch:
+    """The vectorized router against the per-pair oracle walk."""
+
+    @pytest.mark.parametrize("geometry_cls", [TorusGeometry, MeshGeometry])
+    @pytest.mark.parametrize("rows", range(1, 9))
+    def test_every_pair_matches_oracle(self, geometry_cls, rows):
+        for cols in range(1, 9):
+            geometry = geometry_cls(rows, cols)
+            tiles = np.arange(geometry.n_tiles)
+            srcs = np.repeat(tiles, geometry.n_tiles)
+            dsts = np.tile(tiles, geometry.n_tiles)
+            edge_ptr, parents, children = route_edges_batch(
+                geometry, srcs, dsts
+            )
+            assert edge_ptr[0] == 0 and edge_ptr[-1] == len(parents)
+            for p, (src, dst) in enumerate(zip(srcs.tolist(),
+                                               dsts.tolist())):
+                path = route_path(geometry, src, dst)
+                lo, hi = edge_ptr[p], edge_ptr[p + 1]
+                assert parents[lo:hi].tolist() == path[:-1]
+                assert children[lo:hi].tolist() == path[1:]
+
+    def test_empty_batch(self, torus8):
+        edge_ptr, parents, children = route_edges_batch(torus8, [], [])
+        assert edge_ptr.tolist() == [0]
+        assert len(parents) == len(children) == 0
+
+    def test_unknown_geometry_rejected(self):
+        with pytest.raises(TypeError):
+            route_edges_batch(object(), [0], [1])
+
+
 class TestMulticastTree:
     def test_single_destination_is_path(self, torus8):
         tree = build_multicast_tree(torus8, 0, [9])
-        assert tree.n_link_activations == hop_distance(torus8, 0, 9)
+        assert tree.n_link_activations == torus8.hop_distance(0, 9)
 
     def test_shared_prefix_traversed_once(self, torus8):
         """Fig. 18: destinations in the same direction share links."""
@@ -108,7 +147,7 @@ class TestMulticastTree:
             torus8.tile_id(6, 1),
         ]
         tree = build_multicast_tree(torus8, root, dests)
-        naive = sum(hop_distance(torus8, root, d) for d in dests)
+        naive = sum(torus8.hop_distance(root, d) for d in dests)
         assert tree.n_link_activations < naive
         # All three share the westward path to column 1 (2 links), then
         # fan out north/south.

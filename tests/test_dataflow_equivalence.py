@@ -125,8 +125,9 @@ class TestProgramCache:
         assert (requests, builds, hits) == (3.0, 1.0, 2.0)
 
     def test_compiled_program_roundtrip(self, session):
-        first = session.compiled_program("tmt_sym", mapper="block")
-        second = session.compiled_program("tmt_sym", mapper="block")
+        placement = session.placement("tmt_sym", "block")
+        first = session.compiled_program("tmt_sym", placement)
+        second = session.compiled_program("tmt_sym", placement)
         requests, builds, hits = self._compile_counters()
         assert (requests, builds, hits) == (2.0, 1.0, 1.0)
         for kernel in ("spmv", "sptrsv_lower", "sptrsv_upper"):
@@ -135,15 +136,15 @@ class TestProgramCache:
             )
 
     def test_multicast_mode_partitions_cache(self, session):
-        session.compiled_program("tmt_sym", mapper="block", multicast="tree")
-        session.compiled_program(
-            "tmt_sym", mapper="block", multicast="unicast",
-        )
+        placement = session.placement("tmt_sym", "block")
+        session.compiled_program("tmt_sym", placement, multicast="tree")
+        session.compiled_program("tmt_sym", placement, multicast="unicast")
         requests, builds, hits = self._compile_counters()
         assert (requests, builds, hits) == (2.0, 2.0, 0.0)
 
     def test_use_cache_false_always_builds(self, session):
-        session.compiled_program("tmt_sym", mapper="block", use_cache=False)
-        session.compiled_program("tmt_sym", mapper="block", use_cache=False)
+        placement = session.placement("tmt_sym", "block")
+        session.compiled_program("tmt_sym", placement, use_cache=False)
+        session.compiled_program("tmt_sym", placement, use_cache=False)
         requests, builds, hits = self._compile_counters()
         assert (requests, builds, hits) == (2.0, 2.0, 0.0)

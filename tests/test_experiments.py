@@ -7,6 +7,7 @@ exercise the full-size configurations.
 
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -114,8 +115,9 @@ class TestDeprecatedWrappersRemoved:
 
     def test_unreached_names_removed(self):
         import repro
-        from repro import core, dataflow, hypergraph, precond, sim
-        from repro.sim import issue, trace
+        from repro import comm, core, dataflow, hypergraph, precond, sim
+        from repro.experiments import common
+        from repro.sim import fabric, issue, trace
 
         for owner, gone in (
             (repro, "BlockJacobiPreconditioner"),
@@ -135,6 +137,11 @@ class TestDeprecatedWrappersRemoved:
             (issue, "VEC_THRESHOLD"),
             (issue.HorizonIssue, "_saac_batch"),
             (issue.HorizonIssue, "_plan_batch_vectorized"),
+            (sim, "FabricModel"), (fabric, "FabricModel"),
+            (comm, "route_path"), (comm, "hop_distance"),
+            (comm, "MulticastTree"), (comm, "build_multicast_tree"),
+            (comm, "ReductionTree"), (comm, "build_reduction_tree"),
+            (common, "full_suite_matrices"),
         ):
             assert not hasattr(owner, gone), (
                 f"removed {gone} resurfaced on {owner.__name__}"
@@ -176,6 +183,35 @@ class TestRunner:
         )
         assert proc.returncode == 0, proc.stderr
         assert "fig21" in proc.stdout
+
+    def test_observed_runs_report_only_their_own(self, tmp_path, capsys):
+        """Each observed ``main`` starts and leaves ``repro.obs`` empty."""
+        from repro import obs
+        from repro.experiments.runner import main
+
+        for run in ("first", "second"):
+            path = tmp_path / f"{run}.json"
+            assert main(["tab4", "--metrics", str(path)]) == 0
+            counters = json.loads(path.read_text())["counters"]
+            assert counters["exec.completed"] == 1, run
+            assert not obs.enabled()
+            assert obs.snapshot()["counters"] == {}
+
+    def test_traffic_rerun_compiles_nothing(self, tmp_path, monkeypatch,
+                                            capsys):
+        """fig11 counts traffic over the cached programs (CI's rerun)."""
+        from repro.experiments.runner import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        argv = ["tabD", "fig11", "--matrices", *SMALL, "--jobs", "1"]
+        assert main(argv) == 0
+        path = tmp_path / "metrics.json"
+        assert main([*argv, "--metrics", str(path)]) == 0
+        metrics = json.loads(path.read_text())
+        counters = metrics["counters"]
+        assert counters["sweep.computed_serial"] == 0
+        assert counters["compile.cache_hits"] == 8  # 4 mappers x 2
+        assert "compile.build.seconds" not in metrics["histograms"]
 
 
 class TestCheapExperiments:

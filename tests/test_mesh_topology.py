@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.comm import (
-    MeshGeometry,
-    TorusGeometry,
-    build_multicast_tree,
-    make_geometry,
-    route_path,
-)
+from repro.comm import MeshGeometry, TorusGeometry, make_geometry
 from repro.config import AzulConfig
+from tests.oracles.trees import build_multicast_tree, route_path
 
 
 class TestMeshGeometry:

@@ -4,7 +4,8 @@ invariants."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.comm import TorusGeometry, build_multicast_tree, route_path
+from repro.comm import MeshGeometry, TorusGeometry
+from repro.comm.routing import route_edges_batch
 from repro.core.quantiles import depth_quantile_weights
 from repro.graph import greedy_coloring, inverse_permutation, symmetric_permute
 from repro.graph.coloring import validate_coloring
@@ -13,6 +14,7 @@ from repro.hypergraph import PartitionerOptions
 from repro.perf import gmean
 from repro.sparse import COOMatrix, coo_to_csc, coo_to_csr, csr_to_csc
 from repro.sparse.ops import sptrsv_lower
+from tests.oracles.trees import build_multicast_tree
 
 
 # ----------------------------------------------------------------------
@@ -135,15 +137,26 @@ class TestGraphProperties:
 # Communication
 # ----------------------------------------------------------------------
 class TestCommProperties:
-    @given(st.integers(2, 8), st.integers(2, 8),
-           st.integers(0, 63), st.integers(0, 63))
+    @given(st.sampled_from([TorusGeometry, MeshGeometry]),
+           st.integers(1, 8), st.integers(1, 8),
+           st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)),
+                    min_size=1, max_size=8))
     @settings(max_examples=80, deadline=None)
-    def test_route_is_minimal(self, rows, cols, a, b):
-        torus = TorusGeometry(rows, cols)
-        src = a % torus.n_tiles
-        dst = b % torus.n_tiles
-        path = route_path(torus, src, dst)
-        assert len(path) - 1 == torus.hop_distance(src, dst)
+    def test_route_is_minimal(self, geometry_cls, rows, cols, pairs):
+        """Every routed path is a minimal walk over grid links."""
+        geometry = geometry_cls(rows, cols)
+        srcs = [a % geometry.n_tiles for a, _ in pairs]
+        dsts = [b % geometry.n_tiles for _, b in pairs]
+        edge_ptr, parents, children = route_edges_batch(geometry, srcs,
+                                                        dsts)
+        for p, (src, dst) in enumerate(zip(srcs, dsts)):
+            lo, hi = edge_ptr[p], edge_ptr[p + 1]
+            assert hi - lo == geometry.hop_distance(src, dst)
+            walk = [src] + children[lo:hi].tolist()
+            assert parents[lo:hi].tolist() == walk[:-1]
+            assert walk[-1] == dst
+            for a, b in zip(walk, walk[1:]):
+                assert b in geometry.neighbors(a)
 
     @given(st.integers(3, 8), st.integers(3, 8),
            st.lists(st.integers(0, 63), min_size=1, max_size=10),

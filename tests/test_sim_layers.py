@@ -22,8 +22,6 @@ import numpy as np
 from hypothesis import given, seed, settings, strategies as st
 
 from repro.comm import MeshGeometry, TorusGeometry, make_geometry
-from repro.comm.multicast import build_multicast_tree
-from repro.comm.reduction import build_reduction_tree
 from repro.config import AzulConfig
 from repro.sim.events import (
     EV_MCAST,
@@ -32,7 +30,7 @@ from repro.sim.events import (
     NEVER,
     EventQueue,
 )
-from repro.sim.fabric import FabricModel, LinkFabric
+from repro.sim.fabric import LinkFabric
 from repro.sim.state import KernelState, TileState
 from tests.oracles.sim import HeapEventQueue
 
@@ -197,35 +195,6 @@ class TestLinkFabric:
         assert list(fabric.link_counts()) == [(0, 1), (1, 0)]
 
 
-class TestFabricModel:
-    def test_delegates_to_geometry(self):
-        for geometry in (TorusGeometry(3, 3), MeshGeometry(3, 3)):
-            fabric = FabricModel(geometry, hop_cycles=2)
-            assert fabric.n_tiles == 9
-            assert fabric.hop_distance(0, 8) \
-                == geometry.hop_distance(0, 8)
-            assert fabric.all_links() == geometry.all_links()
-            assert fabric.reduction_depth() == geometry.reduction_depth()
-
-    def test_trees_match_comm_builders(self):
-        geometry = MeshGeometry(2, 3)
-        fabric = FabricModel(geometry)
-        mcast = fabric.multicast_tree(0, [3, 5])
-        expected = build_multicast_tree(geometry, 0, [3, 5])
-        assert mcast.edges == expected.edges
-        red = fabric.reduction_tree(0, [3, 5])
-        assert red.edges == build_reduction_tree(geometry, 0, [3, 5]).edges
-
-    def test_new_link_state_binds_events(self):
-        fabric = FabricModel(TorusGeometry(2, 2), hop_cycles=3)
-        events = EventQueue()
-        link_state = fabric.new_link_state(events)
-        assert isinstance(link_state, LinkFabric)
-        assert link_state.events is events
-        assert link_state.hop_cycles == 3
-        assert link_state.n_tiles == 4
-
-
 # ---------------------------------------------------------------------------
 # state
 # ---------------------------------------------------------------------------
@@ -314,6 +283,21 @@ def test_process_pools_only_in_parallel(tmp_path):
             in violations[0])
 
 
+def test_core_never_imports_sim(tmp_path):
+    """The mapping core, traffic analysis included, sits below ``sim``."""
+    package = tmp_path / "repro" / "core"
+    package.mkdir(parents=True)
+    (package / "placement.py").write_text(
+        "from repro.sparse.csr import CSRMatrix\n")
+    (package / "traffic.py").write_text(
+        "from repro.dataflow.ir import CompiledKernel\n"
+        "def f():\n"
+        "    from repro.sim.fabric import LinkFabric\n")
+    violations = _check_layers().check(src=tmp_path)
+    assert len(violations) == 1
+    assert "repro.core.traffic imports repro.sim.fabric" in violations[0]
+
+
 def test_no_direct_geometry_construction_outside_comm():
     """Everything builds geometries via ``make_geometry(config)``.
 
@@ -350,17 +334,17 @@ def test_make_geometry_respects_topology():
 
 
 def test_machine_fabric_follows_config_topology():
+    """The machine compiles and times over the configured geometry."""
     from repro.sim import AzulMachine
 
     base = dict(mesh_rows=4, mesh_cols=4)
     machine = AzulMachine(AzulConfig(topology="mesh", **base))
-    assert isinstance(machine.fabric, FabricModel)
-    assert isinstance(machine.fabric.geometry, MeshGeometry)
-    assert machine.torus is machine.fabric.geometry
-    assert machine.fabric.hop_cycles == machine.config.hop_cycles
+    assert isinstance(machine.torus, MeshGeometry)
+    assert (machine.torus.rows, machine.torus.cols) == (4, 4)
+    assert not hasattr(machine, "fabric")
 
 
-def test_traffic_analysis_accepts_fabric_or_geometry():
+def test_traffic_analysis_follows_geometry():
     from repro.core import analyze_traffic, map_block
     from repro.precond import ic0
     from repro.sparse import generators as gen
@@ -368,30 +352,11 @@ def test_traffic_analysis_accepts_fabric_or_geometry():
     matrix = gen.grid_laplacian_2d(6, 6)
     lower = ic0(matrix)
     placement = map_block(matrix, lower, 4)
-    geometry = TorusGeometry(2, 2)
-    via_geometry = analyze_traffic(placement, matrix, lower, geometry)
-    via_fabric = analyze_traffic(placement, matrix, lower,
-                                 FabricModel(geometry))
-    assert via_geometry.total_link_activations \
-        == via_fabric.total_link_activations
-    assert via_geometry.total_messages == via_fabric.total_messages
-    # And the topology changes the static traffic (the bug this guards
-    # against silently produced torus numbers for mesh configs).
+    torus_report = analyze_traffic(placement, matrix, lower,
+                                   TorusGeometry(2, 2))
+    # The topology changes the routes, not the messages (the bug this
+    # guards against silently produced torus numbers for mesh configs).
     mesh_report = analyze_traffic(placement, matrix, lower,
                                   MeshGeometry(2, 2))
-    assert mesh_report.total_messages == via_geometry.total_messages
+    assert mesh_report.total_messages == torus_report.total_messages
     assert mesh_report.kernels[0].name == "spmv"
-
-
-def test_vector_phase_accepts_fabric():
-    """Solver timing passes the fabric where a geometry used to go."""
-    from repro.dataflow.vector_ops import dot_allreduce_cycles
-
-    config = AzulConfig(mesh_rows=4, mesh_cols=4)
-    vec_tile = np.zeros(16, dtype=np.int64)
-    geometry = make_geometry(config)
-    direct = dot_allreduce_cycles(vec_tile, geometry, config)
-    via_fabric = dot_allreduce_cycles(
-        vec_tile, FabricModel(geometry, config.hop_cycles), config
-    )
-    assert direct == via_fabric

@@ -22,7 +22,10 @@ but the standard library, and checks:
    program builders form a sibling group.
 5. **hypergraph independence** — ``repro.hypergraph`` never imports
    the simulator, mapping core, experiments, or CLI: the partitioner
-   is a leaf library, callers pass options down explicitly.
+   is a leaf library, callers pass options down explicitly.  The
+   mapping core (``repro.core``) never imports the simulator either:
+   its traffic analysis counts compiled programs, not simulator
+   objects.
 6. **obs is a leaf** — ``repro.obs`` imports nothing from ``repro``
    outside itself (standard library only), so every layer may
    instrument itself through it without creating cycles.
@@ -148,6 +151,9 @@ FORBIDDEN: List[Tuple[str, str, str]] = [
      "the partitioner never reaches into the experiment pipeline"),
     ("repro.hypergraph", "repro.cli",
      "the partitioner never reaches into the CLI"),
+    ("repro.core", "repro.sim",
+     "the mapping core and its traffic analysis sit below the "
+     "simulator"),
     ("repro.sparse", "repro.precond",
      "the sparse substrate sits below the preconditioners"),
     ("repro.sparse", "repro.solvers",
