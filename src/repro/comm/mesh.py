@@ -14,7 +14,7 @@ from __future__ import annotations
 
 
 class MeshGeometry:
-    """Coordinates and neighborhoods of a ``rows x cols`` 2D mesh."""
+    """Coordinates and hop distances of a ``rows x cols`` 2D mesh."""
 
     def __init__(self, rows: int, cols: int):
         if rows < 1 or cols < 1:
@@ -37,33 +37,6 @@ class MeshGeometry:
             raise ValueError(f"({row}, {col}) outside the mesh")
         return row * self.cols + col
 
-    def neighbors(self, tile: int):
-        """In-grid neighbors only (2-4 of them)."""
-        r, c = self.coords(tile)
-        result = []
-        if r > 0:
-            result.append(self.tile_id(r - 1, c))
-        if r < self.rows - 1:
-            result.append(self.tile_id(r + 1, c))
-        if c > 0:
-            result.append(self.tile_id(r, c - 1))
-        if c < self.cols - 1:
-            result.append(self.tile_id(r, c + 1))
-        return tuple(result)
-
-    # ------------------------------------------------------------------
-    def x_steps(self, src_col: int, dst_col: int):
-        """Column steps; no wrap, so direction is fixed."""
-        if dst_col >= src_col:
-            return [1] * (dst_col - src_col)
-        return [-1] * (src_col - dst_col)
-
-    def y_steps(self, src_row: int, dst_row: int):
-        """Row steps; no wrap."""
-        if dst_row >= src_row:
-            return [1] * (dst_row - src_row)
-        return [-1] * (src_row - dst_row)
-
     def hop_distance(self, src: int, dst: int) -> int:
         """Manhattan distance (no wraparound shortcuts)."""
         sr, sc = self.coords(src)
@@ -73,15 +46,3 @@ class MeshGeometry:
     def reduction_depth(self) -> int:
         """Hop depth of a global reduction to the mesh center."""
         return (self.rows - 1 + 1) // 2 + (self.cols - 1 + 1) // 2
-
-    def bisection_links(self) -> int:
-        """Directed links crossing a balanced bisection (no wrap links)."""
-        return 2 * min(self.rows, self.cols)
-
-    def all_links(self):
-        """Every directed link ``(src, dst)`` of the mesh."""
-        links = []
-        for tile in range(self.n_tiles):
-            for neighbor in self.neighbors(tile):
-                links.append((tile, neighbor))
-        return links

@@ -5,9 +5,8 @@ dimension basis and, crucially for multicast trees, gives every
 (root, destination) pair a unique path: merging the paths of all
 destinations of one multicast yields a tree (Sec. IV-D).
 :func:`route_edges_batch` routes a whole kernel's pairs in one
-vectorized call; the per-pair walk over the geometry's
-``x_steps``/``y_steps`` it must match is kept as a test oracle
-(``tests/oracles/trees.py``).
+vectorized call; the per-pair walk it must match is kept as a test
+oracle (``tests/oracles/trees.py``).
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ def route_edges_batch(geometry, srcs,
     src_row, src_col = np.divmod(srcs, n_cols)
     dst_row, dst_col = np.divmod(dsts, n_cols)
     if isinstance(geometry, TorusGeometry):
-        # Shorter wrap direction per axis; ties go forward (east/south),
-        # as in TorusGeometry._axis_steps.
+        # Shorter wrap direction per axis; ties go forward (east/south).
         forward = (dst_col - src_col) % n_cols
         backward = (src_col - dst_col) % n_cols
         n_x = np.minimum(forward, backward)

@@ -7,11 +7,9 @@ only two tile lengths when folded, Sec. VI-E).
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class TorusGeometry:
-    """Coordinates and neighborhoods of a ``rows x cols`` 2D torus."""
+    """Coordinates and hop distances of a ``rows x cols`` 2D torus."""
 
     def __init__(self, rows: int, cols: int):
         if rows < 1 or cols < 1:
@@ -32,33 +30,6 @@ class TorusGeometry:
         """Tile id of (possibly wrapped) coordinates."""
         return (row % self.rows) * self.cols + (col % self.cols)
 
-    def neighbors(self, tile: int):
-        """The four torus neighbors (north, south, west, east)."""
-        r, c = self.coords(tile)
-        return (
-            self.tile_id(r - 1, c),
-            self.tile_id(r + 1, c),
-            self.tile_id(r, c - 1),
-            self.tile_id(r, c + 1),
-        )
-
-    # ------------------------------------------------------------------
-    def _axis_steps(self, src: int, dst: int, length: int):
-        """Signed steps along one axis, taking the shorter wrap direction."""
-        forward = (dst - src) % length
-        backward = (src - dst) % length
-        if forward <= backward:
-            return [1] * forward
-        return [-1] * backward
-
-    def x_steps(self, src_col: int, dst_col: int):
-        """Column steps (east/west) between two columns."""
-        return self._axis_steps(src_col, dst_col, self.cols)
-
-    def y_steps(self, src_row: int, dst_row: int):
-        """Row steps (north/south) between two rows."""
-        return self._axis_steps(src_row, dst_row, self.rows)
-
     def hop_distance(self, src: int, dst: int) -> int:
         """Minimal hop count between two tiles on the torus."""
         sr, sc = self.coords(src)
@@ -70,15 +41,3 @@ class TorusGeometry:
     def reduction_depth(self) -> int:
         """Hop depth of a global reduction tree to the torus center."""
         return self.rows // 2 + self.cols // 2
-
-    def bisection_links(self) -> int:
-        """Links crossing a balanced bisection (both wrap directions)."""
-        return 4 * min(self.rows, self.cols)
-
-    def all_links(self):
-        """Every directed link ``(src, dst)`` of the torus."""
-        links = []
-        for tile in range(self.n_tiles):
-            for neighbor in self.neighbors(tile):
-                links.append((tile, neighbor))
-        return links

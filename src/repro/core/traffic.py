@@ -29,15 +29,26 @@ from repro.dataflow.sptrsv_graph import build_sptrsv_program
 from repro.sparse.csr import CSRMatrix
 
 
+def _no_links() -> np.ndarray:
+    return np.empty(0, dtype=np.int32)
+
+
 @dataclass
 class KernelTraffic:
-    """Traffic of one kernel under one placement."""
+    """Traffic of one kernel under one placement.
+
+    ``link_ids``/``link_counts`` are the directed links the kernel's
+    trees use, as sorted int32 ids ``src · n_tiles + dst``, and the
+    int32 activations of each: the representation of a simulated
+    :class:`~repro.sim.stats.KernelResult`.
+    """
 
     name: str
     multicast_messages: int = 0
     reduction_messages: int = 0
     link_activations: int = 0
-    per_link: dict = field(default_factory=dict)
+    link_ids: np.ndarray = field(default_factory=_no_links)
+    link_counts: np.ndarray = field(default_factory=_no_links)
 
     @property
     def total_messages(self) -> int:
@@ -61,41 +72,43 @@ class TrafficReport:
 
     def max_link_load(self) -> int:
         """Activations on the single busiest directed link."""
-        load = {}
-        for kernel in self.kernels:
-            for link, count in kernel.per_link.items():
-                load[link] = load.get(link, 0) + count
-        return max(load.values()) if load else 0
+        links = np.concatenate([k.link_ids for k in self.kernels])
+        if not len(links):
+            return 0
+        _, slot = np.unique(links, return_inverse=True)
+        counts = np.concatenate([k.link_counts for k in self.kernels])
+        return int(np.bincount(slot, weights=counts).max())
 
 
-def kernel_traffic(kernel) -> KernelTraffic:
-    """Traffic of one compiled kernel.
+def kernel_traffic(kernel, n_tiles: int) -> KernelTraffic:
+    """Traffic of one compiled kernel on a machine of ``n_tiles`` tiles.
 
     Multicast messages are its destination entries, reduction messages
-    its (row, tile) partials produced away from the row's home, and
-    link activations its multicast plus reduction edges; ``per_link``
-    maps each directed ``(src, dst)`` link to its activation count.
+    its (tile, row) partials produced away from the row's home, and
+    link activations its multicast plus reduction edges, counted per
+    directed link.
     """
-    remote = kernel.local_tiles[:, None] != kernel.vec_tile
+    local_tile = np.repeat(kernel.local_tiles, np.diff(kernel.local_ptr))
+    remote = local_tile != kernel.vec_tile[kernel.local_rows]
     src = np.concatenate((kernel.mcast_parent, kernel.red_child))
     dst = np.concatenate((kernel.mcast_child, kernel.red_parent))
-    span = int(max(src.max(), dst.max())) + 1 if len(src) else 1
-    links, counts = np.unique(src * span + dst, return_counts=True)
+    link_ids, link_counts = np.unique(src * n_tiles + dst,
+                                      return_counts=True)
     return KernelTraffic(
         kernel.name,
         multicast_messages=len(kernel.mcast_dst),
-        reduction_messages=int(np.count_nonzero(kernel.local_counts[remote])),
+        reduction_messages=int(np.count_nonzero(remote)),
         link_activations=len(src),
-        per_link=dict(zip(zip((links // span).tolist(),
-                              (links % span).tolist()),
-                          counts.tolist())),
+        link_ids=link_ids.astype(np.int32),
+        link_counts=link_counts.astype(np.int32),
     )
 
 
-def count_traffic(kernels, mapper: str) -> TrafficReport:
+def count_traffic(kernels, mapper: str, n_tiles: int) -> TrafficReport:
     """Traffic of a PCG iteration's compiled sparse kernels."""
     return TrafficReport(
-        mapper=mapper, kernels=[kernel_traffic(k) for k in kernels],
+        mapper=mapper,
+        kernels=[kernel_traffic(k, n_tiles) for k in kernels],
     )
 
 
@@ -114,4 +127,4 @@ def analyze_traffic(placement: Placement, matrix: CSRMatrix,
             lower, placement.l_tile, placement.vec_tile, torus,
             transpose=transpose,
         ))
-    return count_traffic(kernels, placement.mapper)
+    return count_traffic(kernels, placement.mapper, torus.n_tiles)

@@ -22,10 +22,14 @@ arrays instead of an object graph:
 * **Reduction forest** — one tree per row with remote partials,
   ordered by row: reduction edges are ``(child, parent)`` pairs,
   sorted per tree; ``red_index[i]`` maps a row to its tree (or -1).
-* **Dense counters** — ``local_counts[p, i]`` is the FMAC count tile
-  ``local_tiles[p]`` must apply to its row-``i`` partial (tiles with
-  no nonzeros are not materialized); ``row_remote_inputs[i]`` the
-  number of tree children delivering partials into row ``i``'s home.
+* **Local counters** — one entry per distinct (tile, row) pair,
+  grouped by tile: tile ``local_tiles[p]`` must apply
+  ``local_counts[k]`` FMACs to its row-``local_rows[k]`` partial for
+  ``k`` in ``local_ptr[p]:local_ptr[p+1]`` (tiles without nonzeros
+  and rows a tile does not touch take no entry), so the counters grow
+  with the nonzeros, not with tiles × rows; ``row_remote_inputs[i]``
+  the number of tree children delivering partials into row ``i``'s
+  home.
 
 The simulator executes these arrays and the static traffic analysis
 (:mod:`repro.core.traffic`) counts them, so both see the same trees.
@@ -82,10 +86,13 @@ class CompiledKernel:
     row_remote_inputs:
         Number of tree children delivering partials into each row's
         home (0 for home-only rows).
-    local_tiles, local_counts:
-        ``local_counts[p, i]``: FMACs tile ``local_tiles[p]`` must
-        apply to its row-``i`` partial before the partial completes.
-        ``local_tiles`` is sorted and holds only tiles with nonzeros.
+    local_tiles, local_ptr, local_rows, local_counts:
+        Local FMAC counters, one entry per distinct (tile, row) pair:
+        for ``k`` in ``local_ptr[p]:local_ptr[p+1]``, tile
+        ``local_tiles[p]`` must apply ``local_counts[k]`` (> 0) FMACs
+        to its row-``local_rows[k]`` partial before the partial
+        completes.  ``local_tiles`` is sorted and holds only tiles with
+        nonzeros; each tile's rows are sorted.
     total_fmacs:
         Static FMAC count across all tiles, computed once at lowering
         time (``len(rows)``).
@@ -125,8 +132,10 @@ class CompiledKernel:
     red_parent: np.ndarray
     red_index: np.ndarray
     row_remote_inputs: np.ndarray
-    # -- dense local-FMAC counters ------------------------------------
+    # -- local-FMAC counters, grouped by tile --------------------------
     local_tiles: np.ndarray
+    local_ptr: np.ndarray
+    local_rows: np.ndarray
     local_counts: np.ndarray
     # -- scalars / optionals ------------------------------------------
     total_fmacs: int = 0
@@ -168,7 +177,7 @@ class CompiledKernel:
         "mcast_child", "mcast_dst_ptr", "mcast_dst", "mcast_first",
         "mcast_count", "red_row", "red_edge_ptr", "red_child",
         "red_parent", "red_index", "row_remote_inputs", "local_tiles",
-        "local_counts", "initial_rows",
+        "local_ptr", "local_rows", "local_counts", "initial_rows",
     )
 
     def same_program(self, other: "CompiledKernel") -> bool:

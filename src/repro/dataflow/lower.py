@@ -1,11 +1,13 @@
 """Lowering: triplets + placement -> :class:`CompiledKernel`.
 
 Compiling a kernel means grouping nonzeros into per-(tile, column)
-segments, counting local FMACs per (tile, row), and building the
-multicast/reduction forests — the map -> **compile** -> simulate
-middle stage of the pipeline.  :func:`lower_kernel` does it in batched
-numpy: ``lexsort`` segment grouping, ``bincount`` local counters, and
-one forest build per kernel through
+segments, counting local FMACs per distinct (tile, row) pair, and
+building the multicast/reduction forests — the map -> **compile** ->
+simulate middle stage of the pipeline.  :func:`lower_kernel` does it in
+batched numpy: ``lexsort`` segment grouping, one ``unique`` over
+(tile, row) keys for the local counters (whose pairs, re-sorted by
+row, are also the reduction sources), and one forest build per kernel
+through
 :func:`repro.comm.multicast.build_multicast_forest` /
 :func:`repro.comm.reduction.build_reduction_forest` (which memoize
 shared trees and route paths across columns/rows).  Its programs are
@@ -83,15 +85,13 @@ def lower_kernel(name: str, n: int, rows: np.ndarray, cols: np.ndarray,
         seg_col = np.empty(0, dtype=np.int64)
         seg_ptr = np.zeros(1, dtype=np.int64)
 
-    # -- dense local counters via one bincount --------------------
-    local_tiles = np.unique(nnz_tile)
-    if nnz:
-        tile_pos = np.searchsorted(local_tiles, nnz_tile)
-        local_counts = np.bincount(
-            tile_pos * n + rows, minlength=len(local_tiles) * n
-        ).astype(np.int64).reshape(len(local_tiles), n)
-    else:
-        local_counts = np.zeros((0, n), dtype=np.int64)
+    # -- local counters: one entry per distinct (tile, row) pair,
+    #    sorted by (tile, row) --------------------------------------
+    pair_key, local_counts = np.unique(nnz_tile * n + rows,
+                                       return_counts=True)
+    pair_tile, local_rows = np.divmod(pair_key, n)
+    local_tiles, tile_starts = np.unique(pair_tile, return_index=True)
+    local_ptr = np.append(tile_starts, len(pair_key))
 
     # -- remote destinations per column (from the unique segment
     #    pairs, re-grouped by column) -----------------------------
@@ -125,19 +125,10 @@ def lower_kernel(name: str, n: int, rows: np.ndarray, cols: np.ndarray,
         mcast_count[unique_cols] = col_counts
     forest = build_multicast_forest(geometry, roots, dst_ptr, dst_tile)
 
-    # -- remote sources per row (unique (row, tile) pairs) --------
-    pair_order = np.lexsort((nnz_tile, rows))
-    pair_row = rows[pair_order]
-    pair_tile = nnz_tile[pair_order]
-    if nnz:
-        keep = np.empty(nnz, dtype=bool)
-        keep[0] = True
-        keep[1:] = (
-            (pair_row[1:] != pair_row[:-1])
-            | (pair_tile[1:] != pair_tile[:-1])
-        )
-        pair_row = pair_row[keep]
-        pair_tile = pair_tile[keep]
+    # -- remote sources per row (the unique pairs, by (row, tile)) -
+    row_order = np.argsort(local_rows, kind="stable")
+    pair_row = local_rows[row_order]
+    pair_tile = pair_tile[row_order]
     src_remote = pair_tile != vec_tile[pair_row]
     src_row = pair_row[src_remote]
     src_tile = pair_tile[src_remote]
@@ -178,7 +169,9 @@ def lower_kernel(name: str, n: int, rows: np.ndarray, cols: np.ndarray,
         red_index=red_index,
         row_remote_inputs=row_remote_inputs,
         local_tiles=local_tiles,
-        local_counts=local_counts,
+        local_ptr=_as_int64(local_ptr),
+        local_rows=local_rows,
+        local_counts=_as_int64(local_counts),
         total_fmacs=nnz,
         inv_diag=(None if inv_diag is None
                   else np.asarray(inv_diag, dtype=np.float64)),

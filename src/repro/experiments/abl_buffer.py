@@ -30,7 +30,6 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
     points = {
         f"buf{entries}": SimPoint(
             matrix, config=config.with_(msg_buffer_entries=entries),
-            check=False,
         )
         for entries in sizes
     }

@@ -33,8 +33,7 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
     points: dict = {}
     for preset in PRESETS:
         points[f"place/{preset}"] = PlacementSpec(matrix, preset=preset)
-        points[f"sim/{preset}"] = SimPoint(matrix, preset=preset,
-                                           check=False)
+        points[f"sim/{preset}"] = SimPoint(matrix, preset=preset)
 
     def reduce(sims) -> ExperimentResult:
         prepared = session.prepare(matrix)

@@ -30,7 +30,7 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
             matrix, preset="speed", row_weight=weight,
         )
         points[f"sim/{weight}"] = SimPoint(
-            matrix, preset="speed", row_weight=weight, check=False,
+            matrix, preset="speed", row_weight=weight,
         )
 
     def reduce(sims) -> ExperimentResult:

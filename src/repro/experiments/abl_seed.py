@@ -32,8 +32,7 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
     for seed in seeds:
         points[f"place/{seed}"] = PlacementSpec(matrix, preset="speed",
                                                 seed=seed)
-        points[f"sim/{seed}"] = SimPoint(matrix, preset="speed", seed=seed,
-                                         check=False)
+        points[f"sim/{seed}"] = SimPoint(matrix, preset="speed", seed=seed)
 
     def reduce(sims) -> ExperimentResult:
         prepared = session.prepare(matrix)

@@ -36,7 +36,7 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
         for contexts in context_counts
     }
     points = {
-        f"{contexts}t/{name}": SimPoint(name, pe=pe, check=False)
+        f"{contexts}t/{name}": SimPoint(name, pe=pe)
         for contexts, pe in models.items() for name in matrices
     }
 

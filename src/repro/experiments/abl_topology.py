@@ -32,7 +32,6 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
     points = {
         f"{name}/{topology}": SimPoint(
             name, config=config.with_(topology=topology),
-            check=(topology == "mesh"),
         )
         for name in matrices for topology in TOPOLOGIES
     }

@@ -28,7 +28,7 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
     session = ExperimentSession(config, scale=scale)
     points = {}
     for name in matrices:
-        points[f"{name}/tree"] = SimPoint(name, check=False)
+        points[f"{name}/tree"] = SimPoint(name)
         points[f"{name}/unicast"] = SimPoint(name, multicast="unicast")
 
     def reduce(sims) -> ExperimentResult:

@@ -94,9 +94,12 @@ PROGRAM_NAMESPACE = "programs"
 #: placement change invalidates every simulation of it.  Simulation
 #: ``v7``: suite right-hand sides are seeded from a digest of the
 #: matrix name instead of the per-process salted ``hash()``, so
-#: results computed from an old ``b`` must miss.
+#: results computed from an old ``b`` must miss.  Simulation ``v8``:
+#: per-link counts are sorted link-id/count arrays instead of a dict,
+#: every simulation is verified (the key loses ``check``), and a PE is
+#: keyed by its timing parameters instead of its name.
 PLACEMENT_SCHEMA = "v4"
-SIMULATION_SCHEMA = "v7"
+SIMULATION_SCHEMA = "v8"
 
 #: Compiled-program cache entries hold the three
 #: :class:`~repro.dataflow.ir.CompiledKernel` objects of one PCG
@@ -104,8 +107,9 @@ SIMULATION_SCHEMA = "v7"
 #: placement arrays, the NoC geometry, and the multicast mode — *not*
 #: on timing knobs (PE model, SRAM latencies, frequency), so sweep
 #: points that differ only in simulator configuration compile once and
-#: share the entry.
-PROGRAM_SCHEMA = "v1"
+#: share the entry.  ``v2``: the local FMAC counters hold one entry per
+#: (tile, row) pair instead of a dense tiles × rows matrix.
+PROGRAM_SCHEMA = "v2"
 
 #: Partitioner presets accepted by :func:`mapper_options`.
 PRESETS = ("speed", "quality", "default")
@@ -162,13 +166,16 @@ def _validate_choice(kind: str, name, choices) -> None:
 
 
 def _pe_key_part(pe):
-    """Canonical cache-key component for a PE given by name or model."""
-    if isinstance(pe, PEModel):
-        return (
-            "pe", pe.name, int(pe.issue_cycles), bool(pe.multithreaded),
-            int(pe.thread_contexts),
-        )
-    return pe
+    """Canonical cache-key component for a PE given by name or model.
+
+    A PE is keyed by the parameters the simulator reads, not by its
+    name: two models with the same timing simulate the same iteration.
+    """
+    if not isinstance(pe, PEModel):
+        _validate_choice("pe", pe, pe_model_names())
+        pe = pe_model_by_name(pe)
+    return ("pe", int(pe.issue_cycles), bool(pe.multithreaded),
+            int(pe.thread_contexts))
 
 
 # ----------------------------------------------------------------------
@@ -185,12 +192,12 @@ def simulation_key(point: SimPoint) -> str:
     Built on its placement's key, so whatever changes a placement also
     changes every simulation of it.  ``trace`` is part of the key:
     traced results carry per-op issue logs and must never alias
-    untraced entries.
+    untraced entries.  Every simulation is verified, so the key has no
+    verification flag.
     """
     return ArtifactCache.key(
         "simulate", placement_key(point.placement), _pe_key_part(point.pe),
-        point.check, point.trace, point.multicast, point.config,
-        SIMULATION_SCHEMA,
+        point.trace, point.multicast, point.config, SIMULATION_SCHEMA,
     )
 
 
@@ -484,12 +491,13 @@ class ExperimentSession:
         from repro.core.traffic import count_traffic
 
         program = self.compiled_program(name, placement)
-        return count_traffic(program.kernels, placement.mapper)
+        return count_traffic(program.kernels, placement.mapper,
+                             placement.n_tiles)
 
     # -- simulation ----------------------------------------------------
     def simulate(self, name: str, mapper: str = "azul", pe="azul",
                  *, scale: Optional[int] = None, preset: Optional[str] = None,
-                 check: bool = True, use_cache: Optional[bool] = None,
+                 use_cache: Optional[bool] = None,
                  trace: Optional[bool] = None, seed: Optional[int] = None,
                  row_weight: Optional[float] = None,
                  multicast: str = "tree"):
@@ -503,7 +511,10 @@ class ExperimentSession:
         name or a :class:`~repro.sim.PEModel` instance (ablation sweeps
         construct synthetic PEs), ``seed``/``row_weight`` select the
         placement as in :meth:`placement` (with the default ``q``), and
-        ``multicast`` is ``"tree"`` or ``"unicast"``.
+        ``multicast`` is ``"tree"`` or ``"unicast"``.  Every computed
+        result is verified against the reference kernels
+        (:func:`~repro.sim.machine.verify_iteration`) before it is
+        cached.
 
         ``trace`` records per-op issue logs in the kernel results and
         bridges them into the Chrome-trace export (see
@@ -511,11 +522,9 @@ class ExperimentSession:
         :func:`repro.obs.tracing_enabled`.
         """
         _validate_choice("mapper", mapper, mapper_names())
-        if not isinstance(pe, PEModel):
-            _validate_choice("pe", pe, pe_model_names())
         trace = obs.tracing_enabled() if trace is None else bool(trace)
         point, key = resolve(self, SimPoint(
-            name, mapper, pe, scale, preset, check, trace=trace, seed=seed,
+            name, mapper, pe, scale, preset, trace=trace, seed=seed,
             row_weight=row_weight, multicast=multicast,
         ))
         _validate_choice("preset", point.preset, PRESETS)
@@ -544,9 +553,8 @@ class ExperimentSession:
                 program, p=prepared.b, r=prepared.b,
                 record_issue_trace=trace,
             )
-        if check:
-            verify_iteration(result, prepared.matrix, prepared.lower,
-                             prepared.b)
+        verify_iteration(result, prepared.matrix, prepared.lower,
+                         prepared.b)
         if use_cache:
             self.cache.put(SIMULATION_NAMESPACE, key, result, PICKLE)
         if trace:

@@ -50,9 +50,10 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
         for name in matrices:
             prepared = session.prepare(name)
             for mapper in mappers:
+                placement = sims[f"{name}/{mapper}/place"]
                 prediction = predict_iteration(
-                    prepared.matrix, prepared.lower,
-                    sims[f"{name}/{mapper}/place"], config,
+                    prepared.matrix, prepared.lower, placement, config,
+                    session.traffic(name, placement),
                 )
                 simulated = sims[f"{name}/{mapper}"]
                 error = (

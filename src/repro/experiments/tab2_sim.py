@@ -29,14 +29,12 @@ def spec(matrix: str = "consph", config: Optional[AzulConfig] = None,
     # The base PCG iteration and its placement are standard sweep
     # points: routed through the executor they share the artifact cache
     # and the global sweep with every other experiment on this matrix.
-    points = {"pcg": SimPoint(matrix, check=False),
+    points = {"pcg": SimPoint(matrix),
               "placement": PlacementSpec(matrix)}
 
     def reduce(sims) -> ExperimentResult:
-        prepared = session.prepare(matrix)
         machine = AzulMachine(session.config)
-        program = machine.compile(prepared.matrix, prepared.lower,
-                                  sims["placement"])
+        program = session.compiled_program(matrix, sims["placement"])
         base = sims["pcg"]
 
         result = ExperimentResult(

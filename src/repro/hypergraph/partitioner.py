@@ -120,10 +120,8 @@ def partition(hgraph: Hypergraph, n_parts: int,
 def _recurse(hgraph: Hypergraph, vertex_ids: np.ndarray, n_parts: int,
              part_offset: int, assignment: np.ndarray,
              options: PartitionerOptions, path: Tuple[int, ...]) -> None:
-    """Recursively bisect ``hgraph`` and write final part ids."""
-    if n_parts == 1:
-        assignment[vertex_ids] = part_offset
-        return
+    """Recursively bisect ``hgraph`` (``n_parts >= 2``) and write final
+    part ids."""
     if hgraph.n_vertices <= n_parts:
         # No more vertices than parts: scatter them round-robin.
         assignment[vertex_ids] = (part_offset
@@ -134,17 +132,19 @@ def _recurse(hgraph: Hypergraph, vertex_ids: np.ndarray, n_parts: int,
     side = multilevel_bisect(hgraph, fraction, options, _branch_rng(options, path))
 
     left_mask = side == 0
-    left_ids = vertex_ids[left_mask]
-    right_ids = vertex_ids[~left_mask]
-    left_sub, _ = _induced(hgraph, left_mask)
-    right_sub, _ = _induced(hgraph, ~left_mask)
-    _recurse(left_sub, left_ids, k0, part_offset, assignment, options,
-             path + (0,))
-    _recurse(right_sub, right_ids, n_parts - k0, part_offset + k0,
-             assignment, options, path + (1,))
+    children = ((left_mask, k0, part_offset),
+                (~left_mask, n_parts - k0, part_offset + k0))
+    for branch, (mask, parts, offset) in enumerate(children):
+        if parts == 1:
+            # A single-part child only takes its part id; it needs no
+            # sub-hypergraph.
+            assignment[vertex_ids[mask]] = offset
+            continue
+        _recurse(_induced(hgraph, mask), vertex_ids[mask], parts, offset,
+                 assignment, options, path + (branch,))
 
 
-def _induced(hgraph: Hypergraph, mask: np.ndarray):
+def _induced(hgraph: Hypergraph, mask: np.ndarray) -> Hypergraph:
     """Sub-hypergraph induced by the masked vertices.
 
     Edges are restricted to surviving pins; edges left with fewer than
@@ -172,14 +172,13 @@ def _induced(hgraph: Hypergraph, mask: np.ndarray):
     pin_edge = hgraph.pin_edge_ids()
     select = keep_pin & keep_edge[pin_edge]
     sub_sizes = counts[keep_edge]
-    sub = Hypergraph.from_flat(
+    return Hypergraph.from_flat(
         len(kept),
         local_pins[select],
         np.concatenate(([0], np.cumsum(sub_sizes))),
         hgraph.edge_weights[keep_edge],
         hgraph.vertex_weights[kept],
     )
-    return sub, new_ids
 
 
 def _caps(hgraph: Hypergraph, fraction: float, epsilon: float) -> np.ndarray:

@@ -28,8 +28,7 @@ import numpy as np
 from repro.comm.torus import TorusGeometry
 from repro.config import AzulConfig
 from repro.core.placement import Placement
-from repro.core.traffic import analyze_traffic, kernel_traffic
-from repro.dataflow.spmv_graph import build_spmv_program
+from repro.core.traffic import TrafficReport
 from repro.dataflow.vector_ops import VectorPhaseModel
 from repro.graph.levels import critical_path_ops, level_schedule
 from repro.sparse.csr import CSRMatrix
@@ -104,25 +103,29 @@ def _per_tile_ops(rows: np.ndarray, tiles: np.ndarray, vec_tile: np.ndarray,
     return float((fmacs + extra).max()) * issue
 
 
+def _network_bound(kernel_traffic) -> float:
+    """Flits on the kernel's busiest directed link (0 without traffic)."""
+    if kernel_traffic is None:
+        return 0.0
+    return float(kernel_traffic.link_counts.max(initial=0))
+
+
 def predict_spmv(matrix: CSRMatrix, placement: Placement,
                  torus: TorusGeometry, config: AzulConfig,
-                 traffic=None) -> KernelPrediction:
-    """Predict SpMV cycles from placement statistics."""
+                 kernel_traffic=None) -> KernelPrediction:
+    """Predict SpMV cycles from placement statistics.
+
+    ``kernel_traffic`` is the SpMV's
+    :class:`~repro.core.traffic.KernelTraffic`; without it the network
+    bound is 0.
+    """
     n = matrix.n_rows
     rows = np.repeat(np.arange(n), matrix.row_nnz())
     compute = _per_tile_ops(
         rows, placement.a_tile, placement.vec_tile, n,
         config.num_tiles, 1,
     )
-    if traffic is None:
-        spmv_traffic = kernel_traffic(build_spmv_program(
-            matrix, placement.a_tile, placement.vec_tile, torus,
-        ))
-    else:
-        spmv_traffic = traffic.kernels[0]
-    network = max(
-        list(spmv_traffic.per_link.values()) or [0]
-    ) * 1.0
+    network = _network_bound(kernel_traffic)
     startup = (
         config.sram_access_cycles + config.fmac_latency_cycles
         + torus.reduction_depth() * config.hop_cycles
@@ -140,16 +143,19 @@ def predict_sptrsv(lower: CSRMatrix, placement: Placement,
                    torus: TorusGeometry, config: AzulConfig,
                    kernel_traffic=None, transpose: bool = False,
                    ) -> KernelPrediction:
-    """Predict triangular-solve cycles including the dependence bound."""
+    """Predict triangular-solve cycles including the dependence bound.
+
+    ``kernel_traffic`` is the solve's
+    :class:`~repro.core.traffic.KernelTraffic`; without it the network
+    bound is 0.
+    """
     n = lower.n_rows
     rows = np.repeat(np.arange(n), lower.row_nnz())
     compute = _per_tile_ops(
         rows, placement.l_tile, placement.vec_tile, n,
         config.num_tiles, 1,
     )
-    network = 0.0
-    if kernel_traffic is not None:
-        network = max(list(kernel_traffic.per_link.values()) or [0]) * 1.0
+    network = _network_bound(kernel_traffic)
     # Dependence bound: the weighted critical path pays one issue slot
     # per op; each level additionally pays ALU latency plus an average
     # traversal toward the next dependent row.
@@ -172,14 +178,20 @@ def predict_sptrsv(lower: CSRMatrix, placement: Placement,
 
 def predict_iteration(matrix: CSRMatrix, lower: CSRMatrix,
                       placement: Placement, config: AzulConfig,
-                      ) -> IterationPrediction:
-    """Predict a full PCG iteration's cycles and throughput."""
+                      traffic: TrafficReport) -> IterationPrediction:
+    """Predict a full PCG iteration's cycles and throughput.
+
+    ``traffic`` is the placement's static traffic report
+    (:func:`repro.core.traffic.analyze_traffic`, or
+    ``ExperimentSession.traffic`` over the cached program): its three
+    kernels give the network bounds.
+    """
     from repro.comm import make_geometry
     from repro.sparse.ops import spmv_flops, sptrsv_flops
 
     torus = make_geometry(config)
-    traffic = analyze_traffic(placement, matrix, lower, torus)
-    spmv = predict_spmv(matrix, placement, torus, config, traffic=traffic)
+    spmv = predict_spmv(matrix, placement, torus, config,
+                        kernel_traffic=traffic.kernels[0])
     forward = predict_sptrsv(
         lower, placement, torus, config,
         kernel_traffic=traffic.kernels[1],

@@ -93,7 +93,6 @@ class SimPoint:
     pe: Union[str, PEModel] = "azul"
     scale: Optional[int] = None
     preset: Optional[str] = None
-    check: bool = True
     config: Optional[AzulConfig] = None
     #: Record per-op issue traces; ``None`` follows the parent's
     #: :func:`repro.obs.tracing_enabled` (workers never inherit obs
@@ -170,7 +169,6 @@ def resolve(session, point: _P) -> Tuple[_P, str]:
         simulation = replace(
             simulation, scale=placement.scale, preset=placement.preset,
             seed=placement.seed, row_weight=placement.row_weight,
-            check=bool(point.check),
             trace=(obs.tracing_enabled() if point.trace is None
                    else bool(point.trace)),
         )

@@ -132,8 +132,8 @@ class KernelSimulator:
         config = self.config
         self.events = self.queue_class()
         self.state = KernelState(
-            n, program.local_tiles, program.local_counts,
-            config.msg_buffer_entries, 2 * config.sram_access_cycles,
+            program, config.msg_buffer_entries,
+            2 * config.sram_access_cycles,
         )
         self.state.node_remaining = dict(self._input_counts)
         self.fabric = LinkFabric(self.events, config.hop_cycles,
@@ -166,6 +166,7 @@ class KernelSimulator:
         op_totals, busy = state.op_totals()
         fabric = self.fabric
         last_arrival = fabric.last_arrival()
+        link_ids, link_counts = fabric.link_arrays()
         cycles = (
             state.end_time if state.end_time >= last_arrival
             else last_arrival
@@ -182,7 +183,8 @@ class KernelSimulator:
             },
             busy_slots=busy,
             link_activations=fabric.link_count(),
-            per_link=fabric.link_counts(),
+            link_ids=link_ids,
+            link_counts=link_counts,
             spills=state.spills,
             link_queue_delay=fabric.queue_delay,
             issue_trace=self.issue_trace,

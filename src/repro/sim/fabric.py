@@ -3,9 +3,10 @@
 * :class:`LinkFabric` — the per-run link state: flit serialization on
   directed links (one flit per link per cycle), queueing delay and
   per-link activation counts, keyed by the integer link
-  ``src · n_tiles + dst``.  Works over any geometry (torus or mesh);
-  the geometry is baked into the trees at program-build time, so the
-  fabric itself only sees tile ids.
+  ``src · n_tiles + dst`` and reported as sorted id/count arrays.
+  Works over any geometry (torus or mesh); the geometry is baked into
+  the trees at program-build time, so the fabric itself only sees tile
+  ids.
 * :func:`multicast_forks` — the flat multicast forwarding tables of
   one compiled kernel, indexed by tree edge, so an arrival is one list
   read per table instead of a tree walk or a tuple-keyed probe.
@@ -27,8 +28,6 @@ import numpy as np
 
 from repro.sim.events import EventQueue
 
-Link = Tuple[int, int]
-
 
 class LinkFabric:
     """Dynamic link-contention state over one kernel execution.
@@ -38,8 +37,7 @@ class LinkFabric:
     traversal costs ``hop_cycles`` of latency before the arrival event
     fires.  Arrival events are pushed into the shared
     :class:`~repro.sim.events.EventQueue`, preserving deterministic
-    tie-breaking.  Links are the integers ``src * n_tiles + dst``;
-    :meth:`link_counts` maps them back to ``(src, dst)`` pairs.
+    tie-breaking.  Links are the integers ``src * n_tiles + dst``.
     """
 
     __slots__ = ("events", "hop_cycles", "n_tiles", "link_free",
@@ -52,7 +50,7 @@ class LinkFabric:
         self.n_tiles = n_tiles
         #: Next free departure cycle per link key.
         self.link_free: Dict[int, int] = {}
-        #: Activations per link key, in first-use order.
+        #: Activations per link key.
         self.per_link: Dict[int, int] = {}
         self.queue_delay = 0
 
@@ -70,11 +68,18 @@ class LinkFabric:
         per_link[link] = per_link.get(link, 0) + 1
         self.events.push(depart + self.hop_cycles, event_kind, payload)
 
-    def link_counts(self) -> Dict[Link, int]:
-        """Activations per directed ``(src, dst)`` link, in first-use order."""
-        n_tiles = self.n_tiles
-        return {divmod(link, n_tiles): count
-                for link, count in self.per_link.items()}
+    def link_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(link ids, activations)`` of every used link, sorted by id.
+
+        Both are int32 arrays, the static analysis's representation
+        (:func:`repro.core.traffic.kernel_traffic`).
+        """
+        per_link = self.per_link
+        ids = np.fromiter(per_link, dtype=np.int32, count=len(per_link))
+        counts = np.fromiter(per_link.values(), dtype=np.int32,
+                             count=len(per_link))
+        order = np.argsort(ids)
+        return ids[order], counts[order]
 
     def link_count(self) -> int:
         """Total link traversals."""

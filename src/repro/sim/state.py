@@ -44,7 +44,8 @@ class TileState:
     extra slot: row ``n`` is the *dummy hazard row* named by Send
     tasks' ``TASK_HAZARD`` field; it is never written, so
     ``acc_ready[task[6]]`` is branch-free across task kinds.
-    ``local_rem`` mirrors ``program.local_counts`` for this tile
+    ``local_rem`` is this tile's remaining local FMACs per row, a
+    dense list built from the program's counters at run start
     (``None`` when the tile holds no matrix nonzeros).
     """
 
@@ -83,9 +84,9 @@ class KernelState:
         "local_by_tile",
     )
 
-    def __init__(self, n: int, local_tiles, local_counts,
-                 msg_buffer_entries: int, spill_penalty: int) -> None:
-        self.n = n
+    def __init__(self, program, msg_buffer_entries: int,
+                 spill_penalty: int) -> None:
+        n = self.n = program.n
         self.tiles: Dict[int, TileState] = {}
         self.node_remaining: Dict[int, int] = {}
         self.rows_done = 0
@@ -97,15 +98,18 @@ class KernelState:
         self.end_time = 0
         self.msg_buffer_entries = msg_buffer_entries
         self.spill_penalty = spill_penalty
-        # ``local_tiles``/``local_counts`` are the program's dense
-        # per-(tile, row) FMAC counters (``local_counts[p]`` is the
-        # row vector of tile ``local_tiles[p]``).  Each tile's counts
-        # become a plain Python list: the issue loops decrement with
-        # scalar list indexing.
-        self.local_by_tile: Dict[int, List[int]] = {
-            int(tile): np.asarray(counts).tolist()
-            for tile, counts in zip(local_tiles, local_counts)
-        }
+        # The program's local FMAC counters hold one entry per
+        # (tile, row) pair; each tile's become a dense per-row Python
+        # list, so the issue loops decrement with scalar list indexing.
+        rows = program.local_rows.tolist()
+        counts = program.local_counts.tolist()
+        ptr = program.local_ptr.tolist()
+        self.local_by_tile: Dict[int, List[int]] = {}
+        for p, tile in enumerate(program.local_tiles.tolist()):
+            rem = [0] * n
+            for k in range(ptr[p], ptr[p + 1]):
+                rem[rows[k]] = counts[k]
+            self.local_by_tile[tile] = rem
 
     # ------------------------------------------------------------------
     def tile(self, tile_id: int) -> TileState:
@@ -158,7 +162,7 @@ def input_counts(program, n_tiles: int) -> Dict[int, int]:
     :class:`~repro.dataflow.ir.CompiledKernel`); the state layer reads
     only ``n``, ``vec_tile``, the flat reduction-forest arrays
     (``red_row``/``red_edge_ptr``/``red_child``/``red_parent``) and the
-    dense local counters.
+    local counters' (tile, row) pairs.
     """
     n = program.n
     edge_row = np.repeat(program.red_row, np.diff(program.red_edge_ptr))
@@ -166,10 +170,10 @@ def input_counts(program, n_tiles: int) -> Dict[int, int]:
         np.arange(n, dtype=np.int64) * n_tiles + program.vec_tile,
         edge_row * n_tiles + program.red_child,
     )))
-    local_pos, local_row = np.nonzero(program.local_counts > 0)
+    local_tile = np.repeat(program.local_tiles, np.diff(program.local_ptr))
     inputs = np.concatenate((
         edge_row * n_tiles + program.red_parent,
-        local_row * n_tiles + program.local_tiles[local_pos],
+        program.local_rows * n_tiles + local_tile,
     ))
     # Count only inputs that land on a tree node.
     slot = np.minimum(np.searchsorted(nodes, inputs), len(nodes) - 1)

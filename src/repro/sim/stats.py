@@ -13,7 +13,7 @@ flight).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -28,8 +28,13 @@ class KernelResult:
     ``cycles`` is the completion time; ``output`` the computed result
     vector (``y`` for SpMV, ``x`` for SpTRSV); ``op_counts`` executed
     operations by kind (``fmac``/``add``/``mul``/``send``);
-    ``busy_slots`` issue slots consumed across all PEs; ``per_link``
-    activations per directed link; ``spills`` messages that overflowed
+    ``busy_slots`` issue slots consumed across all PEs;
+    ``link_ids``/``link_counts`` the directed links the kernel used, as
+    sorted int32 ids ``src · n_tiles + dst`` (enough for machines of up
+    to 46,340 tiles; the paper's has 4,096), and the int32 activations
+    of each (the static analysis,
+    :class:`repro.core.traffic.KernelTraffic`, counts links the same
+    way); ``spills`` messages that overflowed
     the register buffer into the Data SRAM; ``issue_trace`` (when
     recording was requested) one ``(cycle, tile, op_kind)`` tuple per
     issued operation, for the Chrome-trace export.  ``n_tiles``
@@ -44,7 +49,8 @@ class KernelResult:
     op_counts: Dict[str, int]
     busy_slots: int
     link_activations: int
-    per_link: Dict[Tuple[int, int], int] = field(default_factory=dict)
+    link_ids: np.ndarray
+    link_counts: np.ndarray
     spills: int = 0
     #: Total cycles flits waited for busy links (congestion measure)
     link_queue_delay: int = 0

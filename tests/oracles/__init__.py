@@ -18,9 +18,10 @@ per-column traffic analysis, and the k-d tree nearest-neighbour query
   contraction;
 * :mod:`tests.oracles.metrics` — per-edge connectivity counts;
 * :mod:`tests.oracles.kernels` — the up-looking row-by-row IC(0);
-* :mod:`tests.oracles.lowering` — the per-element lowering loop;
+* :mod:`tests.oracles.lowering` — the per-element lowering loop, with
+  dense local-FMAC counters;
 * :mod:`tests.oracles.trees` — one dimension-order route, multicast
-  tree and reduction tree at a time;
+  tree and reduction tree at a time, and each tile's grid neighbours;
 * :mod:`tests.oracles.traffic` — traffic counted from per-column and
   per-row tile sets, one tree at a time;
 * :mod:`tests.oracles.neighbors` — scipy's cKDTree neighbour query.

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.dataflow.ir import CompiledKernel
 from repro.errors import SimulationError
+from tests.oracles.lowering import dense_local_counts
 
 
 def functional_spmv(program: CompiledKernel, x: np.ndarray) -> np.ndarray:
@@ -39,10 +40,7 @@ def functional_sptrsv(program: CompiledKernel, b: np.ndarray) -> np.ndarray:
     acc = np.zeros(n)
     x = np.zeros(n)
     # Pending off-diagonal contributions per row, over all tiles.
-    if len(program.local_counts):
-        pending = program.local_counts.sum(axis=0)
-    else:
-        pending = np.zeros(n, dtype=np.int64)
+    pending = dense_local_counts(program).sum(axis=0)
     ready = [i for i in range(n) if pending[i] == 0]
     # Per-column global segments (merged over tiles, segment order).
     columns = {}

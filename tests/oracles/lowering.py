@@ -23,7 +23,12 @@ def lower_kernel_oracle(name: str, n: int, rows: np.ndarray,
                         nnz_tile: np.ndarray, vec_tile: np.ndarray,
                         geometry, inv_diag=None, dependent: bool = False,
                         multicast: str = "tree") -> CompiledKernel:
-    """Drop-in for :func:`repro.dataflow.lower.lower_kernel`."""
+    """Drop-in for :func:`repro.dataflow.lower.lower_kernel`.
+
+    The local FMAC counters are built as a dense tiles × rows matrix
+    and packed row-major, so the compact counters of the production
+    lowering are checked against the dense form.
+    """
     rows = _as_int64(rows)
     vec_tile = _as_int64(vec_tile)
     col_segments: Dict[int, Dict[int, Tuple[List[int],
@@ -58,12 +63,17 @@ def lower_kernel_oracle(name: str, n: int, rows: np.ndarray,
             flat_vals.extend(val_list)
             seg_ptr.append(len(flat_rows))
 
-    # -- dense local counters -------------------------------------
+    # -- dense local counters, packed tile by tile ----------------
     local_tiles = sorted(col_segments)
     tile_pos = {tile: p for p, tile in enumerate(local_tiles)}
-    local_counts = np.zeros((len(local_tiles), n), dtype=np.int64)
+    dense = np.zeros((len(local_tiles), n), dtype=np.int64)
     for (tile, i), count in local.items():
-        local_counts[tile_pos[tile], i] = count
+        dense[tile_pos[tile], i] = count
+    local_ptr = [0]
+    local_rows: List[int] = []
+    for tile_counts in dense:
+        local_rows.extend(np.flatnonzero(tile_counts).tolist())
+        local_ptr.append(len(local_rows))
 
     # -- multicast trees, per column, via the single-tree builder -
     mcast_col: List[int] = []
@@ -148,10 +158,24 @@ def lower_kernel_oracle(name: str, n: int, rows: np.ndarray,
         red_index=red_index,
         row_remote_inputs=row_remote_inputs,
         local_tiles=_as_int64(local_tiles),
-        local_counts=local_counts,
+        local_ptr=_as_int64(local_ptr),
+        local_rows=_as_int64(local_rows),
+        local_counts=dense[dense > 0],
         total_fmacs=len(rows),
         inv_diag=(None if inv_diag is None
                   else np.asarray(inv_diag, dtype=np.float64)),
         dependent=dependent,
         initial_rows=_initial_rows(n, rows, dependent),
     )
+
+
+def dense_local_counts(program: CompiledKernel) -> np.ndarray:
+    """A program's local FMAC counters as a dense tiles × rows matrix.
+
+    Row ``p`` holds tile ``program.local_tiles[p]``'s count per row.
+    """
+    dense = np.zeros((len(program.local_tiles), program.n), dtype=np.int64)
+    pos = np.repeat(np.arange(len(program.local_tiles)),
+                    np.diff(program.local_ptr))
+    dense[pos, program.local_rows] = program.local_counts
+    return dense

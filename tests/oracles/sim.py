@@ -23,6 +23,7 @@ from repro.sim.engine import KernelSimulator
 from repro.sim.events import EV_MCAST, EV_PUMP, NEVER, Handler
 from repro.sim.issue import HorizonIssue
 from repro.sim.state import T_SAAC, T_SEND, TileState
+from tests.oracles.lowering import dense_local_counts
 
 #: One heap entry: ``(time, seq, kind, payload)``.
 HeapEvent = Tuple[int, int, int, Any]
@@ -214,10 +215,8 @@ def tuple_keyed_tables(program) -> Tuple[Dict[Tuple[int, int], int],
     ``node_remaining`` holds the inputs every reduction-tree node and
     every home expects; ``red_parent`` each non-home node's next hop.
     """
-    local_by_tile = {
-        int(tile): counts.tolist()
-        for tile, counts in zip(program.local_tiles, program.local_counts)
-    }
+    local_by_tile = dict(zip(program.local_tiles.tolist(),
+                             dense_local_counts(program).tolist()))
     node_remaining: Dict[Tuple[int, int], int] = {}
     red_parent: Dict[Tuple[int, int], int] = {}
     vec_tile = program.vec_tile.tolist()

@@ -32,7 +32,7 @@ def _kernel_traffic(name: str, geometry, col_tiles: list, row_tiles: list,
                     vec_tile: np.ndarray) -> KernelTraffic:
     """Traffic of one kernel given per-column and per-row tile sets."""
     traffic = KernelTraffic(name)
-    per_link = traffic.per_link
+    per_link: dict = {}
     for j, tiles in enumerate(col_tiles):
         home = int(vec_tile[j])
         destinations = [t for t in tiles if t != home]
@@ -53,6 +53,11 @@ def _kernel_traffic(name: str, geometry, col_tiles: list, row_tiles: list,
         traffic.link_activations += tree.n_link_activations
         for edge in tree.edges:
             per_link[edge] = per_link.get(edge, 0) + 1
+    keyed = sorted((src * geometry.n_tiles + dst, count)
+                   for (src, dst), count in per_link.items())
+    traffic.link_ids = np.array([link for link, _ in keyed], dtype=np.int32)
+    traffic.link_counts = np.array([count for _, count in keyed],
+                                   dtype=np.int32)
     return traffic
 
 

@@ -16,6 +16,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.comm.mesh import MeshGeometry
+
+
+def axis_steps(geometry, src: int, dst: int, length: int) -> list:
+    """Signed unit steps from ``src`` to ``dst`` along one axis.
+
+    A torus takes the shorter wrap direction, ties going forward; a
+    mesh never wraps.
+    """
+    if isinstance(geometry, MeshGeometry):
+        return [1 if dst >= src else -1] * abs(dst - src)
+    forward = (dst - src) % length
+    backward = (src - dst) % length
+    if forward <= backward:
+        return [1] * forward
+    return [-1] * backward
+
 
 def route_path(torus, src: int, dst: int) -> list:
     """The tile sequence from ``src`` to ``dst`` (inclusive of both).
@@ -26,13 +43,24 @@ def route_path(torus, src: int, dst: int) -> list:
     path = [src]
     row, col = torus.coords(src)
     dst_row, dst_col = torus.coords(dst)
-    for step in torus.x_steps(col, dst_col):
+    for step in axis_steps(torus, col, dst_col, torus.cols):
         col += step
         path.append(torus.tile_id(row, col))
-    for step in torus.y_steps(row, dst_row):
+    for step in axis_steps(torus, row, dst_row, torus.rows):
         row += step
         path.append(torus.tile_id(row, col))
     return path
+
+
+def grid_neighbors(geometry, tile: int) -> set:
+    """The tiles one link away from ``tile`` (wrapping on a torus)."""
+    row, col = geometry.coords(tile)
+    candidates = ((row - 1, col), (row + 1, col), (row, col - 1),
+                  (row, col + 1))
+    if isinstance(geometry, MeshGeometry):
+        return {geometry.tile_id(r, c) for r, c in candidates
+                if 0 <= r < geometry.rows and 0 <= c < geometry.cols}
+    return {geometry.tile_id(r, c) for r, c in candidates}
 
 
 @dataclass

@@ -5,7 +5,7 @@ import pytest
 
 from repro.comm import TorusGeometry
 from repro.config import AzulConfig
-from repro.core import map_azul, map_round_robin
+from repro.core import analyze_traffic, map_azul, map_round_robin
 from repro.hypergraph import PartitionerOptions
 from repro.models.azul_analytic import (
     KernelPrediction,
@@ -31,6 +31,11 @@ CONFIG = AzulConfig(mesh_rows=4, mesh_cols=4)
 TORUS = TorusGeometry(4, 4)
 
 
+def _predict(matrix, lower, placement):
+    traffic = analyze_traffic(placement, matrix, lower, TORUS)
+    return predict_iteration(matrix, lower, placement, CONFIG, traffic)
+
+
 class TestKernelPrediction:
     def test_cycles_is_max_of_bounds_plus_startup(self):
         prediction = KernelPrediction(
@@ -53,7 +58,11 @@ class TestPredictions:
         positive."""
         matrix, lower, b = operands
         placement = map_round_robin(matrix, lower, 16)
-        prediction = predict_spmv(matrix, placement, TORUS, CONFIG)
+        traffic = analyze_traffic(placement, matrix, lower, TORUS)
+        prediction = predict_spmv(matrix, placement, TORUS, CONFIG,
+                                  kernel_traffic=traffic.kernels[0])
+        assert prediction.network_bound == \
+            traffic.kernels[0].link_counts.max()
         assert prediction.cycles > 0
         simulated = AzulMachine(CONFIG).simulate_pcg(
             matrix, lower, placement, b, check=False
@@ -74,8 +83,8 @@ class TestPredictions:
         azul = map_azul(
             matrix, lower, 16, options=PartitionerOptions.speed(seed=7)
         )
-        rr_prediction = predict_iteration(matrix, lower, rr, CONFIG)
-        azul_prediction = predict_iteration(matrix, lower, azul, CONFIG)
+        rr_prediction = _predict(matrix, lower, rr)
+        azul_prediction = _predict(matrix, lower, azul)
         assert azul_prediction.total_cycles < rr_prediction.total_cycles
         assert azul_prediction.gflops() > rr_prediction.gflops()
 
@@ -86,10 +95,7 @@ class TestPredictions:
         simulated = []
         for mapper in (map_round_robin,):
             placement = mapper(matrix, lower, 16)
-            predicted.append(
-                predict_iteration(matrix, lower, placement, CONFIG)
-                .total_cycles
-            )
+            predicted.append(_predict(matrix, lower, placement).total_cycles)
             simulated.append(
                 machine.simulate_pcg(matrix, lower, placement, b,
                                      check=False).total_cycles
@@ -100,7 +106,7 @@ class TestPredictions:
     def test_flops_match_algorithm(self, operands):
         matrix, lower, _ = operands
         placement = map_round_robin(matrix, lower, 16)
-        prediction = predict_iteration(matrix, lower, placement, CONFIG)
+        prediction = _predict(matrix, lower, placement)
         from repro.sparse.ops import spmv_flops, sptrsv_flops
 
         expected = (

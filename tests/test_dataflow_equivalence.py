@@ -9,7 +9,9 @@ guarantee: sweep points differing only in simulator knobs reuse one
 compilation.
 """
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from repro import obs
 from repro.cache import ArtifactCache
@@ -17,9 +19,10 @@ from repro.comm import MeshGeometry, TorusGeometry
 from repro.config import AzulConfig
 from repro.core import map_block
 from repro.dataflow import build_pcg_program, kernel_program
+from repro.dataflow.lower import lower_kernel
 from repro.precond import ic0
 from repro.sparse.suite import get_suite_matrix
-from tests.oracles.lowering import lower_kernel_oracle
+from tests.oracles.lowering import dense_local_counts, lower_kernel_oracle
 
 CONFIG = AzulConfig(mesh_rows=4, mesh_cols=4)
 N_TILES = 16
@@ -89,6 +92,51 @@ class TestBitParity:
             assert kv.cycles == kr.cycles
             assert kv.op_counts == kr.op_counts
         verify_iteration(result_v, matrix, lower, b)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Triplets of a small kernel, scattered over a 3x3 torus."""
+    n = draw(st.integers(1, 20))
+    entries = sorted(draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=60,
+    )))
+    tiles = draw(st.lists(st.integers(0, 8), min_size=len(entries),
+                          max_size=len(entries)))
+    vec_tile = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+    rows = np.array([i for i, _ in entries], dtype=np.int64)
+    cols = np.array([j for _, j in entries], dtype=np.int64)
+    return (n, rows, cols, np.arange(1.0, len(entries) + 1.0),
+            np.array(tiles, dtype=np.int64), np.array(vec_tile))
+
+
+class TestCompactCounters:
+    """The local FMAC counters grow with the nonzeros, not tiles × rows."""
+
+    @seed(29)
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(kernel_inputs(), st.sampled_from(["tree", "unicast"]))
+    def test_one_entry_per_tile_row_pair(self, inputs, multicast):
+        n, rows, cols, values, tiles, vec_tile = inputs
+        geometry = TorusGeometry(3, 3)
+        program = lower_kernel("spmv", n, rows, cols, values, tiles,
+                               vec_tile, geometry, multicast=multicast)
+        pair_tiles = np.repeat(program.local_tiles,
+                               np.diff(program.local_ptr))
+        pairs = list(zip(pair_tiles.tolist(), program.local_rows.tolist()))
+        assert pairs == sorted(set(zip(tiles.tolist(), rows.tolist())))
+        assert np.all(program.local_counts > 0)
+        assert program.local_counts.sum() == len(rows) == program.total_fmacs
+        dense = np.zeros((9, n), dtype=np.int64)
+        np.add.at(dense, (tiles, rows), 1)
+        assert np.array_equal(dense_local_counts(program),
+                              dense[program.local_tiles])
+        assert program.same_program(lower_kernel_oracle(
+            "spmv", n, rows, cols, values, tiles, vec_tile, geometry,
+            multicast=multicast,
+        ))
 
 
 class TestProgramCache:

@@ -86,7 +86,8 @@ def _assert_equivalent(program, torus, config, pe, x=None, b=None):
     assert simulated.op_counts == reference.op_counts
     assert simulated.busy_slots == reference.busy_slots
     assert simulated.link_activations == reference.link_activations
-    assert simulated.per_link == reference.per_link
+    assert np.array_equal(simulated.link_ids, reference.link_ids)
+    assert np.array_equal(simulated.link_counts, reference.link_counts)
     assert simulated.spills == reference.spills
     assert simulated.link_queue_delay == reference.link_queue_delay
     # IEEE bit identity, not tolerance: the simulator must apply

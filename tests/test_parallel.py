@@ -89,12 +89,11 @@ class TestSimPoint:
 class TestSimulateMany:
     def test_matches_serial_and_dedups(self, fresh_cache):
         session = ExperimentSession(TINY)
-        serial = session.simulate(MATRIX, "azul", "azul", check=False)
+        serial = session.simulate(MATRIX, "azul", "azul")
         points = [
-            SimPoint(MATRIX, check=False),
-            SimPoint(MATRIX, check=False),   # duplicate: computed once
-            SimPoint(MATRIX, mapper="round_robin", pe="dalorex",
-                     check=False),
+            SimPoint(MATRIX),
+            SimPoint(MATRIX),   # duplicate: computed once
+            SimPoint(MATRIX, mapper="round_robin", pe="dalorex"),
         ]
         stats = {}
         results = simulate_many(session, points, jobs=1, stats=stats)
@@ -108,9 +107,8 @@ class TestSimulateMany:
 
     def test_parallel_identical_to_serial(self, fresh_cache):
         points = [
-            SimPoint(MATRIX, check=False),
-            SimPoint(MATRIX, mapper="round_robin", pe="dalorex",
-                     check=False),
+            SimPoint(MATRIX),
+            SimPoint(MATRIX, mapper="round_robin", pe="dalorex"),
         ]
         serial_stats = {}
         serial = simulate_many(
@@ -128,7 +126,7 @@ class TestSimulateMany:
             _timings_equal(a, b)
 
     def test_cache_hits_short_circuit(self, fresh_cache):
-        points = [SimPoint(MATRIX, check=False)]
+        points = [SimPoint(MATRIX)]
         first = ExperimentSession(TINY)
         warm = simulate_many(first, points, jobs=1)
         stats = {}
@@ -142,9 +140,8 @@ class TestSimulateMany:
     def test_workers_populate_shared_cache(self, fresh_cache):
         """A jobs>1 sweep leaves the next session fully cached."""
         points = [
-            SimPoint(MATRIX, check=False),
-            SimPoint(MATRIX, mapper="round_robin", pe="dalorex",
-                     check=False),
+            SimPoint(MATRIX),
+            SimPoint(MATRIX, mapper="round_robin", pe="dalorex"),
         ]
         simulate_many(ExperimentSession(TINY), points, jobs=2)
         stats = {}
@@ -164,13 +161,13 @@ class TestSimulateMany:
         stats = {}
         results = simulate_many(
             session,
-            [SimPoint(MATRIX, check=False),
-             SimPoint(MATRIX, pe="ideal", check=False)],
+            [SimPoint(MATRIX),
+             SimPoint(MATRIX, pe="ideal")],
             jobs=2, stats=stats,
         )
         assert stats["worker_failures"] == 2
         assert stats["computed_serial"] == 2
-        reference = session.simulate(MATRIX, "azul", "azul", check=False)
+        reference = session.simulate(MATRIX, "azul", "azul")
         _timings_equal(results[0], reference)
 
     def test_run_pool_isolates_single_crash(self):
@@ -231,16 +228,15 @@ class TestPlacementPoints:
         session = ExperimentSession(TINY)
         direct_placement = session.placement(MATRIX, "azul",
                                              use_cache=False)
-        direct = session.simulate(MATRIX, "azul", "azul", check=False,
-                                  use_cache=False)
+        direct = session.simulate(MATRIX, "azul", "azul", use_cache=False)
         stats = {}
         results = simulate_many(session, [
             PlacementSpec(MATRIX),
             PlacementSpec(MATRIX, seed=0),        # the default seed
             PlacementSpec(MATRIX, row_weight=2),  # the default, as an int
-            SimPoint(MATRIX, check=False),
-            SimPoint(MATRIX, check=False, seed=0),
-            SimPoint(MATRIX, check=False, row_weight=2),
+            SimPoint(MATRIX),
+            SimPoint(MATRIX, seed=0),
+            SimPoint(MATRIX, row_weight=2),
         ], jobs=1, stats=stats)
         assert stats["unique"] == 2
         assert stats["deduplicated"] == 4
@@ -256,14 +252,14 @@ class TestPlacementPoints:
 
     def test_unicast_activates_more_links_than_tree(self, fresh_cache):
         tree, unicast = simulate_many(ExperimentSession(TINY), [
-            SimPoint(MATRIX, check=False),
-            SimPoint(MATRIX, check=False, multicast="unicast"),
+            SimPoint(MATRIX),
+            SimPoint(MATRIX, multicast="unicast"),
         ], jobs=1)
         assert unicast.link_activations() > tree.link_activations()
 
     def test_second_session_served_from_cache(self, fresh_cache):
         points = [PlacementSpec(MATRIX, seed=1),
-                  SimPoint(MATRIX, check=False, seed=1)]
+                  SimPoint(MATRIX, seed=1)]
         first = simulate_many(ExperimentSession(TINY), points, jobs=1)
         stats = {}
         again = simulate_many(ExperimentSession(TINY), points, jobs=1,
@@ -279,10 +275,10 @@ class TestPlacementPoints:
             "place": PlacementSpec(MATRIX),
             "place/seed": PlacementSpec(MATRIX, seed=2),
             "place/block": PlacementSpec(MATRIX, "block"),
-            "tree": SimPoint(MATRIX, check=False),
+            "tree": SimPoint(MATRIX),
             "unicast": SimPoint(MATRIX, multicast="unicast"),
-            "seed": SimPoint(MATRIX, check=False, seed=2),
-            "row_weight": SimPoint(MATRIX, check=False, row_weight=4.0),
+            "seed": SimPoint(MATRIX, seed=2),
+            "row_weight": SimPoint(MATRIX, row_weight=4.0),
         }
         serial_stats = {}
         serial = dict(zip(points, simulate_many(

@@ -17,6 +17,7 @@ bookkeeping — plus the two cross-cutting guarantees:
 import ast
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, seed, settings, strategies as st
@@ -181,7 +182,8 @@ class TestLinkFabric:
         assert arrivals == [2, 3, 4]
         assert fabric.queue_delay == 0 + 1 + 2
         assert fabric.link_count() == 3
-        assert fabric.link_counts() == {(0, 1): 3}
+        ids, counts = fabric.link_arrays()
+        assert ids.tolist() == [0 * 4 + 1] and counts.tolist() == [3]
         assert fabric.last_arrival() == 4
 
     def test_distinct_links_do_not_contend(self):
@@ -192,16 +194,28 @@ class TestLinkFabric:
         times = sorted(events.pop()[0] for _ in range(2))
         assert times == [6, 6]
         assert fabric.queue_delay == 0
-        assert list(fabric.link_counts()) == [(0, 1), (1, 0)]
+        ids, counts = fabric.link_arrays()
+        assert ids.tolist() == [0 * 4 + 1, 1 * 4 + 0]  # sorted by id
+        assert counts.tolist() == [1, 1]
 
 
 # ---------------------------------------------------------------------------
 # state
 # ---------------------------------------------------------------------------
+def _counters(n, tiles=(), ptr=(0,), rows=(), counts=()):
+    """The fields of a compiled kernel that :class:`KernelState` reads."""
+    return SimpleNamespace(
+        n=n, local_tiles=np.array(tiles, dtype=np.int64),
+        local_ptr=np.array(ptr, dtype=np.int64),
+        local_rows=np.array(rows, dtype=np.int64),
+        local_counts=np.array(counts, dtype=np.int64),
+    )
+
+
 class TestKernelState:
     def test_tile_created_on_first_touch(self):
-        state = KernelState(4, [], np.zeros((0, 4), dtype=np.int64),
-                    msg_buffer_entries=8, spill_penalty=6)
+        state = KernelState(_counters(4), msg_buffer_entries=8,
+                            spill_penalty=6)
         assert state.tiles == {}
         tile = state.tile(2)
         assert state.tile(2) is tile
@@ -211,13 +225,16 @@ class TestKernelState:
         assert tile.local_rem is None
 
     def test_local_rem_densified_per_tile(self):
-        state = KernelState(3, [1], np.array([[2, 0, 1]]), 8, 6)
+        state = KernelState(
+            _counters(3, tiles=[1], ptr=[0, 2], rows=[0, 2], counts=[2, 1]),
+            8, 6,
+        )
         assert state.tile(1).local_rem == [2, 0, 1]
         assert state.tile(0).local_rem is None
 
     def test_enqueue_spills_after_buffer_fills(self):
-        state = KernelState(2, [], np.zeros((0, 2), dtype=np.int64),
-                    msg_buffer_entries=2, spill_penalty=6)
+        state = KernelState(_counters(2), msg_buffer_entries=2,
+                            spill_penalty=6)
         t0 = [10, 3, "p", 0, 0, 0, 2]
         state.enqueue(0, t0)
         state.enqueue(0, [10, 3, "q", 0, 0, 0, 2])
@@ -228,7 +245,7 @@ class TestKernelState:
         assert overflow[0] == 16     # delayed by one SRAM round trip
 
     def test_op_totals_sums_tiles(self):
-        state = KernelState(2, [], np.zeros((0, 2), dtype=np.int64), 8, 6)
+        state = KernelState(_counters(2), 8, 6)
         state.tile(0).op_counts = [1, 2, 3, 4]
         state.tile(0).busy = 5
         state.tile(1).op_counts = [10, 0, 0, 1]

@@ -17,9 +17,11 @@ from repro.cache import ArtifactCache
 from repro.comm import MeshGeometry, TorusGeometry
 from repro.config import AzulConfig
 from repro.core import analyze_traffic, get_mapper
+from repro.core.traffic import kernel_traffic
 from repro.errors import MatrixFormatError, SingularMatrixError
 from repro.hypergraph import PartitionerOptions
 from repro.precond import ic0
+from repro.sim import AzulMachine
 from repro.sparse import generators as gen
 from repro.sparse.csr import CSRMatrix
 from tests.oracles.traffic import analyze_traffic_oracle
@@ -45,9 +47,9 @@ def _assert_same_report(report, expected):
         assert got.multicast_messages == want.multicast_messages
         assert got.reduction_messages == want.reduction_messages
         assert got.link_activations == want.link_activations
-        assert got.per_link == want.per_link
-        assert all(type(a) is type(b) is type(count) is int
-                   for (a, b), count in got.per_link.items())
+        assert np.array_equal(got.link_ids, want.link_ids)
+        assert np.array_equal(got.link_counts, want.link_counts)
+        assert got.link_ids.dtype == got.link_counts.dtype == np.int32
 
 
 @st.composite
@@ -103,6 +105,26 @@ def test_rejects_a_factor_the_solve_rejects():
     singular = CSRMatrix(lower.indptr, lower.indices, data, lower.shape)
     with pytest.raises(SingularMatrixError):
         analyze_traffic(placement, matrix, singular, geometry)
+
+
+@pytest.mark.parametrize("multicast", ["tree", "unicast"])
+def test_simulated_links_are_the_static_count(multicast):
+    """Each tree edge carries one flit per kernel run, so the simulator's
+    per-link arrays equal the static count, id for id."""
+    matrix = gen.grid_laplacian_2d(8, 8)
+    lower = ic0(matrix)
+    machine = AzulMachine(AzulConfig(mesh_rows=4, mesh_cols=4))
+    placement = _place("round_robin", matrix, lower, 16)
+    program = machine.compile(matrix, lower, placement, multicast=multicast)
+    b = np.ones(matrix.n_rows)
+    result = machine.simulate_iteration(program, p=b, r=b)
+    for kernel, simulated in zip(program.kernels, result.kernel_results):
+        static = kernel_traffic(kernel, 16)
+        assert np.array_equal(simulated.link_ids, static.link_ids)
+        assert np.array_equal(simulated.link_counts, static.link_counts)
+        assert simulated.link_ids.dtype == static.link_ids.dtype
+        assert simulated.link_counts.dtype == static.link_counts.dtype
+        assert simulated.link_activations == static.link_activations
 
 
 # ----------------------------------------------------------------------
