@@ -1,9 +1,10 @@
 """Micro-benchmarks of the library's computational kernels.
 
 Not tied to a single paper artifact: these time the building blocks
-every experiment uses (reference kernels, factorization, coloring,
-partitioning, simulation), so regressions in the substrate are visible
-independently of the experiment harness.
+every experiment uses (SpMV, the level-scheduled SpTRSV and its level
+schedule, factorization, coloring, partitioning, simulation), so
+regressions in the substrate are visible independently of the
+experiment harness.
 """
 
 import numpy as np
@@ -13,12 +14,14 @@ from repro.comm import TorusGeometry
 from repro.config import AzulConfig
 from repro.core import build_pcg_hypergraph, map_block
 from repro.dataflow import build_spmv_program
-from repro.graph import color_and_permute, level_schedule
+from repro.graph import color_and_permute
 from repro.hypergraph import PartitionerOptions, partition
 from repro.precond import ic0
 from repro.sim import AZUL_PE, KernelSimulator
 from repro.solvers import pcg
-from repro.sparse import generators as gen
+from repro.sparse import CSRMatrix, generators as gen
+from repro.sparse.ops import level_sptrsv_lower
+from repro.sparse.schedule import triangular_schedule
 
 
 @pytest.fixture(scope="module")
@@ -40,10 +43,10 @@ def test_spmv_reference(benchmark, matrix, rng=np.random.default_rng(0)):
 
 
 def test_sptrsv_reference(benchmark, lower):
-    from repro.sparse.ops import sptrsv_lower
-
+    """The level-scheduled forward solve over the factor's cached
+    schedule (the solvers' and verification's SpTRSV)."""
     b = np.ones(lower.n_rows)
-    x = benchmark(sptrsv_lower, lower, b)
+    x = benchmark(level_sptrsv_lower, lower, b)
     assert np.all(np.isfinite(x))
 
 
@@ -58,7 +61,15 @@ def test_coloring_and_permutation(benchmark, matrix):
 
 
 def test_level_schedule(benchmark, lower):
-    schedule = benchmark(level_schedule, lower)
+    """Building a factor's level schedule: each round gets a fresh copy
+    of the structure, so no round reads the schedule cached on it."""
+    def fresh_structure():
+        copy = CSRMatrix(lower.indptr.copy(), lower.indices.copy(),
+                         lower.data, lower.shape)
+        return (copy,), {}
+
+    schedule = benchmark.pedantic(triangular_schedule,
+                                  setup=fresh_structure, rounds=5)
     assert schedule.n_levels > 0
 
 

@@ -60,8 +60,7 @@ def main():
         map_seconds = time.perf_counter() - start
         traffic = analyze_traffic(placement, matrix, lower, torus)
         stats = placement_stats(placement)
-        timing = machine.simulate_pcg(matrix, lower, placement, b,
-                                      check=False)
+        timing = machine.simulate_pcg(matrix, lower, placement, b)
         print(
             f"{mapping:12s} {map_seconds:7.2f} "
             f"{traffic.total_messages:9d} "

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.levels import level_schedule
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.schedule import triangular_schedule
 
 
 def pcg_vertex_depths(matrix: CSRMatrix, lower: CSRMatrix) -> np.ndarray:
@@ -24,10 +24,10 @@ def pcg_vertex_depths(matrix: CSRMatrix, lower: CSRMatrix) -> np.ndarray:
     slots.  SpMV operations are shallow (depth 0); each L nonzero's FMAC
     fires when its row is being solved, so its depth is the row's level;
     a vector slot's defining operation is solving ``x_i``, also at the
-    row's level.
+    row's level.  The levels are those of ``lower``'s cached triangular
+    schedule, the one its solves and verification execute.
     """
-    schedule = level_schedule(lower)
-    levels = schedule.levels
+    levels = triangular_schedule(lower).levels
     a_depths = np.zeros(matrix.nnz, dtype=np.int64)
     l_rows = np.repeat(np.arange(lower.n_rows), lower.row_nnz())
     l_depths = levels[l_rows] + 1

@@ -38,8 +38,8 @@ unless enabled): ``pipeline.prepare`` / ``pipeline.place`` /
 :mod:`repro.cache`, and — when tracing is enabled — simulator issue
 traces bridged into the Chrome-trace export.  ``simulate(...,
 trace=True)`` (default: :func:`repro.obs.tracing_enabled`) records
-per-op issue logs; :meth:`ExperimentSession.export_trace` /
-:meth:`export_metrics` write the artifacts.
+per-op issue logs; the runner's ``--trace`` / ``--metrics`` write the
+artifacts.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def program_cache_key(cache: ArtifactCache, config: AzulConfig,
 def compile_pcg_program(machine: AzulMachine, matrix, lower, placement,
                         *, multicast: str = "tree",
                         cache: Optional[ArtifactCache] = None,
-                        use_cache: bool = True, label: str = ""):
+                        label: str = ""):
     """Compile — or fetch from the ``programs`` cache — one iteration.
 
     The cache entry stores only the three
@@ -245,6 +245,7 @@ def compile_pcg_program(machine: AzulMachine, matrix, lower, placement,
     depend on timing knobs).  Instrumented through :mod:`repro.obs`:
     ``compile.requests`` / ``compile.cache_hits`` / ``compile.builds``
     counters and a ``compile.build`` timer around actual lowering.
+    Without a ``cache`` (or with a disabled one) every request builds.
     """
     from repro.dataflow.program import PCGIterationProgram
     from repro.dataflow.vector_ops import VectorPhaseModel
@@ -257,7 +258,7 @@ def compile_pcg_program(machine: AzulMachine, matrix, lower, placement,
         )
     obs.counter("compile.requests")
     key = None
-    if use_cache and cache is not None:
+    if cache is not None:
         key = program_cache_key(cache, machine.config, matrix, lower,
                                 placement, multicast)
         kernels = cache.get(PROGRAM_NAMESPACE, key, PICKLE)
@@ -319,16 +320,15 @@ class ExperimentSession:
     cache:
         An :class:`repro.cache.ArtifactCache`; by default the
         process-wide cache for the current ``REPRO_CACHE_*``
-        environment, so sessions share disk *and* memory tiers.
-    use_cache:
-        ``False`` bypasses the artifact cache entirely (prepared
-        matrices are still memoized in process).
+        environment, so sessions share disk *and* memory tiers.  A
+        disabled cache (``ArtifactCache(enabled=False)``, or
+        ``REPRO_CACHE_DISABLE``) computes everything afresh; prepared
+        matrices are still memoized in process.
     """
 
     def __init__(self, config: Optional[AzulConfig] = None, *,
                  scale: int = 1, preset: str = "speed",
-                 cache: Optional[ArtifactCache] = None,
-                 use_cache: bool = True):
+                 cache: Optional[ArtifactCache] = None):
         config = config if config is not None else default_experiment_config()
         if not isinstance(config, AzulConfig):
             raise TypeError(
@@ -340,7 +340,6 @@ class ExperimentSession:
         self.config = config
         self.scale = int(scale)
         self.preset = preset
-        self.use_cache = bool(use_cache)
         self.cache = cache if cache is not None else ArtifactCache.default()
         #: Simulation keys whose issue traces were already bridged into
         #: the Chrome-trace export (cache hits must not duplicate them).
@@ -380,8 +379,7 @@ class ExperimentSession:
                   preset: Optional[str] = None,
                   seed: Optional[int] = None,
                   q: Optional[int] = None,
-                  row_weight: Optional[float] = None,
-                  use_cache: Optional[bool] = None) -> Placement:
+                  row_weight: Optional[float] = None) -> Placement:
         """Map one prepared matrix with one strategy, with caching.
 
         The arguments are the fields of a
@@ -400,11 +398,9 @@ class ExperimentSession:
             name, mapper, n_tiles, scale, preset, seed, q, row_weight,
         ))
         _validate_choice("preset", spec.preset, PRESETS)
-        use_cache = self.use_cache if use_cache is None else bool(use_cache)
-        if use_cache:
-            cached = self.cached(spec, key)
-            if cached is not MISS:
-                return cached
+        cached = self.cached(spec, key)
+        if cached is not MISS:
+            return cached
 
         prepared = self.prepare(name, spec.scale)
         mapper_fn = get_mapper(mapper)
@@ -423,18 +419,17 @@ class ExperimentSession:
                                       spec.n_tiles)
         seconds = time.perf_counter() - start
         placement.placement_seconds = seconds
-        if use_cache:
-            self.cache.put(
-                PLACEMENT_NAMESPACE, key,
-                {
-                    "a_tile": placement.a_tile,
-                    "l_tile": placement.l_tile,
-                    "vec_tile": placement.vec_tile,
-                    "mapper": placement.mapper,
-                    "seconds": seconds,
-                },
-                NPZ,
-            )
+        self.cache.put(
+            PLACEMENT_NAMESPACE, key,
+            {
+                "a_tile": placement.a_tile,
+                "l_tile": placement.l_tile,
+                "vec_tile": placement.vec_tile,
+                "mapper": placement.mapper,
+                "seconds": seconds,
+            },
+            NPZ,
+        )
         return placement
 
     def cached(self, point, key: str):
@@ -460,8 +455,7 @@ class ExperimentSession:
     # -- compilation ---------------------------------------------------
     def compiled_program(self, name: str, placement: Placement, *,
                          scale: Optional[int] = None,
-                         multicast: str = "tree",
-                         use_cache: Optional[bool] = None):
+                         multicast: str = "tree"):
         """The compiled PCG iteration program of one placement of ``name``.
 
         ``placement`` maps the matrix :meth:`prepare` returns for
@@ -475,11 +469,9 @@ class ExperimentSession:
         from repro.sim.machine import AzulMachine
 
         prepared = self.prepare(name, scale)
-        use_cache = self.use_cache if use_cache is None else bool(use_cache)
         return compile_pcg_program(
             AzulMachine(self.config), prepared.matrix, prepared.lower,
-            placement, multicast=multicast, cache=self.cache,
-            use_cache=use_cache, label=name,
+            placement, multicast=multicast, cache=self.cache, label=name,
         )
 
     def traffic(self, name: str, placement: Placement):
@@ -497,7 +489,6 @@ class ExperimentSession:
     # -- simulation ----------------------------------------------------
     def simulate(self, name: str, mapper: str = "azul", pe="azul",
                  *, scale: Optional[int] = None, preset: Optional[str] = None,
-                 use_cache: Optional[bool] = None,
                  trace: Optional[bool] = None, seed: Optional[int] = None,
                  row_weight: Optional[float] = None,
                  multicast: str = "tree"):
@@ -528,22 +519,18 @@ class ExperimentSession:
             row_weight=row_weight, multicast=multicast,
         ))
         _validate_choice("preset", point.preset, PRESETS)
-        use_cache = self.use_cache if use_cache is None else bool(use_cache)
-        if use_cache:
-            cached = self.cached(point, key)
-            if cached is not MISS:
-                if trace:
-                    self._bridge_trace(key, f"{name}/{mapper}", cached)
-                return cached
+        cached = self.cached(point, key)
+        if cached is not MISS:
+            if trace:
+                self._bridge_trace(key, f"{name}/{mapper}", cached)
+            return cached
 
         from repro.sim.machine import AzulMachine, verify_iteration
 
         prepared = self.prepare(name, point.scale)
-        placement = self.placement(**vars(point.placement),
-                                   use_cache=use_cache)
+        placement = self.placement(**vars(point.placement))
         program = self.compiled_program(
             name, placement, scale=point.scale, multicast=multicast,
-            use_cache=use_cache,
         )
         model = pe if isinstance(pe, PEModel) else pe_model_by_name(pe)
         machine = AzulMachine(self.config, model)
@@ -555,17 +542,12 @@ class ExperimentSession:
             )
         verify_iteration(result, prepared.matrix, prepared.lower,
                          prepared.b)
-        if use_cache:
-            self.cache.put(SIMULATION_NAMESPACE, key, result, PICKLE)
+        self.cache.put(SIMULATION_NAMESPACE, key, result, PICKLE)
         if trace:
             self._bridge_trace(key, f"{name}/{mapper}", result)
         return result
 
     # -- observability -------------------------------------------------
-    def cache_stats(self):
-        """Live counters of this session's artifact cache."""
-        return self.cache.stats
-
     def _bridge_trace(self, key: str, label: str, result) -> None:
         """Bridge one simulation's issue logs into the trace export.
 
@@ -590,25 +572,6 @@ class ExperimentSession:
         if events:
             obs.add_trace_events(events)
             self._bridged_traces.add(key)
-
-    def _overrides_extra(self) -> dict:
-        """Environment overrides + cache stats block for exports."""
-        from repro.config import overrides
-
-        return {
-            "overrides": overrides(),
-            "cache": self.cache.stats.as_dict(),
-        }
-
-    def export_metrics(self, path) -> str:
-        """Write the metrics-registry snapshot (plus effective env
-        overrides and this session's cache counters) as JSON."""
-        return obs.write_metrics(path, extra=self._overrides_extra())
-
-    def export_trace(self, path) -> str:
-        """Write the collected spans + bridged simulator issue events
-        as a Chrome-trace JSON (loadable at ui.perfetto.dev)."""
-        return obs.write_chrome_trace(path, metadata=self._overrides_extra())
 
     def __repr__(self):
         return (

@@ -3,8 +3,9 @@
 This subpackage implements the parallelism-improving preprocessing of
 Sec. II-A: treating the matrix as a graph, coloring it, and permuting
 rows and columns so that same-color (independent) rows are adjacent,
-which shortens SpTRSV dependence chains.  It also provides the level
-scheduling and work/critical-path analysis behind Table I.
+which shortens SpTRSV dependence chains.  It also provides the
+work/critical-path analysis behind Table I; dependence levels come from
+:func:`repro.sparse.schedule.triangular_schedule`.
 """
 
 from repro.graph.coloring import (
@@ -17,11 +18,6 @@ from repro.graph.permute import (
     permute_vector,
     inverse_permutation,
     color_and_permute,
-)
-from repro.graph.levels import (
-    level_schedule,
-    level_sets,
-    LevelSchedule,
 )
 from repro.graph.rcm import rcm_ordering
 from repro.graph.parallelism import (
@@ -39,9 +35,6 @@ __all__ = [
     "permute_vector",
     "inverse_permutation",
     "color_and_permute",
-    "level_schedule",
-    "level_sets",
-    "LevelSchedule",
     "spmv_parallelism",
     "sptrsv_parallelism",
     "parallelism_report",

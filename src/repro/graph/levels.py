@@ -1,73 +1,18 @@
-"""Level scheduling of sparse triangular solves.
+"""Weighted critical path of sparse triangular solves.
 
 The dependence graph of SpTRSV (Fig. 5) assigns each row a *level*: the
 length of the longest dependence chain ending at that row.  Rows in the
 same level are independent and can be solved in parallel; the number of
-levels bounds the solve's critical path.
+levels bounds the solve's critical path.  The levels themselves come
+from the cached :func:`repro.sparse.schedule.triangular_schedule`; this
+module weighs the chain by each row's operation count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.errors import NotTriangularError
 from repro.sparse.csr import CSRMatrix
-
-
-@dataclass(frozen=True)
-class LevelSchedule:
-    """Level assignment of a triangular matrix's rows.
-
-    Attributes
-    ----------
-    levels:
-        ``levels[i]`` is the dataflow depth of row ``i`` (0-based).
-    n_levels:
-        Total number of levels (critical path length in rows).
-    """
-
-    levels: np.ndarray
-    n_levels: int
-
-    def rows_in_level(self, level: int) -> np.ndarray:
-        """Indices of the rows belonging to one level."""
-        return np.nonzero(self.levels == level)[0]
-
-    def level_sizes(self) -> np.ndarray:
-        """Number of rows per level (the solve's parallelism profile)."""
-        return np.bincount(self.levels, minlength=self.n_levels)
-
-
-def level_schedule(lower: CSRMatrix) -> LevelSchedule:
-    """Compute dependence levels of a lower-triangular matrix's rows.
-
-    ``level[i] = 1 + max(level[j] for j in strictly-lower nonzeros of
-    row i)``, or 0 if row i only touches the diagonal.
-    """
-    n = lower.n_rows
-    levels = np.zeros(n, dtype=np.int64)
-    indptr, indices = lower.indptr, lower.indices
-    for i in range(n):
-        depth = -1
-        for k in range(indptr[i], indptr[i + 1]):
-            j = indices[k]
-            if j > i:
-                raise NotTriangularError(
-                    f"row {i} has an entry above the diagonal (col {j})"
-                )
-            if j < i and levels[j] > depth:
-                depth = levels[j]
-        levels[i] = depth + 1
-    n_levels = int(levels.max()) + 1 if n else 0
-    return LevelSchedule(levels, n_levels)
-
-
-def level_sets(lower: CSRMatrix) -> list:
-    """Rows grouped by level, in solve order."""
-    schedule = level_schedule(lower)
-    return [schedule.rows_in_level(lv) for lv in range(schedule.n_levels)]
 
 
 def critical_path_ops(lower: CSRMatrix) -> int:

@@ -30,8 +30,9 @@ from repro.config import AzulConfig
 from repro.core.placement import Placement
 from repro.core.traffic import TrafficReport
 from repro.dataflow.vector_ops import VectorPhaseModel
-from repro.graph.levels import critical_path_ops, level_schedule
+from repro.graph.levels import critical_path_ops
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.schedule import triangular_schedule
 
 
 @dataclass(frozen=True)
@@ -159,14 +160,14 @@ def predict_sptrsv(lower: CSRMatrix, placement: Placement,
     # Dependence bound: the weighted critical path pays one issue slot
     # per op; each level additionally pays ALU latency plus an average
     # traversal toward the next dependent row.
-    schedule = level_schedule(lower)
+    n_levels = triangular_schedule(lower).n_levels
     chain_ops = critical_path_ops(lower)
     avg_hops = (torus.rows + torus.cols) / 4.0
     per_level_latency = (
         config.sram_access_cycles + config.fmac_latency_cycles
         + avg_hops * config.hop_cycles
     )
-    critical = chain_ops + schedule.n_levels * per_level_latency
+    critical = chain_ops + n_levels * per_level_latency
     return KernelPrediction(
         name="sptrsv_upper" if transpose else "sptrsv_lower",
         compute_bound=compute,

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.graph.levels import level_schedule
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import spmv_flops, sptrsv_flops
+from repro.sparse.schedule import triangular_schedule
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,13 @@ class GPUModel:
         )
         return bytes_moved / self.effective_bandwidth + self.kernel_launch_s
 
-    def sptrsv_time(self, lower: CSRMatrix, n_levels: int = None) -> float:
-        """One triangular solve: bandwidth plus per-level sync cost."""
-        if n_levels is None:
-            n_levels = level_schedule(lower).n_levels
+    def sptrsv_time(self, lower: CSRMatrix) -> float:
+        """One triangular solve: bandwidth plus per-level sync cost.
+
+        The level count is that of ``lower``'s cached triangular
+        schedule.
+        """
+        n_levels = triangular_schedule(lower).n_levels
         bytes_moved = (
             lower.nnz * self.nnz_bytes
             + 2 * lower.n_rows * self.vector_bytes
@@ -116,14 +119,9 @@ class GPUModel:
     def pcg_iteration_time(self, matrix: CSRMatrix,
                            lower: CSRMatrix) -> GPUIterationTime:
         """Seconds per PCG iteration (one SpMV + two SpTRSVs + vectors)."""
-        schedule = level_schedule(lower)
-        solve = (
-            self.sptrsv_time(lower, schedule.n_levels)
-            + self.sptrsv_time(lower, schedule.n_levels)
-        )
         return GPUIterationTime(
             spmv=self.spmv_time(matrix),
-            sptrsv=solve,
+            sptrsv=2 * self.sptrsv_time(lower),
             vector=self.vector_time(matrix.n_rows),
         )
 

@@ -3,17 +3,16 @@
 Experiment sweeps are embarrassingly parallel across their points.  A
 point is a :class:`PlacementSpec` (one mapping of one matrix) or a
 :class:`SimPoint` (one steady-state simulation of a mapped matrix).
-:func:`simulate_many` fans a list of points out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` while staying a
-drop-in replacement for a serial loop of
-:meth:`ExperimentSession.placement` / :meth:`ExperimentSession.simulate`
-calls:
+The executor resolves every point of a run to its cache key
+(:func:`resolve`), merges equal keys across experiments, and hands the
+unique keyed points to :func:`simulate_many`, which fans them out over
+a :class:`~concurrent.futures.ProcessPoolExecutor` and returns what a
+serial loop of :meth:`ExperimentSession.placement` /
+:meth:`ExperimentSession.simulate` calls would:
 
 * **Cache short-circuit** — every point is looked up in the shared
   on-disk artifact cache *before* any worker is spawned; a fully-cached
   sweep never pays process start-up.
-* **In-flight deduplication** — points resolving to the same cache key
-  are computed once and fanned back to every requesting index.
 * **Placements first** — placement points are dispatched before the
   simulations.  At ``jobs=1`` they are also computed first, so every
   simulation reads its placement from the cache; in a pool a
@@ -26,8 +25,9 @@ calls:
 * **Graceful degradation** — a crashed worker, a broken pool, or an
   unpicklable result demotes only the affected points to an in-process
   serial computation; ``simulate_many`` never fails a sweep because of
-  parallel machinery.  A point that raises is computed once, and the
-  sweep goes on with the others.
+  parallel machinery.  A point that raises is computed once, its
+  exception takes the place of its result, and the sweep goes on with
+  the others.
 
 Results are returned in point order and are identical to what a serial
 ``jobs=1`` run produces (mapping and simulation are deterministic; see
@@ -140,15 +140,6 @@ def default_jobs() -> int:
         ) from None
 
 
-def _coerce(point) -> Point:
-    if isinstance(point, (SimPoint, PlacementSpec)):
-        return point
-    raise TypeError(
-        f"sweep point must be a SimPoint or PlacementSpec; "
-        f"got {type(point).__name__}"
-    )
-
-
 def resolve(session, point: _P) -> Tuple[_P, str]:
     """Fill a point's ``None`` fields from ``session``; return it and its key.
 
@@ -187,29 +178,28 @@ def resolve(session, point: _P) -> Tuple[_P, str]:
     return placement, placement_key(placement)
 
 
-def _compute(session, point: Point, use_cache: bool):
+def _compute(session, point: Point):
     """Compute one resolved point in-process (serial path and fallback)."""
     from repro.experiments.common import ExperimentSession
 
     fields = dict(vars(point))
     if isinstance(point, PlacementSpec):
-        return session.placement(**fields, use_cache=use_cache)
+        return session.placement(**fields)
     config = fields.pop("config")
     if config != session.config:
-        session = ExperimentSession(config, cache=session.cache,
-                                    use_cache=session.use_cache)
-    return session.simulate(**fields, use_cache=use_cache)
+        session = ExperimentSession(config, cache=session.cache)
+    return session.simulate(**fields)
 
 
-def _attempt(session, point: Point, use_cache: bool):
+def _attempt(session, point: Point):
     """The result of one point, or the exception computing it raised."""
     try:
-        return _compute(session, point, use_cache)
+        return _compute(session, point)
     except Exception as exc:  # noqa: BLE001 — fails only this point
         return exc
 
 
-def _compute_in_worker(task: tuple) -> tuple:
+def _compute_in_worker(point: Point) -> tuple:
     """Top-level worker entry point (must be picklable by reference).
 
     Builds a fresh session in the worker process; the artifact cache is
@@ -221,18 +211,16 @@ def _compute_in_worker(task: tuple) -> tuple:
     """
     from repro.experiments.common import ExperimentSession
 
-    point, use_cache = task
     cache = ArtifactCache.default()
     cache.persist_stats = False
     cache.stats = CacheStats()
-    session = ExperimentSession(getattr(point, "config", None),
-                                cache=cache, use_cache=use_cache)
-    return _attempt(session, point, use_cache), cache.stats
+    session = ExperimentSession(getattr(point, "config", None), cache=cache)
+    return _attempt(session, point), cache.stats
 
 
 def _run_pool(pending: List[tuple], jobs: int, info: dict,
               worker=_compute_in_worker) -> dict:
-    """Fan unique cache misses out over a process pool.
+    """Fan ``(key, point)`` cache misses out over a process pool.
 
     Returns ``{key: what worker returned, or _FAILED}``; pool-level
     failures leave keys absent, which the caller treats the same as
@@ -246,8 +234,8 @@ def _run_pool(pending: List[tuple], jobs: int, info: dict,
             max_workers=min(jobs, len(pending))
         ) as pool:
             futures = [
-                (key, pool.submit(worker, task))
-                for key, _, task in pending
+                (key, pool.submit(worker, point))
+                for key, point in pending
             ]
             for key, future in futures:
                 try:
@@ -265,94 +253,76 @@ def _run_pool(pending: List[tuple], jobs: int, info: dict,
     return computed
 
 
-def simulate_many(session, points, jobs: Optional[int] = None, *,
-                  use_cache: Optional[bool] = None,
+def simulate_many(session, points: Mapping[str, Point],
+                  jobs: Optional[int] = None, *,
                   stats: Optional[dict] = None) -> List:
-    """Compute many sweep points, fanned out across processes.
+    """Compute resolved sweep points, fanned out across processes.
 
     Parameters
     ----------
     session:
         The owning :class:`~repro.experiments.common.ExperimentSession`.
     points:
-        Iterable of :class:`PlacementSpec` and :class:`SimPoint`, or
-        resolved points keyed by their cache keys (as :func:`resolve`
-        returns them), which are used as given.
+        Resolved :class:`PlacementSpec` and :class:`SimPoint` points
+        keyed by their cache keys, as :func:`resolve` returns them.
+        The keys are unique, so each point is computed at most once.
     jobs:
         Worker processes; ``None`` consults ``REPRO_JOBS`` then a
         capped cpu count, ``1`` forces the serial path.
-    use_cache:
-        Override the session's cache policy for this sweep.
     stats:
         Optional dict, filled with sweep observability counters
-        (``points``, ``unique``, ``cache_hits``, ``computed_parallel``,
-        ``computed_serial``, ``worker_failures``, ``deduplicated``),
-        also when the sweep raises.
+        (``points``, ``cache_hits``, ``computed_parallel``,
+        ``computed_serial``, ``worker_failures``), also when the sweep
+        raises.
 
     Returns
     -------
     list
         Results in point order: a
         :class:`~repro.core.placement.Placement` for a placement point,
-        exactly what ``session.simulate`` returns for a simulation.
-        Keyed points get the exception a failed point raised in place
-        of its result; otherwise the first such exception is raised,
-        once every other point is computed.
+        exactly what ``session.simulate`` returns for a simulation, or
+        the exception computing the point raised.
     """
-    keyed = isinstance(points, Mapping)
-    if keyed:
-        resolved = [(point, key) for key, point in points.items()]
-    else:
-        resolved = [resolve(session, _coerce(point)) for point in points]
-    use_cache = session.use_cache if use_cache is None else bool(use_cache)
+    keys = list(points)
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    # Deduplicate in-flight keys: one computation per unique key.
     # Placements go first, so a serial sweep's simulations find theirs
     # cached.
-    by_key: Dict[str, List[int]] = {}
-    order = sorted(range(len(resolved)),
-                   key=lambda i: isinstance(resolved[i][0], SimPoint))
-    for index in order:
-        by_key.setdefault(resolved[index][1], []).append(index)
-    results: List = [None] * len(resolved)
+    order = sorted(keys, key=lambda key: isinstance(points[key], SimPoint))
+    results: Dict[str, object] = {}
     info = {
-        "points": len(resolved),
-        "unique": len(by_key),
-        "deduplicated": len(resolved) - len(by_key),
+        "points": len(keys),
         "cache_hits": 0,
         "computed_parallel": 0,
         "computed_serial": 0,
         "worker_failures": 0,
     }
     try:
-        with obs.span("sweep.simulate_many", points=len(resolved),
+        with obs.span("sweep.simulate_many", points=len(keys),
                       jobs=jobs) as sweep_span:
             # Cache short-circuit before any worker spawns.
             pending = []
-            for key, indices in by_key.items():
-                point = resolved[indices[0]][0]
-                if use_cache:
-                    cached = session.cached(point, key)
-                    if cached is not MISS:
-                        info["cache_hits"] += 1
-                        if getattr(point, "trace", False):
-                            session._bridge_trace(
-                                key, f"{point.name}/{point.mapper}", cached,
-                            )
-                        for index in indices:
-                            results[index] = cached
-                        continue
-                pending.append((key, indices, (point, use_cache)))
+            for key in order:
+                point = points[key]
+                cached = session.cached(point, key)
+                if cached is MISS:
+                    pending.append((key, point))
+                    continue
+                info["cache_hits"] += 1
+                if getattr(point, "trace", False):
+                    session._bridge_trace(
+                        key, f"{point.name}/{point.mapper}", cached,
+                    )
+                results[key] = cached
 
             computed = (
                 _run_pool(pending, jobs, info)
                 if jobs > 1 and len(pending) > 1
                 else {}
             )
-            for key, indices, (point, _) in pending:
+            for key, point in pending:
                 value = computed.get(key, _FAILED)
                 if value is _FAILED:
-                    value = _attempt(session, point, use_cache)
+                    value = _attempt(session, point)
                     info["computed_serial"] += 1
                 else:
                     value, counts = value
@@ -365,8 +335,7 @@ def simulate_many(session, points, jobs: Optional[int] = None, *,
                         session._bridge_trace(
                             key, f"{point.name}/{point.mapper}", value,
                         )
-                for index in indices:
-                    results[index] = value
+                results[key] = value
 
             sweep_span.set(**info)
     finally:
@@ -374,9 +343,4 @@ def simulate_many(session, points, jobs: Optional[int] = None, *,
             obs.counter(f"sweep.{counter_name}", value)
         if stats is not None:
             stats.update(info)
-
-    if not keyed:
-        for result in results:
-            if isinstance(result, Exception):
-                raise result
-    return results
+    return [results[key] for key in keys]

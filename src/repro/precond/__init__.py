@@ -1,9 +1,11 @@
 """Preconditioners for iterative solvers (paper Table II).
 
 All preconditioners implement :class:`~repro.precond.base.Preconditioner`:
-``apply(r)`` returns ``z = M^{-1} r``.  Preconditioners built from
-triangular factors expose them (``lower_factor``/``upper_factor``) so the
-accelerator's dataflow programs can execute their solves as SpTRSVs.
+``apply(r, counter)`` returns ``z = M^{-1} r``, running any triangular
+solves through the solver's :class:`~repro.solvers.kernels.KernelCounter`
+so they are executed and counted as the SpTRSVs Azul accelerates.
+``IncompleteCholesky.lower_factor()`` is the factor Azul maps and
+simulates.
 """
 
 from repro.precond.base import Preconditioner

@@ -15,31 +15,19 @@ import numpy as np
 class Preconditioner(ABC):
     """Base class for all preconditioners.
 
-    Subclasses must implement :meth:`apply`.  ``kernels`` advertises
-    which sparse kernels an accelerator needs to execute the
-    preconditioner (the Table II "Kernels" column); triangular-factor
-    preconditioners override ``lower_factor``/``upper_factor``.
+    Subclasses implement :meth:`apply`, the only way a solver applies a
+    preconditioner.  Factor-based preconditioners (IC(0), ILU(0),
+    SymGS, SSOR) run their two triangular solves through the solver's
+    :class:`~repro.solvers.kernels.KernelCounter`, so the SpTRSVs Azul
+    accelerates are executed and counted like any other kernel;
+    diagonal scalings stay uncounted.
     """
 
-    #: Sparse kernels required to apply this preconditioner on Azul.
-    kernels: tuple = ()
-
-    #: True when ``lower_factor()`` has a unit diagonal (ILU-style L):
-    #: solvers forward this to the triangular solve so the factor is
-    #: solved — and its FLOPs counted — without a diagonal multiply.
-    lower_unit_diagonal: bool = False
-
     @abstractmethod
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        """Return ``z = M^{-1} r``."""
+    def apply(self, r: np.ndarray, counter) -> np.ndarray:
+        """Return ``z = M^{-1} r``.
 
-    def lower_factor(self):
-        """The lower-triangular factor used by ``apply``, if any."""
-        return None
-
-    def upper_factor(self):
-        """The upper-triangular factor used by ``apply``, if any."""
-        return None
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self.apply(r)
+        ``counter`` is the solver's
+        :class:`~repro.solvers.kernels.KernelCounter`: every triangular
+        solve goes through its ``sptrsv_lower`` / ``sptrsv_upper``.
+        """

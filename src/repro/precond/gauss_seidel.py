@@ -13,7 +13,6 @@ import numpy as np
 from repro.errors import PreconditionerError
 from repro.precond.base import Preconditioner
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import sptrsv_lower, sptrsv_upper
 
 
 class SymmetricGaussSeidel(Preconditioner):
@@ -25,8 +24,6 @@ class SymmetricGaussSeidel(Preconditioner):
     (Sec. III, footnote 2).
     """
 
-    kernels = ("sptrsv", "sptrsv")
-
     def __init__(self, matrix: CSRMatrix):
         diag = matrix.diagonal()
         if np.any(diag == 0.0):
@@ -35,12 +32,6 @@ class SymmetricGaussSeidel(Preconditioner):
         self._lower = matrix.lower_triangle(include_diagonal=True)
         self._upper = matrix.upper_triangle(include_diagonal=True)
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        y = sptrsv_lower(self._lower, r)
-        return sptrsv_upper(self._upper, self._diag * y)
-
-    def lower_factor(self) -> CSRMatrix:
-        return self._lower
-
-    def upper_factor(self) -> CSRMatrix:
-        return self._upper
+    def apply(self, r: np.ndarray, counter) -> np.ndarray:
+        y = counter.sptrsv_lower(self._lower, r)
+        return counter.sptrsv_upper(self._upper, self._diag * y)

@@ -23,7 +23,7 @@ import repro.obs as obs
 from repro.errors import PreconditionerError
 from repro.precond.base import Preconditioner
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import ic0_attempt, level_sptrsv_lower, level_sptrsv_upper
+from repro.sparse.ops import ic0_attempt
 
 
 def ic0(matrix: CSRMatrix, max_shift_attempts: int = 8) -> CSRMatrix:
@@ -57,18 +57,14 @@ def ic0(matrix: CSRMatrix, max_shift_attempts: int = 8) -> CSRMatrix:
 class IncompleteCholesky(Preconditioner):
     """IC(0) preconditioner: ``z = (L L^T)^{-1} r`` via two SpTRSVs."""
 
-    kernels = ("sptrsv", "sptrsv")
-
     def __init__(self, matrix: CSRMatrix):
         self._lower = ic0(matrix)
         self._upper = self._lower.transpose()
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        y = level_sptrsv_lower(self._lower, r)
-        return level_sptrsv_upper(self._upper, y)
+    def apply(self, r: np.ndarray, counter) -> np.ndarray:
+        y = counter.sptrsv_lower(self._lower, r)
+        return counter.sptrsv_upper(self._upper, y)
 
     def lower_factor(self) -> CSRMatrix:
+        """The IC(0) factor ``L``: what Azul maps and simulates."""
         return self._lower
-
-    def upper_factor(self) -> CSRMatrix:
-        return self._upper

@@ -10,7 +10,5 @@ from repro.precond.base import Preconditioner
 class IdentityPreconditioner(Preconditioner):
     """``z = r``; turns PCG into unpreconditioned CG (Table II row 1)."""
 
-    kernels = ()
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
+    def apply(self, r: np.ndarray, counter) -> np.ndarray:
         return np.array(r, dtype=np.float64, copy=True)

@@ -12,7 +12,6 @@ import numpy as np
 from repro.errors import PreconditionerError
 from repro.precond.base import Preconditioner
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import sptrsv_lower, sptrsv_upper
 
 
 def ilu0(matrix: CSRMatrix):
@@ -82,20 +81,15 @@ def ilu0(matrix: CSRMatrix):
 
 
 class IncompleteLU(Preconditioner):
-    """ILU(0) preconditioner: ``z = U^{-1} L^{-1} r`` via two SpTRSVs."""
+    """ILU(0) preconditioner: ``z = U^{-1} L^{-1} r`` via two SpTRSVs.
 
-    kernels = ("sptrsv", "sptrsv")
-    lower_unit_diagonal = True
+    ``L`` has a unit diagonal, so its solve skips the diagonal multiply
+    (and its FLOPs).
+    """
 
     def __init__(self, matrix: CSRMatrix):
         self._lower, self._upper = ilu0(matrix)
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        y = sptrsv_lower(self._lower, r, unit_diagonal=True)
-        return sptrsv_upper(self._upper, y)
-
-    def lower_factor(self) -> CSRMatrix:
-        return self._lower
-
-    def upper_factor(self) -> CSRMatrix:
-        return self._upper
+    def apply(self, r: np.ndarray, counter) -> np.ndarray:
+        y = counter.sptrsv_lower(self._lower, r, unit_diagonal=True)
+        return counter.sptrsv_upper(self._upper, y)

@@ -16,8 +16,6 @@ class JacobiPreconditioner(Preconditioner):
     no SpTRSV needed.
     """
 
-    kernels = ()
-
     def __init__(self, matrix: CSRMatrix):
         diag = matrix.diagonal()
         if np.any(diag == 0.0):
@@ -28,5 +26,5 @@ class JacobiPreconditioner(Preconditioner):
         # the critical path (Sec. VI-A).
         self._inv_diag = 1.0 / diag
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
+    def apply(self, r: np.ndarray, counter) -> np.ndarray:
         return self._inv_diag * np.asarray(r, dtype=np.float64)

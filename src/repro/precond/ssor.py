@@ -16,7 +16,6 @@ from repro.precond.base import Preconditioner
 from repro.sparse.coo import COOMatrix
 from repro.sparse.convert import coo_to_csr, csr_to_coo
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import sptrsv_lower, sptrsv_upper
 
 
 def _replace_diagonal(triangle: CSRMatrix, new_diag: np.ndarray) -> CSRMatrix:
@@ -30,8 +29,6 @@ def _replace_diagonal(triangle: CSRMatrix, new_diag: np.ndarray) -> CSRMatrix:
 
 class SSORPreconditioner(Preconditioner):
     """SSOR(omega) preconditioner via two weighted triangular sweeps."""
-
-    kernels = ("sptrsv", "sptrsv")
 
     def __init__(self, matrix: CSRMatrix, omega: float = 1.0):
         if not 0.0 < omega < 2.0:
@@ -51,12 +48,6 @@ class SSORPreconditioner(Preconditioner):
         )
         self._mid_scale = diag * ((2.0 - omega) / omega)
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        y = sptrsv_lower(self._lower, r)
-        return sptrsv_upper(self._upper, self._mid_scale * y)
-
-    def lower_factor(self) -> CSRMatrix:
-        return self._lower
-
-    def upper_factor(self) -> CSRMatrix:
-        return self._upper
+    def apply(self, r: np.ndarray, counter) -> np.ndarray:
+        y = counter.sptrsv_lower(self._lower, r)
+        return counter.sptrsv_upper(self._upper, self._mid_scale * y)

@@ -23,6 +23,7 @@ from repro.sim.engine import KernelSimulator
 from repro.sim.pe import AZUL_PE, PEModel
 from repro.sim.stats import IterationResult, KernelResult
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.ops import level_sptrsv_lower, level_sptrsv_upper
 
 
 class AzulMachine:
@@ -100,42 +101,44 @@ class AzulMachine:
 
     def simulate_pcg(self, matrix: CSRMatrix, lower: CSRMatrix,
                      placement: Placement, b: np.ndarray,
-                     check: bool = True,
                      multicast: str = "tree",
                      record_issue_trace: bool = False) -> IterationResult:
-        """Compile and simulate one steady-state PCG iteration.
+        """Compile, simulate and verify one steady-state PCG iteration.
 
-        When ``check`` is true, the dataflow outputs are verified
-        against the reference kernels (the paper's functional check
-        against Ginkgo, Sec. VI-A).  ``record_issue_trace`` forwards to
-        each kernel simulation (the Fig. 17 timeline / Chrome-trace
-        inputs).
+        The dataflow outputs are verified against the functional kernels
+        (:func:`verify_iteration`, the paper's functional check against
+        Ginkgo, Sec. VI-A).  ``record_issue_trace`` forwards to each
+        kernel simulation (the Fig. 17 timeline / Chrome-trace inputs).
+        An unverified result comes from :meth:`compile` and
+        :meth:`simulate_iteration`.
         """
         program = self.compile(matrix, lower, placement,
                                multicast=multicast)
         result = self.simulate_iteration(
             program, p=b, r=b, record_issue_trace=record_issue_trace,
         )
-        if check:
-            verify_iteration(result, matrix, lower, b)
+        verify_iteration(result, matrix, lower, b)
         return result
 
 
 def verify_iteration(result: IterationResult, matrix: CSRMatrix,
                      lower: CSRMatrix, b: np.ndarray):
-    """Assert the simulated dataflow computed the right numbers."""
-    from repro.sparse.ops import sptrsv_lower as ref_lower
-    from repro.sparse.ops import sptrsv_upper as ref_upper
+    """Assert the simulated dataflow computed the right numbers.
 
+    The expected solves run the level-scheduled kernels over
+    ``lower``'s cached triangular schedule, the same schedule whose
+    levels the Azul mapping balances over time
+    (:mod:`repro.core.quantiles`).
+    """
     spmv_result, forward_result, backward_result = result.kernel_results
     expected_y = matrix.spmv(b)
     if not np.allclose(spmv_result.output, expected_y, rtol=1e-9, atol=1e-9):
         raise SimulationError("simulated SpMV result mismatch")
-    expected_w = ref_lower(lower, b)
+    expected_w = level_sptrsv_lower(lower, b)
     if not np.allclose(forward_result.output, expected_w,
                        rtol=1e-9, atol=1e-9):
         raise SimulationError("simulated forward SpTRSV result mismatch")
-    expected_z = ref_upper(lower.transpose(), expected_w)
+    expected_z = level_sptrsv_upper(lower.transpose(), expected_w)
     if not np.allclose(backward_result.output, expected_z,
                        rtol=1e-8, atol=1e-9):
         raise SimulationError("simulated backward SpTRSV result mismatch")

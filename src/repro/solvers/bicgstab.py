@@ -27,17 +27,6 @@ def bicgstab(matrix: CSRMatrix, b, preconditioner: Preconditioner = None,
     counter = KernelCounter()
     history = ConvergenceHistory()
 
-    def apply_preconditioner(v):
-        lower = preconditioner.lower_factor()
-        upper = preconditioner.upper_factor()
-        if lower is not None and upper is not None:
-            y = counter.sptrsv_lower(
-                lower, v,
-                unit_diagonal=preconditioner.lower_unit_diagonal,
-            )
-            return counter.sptrsv_upper(upper, y)
-        return preconditioner.apply(v)
-
     n = matrix.n_rows
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     r = b - counter.spmv(matrix, x) if x0 is not None else b.copy()
@@ -63,7 +52,7 @@ def bicgstab(matrix: CSRMatrix, b, preconditioner: Preconditioner = None,
         else:
             beta = (rho / rho_old) * (alpha / omega)
             p = counter.scale_add(r, beta, p - omega * v)
-        p_hat = apply_preconditioner(p)
+        p_hat = preconditioner.apply(p, counter)
         v = counter.spmv(matrix, p_hat)
         denom = counter.dot(r_hat, v)
         if denom == 0.0:
@@ -78,7 +67,7 @@ def bicgstab(matrix: CSRMatrix, b, preconditioner: Preconditioner = None,
                 history.record(residual_norm)
             converged = True
             break
-        s_hat = apply_preconditioner(s)
+        s_hat = preconditioner.apply(s, counter)
         t = counter.spmv(matrix, s_hat)
         tt = counter.dot(t, t)
         if tt == 0.0:

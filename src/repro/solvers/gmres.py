@@ -28,17 +28,6 @@ def gmres(matrix: CSRMatrix, b, preconditioner: Preconditioner = None,
     counter = KernelCounter()
     history = ConvergenceHistory()
 
-    def apply_preconditioner(v):
-        lower = preconditioner.lower_factor()
-        upper = preconditioner.upper_factor()
-        if lower is not None and upper is not None:
-            y = counter.sptrsv_lower(
-                lower, v,
-                unit_diagonal=preconditioner.lower_unit_diagonal,
-            )
-            return counter.sptrsv_upper(upper, y)
-        return preconditioner.apply(v)
-
     n = matrix.n_rows
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     b_norm = float(np.linalg.norm(b))
@@ -67,7 +56,7 @@ def gmres(matrix: CSRMatrix, b, preconditioner: Preconditioner = None,
         k_used = 0
 
         for k in range(m):
-            w = counter.spmv(matrix, apply_preconditioner(basis[k]))
+            w = counter.spmv(matrix, preconditioner.apply(basis[k], counter))
             for i in range(k + 1):
                 hessenberg[i, k] = counter.dot(w, basis[i])
                 w = counter.axpy(-hessenberg[i, k], basis[i], w)
@@ -105,7 +94,7 @@ def gmres(matrix: CSRMatrix, b, preconditioner: Preconditioner = None,
                 hessenberg[:k_used, :k_used], g[:k_used]
             )
             update = basis[:k_used].T @ y
-            x = x + apply_preconditioner(update)
+            x = x + preconditioner.apply(update, counter)
         residual_norm = float(np.linalg.norm(b - matrix.spmv(x)))
         converged = residual_norm <= threshold
 

@@ -6,10 +6,14 @@ algebra through a :class:`KernelCounter`, which both executes the
 operation and accumulates the accounting.
 
 Triangular solves run the level-scheduled kernels of
-:mod:`repro.sparse.ops` over cached triangular schedules.  The sparse
-kernels carry ``solve.kernel.*`` observability timers and counters
-here — one span per kernel invocation; the inner level loops stay
-uninstrumented so the hot path is untouched.
+:mod:`repro.sparse.ops` over cached triangular schedules.  Solvers
+hand their counter to :meth:`Preconditioner.apply
+<repro.precond.base.Preconditioner.apply>`, so a factor-based
+preconditioner's two SpTRSVs are executed and counted here too (its
+diagonal scalings are not counted).  The sparse kernels carry
+``solve.kernel.*`` observability timers and counters here — one span
+per kernel invocation; the inner level loops stay uninstrumented so
+the hot path is untouched.
 """
 
 from __future__ import annotations

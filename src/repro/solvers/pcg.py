@@ -75,20 +75,7 @@ def _pcg(matrix: CSRMatrix, b, preconditioner: Preconditioner = None,
     b_norm = float(np.linalg.norm(b))
     threshold = options.tol * (b_norm if b_norm > 0 else 1.0)
 
-    # The preconditioner application counts toward SpTRSV FLOPs when it
-    # is factor-based; route it through the counter where possible.
-    def apply_preconditioner(residual):
-        lower = preconditioner.lower_factor()
-        upper = preconditioner.upper_factor()
-        if lower is not None and upper is not None:
-            y = counter.sptrsv_lower(
-                lower, residual,
-                unit_diagonal=preconditioner.lower_unit_diagonal,
-            )
-            return counter.sptrsv_upper(upper, y)
-        return preconditioner.apply(residual)
-
-    z = apply_preconditioner(r)
+    z = preconditioner.apply(r, counter)
     p = z.copy()
     rz_old = counter.dot(r, z)
     residual_norm = counter.norm(r)
@@ -105,7 +92,7 @@ def _pcg(matrix: CSRMatrix, b, preconditioner: Preconditioner = None,
         alpha = rz_old / p_ap
         x = counter.axpy(alpha, p, x)
         r = counter.axpy(-alpha, ap, r)
-        z = apply_preconditioner(r)
+        z = preconditioner.apply(r, counter)
         rz_new = counter.dot(r, z)
         beta = rz_new / rz_old if rz_old != 0.0 else 0.0
         p = counter.scale_add(z, beta, p)

@@ -1,9 +1,9 @@
 """Sparse-matrix substrate: formats, kernels, generators, and the suite.
 
 This subpackage provides the sparse linear-algebra foundation the paper's
-solvers run on: COO/CSR/CSC storage, the SpMV/SpTRSV/IC(0) kernels
-(per-row and level-scheduled), cached triangular schedules, Matrix
-Market I/O, synthetic matrix generators, and the benchmark suite that
+solvers run on: COO/CSR/CSC storage, the SpMV kernel and the
+level-scheduled SpTRSV and IC(0) kernels over cached triangular
+schedules, Matrix Market I/O, synthetic matrix generators, and the benchmark suite that
 stands in for the paper's SuiteSparse selection (Table IV).
 
 Public names are imported on first use.
@@ -21,7 +21,7 @@ _EXPORTS = {
     ),
     "repro.sparse.ops": (
         "ic0_attempt", "level_sptrsv_lower", "level_sptrsv_upper", "spmv",
-        "sptrsv_lower", "sptrsv_upper", "spmv_flops", "sptrsv_flops",
+        "spmv_flops", "sptrsv_flops",
     ),
     "repro.sparse.schedule": (
         "IC0Schedule", "TriangularSchedule", "ic0_schedule",

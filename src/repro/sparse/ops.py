@@ -1,28 +1,27 @@
 """Sparse kernels: SpMV, SpTRSV, and IC(0) (Sec. II-A).
 
-Two forms of the triangular solve live here:
-
-* :func:`sptrsv_lower` / :func:`sptrsv_upper` — forward and backward
-  substitution row by row.  They are the functional ground truth the
-  dataflow simulator's results are validated against (the paper checks
-  its simulator against Ginkgo the same way), and the SSOR, ILU(0) and
-  Gauss-Seidel preconditioners use them directly.
-* :func:`level_sptrsv_lower` / :func:`level_sptrsv_upper` — level-set
-  (wavefront) execution over a cached
-  :class:`~repro.sparse.schedule.TriangularSchedule`: each dependence
-  level is one batched numpy gather/segment-reduce, so a whole PCG
-  solve re-uses the schedule computed once per factor.  Solvers reach
-  them through :class:`repro.solvers.kernels.KernelCounter`.
+The triangular solve has one form here:
+:func:`level_sptrsv_lower` / :func:`level_sptrsv_upper` execute it
+level set by level set (wavefront) over a cached
+:class:`~repro.sparse.schedule.TriangularSchedule`.  Each dependence
+level is one batched numpy gather/segment-reduce, so every solve of a
+factor re-uses the schedule computed once for it.  Solvers and
+preconditioners reach them through
+:class:`repro.solvers.kernels.KernelCounter`, and the simulator's
+functional check (:func:`repro.sim.machine.verify_iteration`) calls
+them directly.
 
 :func:`ic0_attempt` factors one IC(0) attempt the same level-batched
 way via :class:`~repro.sparse.schedule.IC0Schedule`; preconditioners
 reach it through :func:`repro.precond.ic0.ic0`.
 
-Row sums in the level-scheduled kernels accumulate in a different
-association order than the per-row ``np.dot``, so results agree to
-rounding (bit-identical for rows with at most one off-diagonal entry);
-error classes, messages, and offending-row choices match the per-row
-loops.  ``tests/test_kernel_equivalence.py`` enforces both.
+The row-by-row substitutions and IC(0) they are checked against live
+in ``tests/oracles/kernels.py``.  Row sums in the level-scheduled
+kernels accumulate in a different association order than a per-row
+``np.dot``, so results agree to rounding (bit-identical for rows with
+at most one off-diagonal entry); error classes, messages, and
+offending-row choices match the row loops.
+``tests/test_kernel_equivalence.py`` enforces both.
 
 FLOP-counting helpers use the paper's convention: one fused
 multiply-accumulate is two FLOPs.
@@ -34,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import MatrixFormatError, NotTriangularError, SingularMatrixError
+from repro.errors import MatrixFormatError, SingularMatrixError
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.schedule import ic0_schedule, triangular_schedule
 
@@ -53,80 +52,15 @@ def _check_trsv_args(matrix: CSRMatrix, b: np.ndarray) -> None:
         )
 
 
-def sptrsv_lower(lower: CSRMatrix, b, unit_diagonal: bool = False) -> np.ndarray:
-    """Solve ``L x = b`` for lower-triangular ``L`` by forward substitution.
-
-    Parameters
-    ----------
-    lower:
-        Lower-triangular CSR matrix (columns sorted within rows).
-    b:
-        Right-hand-side vector.
-    unit_diagonal:
-        When ``True``, the diagonal is assumed to be all ones and any
-        stored diagonal entries are ignored.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    n = lower.n_rows
-    _check_trsv_args(lower, b)
-    x = np.zeros(n, dtype=np.float64)
-    indptr, indices, data = lower.indptr, lower.indices, lower.data
-    for i in range(n):
-        start, end = indptr[i], indptr[i + 1]
-        cols = indices[start:end]
-        vals = data[start:end]
-        if len(cols) and cols[-1] > i:
-            raise NotTriangularError(
-                f"row {i} has entry in column {cols[-1]} above the diagonal"
-            )
-        if unit_diagonal:
-            strictly = cols < i
-            acc = float(np.dot(vals[strictly], x[cols[strictly]]))
-            x[i] = b[i] - acc
-        else:
-            if len(cols) == 0 or cols[-1] != i:
-                raise SingularMatrixError(f"missing diagonal entry in row {i}")
-            acc = float(np.dot(vals[:-1], x[cols[:-1]]))
-            pivot = vals[-1]
-            if pivot == 0.0:
-                raise SingularMatrixError(f"zero pivot in row {i}")
-            x[i] = (b[i] - acc) / pivot
-    return x
-
-
-def sptrsv_upper(upper: CSRMatrix, b, unit_diagonal: bool = False) -> np.ndarray:
-    """Solve ``U x = b`` for upper-triangular ``U`` by backward substitution."""
-    b = np.asarray(b, dtype=np.float64)
-    n = upper.n_rows
-    _check_trsv_args(upper, b)
-    x = np.zeros(n, dtype=np.float64)
-    indptr, indices, data = upper.indptr, upper.indices, upper.data
-    for i in range(n - 1, -1, -1):
-        start, end = indptr[i], indptr[i + 1]
-        cols = indices[start:end]
-        vals = data[start:end]
-        if len(cols) and cols[0] < i:
-            raise NotTriangularError(
-                f"row {i} has entry in column {cols[0]} below the diagonal"
-            )
-        if unit_diagonal:
-            strictly = cols > i
-            acc = float(np.dot(vals[strictly], x[cols[strictly]]))
-            x[i] = b[i] - acc
-        else:
-            if len(cols) == 0 or cols[0] != i:
-                raise SingularMatrixError(f"missing diagonal entry in row {i}")
-            acc = float(np.dot(vals[1:], x[cols[1:]]))
-            pivot = vals[0]
-            if pivot == 0.0:
-                raise SingularMatrixError(f"zero pivot in row {i}")
-            x[i] = (b[i] - acc) / pivot
-    return x
-
-
 def level_sptrsv_lower(lower: CSRMatrix, b,
                        unit_diagonal: bool = False) -> np.ndarray:
-    """Solve ``L x = b`` level by level (see :func:`sptrsv_lower`)."""
+    """Solve ``L x = b`` for lower-triangular ``L``, level by level.
+
+    ``lower`` is a lower-triangular CSR matrix with sorted columns.
+    With ``unit_diagonal`` the diagonal is taken to be all ones and
+    any stored diagonal entries are ignored; otherwise every row must
+    store a nonzero diagonal.
+    """
     b = np.asarray(b, dtype=np.float64)
     _check_trsv_args(lower, b)
     schedule = triangular_schedule(
@@ -137,7 +71,7 @@ def level_sptrsv_lower(lower: CSRMatrix, b,
 
 def level_sptrsv_upper(upper: CSRMatrix, b,
                        unit_diagonal: bool = False) -> np.ndarray:
-    """Solve ``U x = b`` level by level (see :func:`sptrsv_upper`)."""
+    """Solve ``U x = b`` for upper-triangular ``U``, level by level."""
     b = np.asarray(b, dtype=np.float64)
     _check_trsv_args(upper, b)
     schedule = triangular_schedule(

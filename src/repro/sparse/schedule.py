@@ -10,8 +10,8 @@ one batched gather/segment-reduce instead of a Python row loop.
 This module computes that structure **once per factor** and caches it
 on the matrix object:
 
-* :class:`TriangularSchedule` — validation (triangularity, stored
-  diagonal), the dependence level sets, and a per-level execution plan
+* :class:`TriangularSchedule` — validation (triangularity), the
+  dependence level sets, and a per-level execution plan
   (row sets, flat off-diagonal position/column arrays grouped by row,
   ``np.add.reduceat`` segment starts) for forward or backward
   substitution.
@@ -27,13 +27,21 @@ Schedules depend only on the matrix *structure* (``indptr`` /
 time, so in-place value updates never invalidate a cached schedule.
 Replacing the structure arrays (or building a new matrix) does.
 
+A triangular schedule's ``levels`` are the only dependence levels in
+``repro``: the mapping's temporal quantiles
+(:mod:`repro.core.quantiles`) and the GPU and analytic Azul models
+read them too, so one cached schedule per factor serves mapping,
+solving and verification.
+
 Error behavior matches the reference row loops in
-:mod:`repro.sparse.ops` — same exception classes and messages, raised
-for the first offending row in reference iteration order — with one
-documented exception: structural problems (a non-triangular row, a
-missing diagonal) are detected eagerly at schedule build, so they are
-reported before any numeric zero-pivot error the reference sweep would
-have hit in an earlier row.
+``tests/oracles/kernels.py`` — same exception classes and messages,
+raised for the first offending row in reference iteration order — with
+one documented exception: a non-triangular row has no schedule, so it
+is reported eagerly at schedule build, before any zero pivot the
+reference sweep would have hit in an earlier row.  A row without a
+stored diagonal does not stop the build (its level is defined by the
+strict triangle alone, which is all the level readers need); a solve
+reports it, or an earlier zero pivot, in reference order.
 
 Layer contract: ``schedule`` sits above ``csr`` and below ``ops``
 (see ``tools/check_layers.py``).
@@ -154,6 +162,8 @@ class TriangularSchedule:
                                 # grouped by row in execution order,
                                 # ascending column within each row
     diag_pos: Optional[np.ndarray]  # data position of each row's diagonal
+                                    # (-1: not stored)
+    diag_complete: bool         # every row stores its diagonal
     plan: Tuple[_LevelStep, ...] = field(repr=False)
 
     def level_sizes(self) -> np.ndarray:
@@ -164,18 +174,15 @@ class TriangularSchedule:
     def execute(self, data: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Run the substitution against the current ``data`` values.
 
-        Raises :class:`SingularMatrixError` on a zero pivot, matching
-        the reference row loop's message and row choice (the first
-        zero-pivot row in reference iteration order).
+        Raises :class:`SingularMatrixError` on a missing diagonal or a
+        zero pivot, matching the reference row loop's message and row
+        choice (the first singular row in reference iteration order).
         """
         values = data[self.off_pos]
         if not self.unit_diagonal:
             assert self.diag_pos is not None
-            diag_all = data[self.diag_pos]
-            if not np.all(diag_all):
-                zero_rows = np.nonzero(diag_all == 0.0)[0]
-                first = zero_rows[0] if self.is_lower else zero_rows[-1]
-                raise SingularMatrixError(f"zero pivot in row {int(first)}")
+            if not (self.diag_complete and np.all(data[self.diag_pos])):
+                self._raise_singular(data)
         x = np.empty(self.n, dtype=np.float64)
         for step in self.plan:
             acc = b[step.rows]
@@ -188,14 +195,27 @@ class TriangularSchedule:
                 x[step.rows] = acc / data[step.diag]
         return x
 
+    def _raise_singular(self, data: np.ndarray) -> None:
+        """Raise for the first row, in reference iteration order, that
+        stores no diagonal or a zero one."""
+        stored = self.diag_pos >= 0
+        singular = ~stored
+        singular[stored] = data[self.diag_pos[stored]] == 0.0
+        rows = np.nonzero(singular)[0]
+        i = int(rows[0] if self.is_lower else rows[-1])
+        if not stored[i]:
+            raise SingularMatrixError(f"missing diagonal entry in row {i}")
+        raise SingularMatrixError(f"zero pivot in row {i}")
+
 
 def _strict_structure(matrix: CSRMatrix, is_lower: bool,
                       unit_diagonal: bool):
-    """Validate triangularity/diagonal; return the strict structure.
+    """Validate triangularity; return the strict structure.
 
     Returns ``(off_pos, off_cols, row_ptr, diag_pos)`` where the
     off-diagonal arrays are in row-major, ascending-column order and
-    ``diag_pos`` is None for unit-diagonal factors.
+    ``diag_pos`` is None for unit-diagonal factors, else each row's
+    diagonal data position (-1 where the row stores none).
     """
     n = matrix.n_rows
     indptr, indices = matrix.indptr, matrix.indices
@@ -206,12 +226,13 @@ def _strict_structure(matrix: CSRMatrix, is_lower: bool,
 
     bad_tri = np.zeros(n, dtype=bool)
     bad_tri[rows_of[wrong_side]] = True
-    has_diag = np.zeros(n, dtype=bool)
-    has_diag[rows_of[on_diag]] = True
-    bad_diag = ~has_diag if not unit_diagonal else np.zeros(n, dtype=bool)
-    bad = np.nonzero(bad_tri | bad_diag)[0]
-    if len(bad):
-        # Report the first offending row in reference iteration order.
+    if bad_tri.any():
+        # Report the first offending row in reference iteration order;
+        # a row before it without a stored diagonal comes first.
+        has_diag = np.zeros(n, dtype=bool)
+        has_diag[rows_of[on_diag]] = True
+        missing = ~has_diag if not unit_diagonal else np.zeros(n, dtype=bool)
+        bad = np.nonzero(bad_tri | missing)[0]
         i = int(bad[0] if is_lower else bad[-1])
         if bad_tri[i]:
             row_cols = indices[indptr[i]:indptr[i + 1]]
@@ -235,7 +256,9 @@ def _strict_structure(matrix: CSRMatrix, is_lower: bool,
     if unit_diagonal:
         diag_pos = None
     else:
-        diag_pos = np.nonzero(on_diag)[0].astype(np.int64)
+        diag_pos = np.full(n, -1, dtype=np.int64)
+        stored = np.nonzero(on_diag)[0]
+        diag_pos[rows_of[stored]] = stored
     return off_pos, off_cols, row_ptr, diag_pos
 
 
@@ -312,6 +335,7 @@ def _build_triangular(matrix: CSRMatrix, is_lower: bool,
         n_levels=n_levels,
         off_pos=off_pos_ordered,
         diag_pos=diag_pos,
+        diag_complete=diag_pos is None or bool(np.all(diag_pos >= 0)),
         plan=tuple(plan),
     )
 
@@ -402,6 +426,9 @@ class IC0Schedule:
 
 def _build_ic0(lower: CSRMatrix) -> IC0Schedule:
     tri = _build_triangular(lower, is_lower=True, unit_diagonal=False)
+    if not tri.diag_complete:
+        missing = int(np.nonzero(tri.diag_pos < 0)[0][0])
+        raise SingularMatrixError(f"missing diagonal entry in row {missing}")
     n = lower.n_rows
     indptr, indices = lower.indptr, lower.indices
     rows_of = np.repeat(np.arange(n, dtype=np.int64), lower.row_nnz())

@@ -3,10 +3,10 @@
 Each oracle is the straightforward formulation of a pipeline stage —
 per-op simulator issue, timing-free kernel execution, the classic FM
 loop and per-vertex FM gains, array-at-a-time region growing,
-sort-ranked matching, per-edge cut counts, per-row IC(0), per-element
-dataflow lowering, per-pair routing and per-tree construction,
-per-column traffic analysis, and the k-d tree nearest-neighbour query
-— kept only as a test reference:
+sort-ranked matching, per-edge cut counts, per-row SpTRSV and IC(0),
+per-element dataflow lowering, per-pair routing and per-tree
+construction, per-column traffic analysis, and the k-d tree
+nearest-neighbour query — kept only as a test reference:
 
 * :mod:`tests.oracles.sim` — operation-granularity PE issue;
 * :mod:`tests.oracles.functional` — compiled SpMV/SpTRSV programs
@@ -17,7 +17,8 @@ per-column traffic analysis, and the k-d tree nearest-neighbour query
 * :mod:`tests.oracles.coarsen` — score-sorted matching and per-size
   contraction;
 * :mod:`tests.oracles.metrics` — per-edge connectivity counts;
-* :mod:`tests.oracles.kernels` — the up-looking row-by-row IC(0);
+* :mod:`tests.oracles.kernels` — forward and backward substitution row
+  by row, and the up-looking row-by-row IC(0);
 * :mod:`tests.oracles.lowering` — the per-element lowering loop, with
   dense local-FMAC counters;
 * :mod:`tests.oracles.trees` — one dimension-order route, multicast

@@ -1,11 +1,12 @@
-"""Row-by-row IC(0): the golden model of the level-scheduled factorization.
+"""Row-by-row SpTRSV and IC(0): the golden models of the level-scheduled kernels.
 
-:func:`repro.sparse.ops.ic0_attempt` batches the same updates by
-dependence level; it must agree to rounding and report the same
-breakdowns (``tests/test_kernel_equivalence.py``).  The per-row
-triangular solves need no oracle here: :func:`repro.sparse.ops.sptrsv_lower`
-and :func:`~repro.sparse.ops.sptrsv_upper` are the row loops
-themselves.
+:func:`repro.sparse.ops.level_sptrsv_lower` /
+:func:`~repro.sparse.ops.level_sptrsv_upper` execute a triangular solve
+one dependence level at a time, and
+:func:`repro.sparse.ops.ic0_attempt` batches the IC(0) updates the same
+way.  The row loops here are the straightforward formulations: the
+level kernels must agree with them to rounding and report the same
+errors and breakdowns (``tests/test_kernel_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import NotTriangularError, SingularMatrixError
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.ops import _check_trsv_args
 
 
 def ic0_attempt_rowwise(lower: CSRMatrix,
@@ -71,3 +74,76 @@ def ic0_attempt_rowwise(lower: CSRMatrix,
             return None
         data[diag_pos] = np.sqrt(acc)
     return data
+
+
+def sptrsv_lower_rowwise(lower: CSRMatrix, b,
+                         unit_diagonal: bool = False) -> np.ndarray:
+    """Solve ``L x = b`` for lower-triangular ``L`` by forward substitution.
+
+    Parameters
+    ----------
+    lower:
+        Lower-triangular CSR matrix (columns sorted within rows).
+    b:
+        Right-hand-side vector.
+    unit_diagonal:
+        When ``True``, the diagonal is assumed to be all ones and any
+        stored diagonal entries are ignored.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    n = lower.n_rows
+    _check_trsv_args(lower, b)
+    x = np.zeros(n, dtype=np.float64)
+    indptr, indices, data = lower.indptr, lower.indices, lower.data
+    for i in range(n):
+        start, end = indptr[i], indptr[i + 1]
+        cols = indices[start:end]
+        vals = data[start:end]
+        if len(cols) and cols[-1] > i:
+            raise NotTriangularError(
+                f"row {i} has entry in column {cols[-1]} above the diagonal"
+            )
+        if unit_diagonal:
+            strictly = cols < i
+            acc = float(np.dot(vals[strictly], x[cols[strictly]]))
+            x[i] = b[i] - acc
+        else:
+            if len(cols) == 0 or cols[-1] != i:
+                raise SingularMatrixError(f"missing diagonal entry in row {i}")
+            acc = float(np.dot(vals[:-1], x[cols[:-1]]))
+            pivot = vals[-1]
+            if pivot == 0.0:
+                raise SingularMatrixError(f"zero pivot in row {i}")
+            x[i] = (b[i] - acc) / pivot
+    return x
+
+
+def sptrsv_upper_rowwise(upper: CSRMatrix, b,
+                         unit_diagonal: bool = False) -> np.ndarray:
+    """Solve ``U x = b`` for upper-triangular ``U`` by backward substitution."""
+    b = np.asarray(b, dtype=np.float64)
+    n = upper.n_rows
+    _check_trsv_args(upper, b)
+    x = np.zeros(n, dtype=np.float64)
+    indptr, indices, data = upper.indptr, upper.indices, upper.data
+    for i in range(n - 1, -1, -1):
+        start, end = indptr[i], indptr[i + 1]
+        cols = indices[start:end]
+        vals = data[start:end]
+        if len(cols) and cols[0] < i:
+            raise NotTriangularError(
+                f"row {i} has entry in column {cols[0]} below the diagonal"
+            )
+        if unit_diagonal:
+            strictly = cols > i
+            acc = float(np.dot(vals[strictly], x[cols[strictly]]))
+            x[i] = b[i] - acc
+        else:
+            if len(cols) == 0 or cols[0] != i:
+                raise SingularMatrixError(f"missing diagonal entry in row {i}")
+            acc = float(np.dot(vals[1:], x[cols[1:]]))
+            pivot = vals[0]
+            if pivot == 0.0:
+                raise SingularMatrixError(f"zero pivot in row {i}")
+            x[i] = (b[i] - acc) / pivot
+    return x

@@ -65,7 +65,7 @@ class TestPredictions:
             traffic.kernels[0].link_counts.max()
         assert prediction.cycles > 0
         simulated = AzulMachine(CONFIG).simulate_pcg(
-            matrix, lower, placement, b, check=False
+            matrix, lower, placement, b
         )
         spmv_sim = simulated.kernel_results[0].cycles
         assert prediction.cycles <= 2.0 * spmv_sim
@@ -97,8 +97,8 @@ class TestPredictions:
             placement = mapper(matrix, lower, 16)
             predicted.append(_predict(matrix, lower, placement).total_cycles)
             simulated.append(
-                machine.simulate_pcg(matrix, lower, placement, b,
-                                     check=False).total_cycles
+                machine.simulate_pcg(matrix, lower, placement,
+                                     b).total_cycles
             )
         # Single-point sanity: prediction within a small factor.
         assert 0.2 * simulated[0] < predicted[0] < 2.0 * simulated[0]

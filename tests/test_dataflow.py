@@ -19,9 +19,9 @@ from repro.dataflow.vector_ops import (
 )
 from repro.precond import ic0
 from repro.sparse import generators as gen
-from repro.sparse.ops import sptrsv_lower as ref_sptrsv_lower
-from repro.sparse.ops import sptrsv_upper as ref_sptrsv_upper
 from tests.oracles.functional import functional_spmv, functional_sptrsv
+from tests.oracles.kernels import sptrsv_lower_rowwise as ref_sptrsv_lower
+from tests.oracles.kernels import sptrsv_upper_rowwise as ref_sptrsv_upper
 
 
 @pytest.fixture(scope="module")

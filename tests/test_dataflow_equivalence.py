@@ -155,7 +155,7 @@ class TestProgramCache:
         from repro.experiments.common import ExperimentSession
 
         cache = ArtifactCache(tmp_path / "cache")
-        return ExperimentSession(CONFIG, cache=cache, use_cache=True)
+        return ExperimentSession(CONFIG, cache=cache)
 
     @staticmethod
     def _compile_counters():
@@ -190,9 +190,14 @@ class TestProgramCache:
         requests, builds, hits = self._compile_counters()
         assert (requests, builds, hits) == (2.0, 2.0, 0.0)
 
-    def test_use_cache_false_always_builds(self, session):
+    def test_disabled_cache_always_builds(self, session, tmp_path):
+        from repro.experiments.common import ExperimentSession
+
         placement = session.placement("tmt_sym", "block")
-        session.compiled_program("tmt_sym", placement, use_cache=False)
-        session.compiled_program("tmt_sym", placement, use_cache=False)
+        uncached = ExperimentSession(
+            CONFIG, cache=ArtifactCache(tmp_path / "off", enabled=False),
+        )
+        uncached.compiled_program("tmt_sym", placement)
+        uncached.compiled_program("tmt_sym", placement)
         requests, builds, hits = self._compile_counters()
         assert (requests, builds, hits) == (2.0, 2.0, 0.0)

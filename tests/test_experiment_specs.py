@@ -434,6 +434,72 @@ class TestExecution:
             assert outcome.status == "ok"
             assert len(outcome.result.rows) == 2
 
+    def test_equal_points_computed_once_and_fanned_back(self, fresh_cache):
+        """Points that resolve to one cache key are computed once, and
+        every local key naming them gets the same result object, equal
+        to what direct session calls on an uncached session return."""
+        from repro.cache import ArtifactCache
+        from repro.parallel import PlacementSpec
+
+        matrix = "tmt_sym"
+        captured = {}
+
+        @register("syn_equal_points", title="equal points",
+                  tags=("extension", "study", "sim", "sweep"))
+        def spec():
+            points = {
+                "place": PlacementSpec(matrix),
+                "place/seed0": PlacementSpec(matrix, seed=0),
+                "place/rw2": PlacementSpec(matrix, row_weight=2),
+                "sim": SimPoint(matrix),
+                "sim/seed0": SimPoint(matrix, seed=0),
+                "sim/rw2": SimPoint(matrix, row_weight=2),
+                "rr": SimPoint(matrix, mapper="round_robin", pe="dalorex"),
+            }
+
+            def reduce(sims):
+                captured.update(sims)
+                return ExperimentResult(
+                    experiment="syn_equal_points", title="synthetic",
+                    columns=["k"],
+                )
+
+            return ExperimentPlan(session=ExperimentSession(TINY_CONFIG),
+                                  points=points, reduce=reduce)
+
+        obs.reset()
+        obs.enable(metrics=True, tracing=False)
+        try:
+            report = execute([spec], jobs=1)
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
+            unregister("syn_equal_points")
+        assert report.exit_code == 0
+        assert (report.sweep.total_points, report.sweep.unique_points) \
+            == (4, 2)
+        assert (report.sweep.placement_points,
+                report.sweep.unique_placements) == (3, 1)
+        assert counters["exec.points.deduplicated"] == 2
+        assert report.sweep_stats["points"] == 3
+        assert report.sweep_stats["computed_serial"] == 3
+        assert captured["place"] is captured["place/seed0"] \
+            is captured["place/rw2"]
+        assert captured["sim"] is captured["sim/seed0"] \
+            is captured["sim/rw2"]
+
+        uncached = ExperimentSession(
+            TINY_CONFIG, cache=ArtifactCache(enabled=False),
+        )
+        direct_placement = uncached.placement(matrix, "azul")
+        for name in ("a_tile", "l_tile", "vec_tile"):
+            assert (getattr(captured["place"], name)
+                    == getattr(direct_placement, name)).all()
+        direct = uncached.simulate(matrix, "azul", "azul")
+        assert captured["sim"].total_cycles == direct.total_cycles
+        assert captured["rr"].total_cycles != direct.total_cycles
+
 
 # ----------------------------------------------------------------------
 # run_experiment: one experiment through the executor

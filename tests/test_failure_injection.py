@@ -119,14 +119,15 @@ class TestCorruptNumerics:
         )
 
     def test_verification_catches_wrong_results(self, operands):
-        """If the machine's answer were wrong, check=True must raise."""
+        """If the machine's answer were wrong, verification must raise."""
         from repro.sim.machine import verify_iteration
 
         matrix, lower, b = operands
         placement = map_block(matrix, lower, 16)
         machine = AzulMachine(CONFIG)
-        result = machine.simulate_pcg(matrix, lower, placement, b,
-                                      check=False)
+        result = machine.simulate_iteration(
+            machine.compile(matrix, lower, placement), p=b, r=b,
+        )
         # Corrupt the recorded SpMV output, then re-verify.
         result.kernel_results[0].output[0] += 1.0
         with pytest.raises(SimulationError, match="SpMV"):
@@ -139,9 +140,7 @@ class TestCorruptModelInputs:
 
         matrix, lower, b = operands
         placement = map_block(matrix, lower, 16)
-        result = AzulMachine(CONFIG).simulate_pcg(
-            matrix, lower, placement, b, check=False
-        )
+        result = AzulMachine(CONFIG).simulate_pcg(matrix, lower, placement, b)
         result.total_cycles = 0
         with pytest.raises(ValueError):
             power_report(result, CONFIG)

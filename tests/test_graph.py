@@ -9,8 +9,6 @@ from repro.graph import (
     color_permutation,
     greedy_coloring,
     inverse_permutation,
-    level_schedule,
-    level_sets,
     parallelism_report,
     permute_vector,
     spmv_parallelism,
@@ -20,6 +18,7 @@ from repro.graph import (
 from repro.graph.coloring import validate_coloring
 from repro.graph.levels import critical_path_ops
 from repro.sparse import generators as gen
+from repro.sparse.schedule import triangular_schedule
 
 
 class TestColoring:
@@ -115,7 +114,7 @@ class TestLevels:
         """An unpermuted tridiagonal lower triangle has n levels (Fig. 6)."""
         matrix = gen.tridiagonal_spd(12)
         lower = matrix.lower_triangle()
-        schedule = level_schedule(lower)
+        schedule = triangular_schedule(lower)
         assert schedule.n_levels == 12
 
     def test_diagonal_matrix_is_one_level(self):
@@ -127,29 +126,23 @@ class TestLevels:
         diag = coo_to_csr(
             COOMatrix(np.arange(n), np.arange(n), np.ones(n), (n, n))
         )
-        assert level_schedule(diag).n_levels == 1
+        assert triangular_schedule(diag).n_levels == 1
 
     def test_levels_respect_dependences(self, mesh_matrix):
         lower = mesh_matrix.lower_triangle()
-        schedule = level_schedule(lower)
+        schedule = triangular_schedule(lower)
         for i in range(lower.n_rows):
             cols, _ = lower.row(i)
             for j in cols:
                 if j < i:
                     assert schedule.levels[j] < schedule.levels[i]
 
-    def test_level_sets_partition_rows(self, mesh_matrix):
-        lower = mesh_matrix.lower_triangle()
-        sets = level_sets(lower)
-        combined = np.sort(np.concatenate(sets))
-        assert np.array_equal(combined, np.arange(lower.n_rows))
-
     def test_coloring_reduces_levels(self):
         """Permutation by color must shrink the level count (Fig. 6/7)."""
         matrix = gen.tridiagonal_spd(64)
-        before = level_schedule(matrix.lower_triangle()).n_levels
+        before = triangular_schedule(matrix.lower_triangle()).n_levels
         permuted, _, _ = color_and_permute(matrix)
-        after = level_schedule(permuted.lower_triangle()).n_levels
+        after = triangular_schedule(permuted.lower_triangle()).n_levels
         assert after < before
         assert after <= 2  # two colors -> at most two levels
 

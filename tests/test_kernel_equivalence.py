@@ -2,8 +2,7 @@
 
 The level-scheduled kernels (:func:`repro.sparse.ops.level_sptrsv_lower`
 and friends, :func:`repro.sparse.ops.ic0_attempt`) must be drop-in
-replacements for the per-row loops (:func:`repro.sparse.ops.sptrsv_lower`
-and friends, the IC(0) oracle in :mod:`tests.oracles.kernels`): same
+replacements for the per-row loops in :mod:`tests.oracles.kernels`: same
 results to rounding (bit-identical where the summation order is
 preserved), same exception classes/messages on malformed factors,
 schedules that track in-place value mutation yet never leak across
@@ -34,11 +33,15 @@ from repro.sparse import ops
 from repro.sparse.ops import sptrsv_flops
 from repro.sparse.schedule import triangular_schedule
 from repro.sparse.suite import get_suite_matrix
-from tests.oracles.kernels import ic0_attempt_rowwise
+from tests.oracles.kernels import (
+    ic0_attempt_rowwise,
+    sptrsv_lower_rowwise,
+    sptrsv_upper_rowwise,
+)
 
 #: The per-row loops and the level-scheduled kernels, side by side.
 REF = SimpleNamespace(
-    sptrsv_lower=ops.sptrsv_lower, sptrsv_upper=ops.sptrsv_upper,
+    sptrsv_lower=sptrsv_lower_rowwise, sptrsv_upper=sptrsv_upper_rowwise,
     ic0_attempt=ic0_attempt_rowwise,
 )
 LVL = SimpleNamespace(
@@ -67,8 +70,8 @@ def _patch_rowwise(patch):
     kernels_module = importlib.import_module("repro.solvers.kernels")
 
     patch.setattr(ic0_module, "ic0_attempt", ic0_attempt_rowwise)
-    patch.setattr(kernels_module, "level_sptrsv_lower", ops.sptrsv_lower)
-    patch.setattr(kernels_module, "level_sptrsv_upper", ops.sptrsv_upper)
+    patch.setattr(kernels_module, "level_sptrsv_lower", sptrsv_lower_rowwise)
+    patch.setattr(kernels_module, "level_sptrsv_upper", sptrsv_upper_rowwise)
 
 
 def _copy(matrix):
@@ -220,6 +223,50 @@ def test_missing_diagonal_errors_match():
     # IC(0) reports the same structure as a breakdown, not an error.
     assert REF.ic0_attempt(strict, 0.0) is None
     assert LVL.ic0_attempt(strict, 0.0) is None
+
+
+def test_first_singular_row_matches_reference_order():
+    """A missing diagonal and a zero pivot are both found when solving:
+    whichever row the row loop reaches first is the one reported."""
+    # Rows 1 and 3 store no diagonal; rows 0 and 2 have a zero pivot
+    # after the data is zeroed below.
+    lower = coo_to_csr(COOMatrix(
+        [0, 1, 2, 2, 3], [0, 0, 1, 2, 2], [1.0, 1.0, 1.0, 1.0, 1.0],
+        (4, 4),
+    ))
+    b = np.ones(4)
+    for zero_row in (0, 2):
+        broken = _copy(lower)
+        broken.data[broken.indptr[zero_row + 1] - 1] = 0.0
+        _raises_same(
+            lambda: REF.sptrsv_lower(broken, b),
+            lambda: LVL.sptrsv_lower(broken, b),
+            SingularMatrixError,
+        )
+        upper = broken.transpose()
+        _raises_same(
+            lambda: REF.sptrsv_upper(upper, b),
+            lambda: LVL.sptrsv_upper(upper, b),
+            SingularMatrixError,
+        )
+
+
+def test_levels_need_no_stored_diagonal():
+    """A row without a stored diagonal still has a dependence level:
+    the schedule builds, and its levels are the unit-diagonal ones."""
+    lower = _matrix("grid").lower_triangle()
+    dense = lower.to_dense()
+    dense[5, 5] = 0.0
+    rows, cols = np.nonzero(dense)
+    gap = coo_to_csr(COOMatrix(rows, cols, dense[rows, cols], dense.shape))
+    schedule = triangular_schedule(gap)
+    assert not schedule.diag_complete
+    np.testing.assert_array_equal(
+        schedule.levels, triangular_schedule(lower).levels
+    )
+    np.testing.assert_array_equal(
+        schedule.levels, triangular_schedule(gap, unit_diagonal=True).levels
+    )
 
 
 # ----------------------------------------------------------------------

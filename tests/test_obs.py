@@ -260,6 +260,7 @@ TINY = AzulConfig(mesh_rows=2, mesh_cols=2)
 class TestPipelineIntegration:
     @pytest.fixture()
     def session(self):
+        from repro.cache import ArtifactCache
         from repro.experiments.common import (
             ExperimentSession,
             clear_prepared_matrices,
@@ -268,15 +269,15 @@ class TestPipelineIntegration:
         # The prepared-matrix memo is process-wide; drop it so the
         # pipeline.prepare span fires regardless of test order.
         clear_prepared_matrices()
-        return ExperimentSession(TINY, use_cache=False)
+        return ExperimentSession(TINY, cache=ArtifactCache(enabled=False))
 
     def test_traced_simulation_end_to_end(self, session, tmp_path):
         obs.enable()
         session.simulate("tmt_sym", trace=True)
         trace_path = tmp_path / "trace.json"
         metrics_path = tmp_path / "metrics.json"
-        session.export_trace(trace_path)
-        session.export_metrics(metrics_path)
+        obs.write_chrome_trace(trace_path)
+        obs.write_metrics(metrics_path)
 
         trace = json.loads(trace_path.read_text())
         names = {
@@ -297,7 +298,6 @@ class TestPipelineIntegration:
         timers = metrics["histograms"]
         assert timers["pipeline.simulate.seconds"]["count"] == 1
         assert "partition.coarsen.seconds" in timers
-        assert "overrides" in metrics and "cache" in metrics
 
     def test_trace_bridged_once_per_key(self, session):
         def issue_events():
@@ -321,14 +321,18 @@ class TestPipelineIntegration:
         assert obs.tracer().trace_events() == []
 
     def test_sweep_counters_emitted(self, session):
-        from repro.parallel import SimPoint, simulate_many
+        from repro.parallel import SimPoint, resolve, simulate_many
 
         obs.enable(metrics=True, tracing=False)
-        simulate_many(session, [SimPoint("tmt_sym"), SimPoint("tmt_sym")],
-                      jobs=1)
+        points = {}
+        for mapper in ("block", "round_robin"):
+            point, key = resolve(session, SimPoint("tmt_sym", mapper=mapper))
+            points[key] = point
+        simulate_many(session, points, jobs=1)
         counters = obs.snapshot()["counters"]
         assert counters["sweep.points"] == 2.0
-        assert counters["sweep.deduplicated"] == 1.0
+        assert counters["sweep.computed_serial"] == 2.0
+        assert counters["sweep.cache_hits"] == 0.0
 
     def test_runner_metrics_record_peak_rss(self, tmp_path, monkeypatch):
         from repro.experiments.runner import main
@@ -337,10 +341,14 @@ class TestPipelineIntegration:
         path = tmp_path / "metrics.json"
         assert main(["fig21", "--matrices", "tmt_sym", "--jobs", "1",
                      "--metrics", str(path)]) == 0
-        gauges = json.loads(path.read_text())["gauges"]
+        metrics = json.loads(path.read_text())
+        gauges = metrics["gauges"]
         assert gauges["process.peak_rss_mb"] > 0
         # A serial run reaps no worker.
         assert "process.workers_peak_rss_mb" not in gauges
+        # The run's one metrics artifact carries the effective
+        # environment overrides and the cache counters.
+        assert "overrides" in metrics and "cache" in metrics
 
     def test_cache_counters_unified(self, tmp_path):
         from repro.cache import ArtifactCache
@@ -348,7 +356,7 @@ class TestPipelineIntegration:
 
         obs.enable(metrics=True, tracing=False)
         cache = ArtifactCache(root=tmp_path)
-        caching = ExperimentSession(TINY, cache=cache, use_cache=True)
+        caching = ExperimentSession(TINY, cache=cache)
         caching.simulate("tmt_sym", mapper="block")
         caching.simulate("tmt_sym", mapper="block")
         counters = obs.snapshot()["counters"]

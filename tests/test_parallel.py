@@ -1,10 +1,13 @@
 """Tests for :mod:`repro.parallel` (process-parallel sweep execution).
 
 The contract under test: ``simulate_many(session, points, jobs=N)``
-returns, in point order, exactly what a serial loop of
+takes resolved points keyed by their cache keys (what the executor
+passes) and returns, in point order, exactly what a serial loop of
 ``session.placement`` and ``session.simulate`` calls returns — through
-cache hits, in-flight dedup, real worker processes, and the serial
-fallback after worker failures.
+cache hits, real worker processes, and the serial fallback after worker
+failures.  Equal points share one key, so each is computed once; the
+executor's merge of points across experiments is tested in
+``tests/test_experiment_specs.py``.
 """
 
 import json
@@ -17,12 +20,14 @@ import numpy as np
 import pytest
 
 from repro import parallel
+from repro.cache import ArtifactCache
 from repro.config import AzulConfig
 from repro.experiments.common import ExperimentSession, placement_key
 from repro.parallel import (
     PlacementSpec,
     SimPoint,
     default_jobs,
+    resolve,
     simulate_many,
 )
 
@@ -38,6 +43,21 @@ def fresh_cache(monkeypatch, tmp_path):
     return tmp_path
 
 
+def _keyed(session, points):
+    """The points resolved and keyed by cache key, as the executor
+    hands them to ``simulate_many``."""
+    keyed = {}
+    for point in points:
+        resolved, key = resolve(session, point)
+        keyed[key] = resolved
+    return keyed
+
+
+def _uncached_session():
+    """A session whose disabled cache computes everything afresh."""
+    return ExperimentSession(TINY, cache=ArtifactCache(enabled=False))
+
+
 def _timings_equal(left, right):
     assert left.total_cycles == right.total_cycles
     for a, b in zip(left.kernel_results, right.kernel_results):
@@ -48,15 +68,6 @@ def _timings_equal(left, right):
 
 
 class TestSimPoint:
-    def test_coercion(self):
-        point = SimPoint(MATRIX)
-        assert parallel._coerce(point) is point
-        placement = PlacementSpec(MATRIX)
-        assert parallel._coerce(placement) is placement
-        for bad in (42, MATRIX, {"name": MATRIX}):
-            with pytest.raises(TypeError):
-                parallel._coerce(bad)
-
     def test_default_jobs_env(self, monkeypatch):
         monkeypatch.setenv(parallel.ENV_JOBS, "3")
         assert default_jobs() == 3
@@ -88,36 +99,36 @@ class TestSimPoint:
 
 class TestSimulateMany:
     def test_matches_serial_and_dedups(self, fresh_cache):
+        serial = _uncached_session().simulate(MATRIX, "azul", "azul")
         session = ExperimentSession(TINY)
-        serial = session.simulate(MATRIX, "azul", "azul")
-        points = [
+        points = _keyed(session, [
             SimPoint(MATRIX),
-            SimPoint(MATRIX),   # duplicate: computed once
+            SimPoint(MATRIX),   # duplicate: one key, computed once
             SimPoint(MATRIX, mapper="round_robin", pe="dalorex"),
-        ]
+        ])
+        assert len(points) == 2
         stats = {}
         results = simulate_many(session, points, jobs=1, stats=stats)
-        assert stats["points"] == 3
-        assert stats["unique"] == 2
-        assert stats["deduplicated"] == 1
+        assert stats["points"] == 2
+        assert stats["computed_serial"] == 2
         _timings_equal(results[0], serial)
-        _timings_equal(results[1], serial)
-        assert results[0] is results[1]
-        assert results[2].total_cycles != results[0].total_cycles
+        assert results[1].total_cycles != results[0].total_cycles
 
     def test_parallel_identical_to_serial(self, fresh_cache):
         points = [
             SimPoint(MATRIX),
             SimPoint(MATRIX, mapper="round_robin", pe="dalorex"),
         ]
+        serial_session = _uncached_session()
         serial_stats = {}
         serial = simulate_many(
-            ExperimentSession(TINY), points, jobs=1, use_cache=False,
+            serial_session, _keyed(serial_session, points), jobs=1,
             stats=serial_stats,
         )
+        session = ExperimentSession(TINY)
         parallel_stats = {}
         fanned = simulate_many(
-            ExperimentSession(TINY), points, jobs=2, stats=parallel_stats,
+            session, _keyed(session, points), jobs=2, stats=parallel_stats,
         )
         assert serial_stats["computed_serial"] == 2
         assert parallel_stats["computed_parallel"] == 2
@@ -126,8 +137,8 @@ class TestSimulateMany:
             _timings_equal(a, b)
 
     def test_cache_hits_short_circuit(self, fresh_cache):
-        points = [SimPoint(MATRIX)]
         first = ExperimentSession(TINY)
+        points = _keyed(first, [SimPoint(MATRIX)])
         warm = simulate_many(first, points, jobs=1)
         stats = {}
         second = ExperimentSession(TINY)
@@ -139,11 +150,12 @@ class TestSimulateMany:
 
     def test_workers_populate_shared_cache(self, fresh_cache):
         """A jobs>1 sweep leaves the next session fully cached."""
-        points = [
+        session = ExperimentSession(TINY)
+        points = _keyed(session, [
             SimPoint(MATRIX),
             SimPoint(MATRIX, mapper="round_robin", pe="dalorex"),
-        ]
-        simulate_many(ExperimentSession(TINY), points, jobs=2)
+        ])
+        simulate_many(session, points, jobs=2)
         stats = {}
         simulate_many(ExperimentSession(TINY), points, jobs=2, stats=stats)
         assert stats["cache_hits"] == 2
@@ -161,8 +173,7 @@ class TestSimulateMany:
         stats = {}
         results = simulate_many(
             session,
-            [SimPoint(MATRIX),
-             SimPoint(MATRIX, pe="ideal")],
+            _keyed(session, [SimPoint(MATRIX), SimPoint(MATRIX, pe="ideal")]),
             jobs=2, stats=stats,
         )
         assert stats["worker_failures"] == 2
@@ -173,8 +184,8 @@ class TestSimulateMany:
     def test_run_pool_isolates_single_crash(self):
         """One bad point fails alone; the rest still compute in workers."""
         pending = [
-            ("good", [0], {"value": 3}),
-            ("bad", [1], {"value": None}),
+            ("good", {"value": 3}),
+            ("bad", {"value": None}),
         ]
         info = {"computed_parallel": 0, "worker_failures": 0}
         computed = parallel._run_pool(
@@ -186,9 +197,12 @@ class TestSimulateMany:
         assert info["worker_failures"] == 1
 
     def test_invalid_matrix_raises(self, fresh_cache):
+        """The point's exception takes the place of its result."""
         session = ExperimentSession(TINY)
-        with pytest.raises(ValueError):
-            simulate_many(session, [SimPoint("not_a_matrix")], jobs=1)
+        [result] = simulate_many(
+            session, _keyed(session, [SimPoint("not_a_matrix")]), jobs=1,
+        )
+        assert isinstance(result, ValueError)
 
     def test_workers_cache_counters_reach_stats_json(self, tmp_path):
         """A cold ``--jobs 2`` run persists what a ``--jobs 1`` run does."""
@@ -225,25 +239,24 @@ def _placements_equal(left, right):
 class TestPlacementPoints:
     def test_duplicates_computed_once_and_equal_direct_calls(
             self, fresh_cache):
+        uncached = _uncached_session()
+        direct_placement = uncached.placement(MATRIX, "azul")
+        direct = uncached.simulate(MATRIX, "azul", "azul")
         session = ExperimentSession(TINY)
-        direct_placement = session.placement(MATRIX, "azul",
-                                             use_cache=False)
-        direct = session.simulate(MATRIX, "azul", "azul", use_cache=False)
-        stats = {}
-        results = simulate_many(session, [
+        points = _keyed(session, [
             PlacementSpec(MATRIX),
             PlacementSpec(MATRIX, seed=0),        # the default seed
             PlacementSpec(MATRIX, row_weight=2),  # the default, as an int
             SimPoint(MATRIX),
             SimPoint(MATRIX, seed=0),
             SimPoint(MATRIX, row_weight=2),
-        ], jobs=1, stats=stats)
-        assert stats["unique"] == 2
-        assert stats["deduplicated"] == 4
-        assert results[0] is results[1] is results[2]
-        assert results[3] is results[4] is results[5]
+        ])
+        assert len(points) == 2
+        stats = {}
+        results = simulate_many(session, points, jobs=1, stats=stats)
+        assert stats["computed_serial"] == 2
         _placements_equal(results[0], direct_placement)
-        _timings_equal(results[3], direct)
+        _timings_equal(results[1], direct)
         # session.placement(name, "azul") keys the placement that
         # SimPoint(name) simulates.
         simulation, _ = parallel.resolve(session, SimPoint(MATRIX))
@@ -251,16 +264,18 @@ class TestPlacementPoints:
             == placement_key(simulation.placement)
 
     def test_unicast_activates_more_links_than_tree(self, fresh_cache):
-        tree, unicast = simulate_many(ExperimentSession(TINY), [
+        session = ExperimentSession(TINY)
+        tree, unicast = simulate_many(session, _keyed(session, [
             SimPoint(MATRIX),
             SimPoint(MATRIX, multicast="unicast"),
-        ], jobs=1)
+        ]), jobs=1)
         assert unicast.link_activations() > tree.link_activations()
 
     def test_second_session_served_from_cache(self, fresh_cache):
-        points = [PlacementSpec(MATRIX, seed=1),
-                  SimPoint(MATRIX, seed=1)]
-        first = simulate_many(ExperimentSession(TINY), points, jobs=1)
+        session = ExperimentSession(TINY)
+        points = _keyed(session, [PlacementSpec(MATRIX, seed=1),
+                                  SimPoint(MATRIX, seed=1)])
+        first = simulate_many(session, points, jobs=1)
         stats = {}
         again = simulate_many(ExperimentSession(TINY), points, jobs=1,
                               stats=stats)
@@ -280,16 +295,17 @@ class TestPlacementPoints:
             "seed": SimPoint(MATRIX, seed=2),
             "row_weight": SimPoint(MATRIX, row_weight=4.0),
         }
+        session = ExperimentSession(TINY)
+        keyed = _keyed(session, points.values())
+        assert len(keyed) == len(points)
         serial_stats = {}
         serial = dict(zip(points, simulate_many(
-            ExperimentSession(TINY), points.values(), jobs=1,
-            stats=serial_stats,
+            session, keyed, jobs=1, stats=serial_stats,
         )))
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "other"))
         fanned_stats = {}
         fanned = dict(zip(points, simulate_many(
-            ExperimentSession(TINY), points.values(), jobs=2,
-            stats=fanned_stats,
+            ExperimentSession(TINY), keyed, jobs=2, stats=fanned_stats,
         )))
         assert serial_stats["computed_serial"] == len(points)
         assert fanned_stats["computed_parallel"] == len(points)

@@ -1,4 +1,8 @@
-"""Tests for the preconditioner family."""
+"""Tests for the preconditioner family.
+
+A solver applies a preconditioner only through ``apply(r, counter)``:
+every triangular solve runs through the solver's ``KernelCounter``.
+"""
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from repro.precond import (
     ic0,
     ilu0,
 )
+from repro.solvers import KernelCounter
 from repro.sparse import generators as gen
 from repro.sparse import is_lower_triangular, is_upper_triangular
 
@@ -21,20 +26,22 @@ from repro.sparse import is_lower_triangular, is_upper_triangular
 class TestIdentity:
     def test_is_noop(self, rng):
         r = rng.standard_normal(10)
-        z = IdentityPreconditioner().apply(r)
+        z = IdentityPreconditioner().apply(r, KernelCounter())
         assert np.array_equal(z, r)
         assert z is not r  # must not alias the input
 
-    def test_no_factors(self):
-        p = IdentityPreconditioner()
-        assert p.lower_factor() is None
-        assert p.upper_factor() is None
+    def test_no_factors(self, rng):
+        """The identity has no triangular factor: it solves nothing."""
+        counter = KernelCounter()
+        IdentityPreconditioner().apply(rng.standard_normal(10), counter)
+        assert counter.calls["sptrsv"] == 0
+        assert counter.flops["sptrsv"] == 0
 
 
 class TestJacobi:
     def test_apply(self, small_spd, rng):
         r = rng.standard_normal(small_spd.n_rows)
-        z = JacobiPreconditioner(small_spd).apply(r)
+        z = JacobiPreconditioner(small_spd).apply(r, KernelCounter())
         assert np.allclose(z, r / small_spd.diagonal())
 
     def test_rejects_zero_diagonal(self):
@@ -76,7 +83,8 @@ class TestIC0:
         precond = IncompleteCholesky(small_spd)
         dense = small_spd.to_dense()
         m_inv_a = np.array(
-            [precond.apply(dense[:, j]) for j in range(dense.shape[0])]
+            [precond.apply(dense[:, j], KernelCounter())
+             for j in range(dense.shape[0])]
         ).T
         cond_before = np.linalg.cond(dense)
         cond_after = np.linalg.cond(m_inv_a)
@@ -85,8 +93,9 @@ class TestIC0:
     def test_factors_exposed(self, small_spd):
         precond = IncompleteCholesky(small_spd)
         assert is_lower_triangular(precond.lower_factor())
-        assert is_upper_triangular(precond.upper_factor())
-        assert precond.kernels == ("sptrsv", "sptrsv")
+        np.testing.assert_array_equal(
+            precond.lower_factor().data, ic0(small_spd).data
+        )
 
 
 class TestILU0:
@@ -97,14 +106,16 @@ class TestILU0:
         assert np.allclose(product, matrix.to_dense(), atol=1e-10)
 
     def test_unit_lower_diagonal(self, small_spd):
-        lower, _ = ilu0(small_spd)
+        lower, upper = ilu0(small_spd)
         assert np.allclose(lower.diagonal(), 1.0)
+        assert is_lower_triangular(lower)
+        assert is_upper_triangular(upper)
 
     def test_apply_consistency(self, small_spd, rng):
         precond = IncompleteLU(small_spd)
         r = rng.standard_normal(small_spd.n_rows)
-        z = precond.apply(r)
-        lower, upper = precond.lower_factor(), precond.upper_factor()
+        z = precond.apply(r, KernelCounter())
+        lower, upper = ilu0(small_spd)
         assert np.allclose(lower.to_dense() @ (upper.to_dense() @ z), r)
 
 
@@ -112,7 +123,7 @@ class TestSymGSAndSSOR:
     def test_symgs_apply_matches_formula(self, small_spd, rng):
         precond = SymmetricGaussSeidel(small_spd)
         r = rng.standard_normal(small_spd.n_rows)
-        z = precond.apply(r)
+        z = precond.apply(r, KernelCounter())
         dense = small_spd.to_dense()
         diag = np.diag(np.diag(dense))
         lower = np.tril(dense)
@@ -122,8 +133,10 @@ class TestSymGSAndSSOR:
 
     def test_ssor_omega_one_matches_symgs(self, small_spd, rng):
         r = rng.standard_normal(small_spd.n_rows)
-        symgs = SymmetricGaussSeidel(small_spd).apply(r)
-        ssor = SSORPreconditioner(small_spd, omega=1.0).apply(r)
+        symgs = SymmetricGaussSeidel(small_spd).apply(r, KernelCounter())
+        ssor = SSORPreconditioner(small_spd, omega=1.0).apply(
+            r, KernelCounter()
+        )
         assert np.allclose(symgs, ssor)
 
     def test_ssor_rejects_bad_omega(self, small_spd):
@@ -136,7 +149,7 @@ class TestSymGSAndSSOR:
         omega = 1.4
         precond = SSORPreconditioner(small_spd, omega=omega)
         r = rng.standard_normal(small_spd.n_rows)
-        z = precond.apply(r)
+        z = precond.apply(r, KernelCounter())
         dense = small_spd.to_dense()
         diag = np.diag(np.diag(dense))
         strict_lower = np.tril(dense, k=-1)
@@ -147,3 +160,25 @@ class TestSymGSAndSSOR:
             @ (diag / omega + strict_upper)
         )
         assert np.allclose(m @ z, r)
+
+
+class TestApplyThroughCounter:
+    @pytest.mark.parametrize("make, sptrsv_calls", [
+        (lambda m: IncompleteCholesky(m), 2),
+        (lambda m: IncompleteLU(m), 2),
+        (lambda m: SymmetricGaussSeidel(m), 2),
+        (lambda m: SSORPreconditioner(m, omega=1.2), 2),
+        (lambda m: IdentityPreconditioner(), 0),
+        (lambda m: JacobiPreconditioner(m), 0),
+    ], ids=["ic0", "ilu0", "symgs", "ssor", "identity", "jacobi"])
+    def test_apply_records_its_sptrsvs(self, small_spd, rng, make,
+                                       sptrsv_calls):
+        """Each triangular solve is one counted SpTRSV call; diagonal
+        scalings are not counted."""
+        counter = KernelCounter()
+        make(small_spd).apply(rng.standard_normal(small_spd.n_rows),
+                              counter)
+        assert counter.calls == {
+            "spmv": 0, "sptrsv": sptrsv_calls, "vector": 0,
+        }
+        assert (counter.flops["sptrsv"] > 0) == (sptrsv_calls > 0)

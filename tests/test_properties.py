@@ -13,7 +13,7 @@ from repro.hypergraph import Hypergraph, connectivity_cut, partition
 from repro.hypergraph import PartitionerOptions
 from repro.perf import gmean
 from repro.sparse import COOMatrix, coo_to_csc, coo_to_csr, csr_to_csc
-from repro.sparse.ops import sptrsv_lower
+from repro.sparse.ops import level_sptrsv_lower
 from tests.oracles.trees import build_multicast_tree, grid_neighbors
 
 
@@ -93,10 +93,10 @@ class TestTriangularSolveProperties:
     @given(spd_like_matrices(), st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_sptrsv_inverts_lower_product(self, matrix, seed):
-        """For any SPD-like matrix: L @ sptrsv_lower(L, b) == b."""
+        """For any SPD-like matrix: L @ level_sptrsv_lower(L, b) == b."""
         lower = matrix.lower_triangle()
         b = np.random.default_rng(seed).standard_normal(lower.n_rows)
-        x = sptrsv_lower(lower, b)
+        x = level_sptrsv_lower(lower, b)
         assert np.allclose(lower.to_dense() @ x, b, atol=1e-8)
 
 
@@ -290,5 +290,5 @@ class TestSimulatorProperties:
         )
         b = rng.standard_normal(matrix.n_rows)
         result = KernelSimulator(program, torus, config, AZUL_PE).run(b=b)
-        assert np.allclose(result.output, sptrsv_lower(lower, b),
+        assert np.allclose(result.output, level_sptrsv_lower(lower, b),
                            atol=1e-8)

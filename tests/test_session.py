@@ -63,10 +63,10 @@ class TestValidation:
     def test_errors_raised_before_any_work(self):
         """Validation is eager: no cache traffic for a bad name."""
         session = ExperimentSession(TINY)
-        before = session.cache_stats().lookups
+        before = session.cache.stats.lookups
         with pytest.raises(ValueError):
             session.simulate("tmt_sym", mapper="nope")
-        assert session.cache_stats().lookups == before
+        assert session.cache.stats.lookups == before
 
 
 class TestCaching:
@@ -89,14 +89,16 @@ class TestCaching:
         assert (produced.a_tile == consumed.a_tile).all()
         assert (produced.l_tile == consumed.l_tile).all()
         assert (produced.vec_tile == consumed.vec_tile).all()
-        assert consumer.cache_stats().hits_disk == 1
-        assert consumer.cache_stats().misses == 0
+        assert consumer.cache.stats.hits_disk == 1
+        assert consumer.cache.stats.misses == 0
 
-    def test_use_cache_false_bypasses_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        session = ExperimentSession(TINY, use_cache=False)
+    def test_disabled_cache_bypasses_cache(self, tmp_path):
+        session = ExperimentSession(
+            TINY, cache=ArtifactCache(tmp_path, enabled=False),
+        )
         session.placement("tmt_sym", "block")
-        assert session.cache_stats().writes == 0
+        assert session.cache.stats.writes == 0
+        assert not any(tmp_path.iterdir())
 
     def test_different_config_different_simulation(self, tmp_path,
                                                    monkeypatch):
@@ -130,7 +132,7 @@ class TestCorruptionEndToEnd:
         recovering = ExperimentSession(TINY, cache=ArtifactCache.from_env())
         recomputed = recovering.placement("tmt_sym", "block")
         assert (recomputed.a_tile == good.a_tile).all()
-        stats = recovering.cache_stats()
+        stats = recovering.cache.stats
         assert stats.corruptions == smashed
         assert stats.quarantined == smashed
         assert list(recovering.cache.quarantine_dir.iterdir())

@@ -21,7 +21,7 @@ from repro.sim import (
     pe_model_by_name,
 )
 from repro.sparse import generators as gen
-from repro.sparse.ops import sptrsv_lower as ref_sptrsv_lower
+from tests.oracles.kernels import sptrsv_lower_rowwise as ref_sptrsv_lower
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ class TestFunctionalCorrectness:
     def test_full_iteration_verified(self, operands):
         matrix, lower, b = operands
         placement = map_block(matrix, lower, N_TILES)
-        # simulate_pcg(check=True) raises on any numeric mismatch.
+        # simulate_pcg verifies: it raises on any numeric mismatch.
         result = _machine().simulate_pcg(matrix, lower, placement, b)
         assert result.total_cycles > 0
 

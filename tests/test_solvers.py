@@ -8,6 +8,8 @@ from repro.precond import (
     IncompleteCholesky,
     IncompleteLU,
     JacobiPreconditioner,
+    Preconditioner,
+    SSORPreconditioner,
     SymmetricGaussSeidel,
 )
 from repro.solvers import (
@@ -184,6 +186,56 @@ class TestGMRES:
         assert preconditioned.converged
         assert preconditioned.iterations <= plain.iterations
         assert np.allclose(preconditioned.x, x_true, atol=1e-5)
+
+
+class _DenseOperator(Preconditioner):
+    """``z = M^{-1} r`` for an explicit dense ``M``: a formula, solved."""
+
+    def __init__(self, operator):
+        self._operator = operator
+
+    def apply(self, r, counter):
+        return np.linalg.solve(self._operator, r)
+
+
+def _symgs_operator(dense):
+    """``(D + L) D^{-1} (D + U)``."""
+    diag = np.diag(np.diag(dense))
+    return np.tril(dense) @ np.linalg.inv(diag) @ np.triu(dense)
+
+
+def _ssor_operator(dense, omega):
+    """``(D/w + L) (w / (2 - w)) D^{-1} (D/w + U)``."""
+    diag = np.diag(np.diag(dense))
+    return (
+        (diag / omega + np.tril(dense, k=-1))
+        @ (omega / (2.0 - omega) * np.linalg.inv(diag))
+        @ (diag / omega + np.triu(dense, k=1))
+    )
+
+
+class TestSplittingPreconditioners:
+    """SymGS and SSOR apply the operator their classes define, under
+    every solver: the middle diagonal scale is part of the operator."""
+
+    @pytest.mark.parametrize("solver", [pcg, bicgstab, gmres],
+                             ids=["pcg", "bicgstab", "gmres"])
+    @pytest.mark.parametrize("name", ["symgs", "ssor"])
+    def test_iterations_match_the_dense_operator(self, solver, name):
+        matrix = gen.grid_laplacian_2d(10, 10)
+        b = gen.make_rhs(matrix, seed=3)
+        dense = matrix.to_dense()
+        if name == "symgs":
+            precond = SymmetricGaussSeidel(matrix)
+            operator = _symgs_operator(dense)
+        else:
+            precond = SSORPreconditioner(matrix, omega=1.2)
+            operator = _ssor_operator(dense, 1.2)
+        applied = solver(matrix, b, precond)
+        reference = solver(matrix, b, _DenseOperator(operator))
+        assert applied.converged and reference.converged
+        assert applied.iterations == reference.iterations
+        assert applied.flops["sptrsv"] > 0
 
 
 class TestPowerIteration:

@@ -1,4 +1,4 @@
-"""Unit tests for the reference SpMV/SpTRSV kernels and FLOP accounting."""
+"""Unit tests for the SpMV and SpTRSV kernels and FLOP accounting."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,11 @@ import pytest
 from repro.errors import NotTriangularError, SingularMatrixError
 from repro.sparse import (
     CSRMatrix,
+    level_sptrsv_lower,
+    level_sptrsv_upper,
     spmv,
     spmv_flops,
     sptrsv_flops,
-    sptrsv_lower,
-    sptrsv_upper,
 )
 from repro.sparse.ops import axpy_flops, dot_flops
 from tests.conftest import random_csr
@@ -48,12 +48,12 @@ class TestSpTRSVLower:
         lower = coo_to_csr(COOMatrix.from_dense(dense))
         x_true = np.array([1.0, -2.0, 0.5, 3.0, -1.0, 2.0])
         b = dense @ x_true
-        assert np.allclose(sptrsv_lower(lower, b), x_true)
+        assert np.allclose(level_sptrsv_lower(lower, b), x_true)
 
     def test_matches_numpy_solve(self, small_spd, rng):
         lower = small_spd.lower_triangle()
         b = rng.standard_normal(lower.n_rows)
-        x = sptrsv_lower(lower, b)
+        x = level_sptrsv_lower(lower, b)
         assert np.allclose(lower.to_dense() @ x, b)
 
     def test_unit_diagonal(self, rng):
@@ -63,13 +63,13 @@ class TestSpTRSVLower:
 
         lower = coo_to_csr(COOMatrix.from_dense(dense))
         b = rng.standard_normal(n)
-        x = sptrsv_lower(lower, b, unit_diagonal=True)
+        x = level_sptrsv_lower(lower, b, unit_diagonal=True)
         assert np.allclose((dense + np.eye(n)) @ x, b)
 
     def test_rejects_upper_entries(self, small_spd, rng):
         b = rng.standard_normal(small_spd.n_rows)
         with pytest.raises(NotTriangularError):
-            sptrsv_lower(small_spd, b)  # full matrix, not triangular
+            level_sptrsv_lower(small_spd, b)  # full matrix, not triangular
 
     def test_rejects_missing_diagonal(self):
         from repro.sparse import COOMatrix, coo_to_csr
@@ -77,7 +77,7 @@ class TestSpTRSVLower:
         # Row 1 has no diagonal entry.
         lower = coo_to_csr(COOMatrix([0, 1], [0, 0], [1.0, 1.0], (2, 2)))
         with pytest.raises(SingularMatrixError):
-            sptrsv_lower(lower, np.ones(2))
+            level_sptrsv_lower(lower, np.ones(2))
 
     def test_rejects_zero_pivot(self):
         from repro.sparse import COOMatrix, coo_to_csr
@@ -86,14 +86,14 @@ class TestSpTRSVLower:
             COOMatrix([0, 1, 1], [0, 0, 1], [1.0, 1.0, 0.0], (2, 2))
         )
         with pytest.raises(SingularMatrixError):
-            sptrsv_lower(lower, np.ones(2))
+            level_sptrsv_lower(lower, np.ones(2))
 
 
 class TestSpTRSVUpper:
     def test_matches_numpy_solve(self, small_spd, rng):
         upper = small_spd.upper_triangle()
         b = rng.standard_normal(upper.n_rows)
-        x = sptrsv_upper(upper, b)
+        x = level_sptrsv_upper(upper, b)
         assert np.allclose(upper.to_dense() @ x, b)
 
     def test_transpose_consistency(self, small_spd, rng):
@@ -101,13 +101,13 @@ class TestSpTRSVUpper:
         lower = small_spd.lower_triangle()
         upper = lower.transpose()
         b = rng.standard_normal(lower.n_rows)
-        x = sptrsv_upper(upper, b)
+        x = level_sptrsv_upper(upper, b)
         assert np.allclose(np.triu(lower.to_dense().T) @ x, b)
 
     def test_rejects_lower_entries(self, small_spd, rng):
         b = rng.standard_normal(small_spd.n_rows)
         with pytest.raises(NotTriangularError):
-            sptrsv_upper(small_spd, b)
+            level_sptrsv_upper(small_spd, b)
 
 
 class TestFlopAccounting:
