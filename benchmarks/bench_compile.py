@@ -15,7 +15,6 @@ still bound how fast a new sweep starts.
 import pytest
 
 from repro.comm.torus import TorusGeometry
-from repro.config import AzulConfig
 from repro.core.block import map_block
 from repro.dataflow.program import build_pcg_program
 from repro.precond.ic0 import ic0
@@ -36,14 +35,13 @@ def compile_inputs():
     lower = ic0(matrix)
     placement = map_block(matrix, lower, MESH_ROWS * MESH_COLS)
     geometry = TorusGeometry(MESH_ROWS, MESH_COLS)
-    config = AzulConfig(mesh_rows=MESH_ROWS, mesh_cols=MESH_COLS)
-    return matrix, lower, placement, geometry, config
+    return matrix, lower, placement, geometry
 
 
 def _compile(inputs):
-    matrix, lower, placement, geometry, config = inputs
+    matrix, lower, placement, geometry = inputs
     return build_pcg_program(
-        matrix, lower, placement, geometry, config, multicast="tree",
+        matrix, lower, placement, geometry, multicast="tree",
     )
 
 

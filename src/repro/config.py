@@ -59,6 +59,10 @@ def overrides() -> Dict[str, Dict[str, Any]]:
 class AzulConfig:
     """Parameters of a simulated Azul machine (paper Table III).
 
+    The PE's issue behaviour (issue cost, multithreading and its thread
+    contexts) is a :class:`repro.sim.pe.PEModel`, chosen per
+    simulation, not part of the machine configuration.
+
     Attributes
     ----------
     mesh_rows, mesh_cols:
@@ -82,17 +86,9 @@ class AzulConfig:
     link_bits:
         NoC link width; 96 bits carries one 64-bit double plus 32 bits
         of metadata per cycle.
-    pipeline_depth:
-        PE pipeline depth (7 stages in the paper).
     fmac_latency_cycles:
         Cycles from issue until an FMAC's accumulator write is visible
         (the compute + accumulator-read portion of the pipeline; 4).
-    multithreaded:
-        When ``True`` the PE interleaves operations from multiple task
-        contexts to hide accumulator RAW hazards (Sec. V-A); ``False``
-        models the single-threaded PE of Fig. 27.
-    thread_contexts:
-        Number of replicated operation-generator contexts.
     msg_buffer_entries:
         Register-based incoming-message buffer per tile; overflow spills
         to the Data SRAM (modeled as extra SRAM traffic).
@@ -112,10 +108,7 @@ class AzulConfig:
     sram_access_cycles: int = 2
     hop_cycles: int = 1
     link_bits: int = 96
-    pipeline_depth: int = 7
     fmac_latency_cycles: int = 4
-    multithreaded: bool = True
-    thread_contexts: int = 8
     msg_buffer_entries: int = 16
     nnz_bytes: int = 12
     vector_bytes: int = 8

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.placement import Placement
-from repro.dataflow.spmv_graph import build_spmv_program
-from repro.dataflow.sptrsv_graph import build_sptrsv_program
+from repro.dataflow.program import build_pcg_program
 from repro.sparse.csr import CSRMatrix
 
 
@@ -116,15 +115,10 @@ def analyze_traffic(placement: Placement, matrix: CSRMatrix,
                     lower: CSRMatrix, torus) -> TrafficReport:
     """Full-iteration traffic: SpMV + forward SpTRSV + backward SpTRSV.
 
-    Compiles the three kernels over ``torus`` (a torus or mesh
-    geometry) and counts them; ``lower`` must be a lower-triangular
-    factor with a full diagonal, as the SpTRSV compiler requires.
+    Compiles the iteration's program over ``torus`` (a torus or mesh
+    geometry; :func:`~repro.dataflow.program.build_pcg_program`) and
+    counts its kernels; ``lower`` must be a lower-triangular factor
+    with a full diagonal, as the SpTRSV compiler requires.
     """
-    kernels = [build_spmv_program(matrix, placement.a_tile,
-                                  placement.vec_tile, torus)]
-    for transpose in (False, True):
-        kernels.append(build_sptrsv_program(
-            lower, placement.l_tile, placement.vec_tile, torus,
-            transpose=transpose,
-        ))
-    return count_traffic(kernels, placement.mapper, torus.n_tiles)
+    program = build_pcg_program(matrix, lower, placement, torus)
+    return count_traffic(program.kernels, placement.mapper, torus.n_tiles)

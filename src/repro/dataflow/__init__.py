@@ -7,31 +7,25 @@ kernel (matrix + placement) into the per-tile task structures, multicast
 trees, and reduction trees the simulator executes.
 """
 
-from repro.dataflow.tasks import OpKind, TaskKind
 from repro.dataflow.ir import CompiledKernel
 from repro.dataflow.lower import lower_kernel
-from repro.dataflow.spmv_graph import build_spmv_program
-from repro.dataflow.sptrsv_graph import (
-    build_sptrsv_program,
-    transpose_with_mapping,
-)
-from repro.dataflow.kernel_program import build_kernel_program
 from repro.dataflow.vector_ops import (
     VectorPhaseModel,
     dot_allreduce_cycles,
     axpy_cycles,
 )
-from repro.dataflow.program import PCGIterationProgram, build_pcg_program
+from repro.dataflow.program import (
+    PCGIterationProgram,
+    build_pcg_program,
+    build_spmv_program,
+    build_sptrsv_program,
+)
 
 __all__ = [
-    "OpKind",
-    "TaskKind",
     "CompiledKernel",
     "lower_kernel",
-    "build_kernel_program",
     "build_spmv_program",
     "build_sptrsv_program",
-    "transpose_with_mapping",
     "VectorPhaseModel",
     "dot_allreduce_cycles",
     "axpy_cycles",

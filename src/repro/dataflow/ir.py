@@ -34,8 +34,8 @@ arrays instead of an object graph:
 The simulator executes these arrays and the static traffic analysis
 (:mod:`repro.core.traffic`) counts them, so both see the same trees.
 
-Layer contract: ``ir`` sits above ``tasks`` and imports nothing from
-:mod:`repro.sim`.
+Layer contract: ``ir`` is the package's bottom layer and imports
+nothing from :mod:`repro.sim`.
 """
 
 from __future__ import annotations

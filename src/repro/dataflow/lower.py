@@ -16,8 +16,9 @@ and per row; that loop defines the canonical form and is kept as a
 test oracle (``tests/oracles/lowering.py``, checked by
 ``tests/test_dataflow_equivalence.py``).
 
-Layer contract: ``lower`` sits directly above ``ir`` and may import
-:mod:`repro.comm`, never :mod:`repro.sim`.
+The program builders (:mod:`repro.dataflow.program`) call it once per
+kernel.  Layer contract: ``lower`` sits directly above ``ir`` and may
+import :mod:`repro.comm`, never :mod:`repro.sim`.
 """
 
 from __future__ import annotations
@@ -50,10 +51,14 @@ def lower_kernel(name: str, n: int, rows: np.ndarray, cols: np.ndarray,
                  multicast: str = "tree") -> CompiledKernel:
     """Compile nonzero triplets + placement into a :class:`CompiledKernel`.
 
-    Arguments are those of
-    :func:`repro.dataflow.kernel_program.build_kernel_program`, which
-    validates them before calling here.
+    ``rows``/``cols``/``values``/``nnz_tile`` must exclude diagonal
+    entries when ``dependent`` (SpTRSV); the diagonal is represented by
+    ``inv_diag`` at each row's home tile.  ``multicast`` selects value
+    distribution: ``"tree"`` (merged multicast trees, Fig. 18 right) or
+    ``"unicast"`` (separate point-to-point sends, Fig. 18 left).
     """
+    if multicast not in ("tree", "unicast"):
+        raise ValueError(f"unknown multicast mode {multicast!r}")
     rows = _as_int64(rows)
     cols = _as_int64(cols)
     values = np.asarray(values, dtype=np.float64)

@@ -1,7 +1,16 @@
-"""The full PCG-iteration program (Listing 1 on Azul hardware).
+"""Program construction: the one place dataflow programs are built.
 
-One iteration executes, with barriers between them (each phase consumes
-the previous phase's full output through a dot product or solve):
+:func:`build_spmv_program` and :func:`build_sptrsv_program` turn one
+mapped kernel into triplets and lower them
+(:func:`repro.dataflow.lower.lower_kernel`).  SpMV multicasts each
+``v_j`` from its home down column ``j``'s tiles and reduces row
+partials into ``y_i``'s home; the forward solve runs column-driven the
+same way, multicasting each solved ``x_j`` down L's column ``j``; the
+backward solve with ``L^T`` is the same program built on the
+transposed structure, reusing L's nonzero placement.
+
+:func:`build_pcg_program` compiles one PCG iteration (Listing 1),
+whose phases run with barriers between them:
 
 1. SpMV:             ``Ap = A p``
 2. vector phase (a): ``alpha``, ``x += alpha p``, ``r -= alpha Ap``
@@ -9,7 +18,10 @@ the previous phase's full output through a dot product or solve):
 4. backward SpTRSV:  ``z = L^{-T} w``
 5. vector phase (b): ``rz``, ``beta``, ``p = z + beta p``
 
-Phases 2 and 5 are folded into one :class:`VectorPhaseModel`.
+A program holds only the three sparse kernels: the machine costs the
+dense vector phases from its own configuration
+(:class:`~repro.dataflow.vector_ops.VectorPhaseModel`), so a cached
+program serves every timing configuration.
 """
 
 from __future__ import annotations
@@ -19,13 +31,87 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.comm.torus import TorusGeometry
-from repro.config import AzulConfig
 from repro.core.placement import Placement
 from repro.dataflow.ir import CompiledKernel
-from repro.dataflow.spmv_graph import build_spmv_program
-from repro.dataflow.sptrsv_graph import build_sptrsv_program
+from repro.dataflow.lower import lower_kernel
 from repro.dataflow.vector_ops import VectorPhaseModel
-from repro.sparse.csr import CSRMatrix
+from repro.errors import (
+    MatrixFormatError,
+    SimulationError,
+    SingularMatrixError,
+)
+from repro.sparse.csr import CSRMatrix, transpose_with_mapping
+
+
+def build_spmv_program(matrix: CSRMatrix, a_tile: np.ndarray,
+                       vec_tile: np.ndarray,
+                       torus: TorusGeometry,
+                       multicast: str = "tree") -> CompiledKernel:
+    """Compile ``y = A x`` under a placement into a kernel program.
+
+    ``a_tile`` assigns each CSR-ordered nonzero of ``matrix`` to a tile;
+    ``vec_tile`` gives vector homes (both ``x`` and ``y`` use the same
+    homes, as PCG's vectors are co-placed).
+    """
+    rows = np.repeat(np.arange(matrix.n_rows), matrix.row_nnz())
+    return lower_kernel(
+        "spmv", matrix.n_rows, rows, matrix.indices, matrix.data,
+        np.asarray(a_tile, dtype=np.int64), vec_tile, torus,
+        multicast=multicast,
+    )
+
+
+def _split_diagonal(tri: CSRMatrix, nnz_tile: np.ndarray, lower: bool):
+    """Separate a triangular matrix into off-diagonal triplets + 1/diag."""
+    n = tri.n_rows
+    rows = np.repeat(np.arange(n), tri.row_nnz())
+    cols = tri.indices
+    on_diag = rows == cols
+    bad = cols > rows if lower else cols < rows
+    if bad.any():
+        raise MatrixFormatError(
+            "matrix is not triangular in the expected orientation"
+        )
+    diag = np.zeros(n)
+    diag[rows[on_diag]] = tri.data[on_diag]
+    if np.any(diag == 0.0):
+        raise SingularMatrixError("triangular solve requires full diagonal")
+    off = ~on_diag
+    return rows[off], cols[off], tri.data[off], nnz_tile[off], 1.0 / diag
+
+
+def build_sptrsv_program(lower: CSRMatrix, l_tile: np.ndarray,
+                         vec_tile: np.ndarray, torus: TorusGeometry,
+                         transpose: bool = False,
+                         multicast: str = "tree") -> CompiledKernel:
+    """Compile a triangular solve under a placement.
+
+    Parameters
+    ----------
+    lower:
+        The lower-triangular factor ``L`` in CSR form.
+    l_tile:
+        Tile of each L nonzero (CSR order), diagonals pinned to homes.
+    transpose:
+        When true, build the backward solve ``L^T x = b``; L's nonzero
+        placement is reused through the transpose.
+    """
+    l_tile = np.asarray(l_tile, dtype=np.int64)
+    if transpose:
+        upper, source = transpose_with_mapping(lower)
+        rows, cols, values, tiles, inv_diag = _split_diagonal(
+            upper, l_tile[source], lower=False
+        )
+        name = "sptrsv_upper"
+    else:
+        rows, cols, values, tiles, inv_diag = _split_diagonal(
+            lower, l_tile, lower=True
+        )
+        name = "sptrsv_lower"
+    return lower_kernel(
+        name, lower.n_rows, rows, cols, values, tiles, vec_tile, torus,
+        inv_diag=inv_diag, dependent=True, multicast=multicast,
+    )
 
 
 @dataclass
@@ -35,8 +121,11 @@ class PCGIterationProgram:
     spmv: CompiledKernel
     sptrsv_lower: CompiledKernel
     sptrsv_upper: CompiledKernel
-    vector_phase: VectorPhaseModel
-    n: int
+
+    @property
+    def n(self) -> int:
+        """Rows of the system."""
+        return self.spmv.n
 
     @property
     def kernels(self):
@@ -46,37 +135,33 @@ class PCGIterationProgram:
     def flops_per_iteration(self) -> int:
         """Useful FLOPs of one full PCG iteration."""
         sparse = sum(k.flops() for k in self.kernels)
-        return sparse + self.vector_phase.flops(self.n)
+        return sparse + VectorPhaseModel.flops(self.n)
 
 
 def build_pcg_program(matrix: CSRMatrix, lower: CSRMatrix,
-                      placement: Placement, torus: TorusGeometry,
-                      config: AzulConfig,
+                      placement: Placement, geometry: TorusGeometry,
                       multicast: str = "tree") -> PCGIterationProgram:
     """Compile a PCG iteration for a mapped (A, L) pair.
 
-    ``multicast`` selects tree-based or point-to-point distribution
-    (Fig. 18's two alternatives).
+    ``geometry`` is the NoC (torus or mesh) whose tiles the placement
+    targets; ``multicast`` selects tree-based or point-to-point
+    distribution (Fig. 18's two alternatives).
     """
+    if placement.n_tiles != geometry.n_tiles:
+        raise SimulationError(
+            f"placement targets {placement.n_tiles} tiles but the "
+            f"machine has {geometry.n_tiles}"
+        )
     spmv = build_spmv_program(
-        matrix, placement.a_tile, placement.vec_tile, torus,
+        matrix, placement.a_tile, placement.vec_tile, geometry,
         multicast=multicast,
     )
     forward = build_sptrsv_program(
-        lower, placement.l_tile, placement.vec_tile, torus,
+        lower, placement.l_tile, placement.vec_tile, geometry,
         transpose=False, multicast=multicast,
     )
     backward = build_sptrsv_program(
-        lower, placement.l_tile, placement.vec_tile, torus,
+        lower, placement.l_tile, placement.vec_tile, geometry,
         transpose=True, multicast=multicast,
     )
-    vector_phase = VectorPhaseModel(
-        vec_tile=placement.vec_tile, torus=torus, config=config
-    )
-    return PCGIterationProgram(
-        spmv=spmv,
-        sptrsv_lower=forward,
-        sptrsv_upper=backward,
-        vector_phase=vector_phase,
-        n=matrix.n_rows,
-    )
+    return PCGIterationProgram(spmv, forward, backward)

@@ -11,8 +11,8 @@ their dataflow is dense and regular.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -69,8 +69,8 @@ class VectorPhaseModel:
     vec_tile: np.ndarray
     torus: TorusGeometry
     config: AzulConfig
-    n_dots: int = 3
-    n_axpys: int = 3
+    n_dots: ClassVar[int] = 3
+    n_axpys: ClassVar[int] = 3
 
     def cycles(self) -> int:
         """Total vector-phase cycles of one PCG iteration."""
@@ -78,9 +78,10 @@ class VectorPhaseModel:
         axpy = axpy_cycles(self.vec_tile, self.config)
         return self.n_dots * dot + self.n_axpys * axpy
 
-    def flops(self, n: int) -> int:
+    @classmethod
+    def flops(cls, n: int) -> int:
         """Useful FLOPs of the vector phase (2 per element per op)."""
-        return 2 * n * (self.n_dots + self.n_axpys)
+        return 2 * n * (cls.n_dots + cls.n_axpys)
 
     def op_counts(self, n: int) -> dict:
         """Approximate op counts by kind for the cycle breakdown."""

@@ -63,7 +63,6 @@ from repro.sparse.suite import REPRESENTATIVE, get_suite_matrix, suite_names
 
 if TYPE_CHECKING:
     from repro.hypergraph.partitioner import PartitionerOptions
-    from repro.sim.machine import AzulMachine
 
 #: Cache namespaces (subdirectories of the cache root).
 PLACEMENT_NAMESPACE = "placements"
@@ -232,57 +231,39 @@ def program_cache_key(cache: ArtifactCache, config: AzulConfig,
     )
 
 
-def compile_pcg_program(machine: AzulMachine, matrix, lower, placement,
+def compile_pcg_program(config: AzulConfig, matrix, lower, placement,
                         *, multicast: str = "tree",
                         cache: Optional[ArtifactCache] = None,
                         label: str = ""):
     """Compile — or fetch from the ``programs`` cache — one iteration.
 
-    The cache entry stores only the three
-    :class:`~repro.dataflow.ir.CompiledKernel` objects; the analytic
-    :class:`~repro.dataflow.vector_ops.VectorPhaseModel` is rebuilt
-    from the live machine config on every hit (it is cheap and *does*
-    depend on timing knobs).  Instrumented through :mod:`repro.obs`:
-    ``compile.requests`` / ``compile.cache_hits`` / ``compile.builds``
-    counters and a ``compile.build`` timer around actual lowering.
-    Without a ``cache`` (or with a disabled one) every request builds.
+    The program is compiled over ``config``'s NoC geometry.  A program
+    is its three :class:`~repro.dataflow.ir.CompiledKernel` objects,
+    which is what the cache entry stores, so a hit is the program.
+    Instrumented through :mod:`repro.obs`: ``compile.requests`` /
+    ``compile.cache_hits`` / ``compile.builds`` counters and a
+    ``compile.build`` timer around actual lowering.  Without a
+    ``cache`` (or with a disabled one) every request builds.
     """
-    from repro.dataflow.program import PCGIterationProgram
-    from repro.dataflow.vector_ops import VectorPhaseModel
-    from repro.errors import SimulationError
+    from repro.comm import make_geometry
+    from repro.dataflow.program import PCGIterationProgram, build_pcg_program
 
-    if placement.n_tiles != machine.config.num_tiles:
-        raise SimulationError(
-            f"placement targets {placement.n_tiles} tiles but the "
-            f"machine has {machine.config.num_tiles}"
-        )
     obs.counter("compile.requests")
     key = None
     if cache is not None:
-        key = program_cache_key(cache, machine.config, matrix, lower,
-                                placement, multicast)
+        key = program_cache_key(cache, config, matrix, lower, placement,
+                                multicast)
         kernels = cache.get(PROGRAM_NAMESPACE, key, PICKLE)
         if kernels is not MISS:
             obs.counter("compile.cache_hits")
-            spmv, forward, backward = kernels
-            vector_phase = VectorPhaseModel(
-                vec_tile=placement.vec_tile, torus=machine.torus,
-                config=machine.config,
-            )
-            return PCGIterationProgram(
-                spmv=spmv, sptrsv_lower=forward, sptrsv_upper=backward,
-                vector_phase=vector_phase, n=int(matrix.n_rows),
-            )
+            return PCGIterationProgram(*kernels)
     obs.counter("compile.builds")
     with obs.timer("compile.build", matrix=label, multicast=multicast):
-        program = machine.compile(matrix, lower, placement,
-                                  multicast=multicast)
+        program = build_pcg_program(matrix, lower, placement,
+                                    make_geometry(config),
+                                    multicast=multicast)
     if key is not None:
-        cache.put(
-            PROGRAM_NAMESPACE, key,
-            (program.spmv, program.sptrsv_lower, program.sptrsv_upper),
-            PICKLE,
-        )
+        cache.put(PROGRAM_NAMESPACE, key, program.kernels, PICKLE)
     return program
 
 
@@ -399,15 +380,15 @@ class ExperimentSession:
         ))
         _validate_choice("preset", spec.preset, PRESETS)
         cached = self.cached(spec, key)
-        if cached is not MISS:
-            return cached
+        return self._place(spec, key) if cached is MISS else cached
 
-        prepared = self.prepare(name, spec.scale)
-        mapper_fn = get_mapper(mapper)
+    def _place(self, spec: PlacementSpec, key: str) -> Placement:
+        prepared = self.prepare(spec.name, spec.scale)
+        mapper_fn = get_mapper(spec.mapper)
         start = time.perf_counter()
-        with obs.timer("pipeline.place", matrix=name, mapper=mapper,
-                       n_tiles=spec.n_tiles):
-            if mapper == "azul":
+        with obs.timer("pipeline.place", matrix=spec.name,
+                       mapper=spec.mapper, n_tiles=spec.n_tiles):
+            if spec.mapper == "azul":
                 assert spec.preset is not None and spec.seed is not None
                 placement = mapper_fn(
                     prepared.matrix, prepared.lower, spec.n_tiles,
@@ -440,6 +421,21 @@ class ExperimentSession:
             return value
         return self._placement_from_arrays(value, point.n_tiles)
 
+    def compute(self, point, key: str):
+        """Compute and cache a resolved point the cache does not hold.
+
+        What :meth:`placement` and :meth:`simulate` do when their lookup
+        misses; the sweep (:func:`repro.parallel.simulate_many`) calls
+        it for the points its own lookup missed, so each computed
+        point's key is read once.  The point is computed as resolved,
+        whatever this session's defaults.
+        """
+        _validate_choice("mapper", point.mapper, mapper_names())
+        _validate_choice("preset", point.preset, PRESETS)
+        if isinstance(point, PlacementSpec):
+            return self._place(point, key)
+        return self._simulate(point, key)
+
     @staticmethod
     def _placement_from_arrays(arrays: dict, n_tiles: int) -> Placement:
         placement = Placement(
@@ -466,12 +462,10 @@ class ExperimentSession:
         agree shares one compilation, whatever its timing
         configuration.
         """
-        from repro.sim.machine import AzulMachine
-
         prepared = self.prepare(name, scale)
         return compile_pcg_program(
-            AzulMachine(self.config), prepared.matrix, prepared.lower,
-            placement, multicast=multicast, cache=self.cache, label=name,
+            self.config, prepared.matrix, prepared.lower, placement,
+            multicast=multicast, cache=self.cache, label=name,
         )
 
     def traffic(self, name: str, placement: Placement):
@@ -520,30 +514,36 @@ class ExperimentSession:
         ))
         _validate_choice("preset", point.preset, PRESETS)
         cached = self.cached(point, key)
-        if cached is not MISS:
-            if trace:
-                self._bridge_trace(key, f"{name}/{mapper}", cached)
-            return cached
+        if cached is MISS:
+            return self._simulate(point, key)
+        if trace:
+            self._bridge_trace(key, f"{name}/{mapper}", cached)
+        return cached
 
+    def _simulate(self, point: SimPoint, key: str):
         from repro.sim.machine import AzulMachine, verify_iteration
 
+        name, mapper, pe, config = (point.name, point.mapper, point.pe,
+                                    point.config)
+        assert config is not None  # a resolved point carries its machine
         prepared = self.prepare(name, point.scale)
         placement = self.placement(**vars(point.placement))
-        program = self.compiled_program(
-            name, placement, scale=point.scale, multicast=multicast,
+        program = compile_pcg_program(
+            config, prepared.matrix, prepared.lower, placement,
+            multicast=point.multicast, cache=self.cache, label=name,
         )
         model = pe if isinstance(pe, PEModel) else pe_model_by_name(pe)
-        machine = AzulMachine(self.config, model)
+        machine = AzulMachine(config, model)
         with obs.timer("pipeline.simulate", matrix=name, mapper=mapper,
-                       pe=str(getattr(pe, "name", pe)), trace=trace):
+                       pe=str(getattr(pe, "name", pe)), trace=point.trace):
             result = machine.simulate_iteration(
                 program, p=prepared.b, r=prepared.b,
-                record_issue_trace=trace,
+                record_issue_trace=point.trace,
             )
         verify_iteration(result, prepared.matrix, prepared.lower,
                          prepared.b)
         self.cache.put(SIMULATION_NAMESPACE, key, result, PICKLE)
-        if trace:
+        if point.trace:
             self._bridge_trace(key, f"{name}/{mapper}", result)
         return result
 

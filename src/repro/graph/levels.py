@@ -5,7 +5,9 @@ length of the longest dependence chain ending at that row.  Rows in the
 same level are independent and can be solved in parallel; the number of
 levels bounds the solve's critical path.  The levels themselves come
 from the cached :func:`repro.sparse.schedule.triangular_schedule`; this
-module weighs the chain by each row's operation count.
+module weighs the chain by each row's operation count.  Like the
+schedule, the weighted chain reads only the factor's structure and is
+cached on it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.schedule import cached_on
 
 
 def critical_path_ops(lower: CSRMatrix) -> int:
@@ -22,7 +25,13 @@ def critical_path_ops(lower: CSRMatrix) -> int:
     the final scale by the reciprocal diagonal are serialized within the
     row); the critical path is the longest such weighted chain.  This is
     the denominator of the paper's Table I parallelism estimate.
+    Computed once per factor structure.
     """
+    return cached_on(lower, ("critical_path",),
+                     lambda: _critical_path(lower))
+
+
+def _critical_path(lower: CSRMatrix) -> int:
     n = lower.n_rows
     path = np.zeros(n, dtype=np.int64)
     indptr, indices = lower.indptr, lower.indices

@@ -12,7 +12,8 @@ serial loop of :meth:`ExperimentSession.placement` /
 
 * **Cache short-circuit** — every point is looked up in the shared
   on-disk artifact cache *before* any worker is spawned; a fully-cached
-  sweep never pays process start-up.
+  sweep never pays process start-up, and a missed point is computed
+  (:meth:`ExperimentSession.compute`) without a second lookup.
 * **Placements first** — placement points are dispatched before the
   simulations.  At ``jobs=1`` they are also computed first, so every
   simulation reads its placement from the cache; in a pool a
@@ -178,28 +179,16 @@ def resolve(session, point: _P) -> Tuple[_P, str]:
     return placement, placement_key(placement)
 
 
-def _compute(session, point: Point):
-    """Compute one resolved point in-process (serial path and fallback)."""
-    from repro.experiments.common import ExperimentSession
-
-    fields = dict(vars(point))
-    if isinstance(point, PlacementSpec):
-        return session.placement(**fields)
-    config = fields.pop("config")
-    if config != session.config:
-        session = ExperimentSession(config, cache=session.cache)
-    return session.simulate(**fields)
-
-
-def _attempt(session, point: Point):
-    """The result of one point, or the exception computing it raised."""
+def _attempt(session, key: str, point: Point):
+    """The result of one point the cache missed, or the exception
+    computing it raised (serial path and fallback)."""
     try:
-        return _compute(session, point)
+        return session.compute(point, key)
     except Exception as exc:  # noqa: BLE001 — fails only this point
         return exc
 
 
-def _compute_in_worker(point: Point) -> tuple:
+def _compute_in_worker(key: str, point: Point) -> tuple:
     """Top-level worker entry point (must be picklable by reference).
 
     Builds a fresh session in the worker process; the artifact cache is
@@ -214,17 +203,16 @@ def _compute_in_worker(point: Point) -> tuple:
     cache = ArtifactCache.default()
     cache.persist_stats = False
     cache.stats = CacheStats()
-    session = ExperimentSession(getattr(point, "config", None), cache=cache)
-    return _attempt(session, point), cache.stats
+    return _attempt(ExperimentSession(cache=cache), key, point), cache.stats
 
 
 def _run_pool(pending: List[tuple], jobs: int, info: dict,
               worker=_compute_in_worker) -> dict:
     """Fan ``(key, point)`` cache misses out over a process pool.
 
-    Returns ``{key: what worker returned, or _FAILED}``; pool-level
-    failures leave keys absent, which the caller treats the same as
-    ``_FAILED``.
+    Each task runs ``worker(key, point)``.  Returns ``{key: what worker
+    returned, or _FAILED}``; pool-level failures leave keys absent,
+    which the caller treats the same as ``_FAILED``.
     """
     from concurrent.futures import ProcessPoolExecutor
 
@@ -234,7 +222,7 @@ def _run_pool(pending: List[tuple], jobs: int, info: dict,
             max_workers=min(jobs, len(pending))
         ) as pool:
             futures = [
-                (key, pool.submit(worker, point))
+                (key, pool.submit(worker, key, point))
                 for key, point in pending
             ]
             for key, future in futures:
@@ -322,7 +310,7 @@ def simulate_many(session, points: Mapping[str, Point],
             for key, point in pending:
                 value = computed.get(key, _FAILED)
                 if value is _FAILED:
-                    value = _attempt(session, point)
+                    value = _attempt(session, key, point)
                     info["computed_serial"] += 1
                 else:
                     value, counts = value

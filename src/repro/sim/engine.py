@@ -20,6 +20,7 @@ from repro.sim.fabric import LinkFabric, multicast_forks
 from repro.sim.issue import HorizonIssue
 from repro.sim.pe import PEModel
 from repro.sim.state import (
+    OP_NAMES,
     T_ADD,
     T_MUL,
     T_SAAC,
@@ -175,12 +176,7 @@ class KernelSimulator:
             name=program.name,
             cycles=cycles,
             output=state.output,
-            op_counts={
-                "fmac": op_totals[0],
-                "add": op_totals[1],
-                "mul": op_totals[2],
-                "send": op_totals[3],
-            },
+            op_counts=dict(zip(OP_NAMES, op_totals)),
             busy_slots=busy,
             link_activations=fabric.link_count(),
             link_ids=link_ids,

@@ -18,12 +18,13 @@ from repro.comm import make_geometry
 from repro.config import AzulConfig
 from repro.core.placement import Placement
 from repro.dataflow.program import PCGIterationProgram, build_pcg_program
+from repro.dataflow.vector_ops import VectorPhaseModel
 from repro.errors import SimulationError
 from repro.sim.engine import KernelSimulator
 from repro.sim.pe import AZUL_PE, PEModel
 from repro.sim.stats import IterationResult, KernelResult
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import level_sptrsv_lower, level_sptrsv_upper
+from repro.sparse.ops import level_sptrsv_lower, level_sptrsv_transposed
 
 
 class AzulMachine:
@@ -32,7 +33,8 @@ class AzulMachine:
     ``self.torus`` is the NoC geometry the configuration describes
     (``config.topology`` selects torus or mesh via
     :func:`repro.comm.make_geometry`); programs are compiled over it
-    and the vector-phase model reads its reduction depth.
+    (:func:`~repro.dataflow.program.build_pcg_program`) and the
+    vector-phase model reads its reduction depth.
     """
 
     def __init__(self, config: Optional[AzulConfig] = None,
@@ -42,20 +44,6 @@ class AzulMachine:
         self.torus = make_geometry(self.config)
 
     # ------------------------------------------------------------------
-    def compile(self, matrix: CSRMatrix, lower: CSRMatrix,
-                placement: Placement,
-                multicast: str = "tree") -> PCGIterationProgram:
-        """Compile a mapped (A, L) pair into an iteration program."""
-        if placement.n_tiles != self.config.num_tiles:
-            raise SimulationError(
-                f"placement targets {placement.n_tiles} tiles but the "
-                f"machine has {self.config.num_tiles}"
-            )
-        return build_pcg_program(
-            matrix, lower, placement, self.torus, self.config,
-            multicast=multicast,
-        )
-
     def run_kernel(self, program_kernel, x=None, b=None,
                    record_issue_trace: bool = False) -> KernelResult:
         """Simulate a single compiled kernel."""
@@ -73,6 +61,7 @@ class AzulMachine:
         """Simulate one PCG iteration's kernels on representative vectors.
 
         ``p`` feeds the SpMV; ``r`` feeds the preconditioner solves.
+        The vector phase is costed from this machine's configuration.
         The numeric outputs are returned inside the kernel results so
         callers can verify them against the reference kernels.  With
         ``record_issue_trace`` each kernel result carries its per-op
@@ -87,7 +76,10 @@ class AzulMachine:
             program.sptrsv_upper, b=forward_result.output,
             record_issue_trace=record,
         )
-        vector_cycles = program.vector_phase.cycles()
+        vector_model = VectorPhaseModel(
+            program.spmv.vec_tile, self.torus, self.config,
+        )
+        vector_cycles = vector_model.cycles()
         kernel_results = [spmv_result, forward_result, backward_result]
         total = sum(k.cycles for k in kernel_results) + vector_cycles
         return IterationResult(
@@ -96,7 +88,7 @@ class AzulMachine:
             total_cycles=total,
             flops_per_iteration=program.flops_per_iteration(),
             config=self.config,
-            vector_ops=program.vector_phase.op_counts(program.n),
+            vector_ops=vector_model.op_counts(program.n),
         )
 
     def simulate_pcg(self, matrix: CSRMatrix, lower: CSRMatrix,
@@ -109,11 +101,11 @@ class AzulMachine:
         (:func:`verify_iteration`, the paper's functional check against
         Ginkgo, Sec. VI-A).  ``record_issue_trace`` forwards to each
         kernel simulation (the Fig. 17 timeline / Chrome-trace inputs).
-        An unverified result comes from :meth:`compile` and
-        :meth:`simulate_iteration`.
+        An unverified result is :meth:`simulate_iteration` of
+        ``build_pcg_program(A, L, placement, machine.torus)``.
         """
-        program = self.compile(matrix, lower, placement,
-                               multicast=multicast)
+        program = build_pcg_program(matrix, lower, placement, self.torus,
+                                    multicast=multicast)
         result = self.simulate_iteration(
             program, p=b, r=b, record_issue_trace=record_issue_trace,
         )
@@ -125,10 +117,12 @@ def verify_iteration(result: IterationResult, matrix: CSRMatrix,
                      lower: CSRMatrix, b: np.ndarray):
     """Assert the simulated dataflow computed the right numbers.
 
-    The expected solves run the level-scheduled kernels over
-    ``lower``'s cached triangular schedule, the same schedule whose
-    levels the Azul mapping balances over time
-    (:mod:`repro.core.quantiles`).
+    The expected solves run the level-scheduled kernels over the
+    triangular schedules cached on ``lower``: its forward schedule,
+    whose levels the Azul mapping balances over time
+    (:mod:`repro.core.quantiles`), and the backward schedule of its
+    transpose, so verifying many simulations of one factor builds each
+    once.
     """
     spmv_result, forward_result, backward_result = result.kernel_results
     expected_y = matrix.spmv(b)
@@ -138,7 +132,7 @@ def verify_iteration(result: IterationResult, matrix: CSRMatrix,
     if not np.allclose(forward_result.output, expected_w,
                        rtol=1e-9, atol=1e-9):
         raise SimulationError("simulated forward SpTRSV result mismatch")
-    expected_z = level_sptrsv_upper(lower.transpose(), expected_w)
+    expected_z = level_sptrsv_transposed(lower, expected_w)
     if not np.allclose(backward_result.output, expected_z,
                        rtol=1e-8, atol=1e-9):
         raise SimulationError("simulated backward SpTRSV result mismatch")

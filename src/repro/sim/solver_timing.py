@@ -71,9 +71,9 @@ def solver_iteration_cycles(machine: AzulMachine,
     spmv_result, forward_result, backward_result = base.kernel_results
     solve_cycles = forward_result.cycles + backward_result.cycles
     config = machine.config
-    dot = dot_allreduce_cycles(program.vector_phase.vec_tile,
-                               machine.torus, config)
-    axpy = axpy_cycles(program.vector_phase.vec_tile, config)
+    vec_tile = program.spmv.vec_tile
+    dot = dot_allreduce_cycles(vec_tile, machine.torus, config)
+    axpy = axpy_cycles(vec_tile, config)
     cycles = (
         recipe.n_spmv * spmv_result.cycles
         + recipe.n_precond_solves * solve_cycles

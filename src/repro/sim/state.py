@@ -17,12 +17,17 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-# Task kinds (slot 1 of a task; values match ``dataflow.tasks.OpKind``
-# so ``tile.op_counts[kind]`` indexes without translation).
+# Task kinds (slot 1 of a task; each is also the kind of the ops it
+# issues, so ``tile.op_counts[kind]`` indexes without translation).
 T_SAAC = 0   #: ScaleAndAccumCol: a run of FMACs against a column segment
 T_ADD = 1    #: merge one incoming reduction partial
 T_MUL = 2    #: solve x_i = (b_i - acc) * (1/d_i)
 T_SEND = 3   #: push one value into the router
+
+#: Name of each op kind, indexed by kind: the ``op_counts`` keys of a
+#: kernel result and the event names of its Chrome trace (Fig. 21's
+#: cycle-breakdown categories).
+OP_NAMES = ("fmac", "add", "mul", "send")
 
 # Task layout: ``[arrival_time, kind, payload..., hazard_row]``.  Slot 6
 # always holds the row whose accumulator gates the task's *current*

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.dataflow.tasks import OpKind
+from repro.sim.state import OP_NAMES
 from repro.sim.stats import KernelResult
 
 #: Issue events kept per kernel in a Chrome trace before downsampling.
@@ -45,7 +45,6 @@ def chrome_trace_events(result: KernelResult, pid: int,
     if result.n_tiles is None:
         raise ValueError("result carries no n_tiles")
     n_tiles = int(result.n_tiles)
-    names = {k.value: k.name.lower() for k in OpKind}
     kept = trace
     dropped = 0
     if cap is not None and len(trace) > cap:
@@ -74,7 +73,7 @@ def chrome_trace_events(result: KernelResult, pid: int,
     }]
     for cycle, tile, kind in kept:
         events.append({
-            "name": names[int(kind)],
+            "name": OP_NAMES[int(kind)],
             "ph": "X",
             "cat": "issue",
             "ts": float(cycle),

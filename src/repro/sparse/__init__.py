@@ -13,15 +13,15 @@ from repro import _lazy_exports
 
 _EXPORTS = {
     "repro.sparse.coo": ("COOMatrix",),
-    "repro.sparse.csr": ("CSRMatrix",),
+    "repro.sparse.csr": ("CSRMatrix", "transpose_with_mapping"),
     "repro.sparse.csc": ("CSCMatrix",),
     "repro.sparse.convert": (
         "coo_to_csr", "coo_to_csc", "csr_to_coo", "csr_to_csc",
         "csc_to_csr", "from_scipy", "to_scipy",
     ),
     "repro.sparse.ops": (
-        "ic0_attempt", "level_sptrsv_lower", "level_sptrsv_upper", "spmv",
-        "spmv_flops", "sptrsv_flops",
+        "ic0_attempt", "level_sptrsv_lower", "level_sptrsv_transposed",
+        "level_sptrsv_upper", "spmv", "spmv_flops", "sptrsv_flops",
     ),
     "repro.sparse.schedule": (
         "IC0Schedule", "TriangularSchedule", "ic0_schedule",

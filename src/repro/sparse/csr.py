@@ -110,9 +110,7 @@ class CSRMatrix:
 
     def transpose(self) -> "CSRMatrix":
         """Return the transpose, also in CSR form."""
-        from repro.sparse.convert import coo_to_csr, csr_to_coo
-
-        return coo_to_csr(csr_to_coo(self).transpose())
+        return transpose_with_mapping(self)[0]
 
     def lower_triangle(self, include_diagonal: bool = True) -> "CSRMatrix":
         """Extract the lower triangle as a new CSR matrix."""
@@ -181,3 +179,24 @@ class CSRMatrix:
             and np.array_equal(self.indices, other.indices)
             and np.allclose(self.data, other.data, rtol=rtol, atol=atol)
         )
+
+
+def transpose_with_mapping(matrix: CSRMatrix):
+    """Transpose a CSR matrix, tracking where each nonzero came from.
+
+    Returns ``(transposed, source)`` where
+    ``transposed.data[k] == matrix.data[source[k]]``: the dataflow
+    compiler carries per-nonzero tile assignments through it, and the
+    backward solve's cached schedule reads the factor's current values
+    through it.  Columns come out sorted within each row.
+    """
+    rows = np.repeat(np.arange(matrix.n_rows), matrix.row_nnz())
+    cols = matrix.indices
+    order = np.lexsort((rows, cols))
+    counts = np.bincount(cols, minlength=matrix.n_cols)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    transposed = CSRMatrix(
+        indptr, rows[order], matrix.data[order],
+        (matrix.n_cols, matrix.n_rows),
+    )
+    return transposed, order

@@ -5,8 +5,9 @@ The triangular solve has one form here:
 level set by level set (wavefront) over a cached
 :class:`~repro.sparse.schedule.TriangularSchedule`.  Each dependence
 level is one batched numpy gather/segment-reduce, so every solve of a
-factor re-uses the schedule computed once for it.  Solvers and
-preconditioners reach them through
+factor re-uses the schedule computed once for it;
+:func:`level_sptrsv_transposed` solves with ``L^T`` over a schedule
+cached on ``L``.  Solvers and preconditioners reach them through
 :class:`repro.solvers.kernels.KernelCounter`, and the simulator's
 functional check (:func:`repro.sim.machine.verify_iteration`) calls
 them directly.
@@ -34,8 +35,12 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import MatrixFormatError, SingularMatrixError
-from repro.sparse.csr import CSRMatrix
-from repro.sparse.schedule import ic0_schedule, triangular_schedule
+from repro.sparse.csr import CSRMatrix, transpose_with_mapping
+from repro.sparse.schedule import (
+    cached_on,
+    ic0_schedule,
+    triangular_schedule,
+)
 
 
 def spmv(matrix: CSRMatrix, x) -> np.ndarray:
@@ -78,6 +83,22 @@ def level_sptrsv_upper(upper: CSRMatrix, b,
         upper, is_lower=False, unit_diagonal=unit_diagonal
     )
     return schedule.execute(upper.data, b)
+
+
+def level_sptrsv_transposed(lower: CSRMatrix, b) -> np.ndarray:
+    """Solve ``L^T x = b`` for lower-triangular ``L``, level by level.
+
+    The same solve as ``level_sptrsv_upper(lower.transpose(), b)``,
+    but the transpose is cached on ``lower`` (and its schedule on the
+    transpose), so each factor's is built once; the values are read
+    from ``lower.data`` on every call.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    _check_trsv_args(lower, b)
+    upper, source = cached_on(lower, ("transpose",),
+                              lambda: transpose_with_mapping(lower))
+    schedule = triangular_schedule(upper, is_lower=False)
+    return schedule.execute(lower.data[source], b)
 
 
 def ic0_attempt(lower: CSRMatrix,

@@ -73,8 +73,14 @@ def _structure_token(matrix: CSRMatrix) -> Tuple[int, int, int]:
     return (id(matrix.indptr), id(matrix.indices), matrix.nnz)
 
 
-def _cached(matrix: CSRMatrix, key: tuple, builder):
-    """Memoize ``builder()`` on the matrix, keyed by structure identity."""
+def cached_on(matrix: CSRMatrix, key: tuple, builder):
+    """Memoize ``builder()`` on the matrix, keyed by structure identity.
+
+    For anything computed from the structure alone: the level
+    schedules here, the transpose the backward solve of a factor reads
+    (:func:`repro.sparse.ops.level_sptrsv_transposed`) and the weighted
+    critical path (:func:`repro.graph.levels.critical_path_ops`).
+    """
     cache: Dict[tuple, tuple] = getattr(matrix, _CACHE_ATTR, None)
     if cache is None:
         cache = {}
@@ -348,7 +354,7 @@ def triangular_schedule(matrix: CSRMatrix, is_lower: bool = True,
     ``(is_lower, unit_diagonal)``; see the module docstring for the
     invalidation rules.
     """
-    return _cached(
+    return cached_on(
         matrix, ("tri", is_lower, unit_diagonal),
         lambda: _build_triangular(matrix, is_lower, unit_diagonal),
     )
@@ -541,4 +547,4 @@ def _build_ic0(lower: CSRMatrix) -> IC0Schedule:
 
 def ic0_schedule(lower: CSRMatrix) -> IC0Schedule:
     """The (cached) symbolic IC(0) schedule of a lower factor pattern."""
-    return _cached(lower, ("ic0",), lambda: _build_ic0(lower))
+    return cached_on(lower, ("ic0",), lambda: _build_ic0(lower))

@@ -10,15 +10,16 @@ from repro.dataflow import (
     build_pcg_program,
     build_spmv_program,
     build_sptrsv_program,
-    transpose_with_mapping,
 )
 from repro.dataflow.vector_ops import (
     VectorPhaseModel,
     axpy_cycles,
     dot_allreduce_cycles,
 )
+from repro.errors import SimulationError
 from repro.precond import ic0
 from repro.sparse import generators as gen
+from repro.sparse import transpose_with_mapping
 from tests.oracles.functional import functional_spmv, functional_sptrsv
 from tests.oracles.kernels import sptrsv_lower_rowwise as ref_sptrsv_lower
 from tests.oracles.kernels import sptrsv_upper_rowwise as ref_sptrsv_upper
@@ -49,6 +50,14 @@ class TestTransposeWithMapping:
 
 
 class TestSpMVProgram:
+    def test_rejects_unknown_multicast_mode(self, operands):
+        matrix, lower = operands
+        placement = map_round_robin(matrix, lower, N_TILES)
+        with pytest.raises(ValueError, match="unknown multicast mode"):
+            build_spmv_program(matrix, placement.a_tile,
+                               placement.vec_tile, TORUS,
+                               multicast="broadcast")
+
     def test_functional_equivalence(self, operands, rng):
         matrix, lower = operands
         placement = map_round_robin(matrix, lower, N_TILES)
@@ -166,16 +175,22 @@ class TestPCGProgram:
     def test_bundles_three_kernels(self, operands):
         matrix, lower = operands
         placement = map_block(matrix, lower, N_TILES)
-        config = AzulConfig(mesh_rows=4, mesh_cols=4)
-        program = build_pcg_program(matrix, lower, placement, TORUS, config)
+        program = build_pcg_program(matrix, lower, placement, TORUS)
         names = [k.name for k in program.kernels]
         assert names == ["spmv", "sptrsv_lower", "sptrsv_upper"]
+        assert program.n == matrix.n_rows
+
+    def test_rejects_another_tile_count(self, operands):
+        """The one check that a placement fits the machine it runs on."""
+        matrix, lower = operands
+        placement = map_block(matrix, lower, N_TILES)
+        with pytest.raises(SimulationError, match="16 tiles.*has 4"):
+            build_pcg_program(matrix, lower, placement, TorusGeometry(2, 2))
 
     def test_flops_per_iteration(self, operands):
         matrix, lower = operands
         placement = map_block(matrix, lower, N_TILES)
-        config = AzulConfig(mesh_rows=4, mesh_cols=4)
-        program = build_pcg_program(matrix, lower, placement, TORUS, config)
+        program = build_pcg_program(matrix, lower, placement, TORUS)
         n = matrix.n_rows
         expected_sparse = (
             2 * matrix.nnz

@@ -18,7 +18,8 @@ from repro.cache import ArtifactCache
 from repro.comm import MeshGeometry, TorusGeometry
 from repro.config import AzulConfig
 from repro.core import map_block
-from repro.dataflow import build_pcg_program, kernel_program
+from repro.dataflow import build_pcg_program
+from repro.dataflow import program as dataflow_program
 from repro.dataflow.lower import lower_kernel
 from repro.precond import ic0
 from repro.sparse.suite import get_suite_matrix
@@ -46,12 +47,12 @@ def mapped(request):
 def _build_pair(monkeypatch, matrix, lower, placement, geometry, multicast):
     """The PCG program lowered by production code and by the oracle."""
     vectorized = build_pcg_program(
-        matrix, lower, placement, geometry, CONFIG, multicast=multicast,
+        matrix, lower, placement, geometry, multicast=multicast,
     )
     with monkeypatch.context() as patch:
-        patch.setattr(kernel_program, "lower_kernel", lower_kernel_oracle)
+        patch.setattr(dataflow_program, "lower_kernel", lower_kernel_oracle)
         reference = build_pcg_program(
-            matrix, lower, placement, geometry, CONFIG, multicast=multicast,
+            matrix, lower, placement, geometry, multicast=multicast,
         )
     return vectorized, reference
 

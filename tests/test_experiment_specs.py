@@ -422,6 +422,32 @@ class TestExecution:
         counters = json.loads(metrics.read_text())["counters"]
         assert counters["sweep.points"] == points
 
+    def test_cold_serial_run_reads_each_key_once(self, fresh_cache,
+                                                 monkeypatch):
+        """A computed point's key is read once: the sweep's miss leads
+        straight to the computation, with no second lookup."""
+        from collections import Counter
+
+        from repro.cache import ArtifactCache
+
+        reads = Counter()
+        get = ArtifactCache.get
+
+        def counted(self, namespace, key, serializer):
+            reads[namespace, key] += 1
+            return get(self, namespace, key, serializer)
+
+        monkeypatch.setattr(ArtifactCache, "get", counted)
+        report = execute(
+            [load_spec("fig21"), load_spec("fig22")], jobs=1,
+            overrides={"matrices": SMALL, "config": TINY_CONFIG},
+        )
+        assert report.exit_code == 0
+        assert Counter(namespace for namespace, _ in reads) == {
+            "placements": 2, "programs": 2, "simulations": 2,
+        }
+        assert set(reads.values()) == {1}, reads
+
     def test_shared_sweep_serves_both_experiments(self, fresh_cache):
         report = execute(
             [load_spec("fig21"), load_spec("fig22")],

@@ -12,7 +12,11 @@ import pytest
 from repro.comm import TorusGeometry
 from repro.config import AzulConfig
 from repro.core import Placement, map_block
-from repro.dataflow import build_spmv_program, build_sptrsv_program
+from repro.dataflow import (
+    build_pcg_program,
+    build_spmv_program,
+    build_sptrsv_program,
+)
 from repro.errors import (
     CapacityError,
     MappingError,
@@ -126,7 +130,8 @@ class TestCorruptNumerics:
         placement = map_block(matrix, lower, 16)
         machine = AzulMachine(CONFIG)
         result = machine.simulate_iteration(
-            machine.compile(matrix, lower, placement), p=b, r=b,
+            build_pcg_program(matrix, lower, placement, machine.torus),
+            p=b, r=b,
         )
         # Corrupt the recorded SpMV output, then re-verify.
         result.kernel_results[0].output[0] += 1.0

@@ -223,7 +223,7 @@ class TestSimulateMany:
         assert persisted[1]["writes"] == len(entries) > 0
 
 
-def _square_or_crash(spec):
+def _square_or_crash(key, spec):
     """Module-level worker (picklable) used by the crash-isolation test."""
     value = spec["value"]
     if value is None:

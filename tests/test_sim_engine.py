@@ -81,6 +81,44 @@ class TestFunctionalCorrectness:
         result = _machine(pe).simulate_pcg(matrix, lower, placement, b)
         assert result.total_cycles > 0
 
+    def test_verification_builds_the_upper_schedule_once(self,
+                                                         monkeypatch):
+        """Verifying many simulations of one factor builds its ``L^T``
+        schedule once, and still reads the factor's current values."""
+        from repro.sim.machine import verify_iteration
+        from repro.sparse import schedule
+
+        matrix = gen.grid_laplacian_2d(8, 8)
+        lower = ic0(matrix)
+        b = gen.make_rhs(matrix, seed=3)
+        built = []
+        build = schedule._build_triangular
+
+        def counted(tri, is_lower, unit_diagonal):
+            built.append(is_lower)
+            return build(tri, is_lower, unit_diagonal)
+
+        monkeypatch.setattr(schedule, "_build_triangular", counted)
+        results = [
+            _machine(pe).simulate_pcg(
+                matrix, lower, mapper(matrix, lower, N_TILES), b,
+            )
+            for mapper in (map_block, map_round_robin)
+            for pe in (AZUL_PE, DALOREX_PE)
+        ]
+        assert built.count(False) == 1
+        # Halve the off-diagonal values in place: a simulation of the
+        # changed factor verifies against its new values...
+        rows = np.repeat(np.arange(lower.n_rows), lower.row_nnz())
+        lower.data[lower.indices != rows] *= 0.5
+        _machine().simulate_pcg(
+            matrix, lower, map_block(matrix, lower, N_TILES), b,
+        )
+        assert built.count(False) == 1
+        # ...and one simulated on the old values no longer does.
+        with pytest.raises(SimulationError, match="mismatch"):
+            verify_iteration(results[0], matrix, lower, b)
+
     def test_missing_inputs_rejected(self, operands):
         matrix, lower, _ = operands
         placement = map_block(matrix, lower, N_TILES)

@@ -18,6 +18,7 @@ from repro.comm import MeshGeometry, TorusGeometry
 from repro.config import AzulConfig
 from repro.core import analyze_traffic, get_mapper
 from repro.core.traffic import kernel_traffic
+from repro.dataflow import build_pcg_program
 from repro.errors import MatrixFormatError, SingularMatrixError
 from repro.hypergraph import PartitionerOptions
 from repro.precond import ic0
@@ -115,7 +116,8 @@ def test_simulated_links_are_the_static_count(multicast):
     lower = ic0(matrix)
     machine = AzulMachine(AzulConfig(mesh_rows=4, mesh_cols=4))
     placement = _place("round_robin", matrix, lower, 16)
-    program = machine.compile(matrix, lower, placement, multicast=multicast)
+    program = build_pcg_program(matrix, lower, placement, machine.torus,
+                                multicast=multicast)
     b = np.ones(matrix.n_rows)
     result = machine.simulate_iteration(program, p=b, r=b)
     for kernel, simulated in zip(program.kernels, result.kernel_results):

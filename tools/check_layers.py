@@ -16,10 +16,9 @@ but the standard library, and checks:
    simulator- and program-agnostic).
 4. **dataflow independence** — ``repro.dataflow`` never imports
    ``repro.sim`` (programs are engine-neutral artifacts the simulator
-   consumes), and within the package the layers ``tasks <- ir <-
-   lower <- kernel_program <- [spmv_graph / sptrsv_graph /
-   vector_ops] <- program`` may only depend downward; the three
-   program builders form a sibling group.
+   consumes), and within the package the layers ``ir <- lower <-
+   vector_ops <- program`` may only depend downward: ``program`` is
+   the one module that builds programs.
 5. **hypergraph independence** — ``repro.hypergraph`` never imports
    the simulator, mapping core, experiments, or CLI: the partitioner
    is a leaf library, callers pass options down explicitly.  The
@@ -81,13 +80,7 @@ Layer = Union[str, List[str]]
 #: module may import only itself and strictly lower layers.
 LAYERED_PACKAGES: Dict[str, List[Layer]] = {
     "repro.sim": ["events", "state", "fabric", "issue", "engine"],
-    "repro.dataflow": [
-        "tasks", "ir", "lower", "kernel_program",
-        [  # sibling group: independent program builders over the IR
-            "spmv_graph", "sptrsv_graph", "vector_ops",
-        ],
-        "program",
-    ],
+    "repro.dataflow": ["ir", "lower", "vector_ops", "program"],
     "repro.hypergraph": [
         "hgraph", "metrics", "coarsen", "initial", "refine",
         "partitioner",
